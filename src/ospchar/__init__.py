@@ -13,10 +13,8 @@ from .algebra import (
     LaurentPolynomial,
     PoleError,
     RationalFunction,
-    SquareMatrix,
     VariableMismatchError,
     VariableSet,
-    det_bareiss,
     det_cofactor,
     det_rational,
     embed,

@@ -11,10 +11,14 @@ to the per-variable shift that makes all exponents nonnegative, and it is a
 proper monomial order on the shifted vectors.  The order fixes canonical
 serialization and the leading-term choice during division.
 
-Determinants: fraction-free (Bareiss) elimination over polynomial entries,
-cofactor expansion with common-row-denominator clearing over rational
-entries.  Matrix sizes stay in the single digits throughout this package, so
-clarity wins over asymptotics.
+Determinants: one algorithm serves every matrix, a cofactor expansion along
+the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
+entry products and never divides, so sparse multivariate entries do not swell
+the way they do under fraction-free elimination; matrix sizes stay in the
+single digits throughout this package, so the exponential factor is small.
+Rational matrices first clear a common denominator per row (det_rational).
+Bareiss elimination (det_bareiss) is kept only as the reference that the
+tests compare det_cofactor against.
 """
 
 from __future__ import annotations
@@ -24,8 +28,12 @@ from operator import add
 from typing import Iterable, Sequence
 
 
-class AlgebraError(ValueError):
-    """Base class for arithmetic contract violations."""
+class AlgebraError(Exception):
+    """Base class for arithmetic contract violations.
+
+    Not a ValueError: inside a computation it signals a defect in a formula
+    or in the arithmetic, never a bad argument from the user.
+    """
 
 
 class VariableMismatchError(AlgebraError):
@@ -651,7 +659,8 @@ def det_bareiss(
     """Fraction-free determinant of a square Laurent polynomial matrix.
 
     Every division along the way is exact (by the previous pivot); the empty
-    matrix has determinant 1.
+    matrix has determinant 1.  No route uses it: it is the independent
+    reference that the tests compare det_cofactor against.
     """
     vs = _det_vars(rows, vars)
     n = len(rows)
@@ -683,9 +692,11 @@ def det_bareiss(
 def det_cofactor(rows: Sequence[Sequence], vars: VariableSet | None = None):
     """Determinant by first-row expansion, memoized on column subsets.
 
-    Works over any entry type supporting +, *, unary - and is_zero(); used
-    directly on polynomial matrices and, through det_rational, on matrices of
-    rational functions.
+    The package's one determinant algorithm: every polynomial route calls it
+    directly, and det_rational calls it on the row-cleared matrix.  Each
+    subset of columns is expanded once, so an n x n matrix costs O(2^n * n)
+    entry products and no division.  Works over any entry type supporting
+    +, *, unary - and is_zero(); the empty matrix has determinant 1.
     """
     vs = _det_vars(rows, vars)
     n = len(rows)
@@ -750,47 +761,3 @@ def det_rational(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction
         )
         denprod = denprod * mult
     return RationalFunction(det_cofactor(cleared, vs), denprod)
-
-
-class SquareMatrix:
-    """Square matrix over one ring: Laurent polynomials or rational functions.
-
-    det() picks the evaluation strategy from the entry type: Bareiss for
-    polynomial entries, cofactor expansion with denominator clearing for
-    rational ones.
-    """
-
-    __slots__ = ("entries", "vars", "size")
-
-    def __init__(self, entries: Sequence[Sequence], vars: VariableSet | None = None):
-        rows = [list(r) for r in entries]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise AlgebraError("matrix is not square")
-        kinds = {type(e) for row in rows for e in row}
-        if kinds - {LaurentPolynomial, RationalFunction}:
-            raise AlgebraError(f"unsupported entry types: {kinds}")
-        if kinds == {LaurentPolynomial, RationalFunction}:
-            rows = [
-                [e if isinstance(e, RationalFunction) else RationalFunction(e) for e in row]
-                for row in rows
-            ]
-        self.entries = rows
-        self.size = n
-        self.vars = _det_vars(rows, vars)
-
-    def __getitem__(self, ij: tuple[int, int]):
-        return self.entries[ij[0]][ij[1]]
-
-    def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(
-            [[self.entries[j][i] for j in range(self.size)] for i in range(self.size)],
-            self.vars,
-        )
-
-    def det(self):
-        if self.size == 0:
-            return self.vars.one()
-        if isinstance(self.entries[0][0], RationalFunction):
-            return det_rational(self.entries)
-        return det_bareiss(self.entries, self.vars)

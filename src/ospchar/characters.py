@@ -27,7 +27,7 @@ from .algebra import (
     LaurentPolynomial,
     RationalFunction,
     VariableSet,
-    det_bareiss,
+    det_cofactor,
     det_rational,
     exact_div,
 )
@@ -87,7 +87,7 @@ def schur_bialternant(lam: Partition, xs: Sequence[Poly]) -> Poly:
     vs = _vs_of(xs)
     num = [[xs[i] ** (lam.part(j) + n - j) for j in range(1, n + 1)] for i in range(n)]
     den = [[xs[i] ** (n - j) for j in range(1, n + 1)] for i in range(n)]
-    return exact_div(det_bareiss(num, vs), det_bareiss(den, vs))
+    return exact_div(det_cofactor(num, vs), det_cofactor(den, vs))
 
 
 # -- hook (general linear superalgebra) ----------------------------------
@@ -105,7 +105,7 @@ def hook_schur_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Pol
         return table[r]
 
     rows = [[h(lam.part(i) - i + j) for j in range(1, size + 1)] for i in range(1, size + 1)]
-    return det_bareiss(rows, vs)
+    return det_cofactor(rows, vs)
 
 
 def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -163,33 +163,29 @@ def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
     return out
 
 
-def symplectic_weyl(lam: Partition, xs: Sequence[Poly], check_denominator: bool = True) -> Poly:
-    """Weyl quotient det(x_i^a - x_i^-a), a = lam_j + n - j + 1, over the
-    same determinant at the empty partition.
+def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
+    """Rows x_i^a - x_i^-a with a = lam_j + n - j + 1.
 
-    The denominator determinant is checked against its closed product form
-    before dividing (disable with check_denominator for repeated calls with
-    one alphabet).
+    Its determinant at the empty partition is the symplectic denominator.
     """
     n = len(xs)
-    _require_length(lam, n)
+    exps = [lam.part(j) + n - j + 1 for j in range(1, n + 1)]
+    return [[x ** a - x ** (-a) for a in exps] for x in xs]
+
+
+def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
+    """Weyl quotient det(x_i^a - x_i^-a), a = lam_j + n - j + 1, over the
+    same determinant at the empty partition (both from symplectic_matrix).
+
+    Every call checks the denominator determinant against its closed product
+    form before dividing.
+    """
+    _require_length(lam, len(xs))
     vs = _vs_of(xs)
     den = symplectic_denominator_product(xs)
-    if check_denominator:
-        den_rows = [
-            [xs[i] ** (n - j + 1) - xs[i] ** (j - n - 1) for j in range(1, n + 1)]
-            for i in range(n)
-        ]
-        if det_bareiss(den_rows, vs) != den:
-            raise RuntimeError("symplectic denominator does not match its product form")
-    num = [
-        [
-            xs[i] ** (lam.part(j) + n - j + 1) - xs[i] ** (j - n - 1 - lam.part(j))
-            for j in range(1, n + 1)
-        ]
-        for i in range(n)
-    ]
-    return exact_div(det_bareiss(num, vs), den)
+    if det_cofactor(symplectic_matrix(Partition(), xs), vs) != den:
+        raise RuntimeError("symplectic denominator does not match its product form")
+    return exact_div(det_cofactor(symplectic_matrix(lam, xs), vs), den)
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -215,7 +211,7 @@ def ortho_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
         row = [J(a + 1)]
         row += [J(a + j) + J(a - j + 2) for j in range(2, n + 1)]
         rows.append(row)
-    return det_bareiss(rows, vs)
+    return det_cofactor(rows, vs)
 
 
 def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -302,7 +298,7 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
         row += [zero] * (k - 1)
         rows.append(row)
     assert len(rows) == m + k - 1
-    det = det_bareiss(rows, vs)
+    det = det_cofactor(rows, vs)
     sign = -1 if (m * n - n + k - 1) % 2 else 1
     return sign * exact_div(det, symplectic_denominator_product(xs))
 
@@ -321,7 +317,7 @@ def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
             a = lam.part(j) + n - j
             row.append(x ** (a + 1) - x ** (-a - 1) + y * (x ** a - x ** (-a)))
         rows.append(row)
-    return exact_div(det_bareiss(rows, vs), symplectic_denominator_product(xs))
+    return exact_div(det_cofactor(rows, vs), symplectic_denominator_product(xs))
 
 
 def ortho_single_y_long(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
@@ -344,12 +340,10 @@ def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y)."""
     n = len(xs)
     vs = _vs_of(xs, ys)
-    if xs:
-        symplectic_weyl(Partition(), xs)  # one denominator check per alphabet
     lamc = lam.conjugate()
     total = vs.zero()
     for mu in subpartitions(lam, max_length=n):
-        sp = symplectic_weyl(mu, xs, check_denominator=False)
+        sp = symplectic_weyl(mu, xs)
         sk = skew_schur_jt(lamc, mu.conjugate(), ys, vars=vs)
         total = total + sp * sk
     return total
@@ -370,38 +364,42 @@ def odd_denominator_product(xs: Sequence[Poly]) -> Poly:
     return out
 
 
-def odd_symplectic_det(lam: Partition, xs: Sequence[Poly], check_denominator: bool = True) -> Poly:
-    """Quotient det A_lam / det A_empty, the last variable distinguished.
+def odd_symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
+    """A_lam with the last variable y distinguished.
 
     Rows i < n: (x_i^(a+1) - x_i^-(a+1)) - (1/y)(x_i^a - x_i^-a) with
-    a = lam_j + n - j and y the last variable; row n: y^(lam_j + n - j).
-    det A_empty equals the closed product, which is checked before dividing.
+    a = lam_j + n - j; row n: y^(lam_j + n - j).
+    """
+    n = len(xs)
+    y = xs[n - 1]
+    yb = y.inverse()
+    rows = []
+    for i in range(n - 1):
+        x = xs[i]
+        row = []
+        for j in range(1, n + 1):
+            a = lam.part(j) + n - j
+            row.append(x ** (a + 1) - x ** (-a - 1) - yb * (x ** a - x ** (-a)))
+        rows.append(row)
+    rows.append([y ** (lam.part(j) + n - j) for j in range(1, n + 1)])
+    return rows
+
+
+def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
+    """Quotient det A_lam / det A_empty of odd_symplectic_matrix.
+
+    det A_empty is checked against its closed product form on every call,
+    before dividing.
     """
     n = len(xs)
     if n < 1:
         raise ValueError("needs at least one variable")
     _require_length(lam, n)
     vs = _vs_of(xs)
-    y = xs[n - 1]
-    yb = y.inverse()
-
-    def matrix(p: Partition) -> list[list[Poly]]:
-        rows = []
-        for i in range(n - 1):
-            x = xs[i]
-            row = []
-            for j in range(1, n + 1):
-                a = p.part(j) + n - j
-                row.append(x ** (a + 1) - x ** (-a - 1) - yb * (x ** a - x ** (-a)))
-            rows.append(row)
-        rows.append([y ** (p.part(j) + n - j) for j in range(1, n + 1)])
-        return rows
-
     den = odd_denominator_product(xs)
-    if check_denominator:
-        if det_bareiss(matrix(Partition()), vs) != den:
-            raise RuntimeError("odd symplectic denominator does not match its product form")
-    return exact_div(det_bareiss(matrix(lam), vs), den)
+    if det_cofactor(odd_symplectic_matrix(Partition(), xs), vs) != den:
+        raise RuntimeError("odd symplectic denominator does not match its product form")
+    return exact_div(det_cofactor(odd_symplectic_matrix(lam, xs), vs), den)
 
 
 # -- request dispatch --------------------------------------------------------

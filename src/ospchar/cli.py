@@ -1,8 +1,11 @@
 """Command-line interface: compute characters, enumerate tableaux, verify identities.
 
 Exit codes: 0 on success (or all checks passing), 1 when a verification
-fails, 2 on usage errors.  Text output is canonical and byte-stable; JSON
-round-trips through the documented schema.
+fails, 2 on usage errors, 3 on internal errors: a computation broke an
+arithmetic contract (say, an inexact division) or failed a built-in
+consistency check, which points at a defect in a formula, not at the input.
+Text output is canonical and byte-stable; JSON round-trips through the
+documented schema.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import json
 import sys
 from typing import Callable, Sequence
 
+from .algebra import AlgebraError
 from .characters import FAMILIES, METHODS, CharacterRequest
 from .identities import (
     VerificationReport,
@@ -172,8 +176,13 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"identity {args.identity} needs --lambda")
         args.lam = _parse_partition(args.lam)
     for flag in required:
-        if flag != "lam" and getattr(args, flag) is None:
+        if flag == "lam":
+            continue
+        value = getattr(args, flag)
+        if value is None:
             raise _UsageError(f"identity {args.identity} needs --{flag}")
+        if flag != "variant" and value < 0:
+            raise _UsageError(f"--{flag} must be nonnegative")
     try:
         reports = runner(args)
     except ValueError as exc:
@@ -218,6 +227,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"ospchar: {exc}", file=sys.stderr)
         return 2
+    except (AlgebraError, RuntimeError) as exc:
+        print(f"ospchar: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -18,7 +18,7 @@ from .algebra import (
     LaurentPolynomial,
     RationalFunction,
     VariableSet,
-    det_bareiss,
+    det_cofactor,
     det_rational,
     substitute,
 )
@@ -35,6 +35,7 @@ from .characters import (
     hook_schur_jt,
     odd_denominator_product,
     odd_symplectic_det,
+    odd_symplectic_matrix,
     ortho_det_laurent,
     ortho_det_rational,
     ortho_jt,
@@ -43,6 +44,7 @@ from .characters import (
     standard_x,
     standard_xy,
     symplectic_denominator_product,
+    symplectic_matrix,
     symplectic_weyl,
 )
 from . import tableaux
@@ -181,27 +183,16 @@ def verify_odd_ortho_specialization(lam: Partition, n: int) -> VerificationRepor
 
 def verify_symplectic_denominator(n: int) -> VerificationReport:
     vs, xs = standard_x(n)
-    det = det_bareiss(
-        [[xs[i] ** (n - j + 1) - xs[i] ** (j - n - 1) for j in range(1, n + 1)] for i in range(n)],
-        vs,
-    )
+    det = det_cofactor(symplectic_matrix(Partition(), xs), vs)
     return compare("symplectic_denominator", {"n": n}, det, symplectic_denominator_product(xs))
 
 
 def verify_odd_denominator(n: int) -> VerificationReport:
+    if n < 1:
+        raise ValueError("needs n >= 1")
     vs, xs = standard_x(n)
-    y = xs[-1]
-    yb = y.inverse()
-    rows = []
-    for i in range(n - 1):
-        x = xs[i]
-        row = []
-        for j in range(1, n + 1):
-            a = n - j
-            row.append(x ** (a + 1) - x ** (-a - 1) - yb * (x ** a - x ** (-a)))
-        rows.append(row)
-    rows.append([y ** (n - j) for j in range(1, n + 1)])
-    return compare("odd_denominator", {"n": n}, det_bareiss(rows, vs), odd_denominator_product(xs))
+    det = det_cofactor(odd_symplectic_matrix(Partition(), xs), vs)
+    return compare("odd_denominator", {"n": n}, det, odd_denominator_product(xs))
 
 
 # -- supersymmetry ----------------------------------------------------------
@@ -328,8 +319,8 @@ def verify_cauchy_binet(
     cY = [[vs.const(v) for v in row] for row in Y]
     lhs = vs.zero()
     for cols in combinations(range(n), m):
-        dx = det_bareiss([[row[c] for c in cols] for row in cX], vs)
-        dy = det_bareiss([[row[c] for c in cols] for row in cY], vs)
+        dx = det_cofactor([[row[c] for c in cols] for row in cX], vs)
+        dy = det_cofactor([[row[c] for c in cols] for row in cY], vs)
         lhs = lhs + dx * dy
     prod = [
         [
@@ -338,7 +329,7 @@ def verify_cauchy_binet(
         ]
         for i in range(m)
     ]
-    rhs = det_bareiss(prod, vs)
+    rhs = det_cofactor(prod, vs)
     return compare("cauchy_binet", params, lhs, rhs, note=f"seeded random entries, seed={seed}")
 
 
@@ -356,6 +347,8 @@ def verify_specialization_reduction(
     """
     if variant not in ("sp", "spo"):
         raise ValueError(f"unknown variant {variant!r}")
+    if n < 1:
+        raise ValueError("needs n >= 1")
     if lam.length > n or lam.part(1) > r:
         raise ValueError("needs len(lam) <= n and lam_1 <= r")
     params = _lam_params(lam, n=n, r=r, variant=variant)
@@ -434,6 +427,8 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
     """
     if variant not in ("p", "q"):
         raise ValueError(f"unknown variant {variant!r}")
+    if n < 1:
+        raise ValueError("needs n >= 1")
     params = {"n": n, "variant": variant}
     vs, xs, ys, as_, bs, z, c = _kernel_vars(n)
     one = vs.one()
@@ -475,7 +470,7 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
     for i in range(n):
         for j in range(n):
             den = den * (xs[i] - ys[j]) * (one - xs[i] * ys[j])
-    detv = det_bareiss(vrows, vs)
+    detv = det_cofactor(vrows, vs)
     rhs = RationalFunction(-detv if n % 2 else detv, den)
     if lhs == rhs:
         return VerificationReport("kernel_det", params, "pass")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraError, LaurentPolynomial, VariableSet, det_bareiss
+from .algebra import AlgebraError, LaurentPolynomial, VariableSet, det_cofactor
 
 
 class Partition:
@@ -278,7 +278,7 @@ def skew_schur_jt(
         [h(lam.part(i) - mu.part(j) - i + j) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    return det_bareiss(rows, vs)
+    return det_cofactor(rows, vs)
 
 
 def k_index(lam: Partition, n: int, m: int) -> int:

@@ -10,7 +10,6 @@ from ospchar.algebra import (
     LaurentPolynomial,
     PoleError,
     RationalFunction,
-    SquareMatrix,
     VariableMismatchError,
     VariableSet,
     det_bareiss,
@@ -175,23 +174,21 @@ def test_exact_div_inverts_multiplication(a, b):
 
 def test_det_integers():
     vs = VariableSet([])
-    m = SquareMatrix([[vs.const(1), vs.const(2)], [vs.const(3), vs.const(4)]], vs)
-    assert m.det() == vs.const(-2)
+    rows = [[vs.const(1), vs.const(2)], [vs.const(3), vs.const(4)]]
+    assert det_cofactor(rows, vs) == vs.const(-2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_det_identity_matrix(n):
     vs = VS2
     rows = [[vs.one() if i == j else vs.zero() for j in range(n)] for i in range(n)]
-    assert det_bareiss(rows, vs) == vs.one()
     assert det_cofactor(rows, vs) == vs.one()
 
 
 def test_det_power_block():
     vs = VariableSet(["y1", "y2"])
     y1, y2 = vs.gens()
-    m = SquareMatrix([[y1, y2], [vs.one(), vs.one()]])
-    assert m.det() == y1 - y2
+    assert det_cofactor([[y1, y2], [vs.one(), vs.one()]]) == y1 - y2
 
 
 def matrix_strategy(size, vs=VS2):
@@ -209,22 +206,22 @@ def test_det_multilinear_in_rows(rows, u, v, i):
     other = [VS2.poly({(1, 0): 1, (0, -1): 2}), VS2.poly({(0, 1): 1}), VS2.one()]
     base_v[i] = other
     mixed[i] = [u * a + v * b for a, b in zip(rows[i], other)]
-    lhs = det_bareiss(mixed, VS2)
-    rhs = u * det_bareiss(base_u, VS2) + v * det_bareiss(base_v, VS2)
+    lhs = det_cofactor(mixed, VS2)
+    rhs = u * det_cofactor(base_u, VS2) + v * det_cofactor(base_v, VS2)
     assert lhs == rhs
 
 
 @given(matrix_strategy(3), st.integers(0, 2), st.integers(0, 2))
 def test_det_row_swap_and_transpose(rows, i, j):
-    d = det_bareiss(rows, VS2)
+    d = det_cofactor(rows, VS2)
     swapped = [r[:] for r in rows]
     swapped[i], swapped[j] = swapped[j], swapped[i]
     if i == j:
-        assert det_bareiss(swapped, VS2) == d
+        assert det_cofactor(swapped, VS2) == d
     else:
-        assert det_bareiss(swapped, VS2) == -d
+        assert det_cofactor(swapped, VS2) == -d
     transposed = [[rows[b][a] for b in range(3)] for a in range(3)]
-    assert det_bareiss(transposed, VS2) == d
+    assert det_cofactor(transposed, VS2) == d
 
 
 @given(st.integers(1, 4).flatmap(matrix_strategy))
@@ -259,12 +256,17 @@ def test_det_rational_clears_rows():
     assert d == expected
 
 
-def test_square_matrix_mixes_entries_to_rational():
+def test_det_rational_polynomial_entries_and_transpose():
     vs = VariableSet(["x1"])
     x = vs.gen("x1")
-    m = SquareMatrix([[RationalFunction(vs.one(), x), x], [vs.one(), x]])
-    assert m.det() == RationalFunction(vs.one() - x, vs.one())
-    assert m.transpose().det() == m.det()
+    one = vs.one()
+    rows = [
+        [RationalFunction(one, x), RationalFunction(x)],
+        [RationalFunction(one), RationalFunction(x)],
+    ]
+    d = det_rational(rows)
+    assert d == RationalFunction(one - x, one)
+    assert det_rational([[rows[j][i] for j in range(2)] for i in range(2)]) == d
 
 
 # -- rational functions ------------------------------------------------------

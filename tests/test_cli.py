@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ospchar import characters
 from ospchar.algebra import LaurentPolynomial
 from ospchar.characters import standard_xy
 from ospchar.cli import main
@@ -117,3 +118,26 @@ def test_suite_command(capsys):
     assert code == 0
     reports = json.loads(out)
     assert all(r["status"] == "pass" for r in reports)
+
+
+def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
+    real = characters.symplectic_denominator_product
+    monkeypatch.setattr(characters, "symplectic_denominator_product", lambda xs: real(xs) + 1)
+    code, _, err = run(capsys, "verify", "--identity", "ortho_methods", "--n", "2", "--m", "1", "--lambda", "2,1")
+    assert code == 3 and err.startswith("ospchar: internal error: inexact division")
+    code, _, err = run(
+        capsys, "compute", "--family", "orthosymplectic", "--method", "det",
+        "--n", "2", "--m", "1", "--lambda", "2,1",
+    )
+    assert code == 3 and err.startswith("ospchar: internal error:")
+    code, _, err = run(capsys, "compute", "--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1")
+    assert code == 3 and "denominator does not match its product form" in err
+
+
+def test_verify_rejects_counts_outside_the_domain(capsys):
+    code, _, err = run(capsys, "verify", "--identity", "kernel_det", "--n", "0", "--variant", "p")
+    assert code == 2 and "needs n >= 1" in err
+    code, _, err = run(capsys, "verify", "--identity", "hook_methods", "--n", "-1", "--m", "1", "--lambda", "1")
+    assert code == 2 and "--n must be nonnegative" in err
+    code, _, err = run(capsys, "verify", "--identity", "odd_denominator", "--n", "0")
+    assert code == 2 and "needs n >= 1" in err
