@@ -4,6 +4,8 @@ Exit codes: 0 on success (or all checks passing), 1 when a verification
 fails, 2 on usage errors, 3 on internal errors: a computation broke an
 arithmetic contract (say, an inexact division) or failed a built-in
 consistency check, which points at a defect in a formula, not at the input.
+``verify`` and ``suite`` print such a check as an "error" report, print every
+other report too, and then exit 3.
 Text output is canonical and byte-stable; JSON round-trips through the
 documented schema.
 """
@@ -11,75 +13,18 @@ documented schema.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .algebra import AlgebraError
 from .characters import FAMILIES, METHODS, CharacterRequest
-from .identities import (
-    VerificationReport,
-    run_suite,
-    verify_beta_complement,
-    verify_bkw_general,
-    verify_bkw_original,
-    verify_cauchy_binet,
-    verify_golden,
-    verify_hook_methods,
-    verify_kernel_det,
-    verify_odd_denominator,
-    verify_odd_methods,
-    verify_odd_ortho_specialization,
-    verify_ortho_methods,
-    verify_power_product,
-    verify_specialization_reduction,
-    verify_supersymmetry,
-    verify_symplectic_denominator,
-    verify_symplectic_methods,
-)
 from .symfun import Partition
-from . import tableaux
+from . import identities, tableaux
 
 
 class _UsageError(Exception):
     pass
-
-
-# identity name -> (required flags, optional flags, runner(args) -> [report])
-_IDENTITIES: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable]] = {
-    "ortho_methods": (("lam", "n", "m"), (), lambda a: [verify_ortho_methods(a.lam, a.n, a.m)]),
-    "hook_methods": (("lam", "n", "m"), (), lambda a: [verify_hook_methods(a.lam, a.n, a.m)]),
-    "symplectic_methods": (("lam", "n"), (), lambda a: [verify_symplectic_methods(a.lam, a.n)]),
-    "odd_methods": (("lam", "n"), (), lambda a: [verify_odd_methods(a.lam, a.n)]),
-    "odd_ortho_specialization": (
-        ("lam", "n"),
-        (),
-        lambda a: [verify_odd_ortho_specialization(a.lam, a.n)],
-    ),
-    "supersymmetry": (("lam", "n", "m"), (), lambda a: [verify_supersymmetry(a.lam, a.n, a.m)]),
-    "power_product": (("n", "l"), (), lambda a: [verify_power_product(a.n, a.l)]),
-    "beta_complement": (
-        ("lam", "n1", "n2"),
-        (),
-        lambda a: [verify_beta_complement(a.lam, a.n1, a.n2)],
-    ),
-    "cauchy_binet": (
-        ("m", "n"),
-        ("seed",),
-        lambda a: [verify_cauchy_binet(a.m, a.n, seed=a.seed or 0)],
-    ),
-    "specialization_reduction": (
-        ("lam", "n", "r", "variant"),
-        (),
-        lambda a: [verify_specialization_reduction(a.lam, a.n, a.r, a.variant)],
-    ),
-    "kernel_det": (("n", "variant"), (), lambda a: [verify_kernel_det(a.n, a.variant)]),
-    "bkw_general": (("n", "m", "r"), (), lambda a: [verify_bkw_general(a.n, a.m, a.r)]),
-    "bkw_original": (("n", "m", "r"), (), lambda a: [verify_bkw_original(a.n, a.m, a.r)]),
-    "symplectic_denominator": (("n",), (), lambda a: [verify_symplectic_denominator(a.n)]),
-    "odd_denominator": (("n",), (), lambda a: [verify_odd_denominator(a.n)]),
-    "golden": ((), (), lambda a: verify_golden()),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--mu", default=None, help="inner shape (schur only)")
 
     ver = sub.add_parser("verify", help="check one identity")
-    ver.add_argument("--identity", required=True, choices=sorted(_IDENTITIES))
+    ver.add_argument("--identity", required=True, choices=sorted(identities.IDENTITIES))
     ver.add_argument("--lambda", dest="lam", default=None)
     ver.add_argument("--n", type=int, default=None)
     ver.add_argument("--m", type=int, default=None)
@@ -170,21 +115,23 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    required, optional, runner = _IDENTITIES[args.identity]
-    if "lam" in required:
-        if args.lam is None:
-            raise _UsageError(f"identity {args.identity} needs --lambda")
-        args.lam = _parse_partition(args.lam)
-    for flag in required:
-        if flag == "lam":
-            continue
-        value = getattr(args, flag)
+    # Each parameter of the identity's check is the flag of the same name
+    # (lam is --lambda), required unless the parameter has a default.
+    params = {}
+    for name, param in inspect.signature(identities.verifier(args.identity)).parameters.items():
+        value = getattr(args, name, None)
+        required = param.default is param.empty
         if value is None:
-            raise _UsageError(f"identity {args.identity} needs --{flag}")
-        if flag != "variant" and value < 0:
-            raise _UsageError(f"--{flag} must be nonnegative")
+            if required:
+                raise _UsageError(f"identity {args.identity} needs --{'lambda' if name == 'lam' else name}")
+            continue
+        if name == "lam":
+            value = _parse_partition(value)
+        elif required and isinstance(value, int) and value < 0:
+            raise _UsageError(f"--{name} must be nonnegative")
+        params[name] = value
     try:
-        reports = runner(args)
+        reports = identities.run_check(args.identity, params)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     return _emit(reports, args.json)
@@ -192,21 +139,25 @@ def _cmd_verify(args) -> int:
 
 def _cmd_suite(args) -> int:
     try:
-        reports = run_suite(args.max_n, args.max_m, args.max_weight)
+        reports = identities.run_suite(args.max_n, args.max_m, args.max_weight)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     return _emit(reports, args.json, summary=True)
 
 
-def _emit(reports: Sequence[VerificationReport], as_json: bool, summary: bool = False) -> int:
-    failures = sum(not r.passed for r in reports)
+def _emit(reports: Sequence[identities.VerificationReport], as_json: bool, summary: bool = False) -> int:
+    failures = sum(r.status == "fail" for r in reports)
+    errors = [r for r in reports if r.status == "error"]
     if as_json:
         print(json.dumps([r.to_json_dict() for r in reports], separators=(",", ":")))
     else:
         for r in reports:
             print(r)
         if summary:
-            print(f"{len(reports)} checks, {failures} failures")
+            print(f"{len(reports)} checks, {failures} failures" + (f", {len(errors)} errors" if errors else ""))
+    if errors:
+        print(f"ospchar: internal error: {errors[0].witness['message']}", file=sys.stderr)
+        return 3
     return 1 if failures else 0
 
 
@@ -227,7 +178,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"ospchar: {exc}", file=sys.stderr)
         return 2
-    except (AlgebraError, RuntimeError) as exc:
+    except identities.COMPUTATION_ERRORS as exc:
         print(f"ospchar: internal error: {exc}", file=sys.stderr)
         return 3
 

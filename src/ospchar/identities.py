@@ -3,8 +3,9 @@
 Each ``verify_*`` function evaluates both sides of one identity exactly and
 returns a VerificationReport; a failure carries the two values and the first
 term where they differ, so a broken formula is immediately localizable.
-``run_suite`` sweeps everything over a bounded parameter grid in a fixed
-order.
+``IDENTITIES`` maps each identity name to its parameter grid; ``run_suite``
+sweeps them all, in registry order, through ``run_check``, which turns a
+computation error into an "error" report.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from importlib import resources
 from itertools import combinations
 
 from .algebra import (
+    AlgebraError,
     LaurentPolynomial,
     RationalFunction,
     VariableSet,
@@ -58,7 +60,7 @@ class VerificationReport:
 
     identity: str
     params: dict
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "error" (the check raised; see witness)
     witness: dict | None = None
     note: str | None = None
 
@@ -79,7 +81,20 @@ class VerificationReport:
         head = f"{self.status.upper():4s} {self.identity} {args}".rstrip()
         if self.witness and "first_diff" in self.witness:
             head += f"  [first differing term: {self.witness['first_diff']}]"
+        elif self.witness and "exception" in self.witness:
+            head += f"  [error: {self.witness['exception']}: {self.witness['message']}]"
         return head
+
+
+# A check that raises one of these has hit a formula defect (a broken
+# arithmetic contract or a failed consistency check); it is reported as an
+# "error", while a ValueError stays a usage error.
+COMPUTATION_ERRORS = (AlgebraError, RuntimeError)
+
+
+def _error_report(identity: str, params: dict, exc: Exception) -> VerificationReport:
+    witness = {"exception": type(exc).__name__, "message": str(exc)}
+    return VerificationReport(identity, params, "error", witness=witness)
 
 
 def first_difference(left: Poly, right: Poly) -> str | None:
@@ -232,6 +247,8 @@ def verify_power_product(n: int, l: int) -> VerificationReport:
     is (-1)^(v-u) e_{v-u} of the same letters; the column holds
     x_j^(n+1-u) - x_j^-(n+1-u).
     """
+    if n < 1:
+        raise ValueError("needs n >= 1")
     if l < 0:
         raise ValueError("l must be nonnegative")
     params = {"n": n, "l": l}
@@ -438,6 +455,10 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
         for i in range(n)
     ]
     big = 2 * n + 1
+    vrows = [
+        [v ** (j - 1) - w * v ** (big - j) for j in range(1, big + 1)]
+        for v, w in zip(xs + ys, as_ + bs)
+    ]
     if variant == "p":
         rows = [kernel[i] + [RationalFunction(one - as_[i])] for i in range(n)]
         rows.append(
@@ -445,26 +466,10 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
             + [RationalFunction(one - c, one - z * z)]
         )
         lhs = det_rational(rows)
-        vrows = [
-            [xs[i] ** (j - 1) - as_[i] * xs[i] ** (big - j) for j in range(1, big + 1)]
-            for i in range(n)
-        ]
-        vrows += [
-            [ys[i] ** (j - 1) - bs[i] * ys[i] ** (big - j) for j in range(1, big + 1)]
-            for i in range(n)
-        ]
         vrows.append([z ** (j - 1) - c * z ** (big - j) for j in range(1, big + 1)])
         den = one - z * z
     else:
         lhs = det_rational(kernel)
-        vrows = [
-            [xs[i] ** (j - 1) - as_[i] * xs[i] ** (big - j) for j in range(1, big + 1)]
-            for i in range(n)
-        ]
-        vrows += [
-            [ys[i] ** (j - 1) - bs[i] * ys[i] ** (big - j) for j in range(1, big + 1)]
-            for i in range(n)
-        ]
         vrows.append([(-z) ** (big - j) for j in range(1, big + 1)])
         den = one
     for i in range(n):
@@ -560,13 +565,14 @@ GOLDEN_CASES = (
 
 
 def verify_golden() -> list[VerificationReport]:
-    """Recompute the pinned worked examples and compare with the stored text."""
+    """Recompute the pinned worked examples and compare with the stored text.
+
+    Each example gets its own report, so a computation error in one is an
+    "error" report that leaves the others checked.
+    """
     reports = []
     for fname, req in GOLDEN_CASES:
-        want = (
-            resources.files("ospchar").joinpath("golden").joinpath(fname).read_text().strip()
-        )
-        got = req.compute().to_text()
+        want = resources.files("ospchar").joinpath("golden").joinpath(fname).read_text().strip()
         params = {
             "family": req.family,
             "method": req.method,
@@ -574,79 +580,118 @@ def verify_golden() -> list[VerificationReport]:
             "n": req.n,
             "m": req.m,
         }
-        if got == want:
-            reports.append(VerificationReport("golden", params, "pass"))
-        else:
-            reports.append(
-                VerificationReport(
-                    "golden",
-                    params,
-                    "fail",
-                    witness={"left": got, "right": want, "first_diff": fname},
-                )
-            )
+        try:
+            got = req.compute().to_text()
+        except COMPUTATION_ERRORS as exc:
+            reports.append(_error_report("golden", params, exc))
+            continue
+        witness = None if got == want else {"left": got, "right": want, "first_diff": fname}
+        reports.append(VerificationReport("golden", params, "pass" if witness is None else "fail", witness=witness))
     return reports
 
 
-# -- the full sweep ---------------------------------------------------------------
+# -- the registry and the full sweep -------------------------------------------
+
+
+def _symplectic_grid(max_n: int, max_m: int, max_w: int):
+    return (dict(lam=lam, n=n) for n in range(1, max_n + 1) for lam in partitions_up_to(max_w, max_length=n))
+
+
+def _hook_grid(max_n: int, max_m: int, max_w: int):
+    return (
+        dict(lam=lam, n=n, m=m)
+        for n in range(1, max_n + 1)
+        for m in range(1, max_m + 1)
+        for lam in partitions_up_to(max_w)
+        if lam.part(n + 1) <= m
+    )
+
+
+def _denominator_grid(max_n: int, max_m: int, max_w: int):
+    return (dict(n=n) for n in range(1, max_n + 1))
+
+
+# identity name -> grid(max_n, max_m, max_weight): the keyword arguments of
+# the verify_<name> calls that run_suite makes, in order.  Adding an identity
+# takes one verify_<name> function and one entry here.
+IDENTITIES = {
+    "ortho_methods": lambda max_n, max_m, max_w: (
+        dict(lam=lam, n=n, m=m)
+        for n in range(1, max_n + 1)
+        for m in range(1, max_m + 1)
+        for lam in partitions_up_to(max_w, max_length=n)
+    ),
+    "hook_methods": _hook_grid,
+    "symplectic_methods": _symplectic_grid,
+    "odd_methods": _symplectic_grid,
+    "odd_ortho_specialization": lambda max_n, max_m, max_w: (
+        dict(lam=lam, n=n) for n in range(2, max_n + 1) for lam in partitions_up_to(min(max_w, 5), max_length=n)
+    ),
+    "supersymmetry": lambda max_n, max_m, max_w: _hook_grid(max_n, max_m, min(max_w, 5)),
+    "symplectic_denominator": _denominator_grid,
+    "odd_denominator": _denominator_grid,
+    "power_product": lambda max_n, max_m, max_w: (
+        dict(n=n, l=l) for n in range(1, max_n + 1) for l in range(max_w + 1)
+    ),
+    "beta_complement": lambda max_n, max_m, max_w: (
+        dict(lam=lam, n1=min(max_n, 3), n2=min(max_m, 3)) for lam in box_partitions(min(max_n, 3), min(max_m, 3))
+    ),
+    "cauchy_binet": lambda max_n, max_m, max_w: (
+        dict(m=m, n=n, seed=m * 10 + n) for m in range(1, min(max_n, 2) + 1) for n in range(m, 5)
+    ),
+    "specialization_reduction": lambda max_n, max_m, max_w: (
+        dict(lam=lam, n=n, r=r, variant=variant)
+        for variant in ("sp", "spo")
+        for n in range(1, min(max_n, 2) + 1)
+        for r in range(min(max_w, 3) + 1)
+        for lam in box_partitions(n, r)
+    ),
+    "kernel_det": lambda max_n, max_m, max_w: (
+        dict(n=n, variant=variant) for variant in ("p", "q") for n in range(1, min(max_n, 2) + 1)
+    ),
+    "bkw_general": lambda max_n, max_m, max_w: (
+        dict(n=n, m=m, r=r)
+        for n in range(1, min(max_n, 2) + 1)
+        for m in range(n, min(max_m, 2) + 1)
+        for r in range(min(max_w, 2) + 1)
+    ),
+    "bkw_original": lambda max_n, max_m, max_w: (
+        dict(n=n, m=m, r=r) for n, m in ((1, 1), (1, 2)) if n <= max_n and m <= max_m for r in range(min(max_w, 2) + 1)
+    ),
+    "golden": lambda max_n, max_m, max_w: [{}],
+}
+
+
+def verifier(name: str):
+    """verify_<name>, looked up in this module's namespace when called, so a
+    wrapper installed on the module attribute sees every call."""
+    return globals()[f"verify_{name}"]
+
+
+def run_check(name: str, params: dict) -> list[VerificationReport]:
+    """Call verify_<name>(**params) and return its reports; one of the
+    COMPUTATION_ERRORS becomes an "error" report, a ValueError propagates."""
+    try:
+        result = verifier(name)(**params)
+    except COMPUTATION_ERRORS as exc:
+        shown = {("lambda" if k == "lam" else k): (v.to_string() if k == "lam" else v) for k, v in params.items()}
+        return [_error_report(name, shown, exc)]
+    return result if isinstance(result, list) else [result]
 
 
 def run_suite(max_n: int, max_m: int, max_weight: int) -> list[VerificationReport]:
-    """Run every identity check over a bounded grid, in deterministic order.
+    """Run every registered identity over its grid, grouped in registry order.
 
     Character-method agreements sweep all shapes of weight up to max_weight
     for each alphabet; the lemma-style checks run over small grids derived
-    from the bounds.  Failures are collected, never raised.
+    from the bounds.  Failed and errored checks become reports; only bad
+    bounds raise.
     """
     if max_n < 1 or max_m < 1 or max_weight < 1:
         raise ValueError("bounds must be at least 1")
-    reports: list[VerificationReport] = []
-    for n in range(1, max_n + 1):
-        for m in range(1, max_m + 1):
-            for lam in partitions_up_to(max_weight, max_length=n):
-                reports.append(verify_ortho_methods(lam, n, m))
-    for n in range(1, max_n + 1):
-        for m in range(1, max_m + 1):
-            for lam in partitions_up_to(max_weight):
-                if lam.part(n + 1) <= m:
-                    reports.append(verify_hook_methods(lam, n, m))
-    for n in range(1, max_n + 1):
-        for lam in partitions_up_to(max_weight, max_length=n):
-            reports.append(verify_symplectic_methods(lam, n))
-            reports.append(verify_odd_methods(lam, n))
-    for n in range(2, max_n + 1):
-        for lam in partitions_up_to(min(max_weight, 5), max_length=n):
-            reports.append(verify_odd_ortho_specialization(lam, n))
-    for n in range(1, max_n + 1):
-        for m in range(1, max_m + 1):
-            for lam in partitions_up_to(min(max_weight, 5)):
-                if lam.part(n + 1) <= m:
-                    reports.append(verify_supersymmetry(lam, n, m))
-    for n in range(1, max_n + 1):
-        reports.append(verify_symplectic_denominator(n))
-        reports.append(verify_odd_denominator(n))
-        for l in range(0, max_weight + 1):
-            reports.append(verify_power_product(n, l))
-    for lam in box_partitions(min(max_n, 3), min(max_m, 3)):
-        reports.append(verify_beta_complement(lam, min(max_n, 3), min(max_m, 3)))
-    for mm in range(1, min(max_n, 2) + 1):
-        for nn in range(mm, 5):
-            reports.append(verify_cauchy_binet(mm, nn, seed=mm * 10 + nn))
-    for variant in ("sp", "spo"):
-        for n in range(1, min(max_n, 2) + 1):
-            for r in range(0, min(max_weight, 3) + 1):
-                for lam in box_partitions(n, r):
-                    reports.append(verify_specialization_reduction(lam, n, r, variant))
-    for variant in ("p", "q"):
-        for n in range(1, min(max_n, 2) + 1):
-            reports.append(verify_kernel_det(n, variant))
-    for n in range(1, min(max_n, 2) + 1):
-        for m in range(n, min(max_m, 2) + 1):
-            for r in range(0, min(max_weight, 2) + 1):
-                reports.append(verify_bkw_general(n, m, r))
-    for n, m in ((1, 1), (1, 2)):
-        if n <= max_n and m <= max_m:
-            for r in range(0, min(max_weight, 2) + 1):
-                reports.append(verify_bkw_original(n, m, r))
-    reports.extend(verify_golden())
-    return reports
+    return [
+        report
+        for name, grid in IDENTITIES.items()
+        for params in grid(max_n, max_m, max_weight)
+        for report in run_check(name, params)
+    ]

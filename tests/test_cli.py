@@ -7,9 +7,8 @@ import pytest
 from ospchar import characters
 from ospchar.algebra import LaurentPolynomial
 from ospchar.characters import standard_xy
-from ospchar.cli import main
-from ospchar.identities import VerificationReport
-from ospchar.cli import _emit
+from ospchar.cli import _build_parser, _emit, main
+from ospchar.identities import IDENTITIES, VerificationReport
 
 
 def run(capsys, *argv):
@@ -110,6 +109,24 @@ def test_verify_failure_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_error_report_outranks_failure(capsys):
+    passing = VerificationReport("demo", {"n": 1}, "pass")
+    failing = VerificationReport("demo", {"n": 1}, "fail", witness={"left": "0", "right": "1", "first_diff": "1: 0 vs 1"})
+    errored = VerificationReport("demo", {"n": 2}, "error", witness={"exception": "AlgebraError", "message": "boom"})
+    assert _emit([errored, failing, passing], as_json=False) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "ERROR demo n=2  [error: AlgebraError: boom]"
+    assert len(out.splitlines()) == 3
+    assert err == "ospchar: internal error: boom\n"
+
+
+def test_verify_identity_choices_are_the_registry():
+    parser = _build_parser()
+    verify = parser._subparsers._group_actions[0].choices["verify"]
+    (identity,) = [a for a in verify._actions if a.dest == "identity"]
+    assert set(identity.choices) == set(IDENTITIES)
+
+
 def test_suite_command(capsys):
     code, out, _ = run(capsys, "suite", "--max-n", "2", "--max-m", "2", "--max-weight", "4")
     assert code == 0
@@ -134,6 +151,27 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
     assert code == 3 and "denominator does not match its product form" in err
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as_json):
+    real = characters.symplectic_denominator_product
+    monkeypatch.setattr(characters, "symplectic_denominator_product", lambda xs: real(xs) + 1)
+    argv = ["suite", "--max-n", "1", "--max-m", "1", "--max-weight", "1"] + (["--json"] if as_json else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and err.startswith("ospchar: internal error:")
+    if as_json:
+        statuses = [(r["identity"], r["status"]) for r in json.loads(out)]
+    else:
+        lines = out.splitlines()
+        errors = sum(line.startswith("ERROR ") for line in lines[:-1])
+        assert errors and lines[-1] == f"{len(lines) - 1} checks, 0 failures, {errors} errors"
+        statuses = [(line.split()[1], line.split()[0].lower()) for line in lines[:-1]]
+    assert len(statuses) == 36  # as many as a clean run
+    assert ("ortho_methods", "error") in statuses
+    assert all(status == "pass" for identity, status in statuses if identity == "hook_methods")
+    # one golden example breaks; the other three are still checked
+    assert [status for identity, status in statuses if identity == "golden"] == ["error", "pass", "pass", "pass"]
+
+
 def test_verify_rejects_counts_outside_the_domain(capsys):
     code, _, err = run(capsys, "verify", "--identity", "kernel_det", "--n", "0", "--variant", "p")
     assert code == 2 and "needs n >= 1" in err
@@ -141,3 +179,5 @@ def test_verify_rejects_counts_outside_the_domain(capsys):
     assert code == 2 and "--n must be nonnegative" in err
     code, _, err = run(capsys, "verify", "--identity", "odd_denominator", "--n", "0")
     assert code == 2 and "needs n >= 1" in err
+    code, out, err = run(capsys, "verify", "--identity", "power_product", "--n", "0", "--l", "1")
+    assert code == 2 and "needs n >= 1" in err and out == ""

@@ -1,14 +1,19 @@
 """Identity verifiers: printed examples, failure detection, suite determinism."""
 
 import json
+from collections import Counter
+from itertools import groupby
 
 import pytest
 
 from ospchar.symfun import Partition
+from ospchar import characters
 from ospchar.identities import (
+    IDENTITIES,
     VerificationReport,
     compare,
     first_difference,
+    run_check,
     run_suite,
     verify_beta_complement,
     verify_bkw_general,
@@ -40,6 +45,8 @@ def test_power_product_examples():
     assert verify_power_product(1, 0).passed
     assert verify_power_product(2, 3).passed
     assert verify_power_product(3, 5).passed
+    with pytest.raises(ValueError):
+        verify_power_product(0, 1)  # no variables: nothing to check
 
 
 def test_beta_complement_examples():
@@ -134,10 +141,50 @@ def test_run_suite_small_grid_passes_and_is_deterministic():
     assert [r.to_json_dict() for r in first] == [r.to_json_dict() for r in second]
 
 
+SUITE_2_2_4_COUNTS = {
+    "ortho_methods": 28,
+    "hook_methods": 47,
+    "symplectic_methods": 14,
+    "odd_methods": 14,
+    "odd_ortho_specialization": 9,
+    "supersymmetry": 47,
+    "symplectic_denominator": 2,
+    "odd_denominator": 2,
+    "power_product": 10,
+    "beta_complement": 6,
+    "cauchy_binet": 7,
+    "specialization_reduction": 60,
+    "kernel_det": 4,
+    "bkw_general": 9,
+    "bkw_original": 6,
+    "golden": 4,
+}
+
+
 def test_run_suite_medium_grid_passes():
     reports = run_suite(2, 2, 4)
     assert all(r.passed for r in reports)
-    assert len(reports) > 100
+    assert Counter(r.identity for r in reports) == SUITE_2_2_4_COUNTS and len(reports) == 269
+    # grouped by identity, in registry order
+    assert [name for name, _ in groupby(r.identity for r in reports)] == list(IDENTITIES)
+
+
+def test_run_suite_covers_the_registry():
+    assert {r.identity for r in run_suite(2, 2, 2)} == set(IDENTITIES)
+
+
+def test_run_check_turns_a_computation_error_into_a_report(monkeypatch):
+    real = characters.symplectic_denominator_product
+    monkeypatch.setattr(characters, "symplectic_denominator_product", lambda xs: real(xs) + 1)
+    (rep,) = run_check("symplectic_methods", {"lam": Partition([1]), "n": 2})
+    assert rep.status == "error" and not rep.passed
+    assert rep.params == {"lambda": "1", "n": 2}
+    assert rep.witness["exception"] == "RuntimeError"
+    assert "denominator does not match its product form" in rep.witness["message"]
+    assert str(rep).startswith("ERROR symplectic_methods lambda=1 n=2  [error: RuntimeError: ")
+    assert set(rep.to_json_dict()["witness"]) == {"exception", "message"}
+    with pytest.raises(ValueError):
+        run_check("power_product", {"n": 0, "l": 1})
 
 
 def test_run_suite_desk_scale_passes():
