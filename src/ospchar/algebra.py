@@ -547,8 +547,9 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
 class RationalFunction:
     """Quotient of two Laurent polynomials; the denominator is nonzero.
 
-    There is no canonical gcd reduction: equality is decided by
-    cross-multiplication.  Addition reuses a shared denominator when the two
+    There is no canonical gcd reduction: two fractions over the same
+    denominator are equal when their numerators are, and otherwise equality
+    is decided by cross-multiplication.  Addition reuses a shared denominator when the two
     denominators are equal, and multiplication cancels when one operand's
     numerator equals the other's denominator; both shortcuts only ever pick a
     different representative of the same fraction.
@@ -588,6 +589,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __add__(self, other) -> "RationalFunction":

@@ -21,7 +21,7 @@ the acceptance tests verify against tableau enumeration):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     LaurentPolynomial,
@@ -408,22 +408,48 @@ def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
 FAMILIES = ("schur", "hook", "symplectic", "orthosymplectic", "odd_symplectic")
 METHODS = ("tableau", "jt", "det", "weyl", "okada", "sp_schur_sum")
 
-_SUPPORTED = {
-    ("schur", "tableau"),
-    ("schur", "jt"),
-    ("schur", "weyl"),
-    ("hook", "tableau"),
-    ("hook", "jt"),
-    ("hook", "det"),
-    ("symplectic", "tableau"),
-    ("symplectic", "weyl"),
-    ("orthosymplectic", "tableau"),
-    ("orthosymplectic", "jt"),
-    ("orthosymplectic", "det"),
-    ("orthosymplectic", "sp_schur_sum"),
-    ("odd_symplectic", "tableau"),
-    ("odd_symplectic", "okada"),
+# (family, method) -> route(lam, n, m).  Each lambda looks its route up by
+# name when called, so a wrapper installed on the module attribute sees it.
+_ROUTES = {
+    ("schur", "tableau"): lambda lam, n, m: tableaux.ssyt_weight_sum(lam, Partition(), n),
+    ("schur", "jt"): lambda lam, n, m: skew_schur_jt(lam, Partition(), standard_x(n)[1]),
+    ("schur", "weyl"): lambda lam, n, m: schur_bialternant(lam, standard_x(n)[1]),
+    ("hook", "tableau"): lambda lam, n, m: tableaux.super_weight_sum(lam, n, m),
+    ("hook", "jt"): lambda lam, n, m: hook_schur_jt(lam, *standard_xy(n, m)[1:]),
+    ("hook", "det"): lambda lam, n, m: hook_schur_det(lam, *standard_xy(n, m)[1:]),
+    ("symplectic", "tableau"): lambda lam, n, m: tableaux.symplectic_weight_sum(lam, n),
+    ("symplectic", "weyl"): lambda lam, n, m: symplectic_weyl(lam, standard_x(n)[1]),
+    ("orthosymplectic", "tableau"): lambda lam, n, m: tableaux.orthosymplectic_weight_sum(lam, n, m),
+    ("orthosymplectic", "jt"): lambda lam, n, m: ortho_jt(lam, *standard_xy(n, m)[1:]),
+    ("orthosymplectic", "det"): lambda lam, n, m: ortho_det_rational(lam, *standard_xy(n, m)[1:]),
+    ("orthosymplectic", "sp_schur_sum"): lambda lam, n, m: ortho_sp_schur_sum(lam, *standard_xy(n, m)[1:]),
+    ("odd_symplectic", "tableau"): lambda lam, n, m: tableaux.odd_symplectic_weight_sum(lam, n),
+    ("odd_symplectic", "okada"): lambda lam, n, m: odd_symplectic_det(lam, standard_x(n)[1]),
 }
+
+# family -> the tableaux its tableau route sums over, as f(lam, mu, n, m),
+# looked up when called like the routes.  The inner shape mu is schur's only.
+_LISTINGS = {
+    "schur": lambda lam, mu, n, m: tableaux.ssyt_tableaux(lam, mu, n),
+    "hook": lambda lam, mu, n, m: tableaux.super_tableaux(lam, n, m),
+    "symplectic": lambda lam, mu, n, m: tableaux.symplectic_tableaux(lam, n),
+    "orthosymplectic": lambda lam, mu, n, m: tableaux.orthosymplectic_tableaux(lam, n, m),
+    "odd_symplectic": lambda lam, mu, n, m: tableaux.odd_symplectic_tableaux(lam, n),
+}
+
+
+def _check_counts(n: int, m: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+
+
+def family_tableaux(family: str, lam: Partition, n: int, m: int, mu: Partition) -> Iterator[tableaux.Tableau]:
+    """The tableaux whose weights the family's tableau route sums, in
+    enumeration order; mu is an inner shape (schur only)."""
+    _check_counts(n, m)
+    return _LISTINGS[family](lam, mu, n, m)
 
 
 @dataclass(frozen=True)
@@ -441,12 +467,9 @@ class CharacterRequest:
             raise ValueError(f"unknown family {self.family!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if (self.family, self.method) not in _SUPPORTED:
+        if (self.family, self.method) not in _ROUTES:
             raise ValueError(f"method {self.method!r} is not available for {self.family!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
+        _check_counts(self.n, self.m)
         uses_m = self.family in ("hook", "orthosymplectic")
         if uses_m and self.m < 1:
             raise ValueError(f"family {self.family!r} needs m >= 1")
@@ -460,31 +483,4 @@ class CharacterRequest:
 
     def compute(self) -> Poly:
         self.validate()
-        lam, n, m = self.lam, self.n, self.m
-        if self.method == "tableau":
-            if self.family == "schur":
-                return tableaux.ssyt_weight_sum(lam, Partition(), n)
-            if self.family == "hook":
-                return tableaux.super_weight_sum(lam, n, m)
-            if self.family == "symplectic":
-                return tableaux.symplectic_weight_sum(lam, n)
-            if self.family == "orthosymplectic":
-                return tableaux.orthosymplectic_weight_sum(lam, n, m)
-            return tableaux.odd_symplectic_weight_sum(lam, n)
-        if self.family == "schur":
-            if self.method == "weyl":
-                return schur_bialternant(lam, standard_x(n)[1])
-            return skew_schur_jt(lam, Partition(), standard_x(n)[1])
-        if self.family == "hook":
-            _, xs, ys = standard_xy(n, m)
-            return hook_schur_jt(lam, xs, ys) if self.method == "jt" else hook_schur_det(lam, xs, ys)
-        if self.family == "symplectic":
-            return symplectic_weyl(lam, standard_x(n)[1])
-        if self.family == "orthosymplectic":
-            _, xs, ys = standard_xy(n, m)
-            if self.method == "jt":
-                return ortho_jt(lam, xs, ys)
-            if self.method == "det":
-                return ortho_det_rational(lam, xs, ys)
-            return ortho_sp_schur_sum(lam, xs, ys)
-        return odd_symplectic_det(lam, standard_x(n)[1])
+        return _ROUTES[(self.family, self.method)](self.lam, self.n, self.m)

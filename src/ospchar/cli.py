@@ -18,9 +18,9 @@ import json
 import sys
 from typing import Sequence
 
-from .characters import FAMILIES, METHODS, CharacterRequest
+from .characters import FAMILIES, METHODS, CharacterRequest, family_tableaux
 from .symfun import Partition
-from . import identities, tableaux
+from . import identities
 
 
 class _UsageError(Exception):
@@ -95,19 +95,9 @@ def _cmd_enumerate(args) -> int:
     lam = _parse_partition(args.lam)
     if args.mu is not None and args.family != "schur":
         raise _UsageError("--mu applies to the schur family only")
+    mu = _parse_partition(args.mu) if args.mu is not None else Partition()
     try:
-        if args.family == "schur":
-            mu = _parse_partition(args.mu) if args.mu is not None else Partition()
-            stream = tableaux.ssyt_tableaux(lam, mu, args.n)
-        elif args.family == "hook":
-            stream = tableaux.super_tableaux(lam, args.n, args.m)
-        elif args.family == "symplectic":
-            stream = tableaux.symplectic_tableaux(lam, args.n)
-        elif args.family == "orthosymplectic":
-            stream = tableaux.orthosymplectic_tableaux(lam, args.n, args.m)
-        else:
-            stream = tableaux.odd_symplectic_tableaux(lam, args.n)
-        for t in stream:
+        for t in family_tableaux(args.family, lam, args.n, args.m, mu):
             print(t)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None

@@ -322,6 +322,8 @@ def verify_cauchy_binet(
     m: int, n: int, seed: int = 0, entries: tuple | None = None
 ) -> VerificationReport:
     """sum over m-subsets B of det X[B] det Y[B] equals det(X Y^t)."""
+    if m < 1:
+        raise ValueError("needs m >= 1")
     if m > n:
         raise ValueError("needs m <= n")
     params = {"m": m, "n": n, "seed": seed}
@@ -440,7 +442,9 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
     (2n+1) x (2n+1) matrix of rows x_i^(j-1) - a_i x_i^(2n+1-j) and a final
     z-row with c.  variant "q": the plain n x n q-kernel determinant equals
     the same expression without the 1-z^2 factor and with final row
-    (-z)^(2n+1-j).  Equality is checked by cross-multiplication.
+    (-z)^(2n+1-j).  Both sides come out over the same denominator
+    prod (x_i - y_j)(1 - x_i y_j), times 1 - z^2 for "p", so RationalFunction
+    equality compares their numerators.
     """
     if variant not in ("p", "q"):
         raise ValueError(f"unknown variant {variant!r}")

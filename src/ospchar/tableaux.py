@@ -5,7 +5,8 @@ cell's candidates from its left and top neighbours plus the family's row
 bound.  The weight sums over complete fillings are the ground truth that the
 closed-form character formulas are checked against.
 
-Entry encodings (0-based codes):
+Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
+place that says what each code shows as and weighs:
 
 * semistandard: ``0..n-1`` for the letters ``1 < ... < n``
 * super: ``0..n-1`` unprimed, ``n..n+m-1`` primed (``1 < .. < n < 1' < .. < m'``)
@@ -54,60 +55,74 @@ def _xy_vars(n: int, m: int) -> VariableSet:
     return VariableSet([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)])
 
 
-def _x_vars(n: int) -> VariableSet:
-    return VariableSet([f"x{i}" for i in range(1, n + 1)])
+# A letter: (display token, index of its variable in x1..xn, y1..ym, sign of
+# its exponent).
+Letter = tuple[str, int, int]
 
 
-def _cells(shape: Sequence[int], inner: Sequence[int]) -> list[tuple[int, int]]:
-    out = []
-    for r, width in enumerate(shape):
-        start = inner[r] if r < len(inner) else 0
-        if start > width:
-            raise ValueError("inner shape is not contained in the outer shape")
-        out.extend((r, c) for c in range(start, width))
-    return out
+def _plain(count: int, first: int = 0, mark: str = "") -> list[Letter]:
+    return [(f"{k + 1}{mark}", first + k, 1) for k in range(count)]
 
 
-def _in_shape(shape: Sequence[int], inner: Sequence[int], r: int, c: int) -> bool:
-    if r < 0 or r >= len(shape):
-        return False
-    start = inner[r] if r < len(inner) else 0
-    return start <= c < shape[r]
+def _barred(count: int) -> list[Letter]:
+    return [letter for k in range(count) for letter in ((str(k + 1), k, 1), (f"{k + 1}b", k, -1))]
+
+
+# family -> letters(n, m), indexed by code.
+LETTERS = {
+    "ssyt": lambda n, m: _plain(n),
+    "super": lambda n, m: _plain(n) + _plain(m, n, "p"),
+    "symplectic": lambda n, m: _barred(n),
+    "odd_symplectic": lambda n, m: _barred(n - 1) + [(str(n), n - 1, 1)],
+    "orthosymplectic": lambda n, m: _barred(n) + _plain(m, n, "p"),
+}
+
+
+def _weight_sum(family: str, grids, n: int, m: int = 0) -> LaurentPolynomial:
+    """Sum over the grids of the product of each entry's x^sign or y^sign."""
+    letters = LETTERS[family](n, m)
+    index = [i for _, i, _ in letters]
+    sign = [s for _, _, s in letters]
+    vs = _xy_vars(n, m)
+    terms: dict[tuple[int, ...], int] = {}
+    for grid in grids:
+        e = [0] * len(vs)
+        for row in grid:
+            for v in row:
+                e[index[v]] += sign[v]
+        key = tuple(e)
+        terms[key] = terms.get(key, 0) + 1
+    return vs.poly(terms)
+
+
+def _listing(family: str, grids, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[Tableau]:
+    tokens = [token for token, _, _ in LETTERS[family](n, m)]
+    for grid in grids:
+        yield Tableau(lam.parts, mu.parts, tuple(tuple(tokens[v] for v in row) for row in grid))
 
 
 def _grids(shape, inner, candidates) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Row-major backtracking; ``candidates(grid, r, c)`` yields legal codes."""
-    cells = _cells(shape, inner)
-    if not cells:
-        yield ()
-        return
-    grid = {c: -1 for c in cells}
+    """Row-major backtracking over the cells of shape/inner.
 
-    def rec(idx: int):
-        if idx == len(cells):
-            snap = []
-            for r, width in enumerate(shape):
-                start = inner[r] if r < len(inner) else 0
-                snap.append(tuple(grid[(r, c)] for c in range(start, width)))
-            yield tuple(snap)
+    ``candidates(left, top, r)`` yields the legal codes of a cell in row r
+    given its left and top neighbours, None where the neighbour is not in
+    the skew shape.
+    """
+    starts = [inner[r] if r < len(inner) else 0 for r in range(len(shape))]
+    cells = [(r, c) for r, width in enumerate(shape) for c in range(starts[r], width)]
+    rows = [[None] * width for width in shape]  # cells of the inner shape stay None
+
+    def fill(k: int):
+        if k == len(cells):
+            yield tuple(tuple(row[start:]) for row, start in zip(rows, starts))
             return
-        r, c = cells[idx]
-        for v in candidates(grid, r, c):
-            grid[(r, c)] = v
-            yield from rec(idx + 1)
-        grid[(r, c)] = -1
+        r, c = cells[k]
+        row = rows[r]
+        for v in candidates(row[c - 1] if c else None, rows[r - 1][c] if r else None, r):
+            row[c] = v
+            yield from fill(k + 1)
 
-    yield from rec(0)
-
-
-def _neighbors(grid, shape, inner, r, c):
-    left = grid.get((r, c - 1)) if _in_shape(shape, inner, r, c - 1) else None
-    top = grid.get((r - 1, c)) if _in_shape(shape, inner, r - 1, c) else None
-    if left == -1:
-        left = None
-    if top == -1:
-        top = None
-    return left, top
+    return fill(0)
 
 
 # -- semistandard -----------------------------------------------------
@@ -116,10 +131,8 @@ def _neighbors(grid, shape, inner, r, c):
 def ssyt_grids(lam: Partition, mu: Partition, n: int) -> Iterator[tuple]:
     if not lam.contains(mu):
         raise ValueError(f"{mu!r} is not contained in {lam!r}")
-    shape, inner = lam.parts, mu.parts
 
-    def candidates(grid, r, c):
-        left, top = _neighbors(grid, shape, inner, r, c)
+    def candidates(left, top, r):
         lo = 0
         if left is not None:
             lo = max(lo, left)
@@ -127,7 +140,7 @@ def ssyt_grids(lam: Partition, mu: Partition, n: int) -> Iterator[tuple]:
             lo = max(lo, top + 1)
         return range(lo, n)
 
-    return _grids(shape, inner, candidates)
+    return _grids(lam.parts, mu.parts, candidates)
 
 
 def is_semistandard(grid, lam: Partition, mu: Partition, n: int) -> bool:
@@ -144,26 +157,18 @@ def is_semistandard(grid, lam: Partition, mu: Partition, n: int) -> bool:
 
 
 def ssyt_weight_sum(lam: Partition, mu: Partition, n: int) -> LaurentPolynomial:
-    vs = _x_vars(n)
-    terms: dict[tuple[int, ...], int] = {}
-    for grid in ssyt_grids(lam, mu, n):
-        e = [0] * n
-        for row in grid:
-            for v in row:
-                e[v] += 1
-        key = tuple(e)
-        terms[key] = terms.get(key, 0) + 1
-    return vs.poly(terms)
+    return _weight_sum("ssyt", ssyt_grids(lam, mu, n), n)
+
+
+def ssyt_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[Tableau]:
+    return _listing("ssyt", ssyt_grids(lam, mu, n), lam, mu, n)
 
 
 # -- super ------------------------------------------------------------
 
 
 def super_grids(lam: Partition, n: int, m: int) -> Iterator[tuple]:
-    shape, inner = lam.parts, ()
-
-    def candidates(grid, r, c):
-        left, top = _neighbors(grid, shape, inner, r, c)
+    def candidates(left, top, r):
         lo = 0
         if left is not None:
             lo = max(lo, left)
@@ -176,7 +181,7 @@ def super_grids(lam: Partition, n: int, m: int) -> Iterator[tuple]:
                 continue  # primed letters are strict across rows
             yield v
 
-    return _grids(shape, inner, candidates)
+    return _grids(lam.parts, (), candidates)
 
 
 def is_supertableau(grid, lam: Partition, n: int, m: int) -> bool:
@@ -198,17 +203,11 @@ def is_supertableau(grid, lam: Partition, n: int, m: int) -> bool:
 
 
 def super_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynomial:
-    vs = _xy_vars(n, m)
-    width = n + m
-    terms: dict[tuple[int, ...], int] = {}
-    for grid in super_grids(lam, n, m):
-        e = [0] * width
-        for row in grid:
-            for v in row:
-                e[v] += 1
-        key = tuple(e)
-        terms[key] = terms.get(key, 0) + 1
-    return vs.poly(terms)
+    return _weight_sum("super", super_grids(lam, n, m), n, m)
+
+
+def super_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:
+    return _listing("super", super_grids(lam, n, m), lam, Partition(), n, m)
 
 
 # -- symplectic and odd symplectic ------------------------------------
@@ -216,10 +215,8 @@ def super_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynomial:
 
 def _king_grids(shape: Sequence[int], letters: int) -> Iterator[tuple]:
     """Fillings with weak rows, strict columns, and row r entries >= code 2r."""
-    inner = ()
 
-    def candidates(grid, r, c):
-        left, top = _neighbors(grid, shape, inner, r, c)
+    def candidates(left, top, r):
         lo = 2 * r
         if left is not None:
             lo = max(lo, left)
@@ -227,7 +224,7 @@ def _king_grids(shape: Sequence[int], letters: int) -> Iterator[tuple]:
             lo = max(lo, top + 1)
         return range(lo, letters)
 
-    return _grids(shape, inner, candidates)
+    return _grids(shape, (), candidates)
 
 
 def _is_king(grid, lam: Partition, letters: int) -> bool:
@@ -252,16 +249,11 @@ def is_symplectic(grid, lam: Partition, n: int) -> bool:
 
 def symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
     """Sum of x^(occurrences of i minus occurrences of i-bar); zero if the shape is too tall."""
-    vs = _x_vars(n)
-    terms: dict[tuple[int, ...], int] = {}
-    for grid in symplectic_grids(lam, n):
-        e = [0] * n
-        for row in grid:
-            for v in row:
-                e[v >> 1] += -1 if v & 1 else 1
-        key = tuple(e)
-        terms[key] = terms.get(key, 0) + 1
-    return vs.poly(terms)
+    return _weight_sum("symplectic", symplectic_grids(lam, n), n)
+
+
+def symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
+    return _listing("symplectic", symplectic_grids(lam, n), lam, Partition(), n)
 
 
 def odd_symplectic_grids(lam: Partition, n: int) -> Iterator[tuple]:
@@ -276,33 +268,20 @@ def is_odd_symplectic(grid, lam: Partition, n: int) -> bool:
 
 def odd_symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
     """Like the symplectic weight, but the top letter n has no barred partner."""
-    if lam.length > n:
-        raise ValueError(f"partition length {lam.length} exceeds n={n}")
-    vs = _x_vars(n)
-    top = 2 * n - 2
-    terms: dict[tuple[int, ...], int] = {}
-    for grid in odd_symplectic_grids(lam, n):
-        e = [0] * n
-        for row in grid:
-            for v in row:
-                if v == top:
-                    e[n - 1] += 1
-                else:
-                    e[v >> 1] += -1 if v & 1 else 1
-        key = tuple(e)
-        terms[key] = terms.get(key, 0) + 1
-    return vs.poly(terms)
+    return _weight_sum("odd_symplectic", odd_symplectic_grids(lam, n), n)
+
+
+def odd_symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
+    return _listing("odd_symplectic", odd_symplectic_grids(lam, n), lam, Partition(), n)
 
 
 # -- orthosymplectic ---------------------------------------------------
 
 
 def orthosymplectic_grids(lam: Partition, n: int, m: int) -> Iterator[tuple]:
-    shape, inner = lam.parts, ()
     base = 2 * n
 
-    def candidates(grid, r, c):
-        left, top = _neighbors(grid, shape, inner, r, c)
+    def candidates(left, top, r):
         # Unprimed cells form the symplectic portion, which must be a Young
         # subdiagram: an unprimed entry cannot sit right of or below a prime.
         if (left is None or left < base) and (top is None or top < base):
@@ -319,7 +298,7 @@ def orthosymplectic_grids(lam: Partition, n: int, m: int) -> Iterator[tuple]:
             lo = max(lo, top)  # primes are weak down columns
         yield from range(lo, base + m)
 
-    return _grids(shape, inner, candidates)
+    return _grids(lam.parts, (), candidates)
 
 
 def is_orthosymplectic(grid, lam: Partition, n: int, m: int) -> bool:
@@ -359,23 +338,14 @@ def is_orthosymplectic(grid, lam: Partition, n: int, m: int) -> bool:
 
 
 def orthosymplectic_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynomial:
-    vs = _xy_vars(n, m)
-    base = 2 * n
-    terms: dict[tuple[int, ...], int] = {}
-    for grid in orthosymplectic_grids(lam, n, m):
-        e = [0] * (n + m)
-        for row in grid:
-            for v in row:
-                if v < base:
-                    e[v >> 1] += -1 if v & 1 else 1
-                else:
-                    e[n + v - base] += 1
-        key = tuple(e)
-        terms[key] = terms.get(key, 0) + 1
-    return vs.poly(terms)
+    return _weight_sum("orthosymplectic", orthosymplectic_grids(lam, n, m), n, m)
 
 
-# -- display and shared helpers ----------------------------------------
+def orthosymplectic_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:
+    return _listing("orthosymplectic", orthosymplectic_grids(lam, n, m), lam, Partition(), n, m)
+
+
+# -- shared by the rule checkers ---------------------------------------
 
 
 def _grid_dict(grid, lam: Partition, mu: Partition) -> dict[tuple[int, int], int]:
@@ -385,52 +355,3 @@ def _grid_dict(grid, lam: Partition, mu: Partition) -> dict[tuple[int, int], int
         for k, v in enumerate(row):
             vals[(r, start + k)] = v
     return vals
-
-
-def _ssyt_token(v: int) -> str:
-    return str(v + 1)
-
-
-def _super_token(v: int, n: int) -> str:
-    return str(v + 1) if v < n else f"{v - n + 1}p"
-
-
-def _king_token(v: int) -> str:
-    return f"{(v >> 1) + 1}b" if v & 1 else str((v >> 1) + 1)
-
-
-def _odd_token(v: int, n: int) -> str:
-    return str(n) if v == 2 * n - 2 else _king_token(v)
-
-
-def _ortho_token(v: int, n: int) -> str:
-    return _king_token(v) if v < 2 * n else f"{v - 2 * n + 1}p"
-
-
-def _build(lam: Partition, mu: Partition, grid, token) -> Tableau:
-    return Tableau(lam.parts, mu.parts, tuple(tuple(token(v) for v in row) for row in grid))
-
-
-def ssyt_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[Tableau]:
-    for grid in ssyt_grids(lam, mu, n):
-        yield _build(lam, mu, grid, _ssyt_token)
-
-
-def super_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:
-    for grid in super_grids(lam, n, m):
-        yield _build(lam, Partition(), grid, lambda v: _super_token(v, n))
-
-
-def symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
-    for grid in symplectic_grids(lam, n):
-        yield _build(lam, Partition(), grid, _king_token)
-
-
-def odd_symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
-    for grid in odd_symplectic_grids(lam, n):
-        yield _build(lam, Partition(), grid, lambda v: _odd_token(v, n))
-
-
-def orthosymplectic_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:
-    for grid in orthosymplectic_grids(lam, n, m):
-        yield _build(lam, Partition(), grid, lambda v: _ortho_token(v, n))

@@ -286,6 +286,21 @@ def test_rational_equality_is_equivalence(a, b, c, d):
     assert r == t
 
 
+def test_rational_equality_over_equal_and_unequal_denominators():
+    vs = VariableSet(["x1"])
+    x = vs.gen("x1")
+    one = vs.one()
+    # equal denominators: the numerators decide
+    assert RationalFunction(x, x + one) == RationalFunction(x, x + one)
+    assert RationalFunction(x, x + one) != RationalFunction(2 * x, x + one)
+    assert RationalFunction(x + one, x + one) != RationalFunction(one, x + one) * 2
+    assert RationalFunction(x) == x
+    # unequal denominators: cross-multiplication
+    assert RationalFunction(x * x - x, x * x - one) == RationalFunction(x, x + one)
+    assert RationalFunction(x * x + x, x + one) == x
+    assert RationalFunction(x, x - one) != RationalFunction(x, x + one)
+
+
 def test_rational_arithmetic_shortcuts():
     vs = VariableSet(["x1"])
     x = vs.gen("x1")

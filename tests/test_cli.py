@@ -1,6 +1,10 @@
 """Command-line surface: output formats, exit codes, byte stability."""
 
+import hashlib
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,36 @@ def test_enumerate_output(capsys):
     assert "[[1p,2p]]" in lines
     code, _, _ = run(capsys, "enumerate", "--family", "symplectic", "--n", "1", "--lambda", "1", "--mu", "1")
     assert code == 2
+
+
+# (family, n, m, lambda, mu) -> line count and SHA-256 of the full listing:
+# the tokens, the order and the skew dots of `ospchar enumerate` stay fixed.
+ENUMERATE_PINS = {
+    ("schur", 3, 0, "3,1", None): (15, "dfd7f19240806f3d122f34c9ad55b0c7600ad2509d22d9bdb37c791198d5dfb6"),
+    ("hook", 2, 2, "2,1,1", None): (32, "9736ac02e846b16b8e358b9a29df1e96d0f74ded99b90c0290016d53f7da0134"),
+    ("symplectic", 2, 0, "2,2", None): (14, "ae421a1fa0bd6025e561866c38c12149222fad48dc7db83ef1c928def642dfc6"),
+    ("orthosymplectic", 2, 1, "3,1", None): (81, "bbafec56a087144aef47c1ccaa7ce76bb42690274c4d9a6f933e75fc57360523"),
+    ("odd_symplectic", 3, 0, "2,1,1", None): (21, "766dbe64b8c365d4d7cbf32e968082e00c5dce46a31a79a0cda41c57136a5046"),
+    ("schur", 3, 0, "3,2,1", "2,1"): (27, "63909682e48f967cfbf33ee54a352520c7a69eb0c9da4a7a15a324407e50be44"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATE_PINS, key=str))
+def test_enumerate_output_is_pinned(capsys, case):
+    family, n, m, lam, mu = case
+    argv = ["enumerate", "--family", family, "--n", str(n), "--m", str(m), "--lambda", lam]
+    code, out, _ = run(capsys, *argv, *(["--mu", mu] if mu else []))
+    assert code == 0
+    assert (len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == ENUMERATE_PINS[case]
+
+
+def test_enumerate_rejects_counts_outside_the_domain(capsys):
+    code, out, err = run(capsys, "enumerate", "--family", "hook", "--n", "1", "--m", "-1", "--lambda", "2")
+    assert code == 2 and out == "" and "m must be nonnegative" in err
+    code, out, err = run(capsys, "enumerate", "--family", "odd_symplectic", "--n", "0", "--lambda", "")
+    assert code == 2 and out == "" and "n must be at least 1" in err
+    code, out, err = run(capsys, "enumerate", "--family", "schur", "--n", "-1", "--lambda", "1")
+    assert code == 2 and out == "" and "n must be at least 1" in err
 
 
 def test_verify_single_identity(capsys):
@@ -181,3 +215,17 @@ def test_verify_rejects_counts_outside_the_domain(capsys):
     assert code == 2 and "needs n >= 1" in err
     code, out, err = run(capsys, "verify", "--identity", "power_product", "--n", "0", "--l", "1")
     assert code == 2 and "needs n >= 1" in err and out == ""
+    code, out, err = run(capsys, "verify", "--identity", "cauchy_binet", "--m", "0", "--n", "0")
+    assert code == 2 and "needs m >= 1" in err and out == ""
+
+
+def test_benchmark_tracer_targets_exist():
+    """Every function the benchmark's tracer wraps is a module-level name in ospchar."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = list(tracing.FUNCTIONS) + list(tracing.GENERATORS)
+    assert targets
+    for module, name, _ in targets:
+        assert callable(getattr(importlib.import_module(f"ospchar.{module}"), name, None)), (module, name)

@@ -267,3 +267,7 @@ def test_display_tokens():
     assert ortho == ["[[1]]", "[[1b]]", "[[1p]]"]
     skew = [str(t) for t in tableaux.ssyt_tableaux(Partition([2]), Partition([1]), 1)]
     assert skew == ["[[.,1]]"]
+    # a skew shape with no cells has exactly one (empty) filling
+    empty = [str(t) for t in tableaux.ssyt_tableaux(Partition([2, 1]), Partition([2, 1]), 1)]
+    assert empty == ["[[.,.],[.]]"]
+    assert ssyt_weight_sum(Partition([2, 1]), Partition([2, 1]), 1).is_one()
