@@ -16,7 +16,9 @@ the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
 entry products and never divides, so sparse multivariate entries do not swell
 the way they do under fraction-free elimination; matrix sizes stay in the
 single digits throughout this package, so the exponential factor is small.
-Rational matrices first clear a common denominator per row (det_rational).
+Rational matrices first clear a common denominator per row (det_rational);
+only the kernel-determinant identity (verify_kernel_det) needs that, since
+the character routes build their rows already cleared.
 Bareiss elimination (det_bareiss) is kept only as the reference that the
 tests compare det_cofactor against.
 """
@@ -547,12 +549,13 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
 class RationalFunction:
     """Quotient of two Laurent polynomials; the denominator is nonzero.
 
-    There is no canonical gcd reduction: two fractions over the same
-    denominator are equal when their numerators are, and otherwise equality
-    is decided by cross-multiplication.  Addition reuses a shared denominator when the two
-    denominators are equal, and multiplication cancels when one operand's
-    numerator equals the other's denominator; both shortcuts only ever pick a
-    different representative of the same fraction.
+    It carries the entries and the value of det_rational, which only the
+    kernel-determinant identity uses, so it offers just what that needs:
+    construction, addition and equality.  There is no canonical gcd
+    reduction: two fractions over the same denominator are equal when their
+    numerators are, and otherwise equality is decided by cross-multiplication.
+    Addition reuses a shared denominator when the two denominators are equal,
+    which only picks a different representative of the same fraction.
     """
 
     __slots__ = ("num", "den")
@@ -606,40 +609,6 @@ class RationalFunction:
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RationalFunction(self.vars.zero())
-        if self.den == other.num:
-            return RationalFunction(self.num, other.den)
-        if self.num == other.den:
-            return RationalFunction(other.num, self.den)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "RationalFunction":
-        if self.is_zero():
-            raise AlgebraError("reciprocal of zero")
-        return RationalFunction(self.den, self.num)
-
-    def to_laurent(self) -> LaurentPolynomial:
-        """Exact quotient as a Laurent polynomial; raises if not exact."""
-        return exact_div(self.num, self.den)
 
     def __repr__(self) -> str:
         return f"<({self.num.to_text()}) / ({self.den.to_text()})>"
@@ -729,7 +698,11 @@ def det_cofactor(rows: Sequence[Sequence], vars: VariableSet | None = None):
         memo[cols] = acc
         return acc
 
-    return minor(0, tuple(range(n)))
+    det = minor(0, tuple(range(n)))
+    # minor refers to itself through its closure; without this the cycle
+    # would keep every memoized minor alive until the cyclic collector ran
+    del minor
+    return det
 
 
 def det_rational(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:

@@ -23,14 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import (
-    LaurentPolynomial,
-    RationalFunction,
-    VariableSet,
-    det_cofactor,
-    det_rational,
-    exact_div,
-)
+from .algebra import LaurentPolynomial, VariableSet, det_cofactor, exact_div
 from .symfun import (
     Partition,
     complete,
@@ -115,6 +108,11 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
     k - 1 columns of x-powers, m - n + k - 1 rows of y-powers and a zero
     block; the result is (-1)^(mn - n + k - 1) / D times its determinant,
     where D = prod(x_i - x_j) prod(y_i - y_j) / prod(x_i + y_j).
+
+    Each main-block row is built scaled by its common denominator
+    prod_q(x_i + y_q), so every entry is a Laurent polynomial and the value
+    is the signed exact quotient of that determinant by the product form
+    prod(x_i - x_j) prod(y_i - y_j).
     """
     n, m = len(xs), len(ys)
     vs = _vs_of(xs, ys)
@@ -123,29 +121,23 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
     k = k_index(lam, n, m)
     size = m + k - 1
     lamc = lam.conjugate()
-    one = vs.one()
-    rows: list[list[RationalFunction]] = []
+    rows: list[list[Poly]] = []
     for i in range(n):
         x = xs[i]
-        row = [RationalFunction(one, x + ys[j]) for j in range(m)]
-        row += [
-            RationalFunction(x ** (lam.part(j) + n - m - j))
-            for j in range(1, k)
-        ]
+        p = _prod(vs, (x + y for y in ys))
+        row = [_prod(vs, (x + ys[t] for t in range(m) if t != j)) for j in range(m)]
+        row += [x ** (lam.part(j) + n - m - j) * p for j in range(1, k)]
         rows.append(row)
-    zero_r = RationalFunction(vs.zero())
+    zero = vs.zero()
     for i in range(1, m - n + k):
-        row = [RationalFunction(ys[j] ** (lamc.part(i) + m - n - i)) for j in range(m)]
-        row += [zero_r] * (k - 1)
+        row = [ys[j] ** (lamc.part(i) + m - n - i) for j in range(m)]
+        row += [zero] * (k - 1)
         rows.append(row)
     assert len(rows) == size
-    det = det_rational(rows)
     dnum = _prod(vs, (xs[i] - xs[j] for i in range(n) for j in range(i + 1, n)))
     dnum = dnum * _prod(vs, (ys[i] - ys[j] for i in range(m) for j in range(i + 1, m)))
-    dden = _prod(vs, (x + y for x in xs for y in ys))
     sign = -1 if (m * n - n + k - 1) % 2 else 1
-    result = det * RationalFunction(dden, dnum)
-    return sign * result.to_laurent()
+    return sign * exact_div(det_cofactor(rows, vs), dnum)
 
 
 # -- symplectic -----------------------------------------------------------
@@ -223,6 +215,11 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     and the k - 1 border columns x_i^e/prod(1/x_i+y_q) - x_i^-e/prod(x_i+y_q)
     with e = lam_j + n - m - j + 1.  The lower border holds y-powers.
     With Y empty this is the symplectic Weyl quotient.
+
+    Each main-block row is built scaled by its common denominator, so every
+    entry is a Laurent polynomial and the value is the signed exact quotient
+    of that determinant by the product form: the symplectic denominator
+    product times prod_{i<j}(y_i - y_j), with sign (-1)^(mn - n + k - 1).
     """
     n, m = len(xs), len(ys)
     _require_length(lam, n)
@@ -231,36 +228,31 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     vs = _vs_of(xs, ys)
     k = k_index(lam, n, m)
     lamc = lam.conjugate()
-    rows: list[list[RationalFunction]] = []
+    rows: list[list[Poly]] = []
     for i in range(n):
         x = xs[i]
         xb = x.inverse()
         p = _prod(vs, (x + y for y in ys))
         q = _prod(vs, (xb + y for y in ys))
-        den = p * q
-        row = []
-        for j in range(m):
-            num = x * _prod(vs, (x + ys[t] for t in range(m) if t != j)) - xb * _prod(
-                vs, (xb + ys[t] for t in range(m) if t != j)
-            )
-            row.append(RationalFunction(num, den))
+        row = [
+            x * _prod(vs, (x + ys[t] for t in range(m) if t != j))
+            - xb * _prod(vs, (xb + ys[t] for t in range(m) if t != j))
+            for j in range(m)
+        ]
         for j in range(1, k):
             e = lam.part(j) + n - m - j + 1
-            row.append(RationalFunction(x ** e * p - xb ** e * q, den))
+            row.append(x ** e * p - xb ** e * q)
         rows.append(row)
-    zero_r = RationalFunction(vs.zero())
+    zero = vs.zero()
     for i in range(1, m - n + k):
-        row = [RationalFunction(ys[j] ** (lamc.part(i) + m - n - i)) for j in range(m)]
-        row += [zero_r] * (k - 1)
+        row = [ys[j] ** (lamc.part(i) + m - n - i) for j in range(m)]
+        row += [zero] * (k - 1)
         rows.append(row)
     assert len(rows) == m + k - 1
-    det = det_rational(rows)
     dnum = symplectic_denominator_product(xs)
     dnum = dnum * _prod(vs, (ys[i] - ys[j] for i in range(m) for j in range(i + 1, m)))
-    dden = _prod(vs, ((x + y) * (x.inverse() + y) for x in xs for y in ys))
     sign = -1 if (m * n - n + k - 1) % 2 else 1
-    result = det * RationalFunction(dden, dnum)
-    return sign * result.to_laurent()
+    return sign * exact_div(det_cofactor(rows, vs), dnum)
 
 
 def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -447,8 +439,16 @@ def _check_counts(n: int, m: int) -> None:
 
 def family_tableaux(family: str, lam: Partition, n: int, m: int, mu: Partition) -> Iterator[tableaux.Tableau]:
     """The tableaux whose weights the family's tableau route sums, in
-    enumeration order; mu is an inner shape (schur only)."""
-    _check_counts(n, m)
+    enumeration order; mu is an inner shape (schur only).
+
+    Raises ValueError outside the tableau route's domain, with the same
+    message as CharacterRequest.validate.  A skew schur shape only needs
+    valid counts: its outer shape may be longer than n.
+    """
+    if family == "schur" and mu.length:
+        _check_counts(n, m)
+    else:
+        CharacterRequest(family, "tableau", lam, n, m).validate()
     return _LISTINGS[family](lam, mu, n, m)
 
 

@@ -289,6 +289,8 @@ def verify_power_product(n: int, l: int) -> VerificationReport:
 
 def verify_beta_complement(lam: Partition, n1: int, n2: int) -> VerificationReport:
     """{lam_i + n1 - i} and {n1 - 1 + j - lam'_j} partition {0..n1+n2-1}."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError("needs n1, n2 >= 1")
     if lam.length > n1 or lam.part(1) > n2:
         raise ValueError("partition does not fit the given box")
     params = _lam_params(lam, n1=n1, n2=n2)

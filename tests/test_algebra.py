@@ -293,7 +293,7 @@ def test_rational_equality_over_equal_and_unequal_denominators():
     # equal denominators: the numerators decide
     assert RationalFunction(x, x + one) == RationalFunction(x, x + one)
     assert RationalFunction(x, x + one) != RationalFunction(2 * x, x + one)
-    assert RationalFunction(x + one, x + one) != RationalFunction(one, x + one) * 2
+    assert RationalFunction(x + one, x + one) != RationalFunction(2 * one, x + one)
     assert RationalFunction(x) == x
     # unequal denominators: cross-multiplication
     assert RationalFunction(x * x - x, x * x - one) == RationalFunction(x, x + one)
@@ -309,9 +309,6 @@ def test_rational_arithmetic_shortcuts():
     s = RationalFunction(x, x + one)
     total = r + s
     assert total.den == x + one  # shared denominator reused
-    prod = RationalFunction(x ** 2, x - one) * RationalFunction(x - one, x)
-    assert prod == RationalFunction(x)
-    assert RationalFunction(x ** 2 - one, x + one).to_laurent() == x - one
 
 
 # -- serialization -------------------------------------------------------------

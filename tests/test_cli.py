@@ -121,6 +121,16 @@ def test_enumerate_rejects_counts_outside_the_domain(capsys):
     assert code == 2 and out == "" and "n must be at least 1" in err
     code, out, err = run(capsys, "enumerate", "--family", "schur", "--n", "-1", "--lambda", "1")
     assert code == 2 and out == "" and "n must be at least 1" in err
+    # the same domain as compute --method tableau, with the same messages
+    for family in ("hook", "orthosymplectic"):
+        code, out, err = run(capsys, "enumerate", "--family", family, "--n", "1", "--m", "0", "--lambda", "1")
+        assert code == 2 and out == "" and f"family '{family}' needs m >= 1" in err
+    for family in ("schur", "symplectic"):
+        code, out, err = run(capsys, "enumerate", "--family", family, "--n", "1", "--lambda", "1,1")
+        assert code == 2 and out == "" and "partition (1, 1) is longer than n=1" in err
+    # a skew shape may be longer than n
+    code, out, _ = run(capsys, "enumerate", "--family", "schur", "--n", "1", "--lambda", "1,1", "--mu", "1")
+    assert code == 0 and out.splitlines() == ["[[.],[1]]"]
 
 
 def test_verify_single_identity(capsys):
@@ -217,6 +227,9 @@ def test_verify_rejects_counts_outside_the_domain(capsys):
     assert code == 2 and "needs n >= 1" in err and out == ""
     code, out, err = run(capsys, "verify", "--identity", "cauchy_binet", "--m", "0", "--n", "0")
     assert code == 2 and "needs m >= 1" in err and out == ""
+    for n1, n2 in ((0, 0), (0, 2)):
+        code, out, err = run(capsys, "verify", "--identity", "beta_complement", "--n1", str(n1), "--n2", str(n2), "--lambda", "")
+        assert code == 2 and "needs n1, n2 >= 1" in err and out == ""
 
 
 def test_benchmark_tracer_targets_exist():
