@@ -36,11 +36,22 @@ class Partition:
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
-        """Parse a comma-separated list; the empty string is the empty partition."""
+        """Parse a comma-separated list; the empty string is the empty partition.
+
+        A ValueError names the piece that is not a part.
+        """
         text = text.strip()
         if not text:
             return cls()
-        return cls(int(piece) for piece in text.split(","))
+        parts = []
+        for piece in text.split(","):
+            if not piece.strip():
+                raise ValueError(f"empty part in {text!r}")
+            try:
+                parts.append(int(piece))
+            except ValueError:
+                raise ValueError(f"part {piece.strip()!r} is not an integer") from None
+        return cls(parts)
 
     def to_string(self) -> str:
         return ",".join(str(p) for p in self.parts)

@@ -1,12 +1,20 @@
-"""Tableau enumeration for five alphabets, with exact weight sums.
+"""Tableaux of five alphabets: exact weight sums and enumeration.
 
-Each family fills a Young diagram row-major by backtracking, pruning each
+The weight sums are the ground truth that the closed-form character formulas
+are checked against.  They come from strip branching (King 1976,
+Berele-Regev 1987): the cells holding letters up to a given code form a
+Young diagram, so adding the letters in code order grows the shape by one
+strip per letter, horizontal for row-weak letters and vertical for the
+row-strict primed ones.  The cost follows the number of intermediate shapes,
+not the number of tableaux.
+
+Enumeration fills a Young diagram row-major by backtracking, pruning each
 cell's candidates from its left and top neighbours plus the family's row
-bound.  The weight sums over complete fillings are the ground truth that the
-closed-form character formulas are checked against.
+bound.  It lists the tableaux for ``ospchar enumerate`` and is the oracle
+the tests hold the weight sums to on small shapes.
 
 Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
-place that says what each code shows as and weighs:
+place that says what each code shows as, weighs, and which strip it fills:
 
 * semistandard: ``0..n-1`` for the letters ``1 < ... < n``
 * super: ``0..n-1`` unprimed, ``n..n+m-1`` primed (``1 < .. < n < 1' < .. < m'``)
@@ -23,8 +31,9 @@ on brute-forced small shapes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import LaurentPolynomial, VariableSet
 from .symfun import Partition
@@ -55,34 +64,120 @@ def _xy_vars(n: int, m: int) -> VariableSet:
     return VariableSet([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)])
 
 
-# A letter: (display token, index of its variable in x1..xn, y1..ym, sign of
-# its exponent).
-Letter = tuple[str, int, int]
+class Letter(NamedTuple):
+    token: str  # display token
+    var: int  # index of its variable in x1..xn, y1..ym
+    sign: int  # sign of its exponent
+    row_strict: bool  # primed: at most once per row, so it fills a vertical strip
+    rows: int | None  # King letters i and ib: only in the top i rows
 
 
-def _plain(count: int, first: int = 0, mark: str = "") -> list[Letter]:
-    return [(f"{k + 1}{mark}", first + k, 1) for k in range(count)]
+def _plain(count: int) -> list[Letter]:
+    return [Letter(str(k + 1), k, 1, False, None) for k in range(count)]
+
+
+def _primed(count: int, first: int) -> list[Letter]:
+    return [Letter(f"{k + 1}p", first + k, 1, True, None) for k in range(count)]
 
 
 def _barred(count: int) -> list[Letter]:
-    return [letter for k in range(count) for letter in ((str(k + 1), k, 1), (f"{k + 1}b", k, -1))]
+    return [
+        letter
+        for k in range(count)
+        for letter in (Letter(str(k + 1), k, 1, False, k + 1), Letter(f"{k + 1}b", k, -1, False, k + 1))
+    ]
 
 
 # family -> letters(n, m), indexed by code.
 LETTERS = {
     "ssyt": lambda n, m: _plain(n),
-    "super": lambda n, m: _plain(n) + _plain(m, n, "p"),
+    "super": lambda n, m: _plain(n) + _primed(m, n),
     "symplectic": lambda n, m: _barred(n),
-    "odd_symplectic": lambda n, m: _barred(n - 1) + [(str(n), n - 1, 1)],
-    "orthosymplectic": lambda n, m: _barred(n) + _plain(m, n, "p"),
+    "odd_symplectic": lambda n, m: _barred(n - 1) + [Letter(str(n), n - 1, 1, False, n)],
+    "orthosymplectic": lambda n, m: _barred(n) + _primed(m, n),
 }
 
 
-def _weight_sum(family: str, grids, n: int, m: int = 0) -> LaurentPolynomial:
-    """Sum over the grids of the product of each entry's x^sign or y^sign."""
+# -- weight sums by strip branching --------------------------------------
+
+
+def _strips(shape: tuple[int, ...], lam: tuple[int, ...], letter: Letter) -> Iterator[tuple[int, ...]]:
+    """The shapes inside lam that one letter's cells can extend shape to.
+
+    A row-weak, column-strict letter adds a horizontal strip: row r may
+    grow up to the old length of row r - 1, and not past its row cap.  A
+    row-strict letter adds a vertical strip: each row grows by at most one.
+    """
+    if letter.row_strict:
+        choices = [(w, w + 1) if w < top else (w,) for w, top in zip(shape, lam)]
+        return (s for s in itertools.product(*choices) if all(a >= b for a, b in zip(s, s[1:])))
+    rows = letter.rows or len(shape)
+    bounds = [min(top, above) for top, above in zip(lam, lam[:1] + shape)]
+    choices = [range(w, top + 1) if r < rows else (w,) for r, (w, top) in enumerate(zip(shape, bounds))]
+    return itertools.product(*choices)
+
+
+def _reachable(shape: tuple[int, ...], lam: tuple[int, ...], flat: int, rows: int, strict: int) -> bool:
+    """Can ``flat`` horizontal strips confined to the top ``rows`` rows,
+    then ``strict`` vertical strips, grow shape to lam?
+
+    The largest shape the horizontal strips reach has row r at most as
+    long as the old row r - flat; the vertical strips then add at most
+    ``strict`` cells to each row.
+    """
+    for r, (w, top) in enumerate(zip(shape, lam)):
+        if r < rows:
+            w = top if r < flat else min(top, shape[r - flat])
+        if top - w > strict:
+            return False
+    return True
+
+
+def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> LaurentPolynomial:
+    """The weight sum over the family's tableaux of shape lam/mu, one letter at a time.
+
+    The cells holding letters up to code c form a shape between mu and lam;
+    each letter extends that shape by a strip and shifts its variable's
+    exponent by sign * (strip size).  A layer maps each reachable shape to
+    the weights summed over its fillings; shapes that can no longer grow to
+    lam with the letters left are dropped.
+    """
     letters = LETTERS[family](n, m)
-    index = [i for _, i, _ in letters]
-    sign = [s for _, _, s in letters]
+    vs = _xy_vars(n, m)
+    target = lam.parts
+    layer = {tuple(mu.part(r + 1) for r in range(len(target))): {(0,) * len(vs): 1}}
+    for k, letter in enumerate(letters):
+        rest = letters[k + 1 :]
+        flat = [x for x in rest if not x.row_strict]
+        rows = max((x.rows or len(target) for x in flat), default=0)
+        strict = len(rest) - len(flat)
+        i, sign = letter.var, letter.sign
+        nxt: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        while layer:
+            shape, terms = layer.popitem()
+            before = sum(shape)
+            for new in _strips(shape, target, letter):
+                if not _reachable(new, target, len(flat), rows, strict):
+                    continue
+                out = nxt.setdefault(new, {})
+                d = sign * (sum(new) - before)
+                for e, c in terms.items():
+                    if d:
+                        e = e[:i] + (e[i] + d,) + e[i + 1 :]
+                    out[e] = out.get(e, 0) + c
+        layer = nxt
+    return vs.poly(layer.get(target, {}))
+
+
+# -- the backtracking enumerator ----------------------------------------
+
+
+def _weight_sum(family: str, grids, n: int, m: int = 0) -> LaurentPolynomial:
+    """Sum over the grids of the product of each entry's x^sign or y^sign:
+    the oracle that the tests hold the strip engine to on small shapes."""
+    letters = LETTERS[family](n, m)
+    index = [letter.var for letter in letters]
+    sign = [letter.sign for letter in letters]
     vs = _xy_vars(n, m)
     terms: dict[tuple[int, ...], int] = {}
     for grid in grids:
@@ -96,7 +191,7 @@ def _weight_sum(family: str, grids, n: int, m: int = 0) -> LaurentPolynomial:
 
 
 def _listing(family: str, grids, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[Tableau]:
-    tokens = [token for token, _, _ in LETTERS[family](n, m)]
+    tokens = [letter.token for letter in LETTERS[family](n, m)]
     for grid in grids:
         yield Tableau(lam.parts, mu.parts, tuple(tuple(tokens[v] for v in row) for row in grid))
 
@@ -128,9 +223,13 @@ def _grids(shape, inner, candidates) -> Iterator[tuple[tuple[int, ...], ...]]:
 # -- semistandard -----------------------------------------------------
 
 
-def ssyt_grids(lam: Partition, mu: Partition, n: int) -> Iterator[tuple]:
+def _require_inner(lam: Partition, mu: Partition) -> None:
     if not lam.contains(mu):
         raise ValueError(f"{mu!r} is not contained in {lam!r}")
+
+
+def ssyt_grids(lam: Partition, mu: Partition, n: int) -> Iterator[tuple]:
+    _require_inner(lam, mu)
 
     def candidates(left, top, r):
         lo = 0
@@ -157,7 +256,8 @@ def is_semistandard(grid, lam: Partition, mu: Partition, n: int) -> bool:
 
 
 def ssyt_weight_sum(lam: Partition, mu: Partition, n: int) -> LaurentPolynomial:
-    return _weight_sum("ssyt", ssyt_grids(lam, mu, n), n)
+    _require_inner(lam, mu)
+    return _strip_sum("ssyt", lam, mu, n)
 
 
 def ssyt_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[Tableau]:
@@ -203,7 +303,7 @@ def is_supertableau(grid, lam: Partition, n: int, m: int) -> bool:
 
 
 def super_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynomial:
-    return _weight_sum("super", super_grids(lam, n, m), n, m)
+    return _strip_sum("super", lam, Partition(), n, m)
 
 
 def super_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:
@@ -249,16 +349,20 @@ def is_symplectic(grid, lam: Partition, n: int) -> bool:
 
 def symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
     """Sum of x^(occurrences of i minus occurrences of i-bar); zero if the shape is too tall."""
-    return _weight_sum("symplectic", symplectic_grids(lam, n), n)
+    return _strip_sum("symplectic", lam, Partition(), n)
 
 
 def symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
     return _listing("symplectic", symplectic_grids(lam, n), lam, Partition(), n)
 
 
-def odd_symplectic_grids(lam: Partition, n: int) -> Iterator[tuple]:
+def _require_odd_length(lam: Partition, n: int) -> None:
     if lam.length > n:
         raise ValueError(f"partition length {lam.length} exceeds n={n}")
+
+
+def odd_symplectic_grids(lam: Partition, n: int) -> Iterator[tuple]:
+    _require_odd_length(lam, n)
     return _king_grids(lam.parts, 2 * n - 1)
 
 
@@ -268,7 +372,8 @@ def is_odd_symplectic(grid, lam: Partition, n: int) -> bool:
 
 def odd_symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
     """Like the symplectic weight, but the top letter n has no barred partner."""
-    return _weight_sum("odd_symplectic", odd_symplectic_grids(lam, n), n)
+    _require_odd_length(lam, n)
+    return _strip_sum("odd_symplectic", lam, Partition(), n)
 
 
 def odd_symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
@@ -338,7 +443,7 @@ def is_orthosymplectic(grid, lam: Partition, n: int, m: int) -> bool:
 
 
 def orthosymplectic_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynomial:
-    return _weight_sum("orthosymplectic", orthosymplectic_grids(lam, n, m), n, m)
+    return _strip_sum("orthosymplectic", lam, Partition(), n, m)
 
 
 def orthosymplectic_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:

@@ -72,6 +72,21 @@ def test_compute_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (",1", "empty part in ',1'"),
+        ("2,,1", "empty part in '2,,1'"),
+        ("2,1,", "empty part in '2,1,'"),
+        ("3.5", "part '3.5' is not an integer"),
+        ("2, x", "part 'x' is not an integer"),
+    ],
+)
+def test_bad_partition_names_the_piece(capsys, text, message):
+    code, out, err = run(capsys, "compute", "--family", "schur", "--method", "jt", "--n", "2", "--lambda", text)
+    assert (code, out, err) == (2, "", f"ospchar: {message}\n")
+
+
 def test_unknown_flag_rejected(capsys):
     code = main(["compute", "--family", "schur", "--method", "jt", "--n", "1", "--lambda", "1", "--bogus"])
     capsys.readouterr()

@@ -209,6 +209,67 @@ def test_odd_symplectic_matches_brute_force(lam, n):
     assert got == want
 
 
+# -- strip engine against the enumerator ----------------------------------------
+
+# family -> (grids(lam, n, m), weight_sum(lam, n, m), the m values to sweep)
+STRIP_FAMILIES = {
+    "ssyt": (
+        lambda lam, n, m: ssyt_grids(lam, Partition(), n),
+        lambda lam, n, m: ssyt_weight_sum(lam, Partition(), n),
+        (0,),
+    ),
+    "super": (super_grids, super_weight_sum, (0, 1, 2, 3)),
+    "symplectic": (
+        lambda lam, n, m: symplectic_grids(lam, n),
+        lambda lam, n, m: symplectic_weight_sum(lam, n),
+        (0,),
+    ),
+    "odd_symplectic": (
+        lambda lam, n, m: odd_symplectic_grids(lam, n),
+        lambda lam, n, m: odd_symplectic_weight_sum(lam, n),
+        (0,),
+    ),
+    "orthosymplectic": (orthosymplectic_grids, orthosymplectic_weight_sum, (0, 1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(STRIP_FAMILIES))
+def test_strip_sums_match_enumeration(family):
+    # Every shape of size <= 6 at n, m <= 3: shapes longer than n (inside and
+    # outside the hook for super and orthosymplectic), too-tall shapes that
+    # sum to 0, and the empty shape that sums to 1.
+    grids, weight_sum, ms = STRIP_FAMILIES[family]
+    for n in (1, 2, 3):
+        for m in ms:
+            for lam in partitions_up_to(6):
+                if family == "odd_symplectic" and lam.length > n:
+                    continue
+                want = tableaux._weight_sum(family, grids(lam, n, m), n, m)
+                assert weight_sum(lam, n, m) == want, (lam, n, m)
+            assert weight_sum(Partition(), n, m).is_one()
+
+
+def test_skew_strip_sums_match_enumeration():
+    for n in (1, 2, 3):
+        for lam in partitions_up_to(5):
+            for mu in subpartitions(lam):
+                want = tableaux._weight_sum("ssyt", ssyt_grids(lam, mu, n), n)
+                assert ssyt_weight_sum(lam, mu, n) == want, (lam, mu, n)
+
+
+def test_strip_sums_keep_the_domain():
+    assert ssyt_weight_sum(Partition([1, 1, 1]), Partition(), 2).is_zero()
+    assert symplectic_weight_sum(Partition([1, 1, 1]), 2).is_zero()
+    assert super_weight_sum(Partition([2, 2]), 1, 1).is_zero()
+    assert orthosymplectic_weight_sum(Partition([2, 2]), 1, 1).is_zero()
+    with pytest.raises(ValueError):
+        odd_symplectic_weight_sum(Partition([1, 1, 1]), 2)
+    with pytest.raises(ValueError):
+        ssyt_weight_sum(Partition([2]), Partition([1, 1]), 2)
+    with pytest.raises(ValueError):
+        ssyt_weight_sum(Partition([1]), Partition([2]), 2)
+
+
 # -- structural invariants --------------------------------------------------------
 
 
