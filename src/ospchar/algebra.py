@@ -5,11 +5,11 @@ negative) to nonzero arbitrary-precision integer coefficients.  The inverse
 of a variable is represented by a negative exponent, never by an extra
 variable, so the substitution x -> 1/x is total.
 
-Monomials are ordered graded-lexicographically on the exponent vector; since
-both sides of a comparison shift by the same amount, the order is insensitive
-to the per-variable shift that makes all exponents nonnegative, and it is a
-proper monomial order on the shifted vectors.  The order fixes canonical
-serialization and the leading-term choice during division.
+Monomials are ordered graded-lexicographically on the exponent vector, and
+that order fixes only canonical serialization.  Exact division walks the
+layers of a weighted degree chosen per divisor instead (see exact_div); an
+exact quotient is unique, so only the remainder an inexact division reports
+depends on that choice.
 
 Determinants: one algorithm serves every matrix, a cofactor expansion along
 the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
@@ -26,7 +26,7 @@ tests compare det_cofactor against.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 
@@ -468,10 +468,13 @@ def substitute(
 def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     """Quotient q with q*b == a, verified; raises ExactDivisionError otherwise.
 
-    Both operands are shifted so every exponent is nonnegative, the shifted
-    polynomials are divided by ordinary multivariate long division, and the
-    quotient is shifted back.  Per-variable minimum exponents are additive
-    over products, so the back-shift is exact whenever the division is.
+    Both operands are shifted so every exponent is nonnegative.  Variable v
+    weighs (width - v)^K, for the smallest K >= 1 that gives the shifted
+    divisor B one w-leading term btop.  Each w-degree layer of the dividend,
+    from the top, divided by btop is a layer of the quotient, and that layer
+    times each other term of B lands in one fixed lower layer.  The quotient
+    is shifted back: per-variable minimum exponents are additive over
+    products, so the back-shift is exact whenever the division is.
     """
     if a.vars != b.vars:
         raise VariableMismatchError("exact_div operands use different variables")
@@ -484,21 +487,29 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     A = a.shift(tuple(-x for x in amin))
     B = b.shift(tuple(-x for x in bmin))
 
-    # Pack shifted exponent vectors as [total degree | e_1 | ... | e_k] bit
-    # fields, so integer comparison is exactly the graded-lex term order.
-    # With that order the leading monomial strictly decreases during the
-    # division loop and every intermediate monomial keeps total degree at
-    # most max(deg A, deg B), so the shared field width never overflows.
     width = len(a.vars)
-    dmax = max(
-        max(sum(e) for e in A.terms), max(sum(e) for e in B.terms), 1
-    )
-    w = dmax.bit_length()
+    K = 1
+    while True:
+        weights = [(width - v) ** K for v in range(width)]
+        bdeg = {e: sum(map(mul, weights, e)) for e in B.terms}
+        dtop = max(bdeg.values())
+        if sum(d == dtop for d in bdeg.values()) == 1:
+            break
+        K += 1
+
+    # Pack shifted exponent vectors into bit fields, each with a guard bit on
+    # top: (k | guard) - btop keeps a field's guard bit iff that exponent of
+    # k is at least btop's.  Every intermediate monomial has nonnegative
+    # exponents and w-degree at most max(deg A, deg B), which bounds each
+    # exponent, so the fields never overflow.
+    dmax = max(max(sum(map(mul, weights, e)) for e in A.terms), dtop, 1)
+    w = dmax.bit_length() + 1
     mask = (1 << w) - 1
-    shifts = [(width - 1 - v) * w for v in range(width)]  # degree field above all
+    shifts = [(width - 1 - v) * w for v in range(width)]
+    guard = sum(1 << (s + w - 1) for s in shifts)
 
     def pack(e: tuple[int, ...]) -> int:
-        k = sum(e) << (width * w)
+        k = 0
         for x, s in zip(e, shifts):
             k |= x << s
         return k
@@ -506,37 +517,55 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     def unpack(k: int) -> tuple[int, ...]:
         return tuple((k >> s) & mask for s in shifts)
 
-    rem = {pack(e): c for e, c in A.terms.items()}
-    bpacked = sorted((pack(e), c) for e, c in B.terms.items())
-    btop, btop_c = bpacked[-1]
-    heap = [-k for k in rem]
+    layers: dict[int, dict[int, int]] = {}
+    for e, c in A.terms.items():
+        layers.setdefault(sum(map(mul, weights, e)), {})[pack(e)] = c
+    drops: dict[int, list[tuple[int, int]]] = {}
+    for e, d in bdeg.items():
+        if d == dtop:
+            btop, btop_c = pack(e), B.terms[e]
+        else:
+            drops.setdefault(dtop - d, []).append((pack(e), B.terms[e]))
+    heap = [-d for d in layers]
     heapify(heap)
     q: dict[int, int] = {}
-    while rem:
-        k = -heappop(heap)
-        rc = rem.get(k)
-        if rc is None:
+    while heap:
+        d = -heappop(heap)
+        layer = layers.pop(d)
+        if not layer:
             continue
-        if any((k >> s) & mask < (btop >> s) & mask for s in shifts) or rc % btop_c:
-            witness = LaurentPolynomial(
-                a.vars, {unpack(kk): cc for kk, cc in rem.items()}
-            ).shift(amin)
-            raise ExactDivisionError(
-                f"inexact division, remainder {witness.to_text()}", remainder=witness
-            )
-        qk = k - btop
-        qc = rc // btop_c
-        q[qk] = qc
-        # the btop term cancels k exactly; every other key is strictly
-        # smaller, so pushing (possibly duplicate) heap entries is safe
-        for bk, bc in bpacked:
-            e = qk + bk
-            nc = rem.get(e, 0) - qc * bc
-            if nc:
-                rem[e] = nc
-                heappush(heap, -e)
-            else:
-                del rem[e]
+        qlayer = {}
+        for k, c in layer.items():
+            # the field test also ends the walk: no term below btop's layer passes it
+            if ((k | guard) - btop) & guard != guard or c % btop_c:
+                layers[d] = layer
+                witness = LaurentPolynomial(
+                    a.vars, {unpack(kk): cc for lay in layers.values() for kk, cc in lay.items()}
+                ).shift(amin)
+                # the whole remainder can run to megabytes of text: name its size and head
+                head = LaurentPolynomial._raw(a.vars, dict(witness.sorted_terms()[:3])).to_text()
+                more = " + ..." if len(witness.terms) > 3 else ""
+                raise ExactDivisionError(
+                    f"inexact division, remainder of {len(witness.terms)} terms: {head}{more}", remainder=witness
+                )
+            qlayer[k - btop] = c // btop_c
+        q.update(qlayer)
+        # qlayer * btop cancels this layer exactly; each other divisor term
+        # lands in the layer its w-degree drop below btop selects
+        for drop, bterms in drops.items():
+            target = layers.get(d - drop)
+            if target is None:
+                target = layers[d - drop] = {}
+                heappush(heap, drop - d)
+            get = target.get
+            for bk, bc in bterms:
+                for qk, qc in qlayer.items():
+                    e = qk + bk
+                    nc = get(e, 0) - qc * bc
+                    if nc:
+                        target[e] = nc
+                    else:
+                        del target[e]
     offset = tuple(x - y for x, y in zip(amin, bmin))
     quot = LaurentPolynomial._raw(
         a.vars, {unpack(k): c for k, c in q.items()}

@@ -1,10 +1,12 @@
 """Core exact-arithmetic behaviour: ring ops, substitution, division, determinants."""
 
 import json
+from heapq import heapify, heappop, heappush
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from ospchar import characters
 from ospchar.algebra import (
     ExactDivisionError,
     LaurentPolynomial,
@@ -20,6 +22,8 @@ from ospchar.algebra import (
     substitute,
     union_vars,
 )
+from ospchar.characters import standard_x, standard_xy
+from ospchar.symfun import Partition
 
 VS2 = VariableSet(["a", "b"])
 VS3 = VariableSet(["a", "b", "c"])
@@ -145,6 +149,57 @@ def test_embed_and_union():
 # -- exact division ------------------------------------------------------
 
 
+def _reference_exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
+    """The earlier exact_div: graded-lex long division with a heap of every
+    pending term, kept as the reference that exact_div is compared against."""
+    amin = a.min_exponents()
+    bmin = b.min_exponents()
+    A = a.shift(tuple(-x for x in amin))
+    B = b.shift(tuple(-x for x in bmin))
+    width = len(a.vars)
+    dmax = max(max(sum(e) for e in A.terms), max(sum(e) for e in B.terms), 1)
+    w = dmax.bit_length()
+    mask = (1 << w) - 1
+    shifts = [(width - 1 - v) * w for v in range(width)]
+
+    def pack(e):
+        k = sum(e) << (width * w)
+        for x, s in zip(e, shifts):
+            k |= x << s
+        return k
+
+    def unpack(k):
+        return tuple((k >> s) & mask for s in shifts)
+
+    rem = {pack(e): c for e, c in A.terms.items()}
+    bpacked = sorted((pack(e), c) for e, c in B.terms.items())
+    btop, btop_c = bpacked[-1]
+    heap = [-k for k in rem]
+    heapify(heap)
+    q = {}
+    while rem:
+        k = -heappop(heap)
+        rc = rem.get(k)
+        if rc is None:
+            continue
+        if any((k >> s) & mask < (btop >> s) & mask for s in shifts) or rc % btop_c:
+            witness = LaurentPolynomial(a.vars, {unpack(kk): cc for kk, cc in rem.items()}).shift(amin)
+            raise ExactDivisionError("inexact division", remainder=witness)
+        qk = k - btop
+        qc = rc // btop_c
+        q[qk] = qc
+        for bk, bc in bpacked:
+            e = qk + bk
+            nc = rem.get(e, 0) - qc * bc
+            if nc:
+                rem[e] = nc
+                heappush(heap, -e)
+            else:
+                del rem[e]
+    offset = tuple(x - y for x, y in zip(amin, bmin))
+    return LaurentPolynomial._raw(a.vars, {unpack(k): c for k, c in q.items()}).shift(offset)
+
+
 def test_exact_div_examples():
     vs = VariableSet(["x1"])
     x = vs.gen("x1")
@@ -162,11 +217,129 @@ def test_exact_div_failure_carries_remainder():
     assert not err.value.remainder.is_zero()
 
 
+def test_exact_div_message_is_capped_and_remainder_is_whole():
+    vs = VariableSet(["x1", "x2", "x3"])
+    x1, x2, x3 = vs.gens()
+    # the top term x1^7 is not divisible by 2*x1, so nothing is subtracted
+    a = (x1 + x2 + x3 + vs.one()) ** 6 + x1 ** 7
+    with pytest.raises(ExactDivisionError) as err:
+        exact_div(a, 2 * x1 + x2)
+    assert err.value.remainder == a
+    message = str(err.value)
+    assert message == "inexact division, remainder of 85 terms: x1^7 + x1^6 + 6*x1^5*x2 + ..."
+
+
+def test_exact_div_tied_top_term_needs_a_higher_weight_power():
+    # weights (2, 1) tie x1 with x2^2; (4, 1) separates them
+    vs = VariableSet(["x1", "x2"])
+    x1, x2 = vs.gens()
+    b = x1 + x2 ** 2
+    q = 3 * x1 ** 2 - x1 * x2 ** -1 + 2 * x2 ** 3 - vs.one()
+    assert exact_div(q * b, b) == q == _reference_exact_div(q * b, b)
+    a = q * b + x2
+    with pytest.raises(ExactDivisionError) as err:
+        exact_div(a, b)
+    assert not err.value.remainder.is_zero()
+    assert exact_div(a - err.value.remainder, b) * b == a - err.value.remainder
+    with pytest.raises(ExactDivisionError):
+        _reference_exact_div(a, b)
+
+
 @given(polys3, polys3)
 def test_exact_div_inverts_multiplication(a, b):
     if b.is_zero():
         return
     assert exact_div(a * b, b) == a
+
+
+def _is_multiple(r, b):
+    try:
+        _reference_exact_div(r, b)
+    except ExactDivisionError:
+        return False
+    return True
+
+
+@given(polys3, polys3, polys3)
+def test_exact_div_rejects_a_non_multiple(a, b, r):
+    assume(not b.is_zero() and not r.is_zero() and not _is_multiple(r, b))
+    dividend = a * b + r
+    with pytest.raises(ExactDivisionError) as err:
+        exact_div(dividend, b)
+    remainder = err.value.remainder
+    assert remainder is not None and not remainder.is_zero()
+    # the witness is the dividend minus a multiple of b
+    assert exact_div(dividend - remainder, b) * b == dividend - remainder
+
+
+def _route_divisions(monkeypatch, call):
+    seen = []
+    real = characters.exact_div
+
+    def record(a, b):
+        seen.append((a, b))
+        return real(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "exact_div", record)
+        call()
+    assert seen, "the route made no division"
+    return seen
+
+
+# case -> (route call, sympy oracle).  sympy's cancel takes minutes on the
+# orthosymplectic division (a gcd over 6 variables), so that case uses its
+# exact quotient instead.
+ROUTE_DIVISIONS = {
+    "symplectic_weyl n=4 lambda=5,1": (
+        lambda: characters.symplectic_weyl(Partition([5, 1]), standard_x(4)[1]),
+        "cancel",
+    ),
+    "odd_symplectic_det n=4 lambda=5,1": (
+        lambda: characters.odd_symplectic_det(Partition([5, 1]), standard_x(4)[1]),
+        "cancel",
+    ),
+    "ortho_det_rational n=m=3 lambda=3,2,1": (
+        lambda: characters.ortho_det_rational(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
+        "exquo",
+    ),
+    "hook_schur_det n=m=3 lambda=3,2,1": (
+        lambda: characters.hook_schur_det(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
+        "cancel",
+    ),
+    "schur_bialternant n=5 lambda=3,2,1": (
+        lambda: characters.schur_bialternant(Partition([3, 2, 1]), standard_x(5)[1]),
+        "cancel",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_DIVISIONS))
+def test_route_divisions_match_the_reference(monkeypatch, case):
+    call, _ = ROUTE_DIVISIONS[case]
+    for a, b in _route_divisions(monkeypatch, call):
+        assert exact_div(a, b) == _reference_exact_div(a, b)
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_DIVISIONS))
+def test_route_divisions_agree_with_sympy(monkeypatch, case):
+    pytest.importorskip("sympy")
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    call, oracle = ROUTE_DIVISIONS[case]
+    for a, b in _route_divisions(monkeypatch, call):
+        R, *_ = ring(",".join(a.vars.names), ZZ)
+        amin, bmin = a.min_exponents(), b.min_exponents()
+        A = R.from_dict(a.shift([-x for x in amin]).terms)
+        B = R.from_dict(b.shift([-x for x in bmin]).terms)
+        if oracle == "cancel":
+            quotient, denominator = A.cancel(B)
+            assert denominator == 1
+        else:
+            quotient = A.exquo(B)
+        q = exact_div(a, b).shift([y - x for x, y in zip(amin, bmin)])
+        assert R.from_dict(q.terms) == quotient
 
 
 # -- determinants ----------------------------------------------------------

@@ -210,6 +210,18 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
     assert code == 3 and "denominator does not match its product form" in err
 
 
+def test_formula_defect_message_stays_short(capsys, monkeypatch):
+    # the remainder has thousands of terms; the message names only the first few
+    real = characters.symplectic_denominator_product
+    monkeypatch.setattr(characters, "symplectic_denominator_product", lambda xs: real(xs) + xs[0])
+    code, _, err = run(
+        capsys, "compute", "--family", "orthosymplectic", "--method", "det",
+        "--n", "3", "--m", "3", "--lambda", "3,2,1",
+    )
+    assert code == 3 and err.startswith("ospchar: internal error: inexact division, remainder of ")
+    assert len(err.encode()) < 1024
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as_json):
     real = characters.symplectic_denominator_product
