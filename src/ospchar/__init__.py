@@ -27,9 +27,7 @@ from .symfun import (
     box_partitions,
     complete,
     elementary,
-    jseries,
     k_index,
-    laurent_complete,
     partitions_of,
     partitions_up_to,
     skew_schur_jt,

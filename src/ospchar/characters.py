@@ -441,9 +441,10 @@ def family_tableaux(family: str, lam: Partition, n: int, m: int, mu: Partition) 
     """The tableaux whose weights the family's tableau route sums, in
     enumeration order; mu is an inner shape (schur only).
 
-    Raises ValueError outside the tableau route's domain, with the same
-    message as CharacterRequest.validate.  A skew schur shape only needs
-    valid counts: its outer shape may be longer than n.
+    Raises ValueError when called, before any tableau is listed, outside
+    the tableau route's domain, with the same message as
+    CharacterRequest.validate.  A skew schur shape only needs valid counts:
+    its outer shape may be longer than n, and mu must lie inside lam.
     """
     if family == "schur" and mu.length:
         _check_counts(n, m)

@@ -104,16 +104,25 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _flag(name: str) -> str:
+    return "--lambda" if name == "lam" else f"--{name}"
+
+
 def _cmd_verify(args) -> int:
     # Each parameter of the identity's check is the flag of the same name
-    # (lam is --lambda), required unless the parameter has a default.
+    # (lam is --lambda), required unless the parameter has a default; any
+    # other parameter flag is an error.
+    signature = inspect.signature(identities.verifier(args.identity)).parameters
+    for name, value in vars(args).items():
+        if name not in ("command", "identity", "json") and value is not None and name not in signature:
+            raise _UsageError(f"identity {args.identity} does not take {_flag(name)}")
     params = {}
-    for name, param in inspect.signature(identities.verifier(args.identity)).parameters.items():
+    for name, param in signature.items():
         value = getattr(args, name, None)
         required = param.default is param.empty
         if value is None:
             if required:
-                raise _UsageError(f"identity {args.identity} needs --{'lambda' if name == 'lam' else name}")
+                raise _UsageError(f"identity {args.identity} needs {_flag(name)}")
             continue
         if name == "lam":
             value = _parse_partition(value)

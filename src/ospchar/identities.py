@@ -27,8 +27,8 @@ from .algebra import (
 from .symfun import (
     Partition,
     box_partitions,
+    complete,
     elementary,
-    laurent_complete,
     partitions_up_to,
 )
 from .characters import (
@@ -257,7 +257,7 @@ def verify_power_product(n: int, l: int) -> VerificationReport:
     zero = vs.zero()
 
     def hbar(r: int) -> Poly:
-        return laurent_complete(r, xs, vs) if r >= 0 else zero
+        return complete(r, letters, vs) if r >= 0 else zero
 
     def esign(r: int) -> Poly:
         if r < 0:

@@ -196,12 +196,6 @@ def complete_table(rmax: int, letters: Sequence[LaurentPolynomial], vars: Variab
     return table
 
 
-def laurent_complete(r: int, xs: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
-    """h_r in the 2n letters x_1..x_n, 1/x_1..1/x_n."""
-    letters = list(xs) + [x.inverse() for x in xs]
-    return complete(r, letters, vars)
-
-
 def super_elementary(r: int, xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
     """E_r(X;Y) = sum_j e_j(X) h_{r-j}(Y); E_0 = 1, zero for r < 0."""
     vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
@@ -230,18 +224,9 @@ def super_complete(r: int, xs: Sequence[LaurentPolynomial], ys: Sequence[Laurent
     return total
 
 
-def jseries(r: int, xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
-    """J_r = sum_l h_l(X, 1/X) e_{r-l}(Y); J_0 = 1, zero for r < 0."""
-    vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
-    if vs is None:
-        raise AlgebraError("need at least one letter or an explicit variable set")
-    if r < 0:
-        return vs.zero()
-    return jseries_table(r, xs, ys, vs)[r]
-
-
 def jseries_table(rmax: int, xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> list[LaurentPolynomial]:
-    """[J_0, ..., J_rmax] computed from shared h and e tables."""
+    """[J_0, ..., J_rmax] with J_r = sum_l h_l(X, 1/X) e_{r-l}(Y), from
+    shared h and e tables."""
     vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
     if vs is None:
         raise AlgebraError("need at least one letter or an explicit variable set")

@@ -8,10 +8,11 @@ strip per letter, horizontal for row-weak letters and vertical for the
 row-strict primed ones.  The cost follows the number of intermediate shapes,
 not the number of tableaux.
 
-Enumeration fills a Young diagram row-major by backtracking, pruning each
-cell's candidates from its left and top neighbours plus the family's row
-bound.  It lists the tableaux for ``ospchar enumerate`` and is the oracle
-the tests hold the weight sums to on small shapes.
+Enumeration fills a Young diagram row-major by backtracking.  It reads the
+same letter table: every filling rule of the five families bounds a cell's
+code from below, by its row's cap and by its left and top neighbours.  It
+lists the tableaux for ``ospchar enumerate`` and is the oracle the tests
+hold the weight sums to on small shapes.
 
 Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
 place that says what each code shows as, weighs, and which strip it fills:
@@ -25,15 +26,15 @@ place that says what each code shows as, weighs, and which strip it fills:
   the unbarred letter ``n``
 
 A validity checker per family restates the defining rules by whole-tableau
-scans, independently of the enumerator's pruning; the tests compare the two
-on brute-forced small shapes.
+scans, independently of the letter table; the tests compare the enumerator
+with it on brute-forced small shapes, which holds the table to the rules.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .algebra import LaurentPolynomial, VariableSet
 from .symfun import Partition
@@ -133,6 +134,18 @@ def _reachable(shape: tuple[int, ...], lam: tuple[int, ...], flat: int, rows: in
     return True
 
 
+def _check_domain(family: str, lam: Partition, mu: Partition, n: int) -> None:
+    """Raise ValueError for a shape outside the tableau route's domain.
+
+    A too-tall shape is in the domain and has no tableaux, except for the
+    odd symplectic family, whose character is defined for at most n rows.
+    """
+    if not lam.contains(mu):
+        raise ValueError(f"{mu!r} is not contained in {lam!r}")
+    if family == "odd_symplectic" and lam.length > n:
+        raise ValueError(f"partition length {lam.length} exceeds n={n}")
+
+
 def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> LaurentPolynomial:
     """The weight sum over the family's tableaux of shape lam/mu, one letter at a time.
 
@@ -142,6 +155,7 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
     the weights summed over its fillings; shapes that can no longer grow to
     lam with the letters left are dropped.
     """
+    _check_domain(family, lam, mu, n)
     letters = LETTERS[family](n, m)
     vs = _xy_vars(n, m)
     target = lam.parts
@@ -172,15 +186,76 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
 # -- the backtracking enumerator ----------------------------------------
 
 
-def _weight_sum(family: str, grids, n: int, m: int = 0) -> LaurentPolynomial:
-    """Sum over the grids of the product of each entry's x^sign or y^sign:
-    the oracle that the tests hold the strip engine to on small shapes."""
+def grids(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The family's fillings of lam/mu, each as its rows of codes, by
+    row-major backtracking over the letter table.
+
+    Every filling rule is a lower bound on a cell's code, so a cell in row r
+    takes the codes from the largest of
+    * the first code allowed in row r (the King cap: row caps never fall as
+      codes rise, so the codes a row admits are a suffix),
+    * left, or left + 1 if the left neighbour is row-strict,
+    * top + 1, or top if the top neighbour is row-strict (primed letters
+      are weak down columns),
+    up to the last code.  For orthosymplectic tableaux the primed codes sit
+    above the unprimed ones, so the unprimed cells form a Young diagram.
+
+    Raises ValueError when called, before any iteration, outside the domain.
+    """
+    _check_domain(family, lam, mu, n)
+    letters = LETTERS[family](n, m)
+    end = len(letters)
+    after_left = [k + letter.row_strict for k, letter in enumerate(letters)]
+    after_top = [k + 1 - letter.row_strict for k, letter in enumerate(letters)]
+    shape = lam.parts
+    first = [
+        next((k for k, letter in enumerate(letters) if letter.rows is None or r < letter.rows), end)
+        for r in range(len(shape))
+    ]
+    starts = [mu.part(r + 1) for r in range(len(shape))]
+    cells = [(r, c) for r, width in enumerate(shape) for c in range(starts[r], width)]
+    rows = [[None] * width for width in shape]  # cells of the inner shape stay None
+
+    def lowest(k: int) -> int:
+        r, c = cells[k]
+        lo = first[r]
+        left = rows[r][c - 1] if c else None
+        if left is not None and after_left[left] > lo:
+            lo = after_left[left]
+        top = rows[r - 1][c] if r else None
+        if top is not None and after_top[top] > lo:
+            lo = after_top[top]
+        return lo
+
+    def fill():
+        # One iterator of candidate codes per filled cell, so that a long
+        # shape needs no deep recursion.
+        stack: list[Iterator[int]] = []
+        while True:
+            if len(stack) == len(cells):
+                yield tuple(tuple(row[start:]) for row, start in zip(rows, starts))
+            else:
+                stack.append(iter(range(lowest(len(stack)), end)))
+            while stack and (v := next(stack[-1], None)) is None:
+                stack.pop()
+            if not stack:
+                return
+            r, c = cells[len(stack) - 1]
+            rows[r][c] = v
+
+    return fill()
+
+
+def _weight_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> LaurentPolynomial:
+    """Sum over the enumerated fillings of the product of each entry's
+    x^sign or y^sign: the oracle that the tests hold the strip engine to on
+    small shapes."""
     letters = LETTERS[family](n, m)
     index = [letter.var for letter in letters]
     sign = [letter.sign for letter in letters]
     vs = _xy_vars(n, m)
     terms: dict[tuple[int, ...], int] = {}
-    for grid in grids:
+    for grid in grids(family, lam, mu, n, m):
         e = [0] * len(vs)
         for row in grid:
             for v in row:
@@ -190,56 +265,15 @@ def _weight_sum(family: str, grids, n: int, m: int = 0) -> LaurentPolynomial:
     return vs.poly(terms)
 
 
-def _listing(family: str, grids, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[Tableau]:
+def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[Tableau]:
     tokens = [letter.token for letter in LETTERS[family](n, m)]
-    for grid in grids:
-        yield Tableau(lam.parts, mu.parts, tuple(tuple(tokens[v] for v in row) for row in grid))
-
-
-def _grids(shape, inner, candidates) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Row-major backtracking over the cells of shape/inner.
-
-    ``candidates(left, top, r)`` yields the legal codes of a cell in row r
-    given its left and top neighbours, None where the neighbour is not in
-    the skew shape.
-    """
-    starts = [inner[r] if r < len(inner) else 0 for r in range(len(shape))]
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(starts[r], width)]
-    rows = [[None] * width for width in shape]  # cells of the inner shape stay None
-
-    def fill(k: int):
-        if k == len(cells):
-            yield tuple(tuple(row[start:]) for row, start in zip(rows, starts))
-            return
-        r, c = cells[k]
-        row = rows[r]
-        for v in candidates(row[c - 1] if c else None, rows[r - 1][c] if r else None, r):
-            row[c] = v
-            yield from fill(k + 1)
-
-    return fill(0)
+    return (
+        Tableau(lam.parts, mu.parts, tuple(tuple(tokens[v] for v in row) for row in grid))
+        for grid in grids(family, lam, mu, n, m)
+    )
 
 
 # -- semistandard -----------------------------------------------------
-
-
-def _require_inner(lam: Partition, mu: Partition) -> None:
-    if not lam.contains(mu):
-        raise ValueError(f"{mu!r} is not contained in {lam!r}")
-
-
-def ssyt_grids(lam: Partition, mu: Partition, n: int) -> Iterator[tuple]:
-    _require_inner(lam, mu)
-
-    def candidates(left, top, r):
-        lo = 0
-        if left is not None:
-            lo = max(lo, left)
-        if top is not None:
-            lo = max(lo, top + 1)
-        return range(lo, n)
-
-    return _grids(lam.parts, mu.parts, candidates)
 
 
 def is_semistandard(grid, lam: Partition, mu: Partition, n: int) -> bool:
@@ -256,32 +290,14 @@ def is_semistandard(grid, lam: Partition, mu: Partition, n: int) -> bool:
 
 
 def ssyt_weight_sum(lam: Partition, mu: Partition, n: int) -> LaurentPolynomial:
-    _require_inner(lam, mu)
     return _strip_sum("ssyt", lam, mu, n)
 
 
 def ssyt_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[Tableau]:
-    return _listing("ssyt", ssyt_grids(lam, mu, n), lam, mu, n)
+    return _listing("ssyt", lam, mu, n)
 
 
 # -- super ------------------------------------------------------------
-
-
-def super_grids(lam: Partition, n: int, m: int) -> Iterator[tuple]:
-    def candidates(left, top, r):
-        lo = 0
-        if left is not None:
-            lo = max(lo, left)
-        if top is not None:
-            lo = max(lo, top)
-        for v in range(lo, n + m):
-            if v < n and top == v:
-                continue  # unprimed letters are strict down columns
-            if v >= n and left == v:
-                continue  # primed letters are strict across rows
-            yield v
-
-    return _grids(lam.parts, (), candidates)
 
 
 def is_supertableau(grid, lam: Partition, n: int, m: int) -> bool:
@@ -307,24 +323,10 @@ def super_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynomial:
 
 
 def super_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:
-    return _listing("super", super_grids(lam, n, m), lam, Partition(), n, m)
+    return _listing("super", lam, Partition(), n, m)
 
 
 # -- symplectic and odd symplectic ------------------------------------
-
-
-def _king_grids(shape: Sequence[int], letters: int) -> Iterator[tuple]:
-    """Fillings with weak rows, strict columns, and row r entries >= code 2r."""
-
-    def candidates(left, top, r):
-        lo = 2 * r
-        if left is not None:
-            lo = max(lo, left)
-        if top is not None:
-            lo = max(lo, top + 1)
-        return range(lo, letters)
-
-    return _grids(shape, (), candidates)
 
 
 def _is_king(grid, lam: Partition, letters: int) -> bool:
@@ -339,10 +341,6 @@ def _is_king(grid, lam: Partition, letters: int) -> bool:
     return True
 
 
-def symplectic_grids(lam: Partition, n: int) -> Iterator[tuple]:
-    return _king_grids(lam.parts, 2 * n)
-
-
 def is_symplectic(grid, lam: Partition, n: int) -> bool:
     return _is_king(grid, lam, 2 * n)
 
@@ -353,17 +351,7 @@ def symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
 
 
 def symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
-    return _listing("symplectic", symplectic_grids(lam, n), lam, Partition(), n)
-
-
-def _require_odd_length(lam: Partition, n: int) -> None:
-    if lam.length > n:
-        raise ValueError(f"partition length {lam.length} exceeds n={n}")
-
-
-def odd_symplectic_grids(lam: Partition, n: int) -> Iterator[tuple]:
-    _require_odd_length(lam, n)
-    return _king_grids(lam.parts, 2 * n - 1)
+    return _listing("symplectic", lam, Partition(), n)
 
 
 def is_odd_symplectic(grid, lam: Partition, n: int) -> bool:
@@ -372,38 +360,14 @@ def is_odd_symplectic(grid, lam: Partition, n: int) -> bool:
 
 def odd_symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
     """Like the symplectic weight, but the top letter n has no barred partner."""
-    _require_odd_length(lam, n)
     return _strip_sum("odd_symplectic", lam, Partition(), n)
 
 
 def odd_symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
-    return _listing("odd_symplectic", odd_symplectic_grids(lam, n), lam, Partition(), n)
+    return _listing("odd_symplectic", lam, Partition(), n)
 
 
 # -- orthosymplectic ---------------------------------------------------
-
-
-def orthosymplectic_grids(lam: Partition, n: int, m: int) -> Iterator[tuple]:
-    base = 2 * n
-
-    def candidates(left, top, r):
-        # Unprimed cells form the symplectic portion, which must be a Young
-        # subdiagram: an unprimed entry cannot sit right of or below a prime.
-        if (left is None or left < base) and (top is None or top < base):
-            lo = 2 * r
-            if left is not None:
-                lo = max(lo, left)
-            if top is not None:
-                lo = max(lo, top + 1)
-            yield from range(lo, base)
-        lo = base
-        if left is not None and left >= base:
-            lo = max(lo, left + 1)  # primes are strict across rows
-        if top is not None and top >= base:
-            lo = max(lo, top)  # primes are weak down columns
-        yield from range(lo, base + m)
-
-    return _grids(lam.parts, (), candidates)
 
 
 def is_orthosymplectic(grid, lam: Partition, n: int, m: int) -> bool:
@@ -447,7 +411,7 @@ def orthosymplectic_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynom
 
 
 def orthosymplectic_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:
-    return _listing("orthosymplectic", orthosymplectic_grids(lam, n, m), lam, Partition(), n, m)
+    return _listing("orthosymplectic", lam, Partition(), n, m)
 
 
 # -- shared by the rule checkers ---------------------------------------

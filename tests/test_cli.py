@@ -259,6 +259,22 @@ def test_verify_rejects_counts_outside_the_domain(capsys):
         assert code == 2 and "needs n1, n2 >= 1" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--identity", "symplectic_methods", "--lambda", "1", "--n", "1", "--m", "5"), "--m"),
+        (("--identity", "golden", "--n", "7"), "--n"),
+        (("--identity", "golden", "--lambda", "1", "--json"), "--lambda"),
+        (("--identity", "power_product", "--n", "2", "--l", "3", "--variant", "p"), "--variant"),
+    ],
+)
+def test_verify_rejects_flags_the_identity_does_not_take(capsys, argv, flag):
+    identity = argv[1]
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"ospchar: identity {identity} does not take {flag}\n"
+
+
 def test_benchmark_tracer_targets_exist():
     """Every function the benchmark's tracer wraps is a module-level name in ospchar."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"

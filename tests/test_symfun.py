@@ -11,9 +11,8 @@ from ospchar.symfun import (
     box_partitions,
     complete,
     elementary,
-    jseries,
+    jseries_table,
     k_index,
-    laurent_complete,
     partitions_up_to,
     skew_schur_jt,
     subpartitions,
@@ -154,17 +153,18 @@ def test_super_h_e_swap_symmetry(r):
 def test_laurent_complete_examples():
     vs, xs = standard_x(1)
     x = xs[0]
-    assert laurent_complete(1, xs) == x + x.inverse()
-    assert laurent_complete(2, xs) == x ** 2 + vs.one() + x ** -2
-    assert laurent_complete(-1, xs).is_zero()
+    letters = [x, x.inverse()]
+    assert complete(1, letters) == x + x.inverse()
+    assert complete(2, letters) == x ** 2 + vs.one() + x ** -2
+    assert complete(-1, letters).is_zero()
 
 
 def test_jseries_examples():
     vs, xs, ys = standard_xy(1, 1)
     x, y = xs[0], ys[0]
-    assert jseries(0, xs, ys) == vs.one()
-    assert jseries(1, xs, ys) == x + x.inverse() + y
-    assert jseries(-3, xs, ys).is_zero()
+    assert jseries_table(1, xs, ys) == [vs.one(), x + x.inverse() + y]
+    assert jseries_table(0, xs, ys) == [vs.one()]
+    assert jseries_table(-3, xs, ys) == []
 
 
 # -- skew Schur ------------------------------------------------------------------

@@ -1,29 +1,26 @@
 """Tableau enumerators against printed examples and brute-force filters."""
 
 import itertools
+import math
 
 import pytest
 
 from ospchar.symfun import Partition, partitions_up_to, skew_schur_jt, subpartitions
-from ospchar.characters import standard_x, standard_xy
+from ospchar.characters import family_tableaux, standard_x, standard_xy
 from ospchar.algebra import embed
 from ospchar import tableaux
 from ospchar.tableaux import (
+    grids,
     is_odd_symplectic,
     is_orthosymplectic,
     is_semistandard,
     is_supertableau,
     is_symplectic,
-    odd_symplectic_grids,
     odd_symplectic_tableaux,
     odd_symplectic_weight_sum,
-    orthosymplectic_grids,
     orthosymplectic_weight_sum,
-    ssyt_grids,
     ssyt_weight_sum,
-    super_grids,
     super_weight_sum,
-    symplectic_grids,
     symplectic_tableaux,
     symplectic_weight_sum,
 )
@@ -41,8 +38,8 @@ def test_ssyt_examples():
 
 def test_super_example_eight_tableaux():
     lam = Partition([2, 1])
-    grids = list(super_grids(lam, 2, 1))
-    assert len(grids) == 8
+    found = list(grids("super", lam, Partition(), 2, 1))
+    assert len(found) == 8
     vs, xs, ys = standard_xy(2, 1)
     x1, x2, y1 = xs[0], xs[1], ys[0]
     expected = (
@@ -81,13 +78,13 @@ def test_symplectic_printed_tableau():
             w = xs[v >> 1]
             weight = weight * (w.inverse() if v & 1 else w)
     assert weight == xs[1].inverse()
-    assert grid in set(symplectic_grids(lam, 4))
+    assert grid in set(grids("symplectic", lam, Partition(), 4))
 
 
 def test_orthosymplectic_example_eight_tableaux():
     lam = Partition([2])
-    grids = list(orthosymplectic_grids(lam, 1, 2))
-    assert len(grids) == 8
+    found = list(grids("orthosymplectic", lam, Partition(), 1, 2))
+    assert len(found) == 8
     vs, xs, ys = standard_xy(1, 2)
     x1, y1, y2 = xs[0], ys[0], ys[1]
     xb = x1.inverse()
@@ -128,7 +125,7 @@ def test_odd_symplectic_examples():
         + x1.inverse() * x2 ** 2
     )
     assert odd_symplectic_weight_sum(Partition([2, 1]), 2) == expected
-    assert len(list(odd_symplectic_grids(Partition([2, 1]), 2))) == 5
+    assert len(list(grids("odd_symplectic", Partition([2, 1]), Partition(), 2))) == 5
     assert odd_symplectic_weight_sum(Partition(), 2).is_one()
     vs1, xs1 = standard_x(1)
     assert odd_symplectic_weight_sum(Partition([1]), 1) == xs1[0]
@@ -166,14 +163,14 @@ SHAPES = [Partition([1]), Partition([2]), Partition([1, 1]), Partition([2, 1]), 
 def test_ssyt_matches_brute_force(lam, n):
     mu = Partition()
     want = brute(lam, mu, n, lambda g: is_semistandard(g, lam, mu, n))
-    got = set(ssyt_grids(lam, mu, n))
+    got = set(grids("ssyt", lam, mu, n))
     assert got == want
 
 
 def test_skew_ssyt_matches_brute_force():
     lam, mu, n = Partition([2, 2]), Partition([1]), 2
     want = brute(lam, mu, n, lambda g: is_semistandard(g, lam, mu, n))
-    got = set(ssyt_grids(lam, mu, n))
+    got = set(grids("ssyt", lam, mu, n))
     assert got == want
 
 
@@ -181,7 +178,7 @@ def test_skew_ssyt_matches_brute_force():
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1)])
 def test_super_matches_brute_force(lam, n, m):
     want = brute(lam, Partition(), n + m, lambda g: is_supertableau(g, lam, n, m))
-    got = set(super_grids(lam, n, m))
+    got = set(grids("super", lam, Partition(), n, m))
     assert got == want
 
 
@@ -189,7 +186,7 @@ def test_super_matches_brute_force(lam, n, m):
 @pytest.mark.parametrize("n", [1, 2])
 def test_symplectic_matches_brute_force(lam, n):
     want = brute(lam, Partition(), 2 * n, lambda g: is_symplectic(g, lam, n))
-    got = set(symplectic_grids(lam, n))
+    got = set(grids("symplectic", lam, Partition(), n))
     assert got == want
 
 
@@ -197,7 +194,7 @@ def test_symplectic_matches_brute_force(lam, n):
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1)])
 def test_orthosymplectic_matches_brute_force(lam, n, m):
     want = brute(lam, Partition(), 2 * n + m, lambda g: is_orthosymplectic(g, lam, n, m))
-    got = set(orthosymplectic_grids(lam, n, m))
+    got = set(grids("orthosymplectic", lam, Partition(), n, m))
     assert got == want
 
 
@@ -205,31 +202,19 @@ def test_orthosymplectic_matches_brute_force(lam, n, m):
 @pytest.mark.parametrize("n", [2, 3])
 def test_odd_symplectic_matches_brute_force(lam, n):
     want = brute(lam, Partition(), 2 * n - 1, lambda g: is_odd_symplectic(g, lam, n))
-    got = set(odd_symplectic_grids(lam, n))
+    got = set(grids("odd_symplectic", lam, Partition(), n))
     assert got == want
 
 
 # -- strip engine against the enumerator ----------------------------------------
 
-# family -> (grids(lam, n, m), weight_sum(lam, n, m), the m values to sweep)
+# family -> (weight_sum(lam, n, m), the m values to sweep)
 STRIP_FAMILIES = {
-    "ssyt": (
-        lambda lam, n, m: ssyt_grids(lam, Partition(), n),
-        lambda lam, n, m: ssyt_weight_sum(lam, Partition(), n),
-        (0,),
-    ),
-    "super": (super_grids, super_weight_sum, (0, 1, 2, 3)),
-    "symplectic": (
-        lambda lam, n, m: symplectic_grids(lam, n),
-        lambda lam, n, m: symplectic_weight_sum(lam, n),
-        (0,),
-    ),
-    "odd_symplectic": (
-        lambda lam, n, m: odd_symplectic_grids(lam, n),
-        lambda lam, n, m: odd_symplectic_weight_sum(lam, n),
-        (0,),
-    ),
-    "orthosymplectic": (orthosymplectic_grids, orthosymplectic_weight_sum, (0, 1, 2, 3)),
+    "ssyt": (lambda lam, n, m: ssyt_weight_sum(lam, Partition(), n), (0,)),
+    "super": (super_weight_sum, (0, 1, 2, 3)),
+    "symplectic": (lambda lam, n, m: symplectic_weight_sum(lam, n), (0,)),
+    "odd_symplectic": (lambda lam, n, m: odd_symplectic_weight_sum(lam, n), (0,)),
+    "orthosymplectic": (orthosymplectic_weight_sum, (0, 1, 2, 3)),
 }
 
 
@@ -238,13 +223,13 @@ def test_strip_sums_match_enumeration(family):
     # Every shape of size <= 6 at n, m <= 3: shapes longer than n (inside and
     # outside the hook for super and orthosymplectic), too-tall shapes that
     # sum to 0, and the empty shape that sums to 1.
-    grids, weight_sum, ms = STRIP_FAMILIES[family]
+    weight_sum, ms = STRIP_FAMILIES[family]
     for n in (1, 2, 3):
         for m in ms:
             for lam in partitions_up_to(6):
                 if family == "odd_symplectic" and lam.length > n:
                     continue
-                want = tableaux._weight_sum(family, grids(lam, n, m), n, m)
+                want = tableaux._weight_sum(family, lam, Partition(), n, m)
                 assert weight_sum(lam, n, m) == want, (lam, n, m)
             assert weight_sum(Partition(), n, m).is_one()
 
@@ -253,7 +238,7 @@ def test_skew_strip_sums_match_enumeration():
     for n in (1, 2, 3):
         for lam in partitions_up_to(5):
             for mu in subpartitions(lam):
-                want = tableaux._weight_sum("ssyt", ssyt_grids(lam, mu, n), n)
+                want = tableaux._weight_sum("ssyt", lam, mu, n)
                 assert ssyt_weight_sum(lam, mu, n) == want, (lam, mu, n)
 
 
@@ -268,6 +253,33 @@ def test_strip_sums_keep_the_domain():
         ssyt_weight_sum(Partition([2]), Partition([1, 1]), 2)
     with pytest.raises(ValueError):
         ssyt_weight_sum(Partition([1]), Partition([2]), 2)
+
+
+@pytest.mark.parametrize("family", sorted(tableaux.LETTERS))
+def test_row_caps_never_fall_as_codes_rise(family):
+    # The enumerator takes the codes a row admits as a suffix of the table,
+    # from the first one the row's cap allows.
+    for n in range(1, 5):
+        for m in range(4):
+            caps = [math.inf if x.rows is None else x.rows for x in tableaux.LETTERS[family](n, m)]
+            assert caps == sorted(caps), (n, m)
+
+
+def test_enumerator_takes_shapes_deeper_than_the_recursion_limit():
+    lam = Partition([1500])
+    assert tableaux._weight_sum("symplectic", lam, Partition(), 1) == symplectic_weight_sum(lam, 1)
+
+
+def test_domain_errors_are_raised_when_called():
+    # No iteration: a listing that checked its domain lazily would pass here.
+    with pytest.raises(ValueError):
+        tableaux.ssyt_tableaux(Partition([1]), Partition([2]), 2)
+    with pytest.raises(ValueError):
+        tableaux.odd_symplectic_tableaux(Partition([1, 1]), 1)
+    with pytest.raises(ValueError):
+        family_tableaux("schur", Partition([1]), 2, 0, Partition([2]))
+    with pytest.raises(ValueError):
+        family_tableaux("odd_symplectic", Partition([1, 1]), 1, 0, Partition())
 
 
 # -- structural invariants --------------------------------------------------------
