@@ -430,11 +430,16 @@ _LISTINGS = {
 }
 
 
-def _check_counts(n: int, m: int) -> None:
+def _check_counts(family: str, n: int, m: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if family in ("hook", "orthosymplectic"):
+        if m < 1:
+            raise ValueError(f"family {family!r} needs m >= 1")
+    elif m:
+        raise ValueError(f"family {family!r} does not take --m")
 
 
 def family_tableaux(family: str, lam: Partition, n: int, m: int, mu: Partition) -> Iterator[tableaux.Tableau]:
@@ -447,7 +452,7 @@ def family_tableaux(family: str, lam: Partition, n: int, m: int, mu: Partition) 
     its outer shape may be longer than n, and mu must lie inside lam.
     """
     if family == "schur" and mu.length:
-        _check_counts(n, m)
+        _check_counts(family, n, m)
     else:
         CharacterRequest(family, "tableau", lam, n, m).validate()
     return _LISTINGS[family](lam, mu, n, m)
@@ -470,10 +475,7 @@ class CharacterRequest:
             raise ValueError(f"unknown method {self.method!r}")
         if (self.family, self.method) not in _ROUTES:
             raise ValueError(f"method {self.method!r} is not available for {self.family!r}")
-        _check_counts(self.n, self.m)
-        uses_m = self.family in ("hook", "orthosymplectic")
-        if uses_m and self.m < 1:
-            raise ValueError(f"family {self.family!r} needs m >= 1")
+        _check_counts(self.family, self.n, self.m)
         if self.family in ("schur", "symplectic", "odd_symplectic") and self.lam.length > self.n:
             raise ValueError(f"partition {self.lam.parts} is longer than n={self.n}")
         if self.family == "orthosymplectic" and self.method in ("jt", "det", "sp_schur_sum"):

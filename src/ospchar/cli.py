@@ -97,8 +97,7 @@ def _cmd_enumerate(args) -> int:
         raise _UsageError("--mu applies to the schur family only")
     mu = _parse_partition(args.mu) if args.mu is not None else Partition()
     try:
-        for t in family_tableaux(args.family, lam, args.n, args.m, mu):
-            print(t)
+        sys.stdout.writelines(f"{t}\n" for t in family_tableaux(args.family, lam, args.n, args.m, mu))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     return 0

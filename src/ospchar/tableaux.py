@@ -12,7 +12,10 @@ Enumeration fills a Young diagram row-major by backtracking.  It reads the
 same letter table: every filling rule of the five families bounds a cell's
 code from below, by its row's cap and by its left and top neighbours.  It
 lists the tableaux for ``ospchar enumerate`` and is the oracle the tests
-hold the weight sums to on small shapes.
+hold the weight sums to on small shapes.  The listing streams: it holds one
+filling at a time, and a row is rebuilt (and mapped to display tokens again)
+only when one of its cells was assigned since the previous tableau, so the
+cost per tableau follows what changed, not the size of the shape.
 
 Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
 place that says what each code shows as, weighs, and which strip it fills:
@@ -53,12 +56,12 @@ class Tableau:
     rows: tuple[tuple[str, ...], ...]
 
     def __str__(self) -> str:
-        body = []
-        for r, width in enumerate(self.shape):
-            skip = self.inner[r] if r < len(self.inner) else 0
-            cells = ["."] * skip + list(self.rows[r])
-            body.append("[" + ",".join(cells) + "]")
-        return "[" + ",".join(body) + "]"
+        if not self.rows:
+            return "[]"
+        rows = self.rows
+        if self.inner:
+            rows = tuple((".",) * skip + row for skip, row in zip(self.inner, rows)) + rows[len(self.inner) :]
+        return "[[" + "],[".join([",".join(row) for row in rows]) + "]]"
 
 
 def _xy_vars(n: int, m: int) -> VariableSet:
@@ -200,6 +203,12 @@ def grids(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Ite
     up to the last code.  For orthosymplectic tableaux the primed codes sit
     above the unprimed ones, so the unprimed cells form a Young diagram.
 
+    Consecutive fillings share the tuple of every row none of whose cells
+    was assigned in between (backtracking reassigns every cell after the one
+    it advances, so these are the rows above the shallowest change), and
+    the last cell runs through its codes in a tight loop.  Nothing is kept
+    across fillings beyond the current one.
+
     Raises ValueError when called, before any iteration, outside the domain.
     """
     _check_domain(family, lam, mu, n)
@@ -228,12 +237,28 @@ def grids(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Ite
         return lo
 
     def fill():
-        # One iterator of candidate codes per filled cell, so that a long
-        # shape needs no deep recursion.
+        if not cells:
+            yield tuple(() for _ in shape)
+            return
+        # The last cell ends its row; the rows below it are fully inner.
+        # The rows above it keep the tuples last yielded until one of their
+        # cells is assigned again.
+        last = len(cells) - 1
+        bottom = cells[last][0]
+        tail = tuple(() for _ in shape[bottom + 1 :])
+        prefix: tuple[tuple[int, ...], ...] = ()
+        stale = 0  # the shallowest row assigned since prefix was built
+        # One iterator of candidate codes per filled cell but the last, so
+        # that a long shape needs no deep recursion.
         stack: list[Iterator[int]] = []
         while True:
-            if len(stack) == len(cells):
-                yield tuple(tuple(row[start:]) for row, start in zip(rows, starts))
+            if len(stack) == last:
+                if stale < bottom:
+                    prefix = prefix[:stale] + tuple(tuple(rows[r][starts[r] :]) for r in range(stale, bottom))
+                    stale = bottom
+                head = tuple(rows[bottom][starts[bottom] : -1])
+                for v in range(lowest(last), end):
+                    yield prefix + (head + (v,),) + tail
             else:
                 stack.append(iter(range(lowest(len(stack)), end)))
             while stack and (v := next(stack[-1], None)) is None:
@@ -242,6 +267,8 @@ def grids(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Ite
                 return
             r, c = cells[len(stack) - 1]
             rows[r][c] = v
+            if r < stale:
+                stale = r
 
     return fill()
 
@@ -266,11 +293,23 @@ def _weight_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) 
 
 
 def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[Tableau]:
-    tokens = [letter.token for letter in LETTERS[family](n, m)]
-    return (
-        Tableau(lam.parts, mu.parts, tuple(tuple(tokens[v] for v in row) for row in grid))
-        for grid in grids(family, lam, mu, n, m)
-    )
+    found = grids(family, lam, mu, n, m)  # raises here, not at the first tableau
+    token = [letter.token for letter in LETTERS[family](n, m)].__getitem__
+
+    def listing():
+        # grids hands back the same row object while a row is unchanged, so
+        # only new rows are mapped to tokens again.
+        shape, inner = lam.parts, mu.parts
+        codes: list[tuple[int, ...] | None] = [None] * len(shape)
+        shown: list[tuple[str, ...]] = [()] * len(shape)
+        for grid in found:
+            for r, row in enumerate(grid):
+                if row is not codes[r]:
+                    codes[r] = row
+                    shown[r] = tuple(map(token, row))
+            yield Tableau(shape, inner, tuple(shown))
+
+    return listing()
 
 
 # -- semistandard -----------------------------------------------------

@@ -117,6 +117,9 @@ ENUMERATE_PINS = {
     ("orthosymplectic", 2, 1, "3,1", None): (81, "bbafec56a087144aef47c1ccaa7ce76bb42690274c4d9a6f933e75fc57360523"),
     ("odd_symplectic", 3, 0, "2,1,1", None): (21, "766dbe64b8c365d4d7cbf32e968082e00c5dce46a31a79a0cda41c57136a5046"),
     ("schur", 3, 0, "3,2,1", "2,1"): (27, "63909682e48f967cfbf33ee54a352520c7a69eb0c9da4a7a15a324407e50be44"),
+    # the empty shape prints as [], and a skew shape may end in a fully inner row
+    ("schur", 2, 0, "", None): (1, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("schur", 3, 0, "3,1", "1,1"): (6, "ffedbd9b1ba707105da99b15fcddb2e760c45e2e9e124b3cadc5913aff172baa"),
 }
 
 
@@ -146,6 +149,20 @@ def test_enumerate_rejects_counts_outside_the_domain(capsys):
     # a skew shape may be longer than n
     code, out, _ = run(capsys, "enumerate", "--family", "schur", "--n", "1", "--lambda", "1,1", "--mu", "1")
     assert code == 0 and out.splitlines() == ["[[.],[1]]"]
+
+
+def test_families_without_primed_letters_reject_m(capsys):
+    for family, method in (("schur", "jt"), ("symplectic", "weyl"), ("odd_symplectic", "tableau")):
+        message = f"ospchar: family '{family}' does not take --m\n"
+        code, out, err = run(capsys, "compute", "--family", family, "--method", method, "--n", "2", "--m", "5", "--lambda", "1")
+        assert (code, out, err) == (2, "", message)
+        code, out, err = run(capsys, "enumerate", "--family", family, "--n", "2", "--m", "1", "--lambda", "1")
+        assert (code, out, err) == (2, "", message)
+    code, out, err = run(capsys, "enumerate", "--family", "schur", "--n", "1", "--m", "1", "--lambda", "1,1", "--mu", "1")
+    assert (code, out, err) == (2, "", "ospchar: family 'schur' does not take --m\n")
+    # --m 0 is the default, spelled out
+    code, out, _ = run(capsys, "compute", "--family", "schur", "--method", "jt", "--n", "2", "--m", "0", "--lambda", "1")
+    assert (code, out) == (0, "x1 + x2\n")
 
 
 def test_verify_single_identity(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -263,6 +264,92 @@ def test_row_caps_never_fall_as_codes_rise(family):
         for m in range(4):
             caps = [math.inf if x.rows is None else x.rows for x in tableaux.LETTERS[family](n, m)]
             assert caps == sorted(caps), (n, m)
+
+
+def _reference_grids(family, lam, mu, n, m=0):
+    """The enumerator before rows were shared between fillings: every cell
+    assigned one by one, every row rebuilt at every filling."""
+    tableaux._check_domain(family, lam, mu, n)
+    letters = tableaux.LETTERS[family](n, m)
+    end = len(letters)
+    after_left = [k + letter.row_strict for k, letter in enumerate(letters)]
+    after_top = [k + 1 - letter.row_strict for k, letter in enumerate(letters)]
+    shape = lam.parts
+    first = [
+        next((k for k, letter in enumerate(letters) if letter.rows is None or r < letter.rows), end)
+        for r in range(len(shape))
+    ]
+    starts = [mu.part(r + 1) for r in range(len(shape))]
+    cells = [(r, c) for r, width in enumerate(shape) for c in range(starts[r], width)]
+    rows = [[None] * width for width in shape]
+
+    def lowest(k):
+        r, c = cells[k]
+        lo = first[r]
+        left = rows[r][c - 1] if c else None
+        if left is not None and after_left[left] > lo:
+            lo = after_left[left]
+        top = rows[r - 1][c] if r else None
+        if top is not None and after_top[top] > lo:
+            lo = after_top[top]
+        return lo
+
+    def fill():
+        stack = []
+        while True:
+            if len(stack) == len(cells):
+                yield tuple(tuple(row[start:]) for row, start in zip(rows, starts))
+            else:
+                stack.append(iter(range(lowest(len(stack)), end)))
+            while stack and (v := next(stack[-1], None)) is None:
+                stack.pop()
+            if not stack:
+                return
+            r, c = cells[len(stack) - 1]
+            rows[r][c] = v
+
+    return fill()
+
+
+def _same_fillings(family, lam, mu, n, m=0):
+    try:
+        want = list(_reference_grids(family, lam, mu, n, m))
+    except ValueError:
+        with pytest.raises(ValueError):
+            grids(family, lam, mu, n, m)
+        return
+    assert list(grids(family, lam, mu, n, m)) == want, (family, lam, mu, n, m)
+
+
+@pytest.mark.parametrize("family", sorted(STRIP_FAMILIES))
+def test_grids_match_the_reference_in_order(family):
+    # Every shape of size <= 6 at n, m <= 3, the empty shape and the odd
+    # symplectic shapes too long for n (both raise) included.
+    for n in (1, 2, 3):
+        for m in STRIP_FAMILIES[family][1]:
+            for lam in partitions_up_to(6):
+                _same_fillings(family, lam, Partition(), n, m)
+
+
+def test_skew_grids_match_the_reference_in_order():
+    # mu not inside lam raises on both sides; mu == lam has one empty filling.
+    for n in (1, 2, 3):
+        for lam in partitions_up_to(5):
+            for mu in partitions_up_to(5):
+                _same_fillings("ssyt", lam, mu, n)
+
+
+def test_listing_streams():
+    # 142,506 tableaux in all; a listing that kept what it had listed, or
+    # memoized rows across fillings, would grow with the count.
+    tracemalloc.start()
+    try:
+        taken = sum(1 for _ in itertools.islice(tableaux.ssyt_tableaux(Partition([25]), Partition(), 6), 50_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert taken == 50_000
+    assert peak < 8 * 2**20
 
 
 def test_enumerator_takes_shapes_deeper_than_the_recursion_limit():
