@@ -33,7 +33,6 @@ from .symfun import (
     skew_schur_jt,
     subpartitions,
     super_complete,
-    super_elementary,
 )
 from .characters import (
     CharacterRequest,
@@ -44,7 +43,6 @@ from .characters import (
     ortho_det_rational,
     ortho_jt,
     ortho_single_y,
-    ortho_single_y_long,
     ortho_sp_schur_sum,
     schur_bialternant,
     standard_x,

@@ -214,7 +214,10 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     x_i/((x_i+y_j) prod(1/x_i+y_q)) - (1/x_i)/((1/x_i+y_j) prod(x_i+y_q))
     and the k - 1 border columns x_i^e/prod(1/x_i+y_q) - x_i^-e/prod(x_i+y_q)
     with e = lam_j + n - m - j + 1.  The lower border holds y-powers.
-    With Y empty this is the symplectic Weyl quotient.
+    With Y empty this is the symplectic Weyl quotient.  Valid on the whole
+    (n, m)-hook, lam_{n+1} <= m, shapes longer than n included; outside it
+    k - 1 > n border columns are nonzero only in the n main rows, so the
+    value is 0, as is the character.
 
     Each main-block row is built scaled by its common denominator, so every
     entry is a Laurent polynomial and the value is the signed exact quotient
@@ -222,7 +225,6 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     product times prod_{i<j}(y_i - y_j), with sign (-1)^(mn - n + k - 1).
     """
     n, m = len(xs), len(ys)
-    _require_length(lam, n)
     if m == 0:
         return symplectic_weyl(lam, xs)
     vs = _vs_of(xs, ys)
@@ -261,10 +263,10 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
     Main block (-1)^(m-j) (x_i^j - x_i^-j); border columns
     x_i^e prod(x_i + y_q) - x_i^-e prod(1/x_i + y_q), e = lam_j + n - m - j + 1;
     lower border h_{lam'_i - n - i + j}(Y); divided by the symplectic
-    denominator product with sign (-1)^(mn - n + k - 1).
+    denominator product with sign (-1)^(mn - n + k - 1).  Like
+    ortho_det_rational, valid on the (n, m)-hook and 0 outside it.
     """
     n, m = len(xs), len(ys)
-    _require_length(lam, n)
     if m == 0:
         return symplectic_weyl(lam, xs)
     vs = _vs_of(xs, ys)
@@ -310,22 +312,6 @@ def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
             row.append(x ** (a + 1) - x ** (-a - 1) + y * (x ** a - x ** (-a)))
         rows.append(row)
     return exact_div(det_cofactor(rows, vs), symplectic_denominator_product(xs))
-
-
-def ortho_single_y_long(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
-    """Single-prime-variable case for shapes longer than n with lam_{n+1} <= 1.
-
-    Rows below the n-th are all length one and forced to carry the prime, so
-    the value is y^(len - n) times the length-n case on the truncated shape.
-    """
-    n = len(xs)
-    ell = lam.length
-    if ell <= n:
-        return ortho_single_y(lam, xs, y)
-    if lam.part(n + 1) > 1:
-        raise ValueError(f"part {n + 1} of {lam.parts} exceeds 1")
-    head = Partition(lam.parts[:n])
-    return y ** (ell - n) * ortho_single_y(head, xs, y)
 
 
 def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -476,12 +462,10 @@ class CharacterRequest:
         if (self.family, self.method) not in _ROUTES:
             raise ValueError(f"method {self.method!r} is not available for {self.family!r}")
         _check_counts(self.family, self.n, self.m)
-        if self.family in ("schur", "symplectic", "odd_symplectic") and self.lam.length > self.n:
+        length_bound = self.family in ("schur", "symplectic", "odd_symplectic") or (self.family, self.method) == ("orthosymplectic", "jt")
+        if length_bound and self.lam.length > self.n:
             raise ValueError(f"partition {self.lam.parts} is longer than n={self.n}")
-        if self.family == "orthosymplectic" and self.method in ("jt", "det", "sp_schur_sum"):
-            if self.lam.length > self.n:
-                raise ValueError(f"partition {self.lam.parts} is longer than n={self.n}")
-        if self.family == "hook" and self.method == "det" and self.lam.part(self.n + 1) > self.m:
+        if self.method == "det" and self.lam.part(self.n + 1) > self.m:
             raise ValueError("outside the determinant formula's domain: lam_{n+1} > m")
 
     def compute(self) -> Poly:

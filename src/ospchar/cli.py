@@ -5,7 +5,8 @@ fails, 2 on usage errors, 3 on internal errors: a computation broke an
 arithmetic contract (say, an inexact division) or failed a built-in
 consistency check, which points at a defect in a formula, not at the input.
 ``verify`` and ``suite`` print such a check as an "error" report, print every
-other report too, and then exit 3.
+other report too, and then exit 3.  The ``ospchar`` command ends quietly, by
+SIGPIPE, when its reader closes the pipe early (``enumerate ... | head``).
 Text output is canonical and byte-stable; JSON round-trips through the
 documented schema.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import signal
 import sys
 from typing import Sequence
 
@@ -182,6 +184,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # Like any Unix filter, die by SIGPIPE when the reader goes away, rather
+    # than raise BrokenPipeError; main() itself leaves signals alone.
+    sigpipe = getattr(signal, "SIGPIPE", None)
+    if sigpipe is not None:
+        signal.signal(sigpipe, signal.SIG_DFL)
     sys.exit(main())
 
 

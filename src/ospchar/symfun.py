@@ -196,20 +196,6 @@ def complete_table(rmax: int, letters: Sequence[LaurentPolynomial], vars: Variab
     return table
 
 
-def super_elementary(r: int, xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
-    """E_r(X;Y) = sum_j e_j(X) h_{r-j}(Y); E_0 = 1, zero for r < 0."""
-    vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
-    if vs is None:
-        raise AlgebraError("need at least one letter or an explicit variable set")
-    if r < 0:
-        return vs.zero()
-    hy = complete_table(r, ys, vs)
-    total = vs.zero()
-    for j in range(0, min(r, len(xs)) + 1):
-        total = total + elementary(j, xs, vs) * hy[r - j]
-    return total
-
-
 def super_complete(r: int, xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
     """H_r(X;Y) = sum_j h_j(X) e_{r-j}(Y); H_0 = 1, zero for r < 0."""
     vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
@@ -280,8 +266,8 @@ def skew_schur_jt(
 def k_index(lam: Partition, n: int, m: int) -> int:
     """Smallest j >= 1 with lam_j + n + 1 - j <= m.
 
-    Such a j always exists (parts vanish eventually); for len(lam) <= n and
-    m >= 1 it is at most n + 1.
+    Such a j always exists (parts vanish eventually); it is at most n + 1
+    exactly when lam_{n+1} <= m, that is on the (n, m)-hook.
     """
     j = 1
     while lam.part(j) + n + 1 - j > m:

@@ -12,7 +12,6 @@ from ospchar.characters import (
     ortho_det_rational,
     ortho_jt,
     ortho_single_y,
-    ortho_single_y_long,
     ortho_sp_schur_sum,
     schur_bialternant,
     standard_x,
@@ -114,12 +113,24 @@ def test_ortho_det_laurent_examples():
     assert ortho_det_laurent(lam, xs21, ys21) == tableaux.orthosymplectic_weight_sum(lam, 2, 1)
 
 
-def test_ortho_det_length_precondition():
-    vs, xs, ys = standard_xy(1, 2)
-    with pytest.raises(ValueError):
-        ortho_det_rational(Partition([1, 1]), xs, ys)
-    with pytest.raises(ValueError):
-        ortho_det_laurent(Partition([1, 1]), xs, ys)
+def test_ortho_dets_cover_the_whole_hook():
+    # shapes longer than n with lam_{n+1} <= m are in the determinant's
+    # domain; outside the hook both the character and the determinants are 0
+    for n, m in ((1, 1), (1, 2), (2, 1)):
+        vs, xs, ys = standard_xy(n, m)
+        inside = outside = 0
+        for lam in partitions_up_to(6):
+            if lam.length <= n:
+                continue
+            want = tableaux.orthosymplectic_weight_sum(lam, n, m)
+            if lam.part(n + 1) > m:
+                outside += 1
+                assert want.is_zero()
+            else:
+                inside += 1
+            assert ortho_det_rational(lam, xs, ys) == want, (n, m, lam)
+            assert ortho_det_laurent(lam, xs, ys) == want, (n, m, lam)
+        assert inside and outside
 
 
 def test_ortho_dets_with_empty_y_fall_back_to_symplectic():
@@ -153,18 +164,18 @@ def test_ortho_single_y_examples():
     assert ortho_single_y(lam, xs2, ys2[0]) == ortho_det_rational(lam, xs2, ys2)
 
 
-def test_ortho_single_y_long_examples():
+def test_ortho_det_long_shapes_with_one_prime():
+    # below row n every row has one cell, and it carries the prime
     vs, xs, ys = standard_xy(1, 1)
-    y = ys[0]
+    x, y = xs[0], ys[0]
     for parts in [(1, 1), (1, 1, 1), (2, 1, 1, 1)]:
         lam = Partition(parts)
-        assert ortho_single_y_long(lam, xs, y) == tableaux.orthosymplectic_weight_sum(lam, 1, 1)
-    x = xs[0]
-    assert ortho_single_y_long(Partition([1, 1, 1]), xs, y) == y ** 2 * (x + x.inverse() + y)
-    # boundary: length n delegates to the square case
-    assert ortho_single_y_long(Partition([2]), xs, y) == ortho_single_y(Partition([2]), xs, y)
-    with pytest.raises(ValueError):
-        ortho_single_y_long(Partition([2, 2]), xs, y)
+        assert ortho_det_rational(lam, xs, ys) == tableaux.orthosymplectic_weight_sum(lam, 1, 1)
+    assert ortho_det_rational(Partition([1, 1, 1]), xs, ys) == y ** 2 * (x + x.inverse() + y)
+    # boundary: length n agrees with the single-prime determinant
+    assert ortho_det_rational(Partition([2]), xs, ys) == ortho_single_y(Partition([2]), xs, y)
+    # outside the hook
+    assert ortho_det_rational(Partition([2, 2]), xs, ys).is_zero()
 
 
 def test_ortho_sp_schur_sum_examples():
@@ -206,8 +217,12 @@ def test_request_validation():
         CharacterRequest("nope", "jt", Partition(), 1).validate()
     with pytest.raises(ValueError):
         CharacterRequest("hook", "jt", Partition([1]), 1, 0).validate()
+    # det needs lam_{n+1} <= m; orthosymplectic jt needs len(lam) <= n
     with pytest.raises(ValueError):
-        CharacterRequest("orthosymplectic", "det", Partition([1, 1]), 1, 1).validate()
+        CharacterRequest("orthosymplectic", "det", Partition([2, 2]), 1, 1).validate()
+    with pytest.raises(ValueError):
+        CharacterRequest("orthosymplectic", "jt", Partition([1, 1]), 1, 1).validate()
+    CharacterRequest("orthosymplectic", "det", Partition([1, 1]), 1, 1).validate()
     CharacterRequest("orthosymplectic", "det", Partition([1]), 1, 1).validate()
 
 

@@ -4,10 +4,15 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ospchar
 from ospchar import characters
 from ospchar.algebra import LaurentPolynomial
 from ospchar.characters import standard_xy
@@ -163,6 +168,48 @@ def test_families_without_primed_letters_reject_m(capsys):
     # --m 0 is the default, spelled out
     code, out, _ = run(capsys, "compute", "--family", "schur", "--method", "jt", "--n", "2", "--m", "0", "--lambda", "1")
     assert (code, out) == (0, "x1 + x2\n")
+
+
+def test_orthosymplectic_det_and_sum_take_shapes_longer_than_n(capsys):
+    args = ("--family", "orthosymplectic", "--n", "1", "--m", "1", "--lambda", "1,1,1")
+    code, want, _ = run(capsys, "compute", "--method", "tableau", *args)
+    assert code == 0 and want != "0\n"
+    for method in ("det", "sp_schur_sum"):
+        assert run(capsys, "compute", "--method", method, *args) == (0, want, "")
+    # orthosymplectic jt still needs len(lam) <= n
+    message = "ospchar: partition (1, 1, 1) is longer than n=1\n"
+    assert run(capsys, "compute", "--method", "jt", *args) == (2, "", message)
+
+
+def test_orthosymplectic_det_rejects_shapes_outside_the_hook(capsys):
+    # lam_{n+1} > m: det is out of its domain; the sums give the character, 0
+    args = ("--family", "orthosymplectic", "--n", "1", "--m", "1", "--lambda", "2,2")
+    message = "ospchar: outside the determinant formula's domain: lam_{n+1} > m\n"
+    assert run(capsys, "compute", "--method", "det", *args) == (2, "", message)
+    for method in ("tableau", "sp_schur_sum"):
+        assert run(capsys, "compute", "--method", method, *args) == (0, "0\n", "")
+    code, out, err = run(capsys, "verify", "--identity", "ortho_methods", "--lambda", "2,2", "--n", "1", "--m", "1")
+    assert (code, out, err) == (2, "", message)
+
+
+def test_verify_ortho_methods_on_a_shape_longer_than_n(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "ortho_methods", "--lambda", "1,1", "--n", "1", "--m", "1")
+    assert (code, out) == (0, "PASS ortho_methods lambda=1,1 n=1 m=1\n")
+
+
+def test_closed_pipe_ends_the_command_quietly():
+    # like any Unix filter: no traceback, killed by SIGPIPE, not exit 1
+    if not hasattr(signal, "SIGPIPE"):
+        pytest.skip("the platform has no SIGPIPE")
+    src = str(Path(ospchar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "ospchar", "enumerate", "--family", "symplectic", "--n", "4", "--lambda", "4,3,2,1"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[[1,1,1,1],[2,2,2],[3,3],[4]]\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (-signal.SIGPIPE, b"")
 
 
 def test_verify_single_identity(capsys):
