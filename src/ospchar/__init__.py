@@ -11,16 +11,12 @@ from .algebra import (
     AlgebraError,
     ExactDivisionError,
     LaurentPolynomial,
-    PoleError,
     RationalFunction,
     VariableMismatchError,
     VariableSet,
     det_cofactor,
     det_rational,
-    embed,
     exact_div,
-    substitute,
-    union_vars,
 )
 from .symfun import (
     Partition,

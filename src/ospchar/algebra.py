@@ -3,7 +3,7 @@
 A Laurent polynomial is a finite map from exponent vectors (entries may be
 negative) to nonzero arbitrary-precision integer coefficients.  The inverse
 of a variable is represented by a negative exponent, never by an extra
-variable, so the substitution x -> 1/x is total.
+variable, so a unit monomial and its inverse share one variable set.
 
 Monomials are ordered graded-lexicographically on the exponent vector, and
 that order fixes only canonical serialization.  Exact division walks the
@@ -40,10 +40,6 @@ class AlgebraError(Exception):
 
 class VariableMismatchError(AlgebraError):
     """Operands belong to different variable sets."""
-
-
-class PoleError(AlgebraError):
-    """Substitution of zero into a negative power."""
 
 
 class ExactDivisionError(AlgebraError):
@@ -169,14 +165,6 @@ class VariableSet:
 
     def poly(self, terms: dict) -> "LaurentPolynomial":
         return LaurentPolynomial(self, terms)
-
-
-def union_vars(a: VariableSet, b: VariableSet) -> VariableSet:
-    """Variable set with a's names followed by b's new names, in order."""
-    if a == b:
-        return a
-    seen = set(a.names)
-    return VariableSet(a.names + tuple(n for n in b.names if n not in seen))
 
 
 class LaurentPolynomial:
@@ -406,63 +394,6 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"<{self.to_text()}>"
-
-
-def embed(p: LaurentPolynomial, target: VariableSet) -> LaurentPolynomial:
-    """Re-express p in a variable set containing all of p's names."""
-    if p.vars == target:
-        return p
-    positions = [target.index(n) for n in p.vars.names]
-    width = len(target)
-    out = {}
-    for e, c in p.terms.items():
-        ne = [0] * width
-        for pos, x in zip(positions, e):
-            ne[pos] = x
-        out[tuple(ne)] = c
-    return LaurentPolynomial._raw(target, out)
-
-
-def substitute(
-    p: LaurentPolynomial,
-    name: str,
-    value: "LaurentPolynomial | int",
-    vars: VariableSet | None = None,
-) -> LaurentPolynomial:
-    """Exact substitution of ``value`` for the variable ``name`` in ``p``.
-
-    The result lives in ``vars`` when given, otherwise in p's own set (when
-    the value introduces no new names) or in the union of both sets.
-    Substituting 0 into a negative power raises PoleError; raising a
-    non-unit value to a negative power is not representable and raises.
-    """
-    idx = p.vars.index(name)
-    if isinstance(value, int):
-        value = p.vars.const(value)
-    if vars is None:
-        if set(value.vars.names) <= set(p.vars.names):
-            target = p.vars
-        else:
-            target = union_vars(p.vars, value.vars)
-    else:
-        target = vars
-    value_t = embed(value, target)
-    if value_t.is_zero():
-        if p.has_negative_exponent(name):
-            raise PoleError(f"pole at zero: substituting 0 for {name}")
-        kept = {e: c for e, c in p.terms.items() if e[idx] == 0}
-        return embed(LaurentPolynomial._raw(p.vars, kept), target)
-    powers: dict[int, LaurentPolynomial] = {}
-    result = target.zero()
-    for e, c in p.terms.items():
-        k = e[idx]
-        if k not in powers:
-            powers[k] = value_t ** k
-        base = list(e)
-        base[idx] = 0
-        mono = embed(LaurentPolynomial._raw(p.vars, {tuple(base): c}), target)
-        result = result + mono * powers[k]
-    return result
 
 
 def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:

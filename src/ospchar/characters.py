@@ -26,12 +26,11 @@ from typing import Iterator, Sequence
 from .algebra import LaurentPolynomial, VariableSet, det_cofactor, exact_div
 from .symfun import (
     Partition,
-    complete,
+    complete_table,
     jseries_table,
     k_index,
     skew_schur_jt,
     subpartitions,
-    super_complete,
 )
 from . import tableaux
 
@@ -90,12 +89,11 @@ def hook_schur_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Pol
     """det(H_{lam_i - i + j}) over the complete supersymmetric functions."""
     vs = _vs_of(xs, ys)
     size = max(lam.length, 1)
-    table = {}
+    table = complete_table(lam.part(1) + size - 1, xs, vs, ys=ys)
+    zero = vs.zero()
 
     def h(r: int) -> Poly:
-        if r not in table:
-            table[r] = super_complete(r, xs, ys, vs)
-        return table[r]
+        return table[r] if r >= 0 else zero
 
     rows = [[h(lam.part(i) - i + j) for j in range(1, size + 1)] for i in range(1, size + 1)]
     return det_cofactor(rows, vs)
@@ -287,8 +285,10 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
             e = lam.part(j) + n - m - j + 1
             row.append(x ** e * p - xb ** e * q)
         rows.append(row)
+    hy = complete_table(lamc.part(1) - n - 1 + m, ys, vs)
     for i in range(1, m - n + k):
-        row = [complete(lamc.part(i) - n - i + j, ys, vs) for j in range(1, m + 1)]
+        a = lamc.part(i) - n - i
+        row = [hy[a + j] if a + j >= 0 else zero for j in range(1, m + 1)]
         row += [zero] * (k - 1)
         rows.append(row)
     assert len(rows) == m + k - 1

@@ -22,17 +22,16 @@ from .algebra import (
     VariableSet,
     det_cofactor,
     det_rational,
-    substitute,
 )
 from .symfun import (
     Partition,
     box_partitions,
-    complete,
-    elementary,
+    complete_table,
     partitions_up_to,
 )
 from .characters import (
     CharacterRequest,
+    _check_counts,
     hook_schur_det,
     hook_schur_jt,
     odd_denominator_product,
@@ -138,6 +137,7 @@ def _lam_params(lam: Partition, **rest) -> dict:
 def verify_ortho_methods(lam: Partition, n: int, m: int) -> VerificationReport:
     """Tableau sum against the four closed orthosymplectic formulas, on the
     (n, m)-hook; the Jacobi-Trudi one only where len(lam) <= n."""
+    _check_counts("orthosymplectic", n, m)
     if lam.part(n + 1) > m:
         raise ValueError("outside the determinant formula's domain: lam_{n+1} > m")
     params = _lam_params(lam, n=n, m=m)
@@ -160,6 +160,7 @@ def verify_ortho_methods(lam: Partition, n: int, m: int) -> VerificationReport:
 
 def verify_hook_methods(lam: Partition, n: int, m: int) -> VerificationReport:
     """Tableau sum against the Jacobi-Trudi and Cauchy-block hook formulas."""
+    _check_counts("hook", n, m)
     params = _lam_params(lam, n=n, m=m)
     base = tableaux.super_weight_sum(lam, n, m)
     _, xs, ys = standard_xy(n, m)
@@ -175,6 +176,7 @@ def verify_hook_methods(lam: Partition, n: int, m: int) -> VerificationReport:
 
 
 def verify_symplectic_methods(lam: Partition, n: int) -> VerificationReport:
+    _check_counts("symplectic", n, 0)
     params = _lam_params(lam, n=n)
     base = tableaux.symplectic_weight_sum(lam, n)
     value = symplectic_weyl(lam, standard_x(n)[1])
@@ -182,6 +184,7 @@ def verify_symplectic_methods(lam: Partition, n: int) -> VerificationReport:
 
 
 def verify_odd_methods(lam: Partition, n: int) -> VerificationReport:
+    _check_counts("odd_symplectic", n, 0)
     params = _lam_params(lam, n=n)
     base = tableaux.odd_symplectic_weight_sum(lam, n)
     value = odd_symplectic_det(lam, standard_x(n)[1])
@@ -219,7 +222,8 @@ def verify_odd_denominator(n: int) -> VerificationReport:
 
 
 def verify_supersymmetry(lam: Partition, n: int, m: int) -> VerificationReport:
-    """Hook Schur polynomials lose all dependence on t under x_n -> t, y_m -> -t."""
+    """Hook Schur polynomials lose all dependence on t at the letters
+    (x_1, ..., x_{n-1}, t), (y_1, ..., y_{m-1}, -t)."""
     if n < 1 or m < 1:
         raise ValueError("needs n, m >= 1")
     params = _lam_params(lam, n=n, m=m)
@@ -228,17 +232,16 @@ def verify_supersymmetry(lam: Partition, n: int, m: int) -> VerificationReport:
     )
     gens = vs.gens()
     xs, ys, t = gens[:n], gens[n : n + m], gens[-1]
-    hs = hook_schur_jt(lam, xs, ys)
-    sub = substitute(substitute(hs, f"x{n}", t), f"y{m}", -t)
-    if not sub.depends_on("t"):
+    value = hook_schur_jt(lam, xs[:-1] + [t], ys[:-1] + [-t])
+    if not value.depends_on("t"):
         return VerificationReport("supersymmetry", params, "pass")
     idx = vs.index("t")
-    leftover = vs.poly({e: c for e, c in sub.terms.items() if e[idx]})
+    leftover = vs.poly({e: c for e, c in value.terms.items() if e[idx]})
     return VerificationReport(
         "supersymmetry",
         params,
         "fail",
-        witness={"left": sub.to_text(), "right": "", "first_diff": leftover.to_text()},
+        witness={"left": value.to_text(), "right": "", "first_diff": leftover.to_text()},
     )
 
 
@@ -260,18 +263,14 @@ def verify_power_product(n: int, l: int) -> VerificationReport:
     vs, xs = standard_x(n)
     letters = xs + [x.inverse() for x in xs]
     zero = vs.zero()
+    h = complete_table(l - 1, letters)
+    esign = [-e if r % 2 else e for r, e in enumerate(complete_table(n - 1, (), vs, ys=letters))]
 
     def hbar(r: int) -> Poly:
-        return complete(r, letters, vs) if r >= 0 else zero
-
-    def esign(r: int) -> Poly:
-        if r < 0:
-            return zero
-        e = elementary(r, letters, vs)
-        return -e if r % 2 else e
+        return h[r] if r >= 0 else zero
 
     row = [hbar(l - n)] + [hbar(l - n - 1 + j) + hbar(l - n + 1 - j) for j in range(2, n + 1)]
-    mid = [[esign(v - u) for v in range(1, n + 1)] for u in range(1, n + 1)]
+    mid = [[esign[v - u] if v >= u else zero for v in range(n)] for u in range(n)]
     prod_row = [zero] * n
     for v in range(n):
         for u in range(n):
@@ -404,7 +403,8 @@ def verify_specialization_reduction(
                     "first_diff": f"negative exponent of x{i}",
                 },
             )
-    specialized = substitute(cleared, "x1", 0)
+    # x_1 = 0: cleared has no negative power of x_1, so keep its terms free of x_1
+    specialized = vs.poly({e: c for e, c in cleared.terms.items() if not e[0]})
     if lam.part(1) == r:
         expected = char(lam.drop_first(), xs[1:])
         for x in xs[1:]:

@@ -1,10 +1,13 @@
 """Partitions and generators for (super)symmetric function families.
 
-Elementary and complete symmetric functions are generated by a one-letter-
-at-a-time recurrence rather than monomial enumeration, so they stay
-polynomial-time in the degree.  A "letter" may be any Laurent polynomial;
-passing the variables together with their inverses yields the 2n-letter
-complete functions that drive the hyperoctahedral Jacobi-Trudi matrices.
+One letter-at-a-time recurrence (complete_table) generates every series:
+the supersymmetric complete functions H_r(X; Y), the t^r coefficients of
+prod_y (1 + y t) / prod_x (1 - x t), rather than enumerating monomials, so
+they stay polynomial-time in the degree.  h_r(X) = H_r(X; ), e_r(Y) =
+H_r(; Y), and the letters X, 1/X give the J_r = H_r(X, 1/X; Y) of the
+hyperoctahedral Jacobi-Trudi matrices.  A "letter" may be any Laurent
+polynomial, so the same tables evaluate at specialized points such as
+(x_1, ..., x_{n-1}, t) and (y_1, ..., -t).
 """
 
 from __future__ import annotations
@@ -152,80 +155,54 @@ def box_partitions(max_length: int, max_part: int) -> Iterator[Partition]:
 # -- symmetric function generators ----------------------------------------
 
 
-def elementary(r: int, letters: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
-    """e_r of the given letters: sum of products over r-subsets; e_0 = 1."""
-    vs = letters[0].vars if letters else vars
+def complete_table(
+    rmax: int,
+    letters: Sequence[LaurentPolynomial],
+    vars: VariableSet | None = None,
+    *,
+    ys: Sequence[LaurentPolynomial] = (),
+) -> list[LaurentPolynomial]:
+    """[H_0, ..., H_rmax](X; Y) for X = letters: the t^r coefficients of
+    prod_y (1 + y t) / prod_x (1 - x t); empty for rmax < 0.
+
+    The package's one letter recurrence: each x-letter multiplies the series
+    by 1/(1 - x t), filling the table upward; each y-letter multiplies it by
+    1 + y t, filling it downward.
+    """
+    vs = letters[0].vars if letters else (ys[0].vars if ys else vars)
     if vs is None:
-        raise AlgebraError("empty letter list needs an explicit variable set")
-    if r < 0 or r > len(letters):
-        return vs.zero()
-    table = [vs.one()] + [vs.zero()] * r
-    for x in letters:
-        for s in range(min(r, len(table) - 1), 0, -1):
-            table[s] = table[s] + x * table[s - 1]
-    return table[r]
-
-
-def complete(r: int, letters: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
-    """h_r of the given letters: sum over weakly increasing r-multisets; h_0 = 1."""
-    vs = letters[0].vars if letters else vars
-    if vs is None:
-        raise AlgebraError("empty letter list needs an explicit variable set")
-    if r < 0:
-        return vs.zero()
-    if r == 0:
-        return vs.one()
-    if not letters:
-        return vs.zero()
-    table = [vs.one()] + [vs.zero()] * r
-    for x in letters:
-        for s in range(1, r + 1):
-            table[s] = table[s] + x * table[s - 1]
-    return table[r]
-
-
-def complete_table(rmax: int, letters: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> list[LaurentPolynomial]:
-    """[h_0, ..., h_rmax] of the letters, computed in one pass."""
-    vs = letters[0].vars if letters else vars
-    if vs is None:
-        raise AlgebraError("empty letter list needs an explicit variable set")
+        raise AlgebraError("need at least one letter or an explicit variable set")
+    if rmax < 0:
+        return []
     table = [vs.one()] + [vs.zero()] * rmax
     for x in letters:
         for s in range(1, rmax + 1):
             table[s] = table[s] + x * table[s - 1]
+    for y in ys:
+        for s in range(rmax, 0, -1):
+            table[s] = table[s] + y * table[s - 1]
     return table
+
+
+def elementary(r: int, letters: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
+    """e_r of the given letters, H_r(; letters); e_0 = 1, zero for r < 0."""
+    return super_complete(r, (), letters, vars)
+
+
+def complete(r: int, letters: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
+    """h_r of the given letters, H_r(letters; ); h_0 = 1, zero for r < 0."""
+    return super_complete(r, letters, (), vars)
 
 
 def super_complete(r: int, xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
     """H_r(X;Y) = sum_j h_j(X) e_{r-j}(Y); H_0 = 1, zero for r < 0."""
-    vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
-    if vs is None:
-        raise AlgebraError("need at least one letter or an explicit variable set")
-    if r < 0:
-        return vs.zero()
-    hx = complete_table(r, xs, vs)
-    total = vs.zero()
-    for j in range(max(0, r - len(ys)), r + 1):
-        total = total + hx[j] * elementary(r - j, ys, vs)
-    return total
+    table = complete_table(max(r, 0), xs, vars, ys=ys)
+    return table[r] if r >= 0 else table[0].vars.zero()
 
 
 def jseries_table(rmax: int, xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> list[LaurentPolynomial]:
-    """[J_0, ..., J_rmax] with J_r = sum_l h_l(X, 1/X) e_{r-l}(Y), from
-    shared h and e tables."""
-    vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
-    if vs is None:
-        raise AlgebraError("need at least one letter or an explicit variable set")
-    letters = list(xs) + [x.inverse() for x in xs]
-    hbar = complete_table(rmax, letters, vs)
-    ey = [elementary(p, ys, vs) for p in range(min(rmax, len(ys)) + 1)]
-    table = []
-    for r in range(rmax + 1):
-        total = vs.zero()
-        for p in range(0, min(r, len(ys)) + 1):
-            total = total + hbar[r - p] * ey[p]
-        table.append(total)
-    return table
+    """[J_0, ..., J_rmax] with J_r = H_r(X, 1/X; Y) = sum_l h_l(X, 1/X) e_{r-l}(Y)."""
+    return complete_table(rmax, list(xs) + [x.inverse() for x in xs], vars, ys=ys)
 
 
 def skew_schur_jt(
@@ -233,28 +210,17 @@ def skew_schur_jt(
     mu: Partition,
     xs: Sequence[LaurentPolynomial],
     vars: VariableSet | None = None,
-    size: int | None = None,
 ) -> LaurentPolynomial:
-    """Skew Schur polynomial det(h_{lam_i - mu_j - i + j}) of order max(len(lam), 1).
-
-    ``size`` may enlarge the matrix; any order >= len(lam) gives the same
-    value, which the tests exercise.
-    """
+    """Skew Schur polynomial det(h_{lam_i - mu_j - i + j}) of order max(len(lam), 1)."""
     if not lam.contains(mu):
         raise ValueError(f"{mu!r} is not contained in {lam!r}")
-    vs = xs[0].vars if xs else vars
-    if vs is None:
-        raise AlgebraError("empty variable list needs an explicit variable set")
-    n = max(lam.length, 1) if size is None else size
-    if n < lam.length:
-        raise ValueError(f"matrix size {n} is smaller than the partition length")
-    hx = complete_table(max(lam.part(1) + n, 0), xs, vs)
+    n = max(lam.length, 1)
+    hx = complete_table(lam.part(1) + n, xs, vars)
+    vs = hx[0].vars
     zero = vs.zero()
 
     def h(r: int) -> LaurentPolynomial:
-        if r < 0:
-            return zero
-        return hx[r]
+        return hx[r] if r >= 0 else zero
 
     rows = [
         [h(lam.part(i) - mu.part(j) - i + j) for j in range(1, n + 1)]

@@ -273,25 +273,6 @@ def grids(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Ite
     return fill()
 
 
-def _weight_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> LaurentPolynomial:
-    """Sum over the enumerated fillings of the product of each entry's
-    x^sign or y^sign: the oracle that the tests hold the strip engine to on
-    small shapes."""
-    letters = LETTERS[family](n, m)
-    index = [letter.var for letter in letters]
-    sign = [letter.sign for letter in letters]
-    vs = _xy_vars(n, m)
-    terms: dict[tuple[int, ...], int] = {}
-    for grid in grids(family, lam, mu, n, m):
-        e = [0] * len(vs)
-        for row in grid:
-            for v in row:
-                e[index[v]] += sign[v]
-        key = tuple(e)
-        terms[key] = terms.get(key, 0) + 1
-    return vs.poly(terms)
-
-
 def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[Tableau]:
     found = grids(family, lam, mu, n, m)  # raises here, not at the first tableau
     token = [letter.token for letter in LETTERS[family](n, m)].__getitem__

@@ -1,4 +1,4 @@
-"""Core exact-arithmetic behaviour: ring ops, substitution, division, determinants."""
+"""Core exact-arithmetic behaviour: ring ops, division, determinants."""
 
 import json
 from heapq import heapify, heappop, heappush
@@ -10,17 +10,13 @@ from ospchar import characters
 from ospchar.algebra import (
     ExactDivisionError,
     LaurentPolynomial,
-    PoleError,
     RationalFunction,
     VariableMismatchError,
     VariableSet,
     det_bareiss,
     det_cofactor,
     det_rational,
-    embed,
     exact_div,
-    substitute,
-    union_vars,
 )
 from ospchar.characters import standard_x, standard_xy
 from ospchar.symfun import Partition
@@ -98,52 +94,6 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
     assert (p * q) * r == p * (q * r)
-
-
-# -- substitution -------------------------------------------------------
-
-
-def test_substitute_bar_involution():
-    vs = VariableSet(["x1"])
-    x = vs.gen("x1")
-    assert substitute(x + x.inverse(), "x1", x.inverse()) == x.inverse() + x
-
-
-def test_substitute_zero():
-    vs = VariableSet(["x1", "y1"])
-    x, y = vs.gens()
-    assert substitute(x * y + y ** 2, "x1", 0) == y ** 2
-
-
-def test_substitute_zero_pole():
-    vs = VariableSet(["x1", "y1"])
-    x, y = vs.gens()
-    with pytest.raises(PoleError):
-        substitute(x.inverse() * y, "x1", 0)
-
-
-def test_substitute_new_variable_extends_set():
-    vs = VariableSet(["x1"])
-    t = VariableSet(["t"]).gen("t")
-    out = substitute(vs.gen("x1") ** 2, "x1", t)
-    assert out.vars.names == ("x1", "t")
-    assert out == out.vars.gen("t") ** 2
-
-
-def test_substitute_nonunit_negative_power_rejected():
-    vs = VariableSet(["x1", "y1"])
-    x, y = vs.gens()
-    with pytest.raises(Exception):
-        substitute(x.inverse(), "x1", x + y)
-
-
-def test_embed_and_union():
-    target = union_vars(VS2, VariableSet(["c", "a"]))
-    assert target.names == ("a", "b", "c")
-    p = VS2.gen("a") + VS2.gen("b") ** -1
-    q = embed(p, target)
-    assert q.vars == target
-    assert q == target.gen("a") + target.gen("b") ** -1
 
 
 # -- exact division ------------------------------------------------------

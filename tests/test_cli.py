@@ -321,6 +321,15 @@ def test_verify_rejects_counts_outside_the_domain(capsys):
     for n1, n2 in ((0, 0), (0, 2)):
         code, out, err = run(capsys, "verify", "--identity", "beta_complement", "--n1", str(n1), "--n2", str(n2), "--lambda", "")
         assert code == 2 and "needs n1, n2 >= 1" in err and out == ""
+    # The method verifiers check the counts as compute does.
+    for identity, lam, n, m, message in (
+        ("hook_methods", "1", 0, 1, "n must be at least 1"),
+        ("hook_methods", "1", 1, 0, "family 'hook' needs m >= 1"),
+        ("ortho_methods", "1", 1, 0, "family 'orthosymplectic' needs m >= 1"),
+        ("ortho_methods", "", 0, 1, "n must be at least 1"),
+    ):
+        code, out, err = run(capsys, "verify", "--identity", identity, "--lambda", lam, "--n", str(n), "--m", str(m))
+        assert code == 2 and message in err and out == "", (identity, n, m)
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ospchar.algebra import VariableSet, substitute
+from ospchar.algebra import AlgebraError, VariableSet
 from ospchar.symfun import (
     Partition,
     box_partitions,
     complete,
+    complete_table,
     elementary,
     jseries_table,
     k_index,
@@ -149,6 +150,113 @@ def test_super_h_e_swap_symmetry(r):
     assert super_complete(r, xs, ys) == swapped
 
 
+# -- the letter recurrence against the separate generators it replaced ---------
+
+
+def _reference_elementary(r, letters, vars=None):
+    vs = letters[0].vars if letters else vars
+    if vs is None:
+        raise AlgebraError("empty letter list needs an explicit variable set")
+    if r < 0 or r > len(letters):
+        return vs.zero()
+    table = [vs.one()] + [vs.zero()] * r
+    for x in letters:
+        for s in range(min(r, len(table) - 1), 0, -1):
+            table[s] = table[s] + x * table[s - 1]
+    return table[r]
+
+
+def _reference_complete(r, letters, vars=None):
+    vs = letters[0].vars if letters else vars
+    if vs is None:
+        raise AlgebraError("empty letter list needs an explicit variable set")
+    if r < 0:
+        return vs.zero()
+    if r == 0:
+        return vs.one()
+    if not letters:
+        return vs.zero()
+    table = [vs.one()] + [vs.zero()] * r
+    for x in letters:
+        for s in range(1, r + 1):
+            table[s] = table[s] + x * table[s - 1]
+    return table[r]
+
+
+def _reference_complete_table(rmax, letters, vars=None):
+    vs = letters[0].vars if letters else vars
+    if vs is None:
+        raise AlgebraError("empty letter list needs an explicit variable set")
+    table = [vs.one()] + [vs.zero()] * rmax
+    for x in letters:
+        for s in range(1, rmax + 1):
+            table[s] = table[s] + x * table[s - 1]
+    return table
+
+
+def _reference_super_complete(r, xs, ys, vars=None):
+    vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
+    if vs is None:
+        raise AlgebraError("need at least one letter or an explicit variable set")
+    if r < 0:
+        return vs.zero()
+    hx = _reference_complete_table(r, xs, vs)
+    total = vs.zero()
+    for j in range(max(0, r - len(ys)), r + 1):
+        total = total + hx[j] * _reference_elementary(r - j, ys, vs)
+    return total
+
+
+def _reference_jseries_table(rmax, xs, ys, vars=None):
+    vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
+    if vs is None:
+        raise AlgebraError("need at least one letter or an explicit variable set")
+    letters = list(xs) + [x.inverse() for x in xs]
+    hbar = _reference_complete_table(rmax, letters, vs)
+    ey = [_reference_elementary(p, ys, vs) for p in range(min(rmax, len(ys)) + 1)]
+    table = []
+    for r in range(rmax + 1):
+        total = vs.zero()
+        for p in range(0, min(r, len(ys)) + 1):
+            total = total + hbar[r - p] * ey[p]
+        table.append(total)
+    return table
+
+
+def _letter_lists():
+    """Letter lists for x and for y: unit monomials with inverses, negated
+    letters such as -t, repeated letters, and the empty list."""
+    vs = VariableSet(["x1", "x2", "y1", "y2", "t"])
+    x1, x2, y1, y2, t = vs.gens()
+    xs = [[], [x1], [x1, x2], [x1, x1.inverse()], [x2, -t], [x1, x2, t], [x1, x1]]
+    ys = [[], [y1], [y1, -t], [y1, y2, -t], [y1.inverse(), y1], [-t, -t]]
+    return vs, xs, ys
+
+
+def test_letter_recurrence_matches_the_reference_generators():
+    vs, xs, ys = _letter_lists()
+    for rmax in range(-2, 7):
+        for letters in xs + ys:
+            assert elementary(rmax, letters, vs) == _reference_elementary(rmax, letters, vs)
+            assert complete(rmax, letters, vs) == _reference_complete(rmax, letters, vs)
+        for x in xs:
+            for y in ys:
+                assert super_complete(rmax, x, y, vs) == _reference_super_complete(rmax, x, y, vs)
+                assert jseries_table(rmax, x, y, vs) == _reference_jseries_table(rmax, x, y, vs)
+                want = [_reference_super_complete(r, x, y, vs) for r in range(rmax + 1)]
+                assert complete_table(rmax, x, vs, ys=y) == want
+
+
+def test_letter_recurrence_needs_a_variable_set():
+    # With no letter to take it from, the set must be given, as before.
+    for view in (elementary, complete):
+        with pytest.raises(AlgebraError):
+            view(0, [])
+    for view in (super_complete, jseries_table, lambda r, xs, ys: complete_table(r, xs, ys=ys)):
+        with pytest.raises(AlgebraError):
+            view(1, [], [])
+
+
 # -- Laurent complete and J-series ---------------------------------------------
 
 
@@ -187,25 +295,19 @@ def test_skew_schur_requires_containment():
         skew_schur_jt(Partition([1]), Partition([2]), xs)
 
 
-@given(partitions_small, st.integers(0, 2))
-def test_skew_schur_size_independence(lam, extra):
-    vs, xs = standard_x(2)
-    base = skew_schur_jt(lam, Partition(), xs)
-    padded = skew_schur_jt(lam, Partition(), xs, size=max(lam.length, 1) + extra)
-    assert base == padded
-
-
-@given(partitions_small, st.sampled_from([("x1", "x2"), ("x1", "x3"), ("x2", "x3")]))
+@given(partitions_small, st.sampled_from([(0, 1), (0, 2), (1, 2)]))
 def test_schur_symmetric_under_transposition(lam, swap):
-    from ospchar.algebra import embed
-
+    # x_a <-> x_b swaps the exponent columns a and b
     vs, xs = standard_x(3)
     s = skew_schur_jt(lam, Partition(), xs)
     a, b = swap
-    out = substitute(s, a, VariableSet(["tmp"]).gen("tmp"))
-    out = substitute(out, b, out.vars.gen(a))
-    out = substitute(out, "tmp", out.vars.gen(b))
-    assert out == embed(s, out.vars)
+
+    def swapped(e):
+        e = list(e)
+        e[a], e[b] = e[b], e[a]
+        return tuple(e)
+
+    assert vs.poly({swapped(e): c for e, c in s.terms.items()}) == s
 
 
 # -- the column threshold index ---------------------------------------------------

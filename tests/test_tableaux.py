@@ -8,7 +8,6 @@ import pytest
 
 from ospchar.symfun import Partition, partitions_up_to, skew_schur_jt, subpartitions
 from ospchar.characters import family_tableaux, standard_x, standard_xy
-from ospchar.algebra import embed
 from ospchar import tableaux
 from ospchar.tableaux import (
     grids,
@@ -230,7 +229,7 @@ def test_strip_sums_match_enumeration(family):
             for lam in partitions_up_to(6):
                 if family == "odd_symplectic" and lam.length > n:
                     continue
-                want = tableaux._weight_sum(family, lam, Partition(), n, m)
+                want = _weight_sum(family, lam, Partition(), n, m)
                 assert weight_sum(lam, n, m) == want, (lam, n, m)
             assert weight_sum(Partition(), n, m).is_one()
 
@@ -239,7 +238,7 @@ def test_skew_strip_sums_match_enumeration():
     for n in (1, 2, 3):
         for lam in partitions_up_to(5):
             for mu in subpartitions(lam):
-                want = tableaux._weight_sum("ssyt", lam, mu, n)
+                want = _weight_sum("ssyt", lam, mu, n)
                 assert ssyt_weight_sum(lam, mu, n) == want, (lam, mu, n)
 
 
@@ -311,6 +310,22 @@ def _reference_grids(family, lam, mu, n, m=0):
     return fill()
 
 
+def _weight_sum(family, lam, mu, n, m=0):
+    """Sum over the enumerated fillings of the product of each entry's
+    x^sign or y^sign: the oracle that the strip engine is held to."""
+    letters = tableaux.LETTERS[family](n, m)
+    vs = standard_xy(n, m)[0]
+    terms = {}
+    for grid in grids(family, lam, mu, n, m):
+        e = [0] * len(vs)
+        for row in grid:
+            for v in row:
+                e[letters[v].var] += letters[v].sign
+        key = tuple(e)
+        terms[key] = terms.get(key, 0) + 1
+    return vs.poly(terms)
+
+
 def _same_fillings(family, lam, mu, n, m=0):
     try:
         want = list(_reference_grids(family, lam, mu, n, m))
@@ -354,7 +369,7 @@ def test_listing_streams():
 
 def test_enumerator_takes_shapes_deeper_than_the_recursion_limit():
     lam = Partition([1500])
-    assert tableaux._weight_sum("symplectic", lam, Partition(), 1) == symplectic_weight_sum(lam, 1)
+    assert _weight_sum("symplectic", lam, Partition(), 1) == symplectic_weight_sum(lam, 1)
 
 
 def test_domain_errors_are_raised_when_called():
@@ -380,14 +395,13 @@ def test_ssyt_agrees_with_jacobi_trudi():
 
 
 def test_symplectic_bar_symmetry():
-    from ospchar.algebra import substitute
-
+    # x_i -> 1/x_i negates the exponent column of x_i
     for n in (1, 2):
         for lam in partitions_up_to(4, max_length=n):
             p = symplectic_weight_sum(lam, n)
-            for i in range(1, n + 1):
-                name = f"x{i}"
-                assert substitute(p, name, p.vars.gen(name).inverse()) == p
+            for i in range(n):
+                barred = {e[:i] + (-e[i],) + e[i + 1 :]: c for e, c in p.terms.items()}
+                assert p.vars.poly(barred) == p
 
 
 def test_orthosymplectic_with_no_primes_is_symplectic():
@@ -402,7 +416,8 @@ def test_orthosymplectic_expands_over_symplectic_times_skew():
         for lam in partitions_up_to(4, max_length=n):
             total = vs.zero()
             for mu in subpartitions(lam, max_length=n):
-                sp = embed(symplectic_weight_sum(mu, n), vs)
+                # sp_mu(X) read in X, Y: zero exponent columns for Y
+                sp = vs.poly({e + (0,) * m: c for e, c in symplectic_weight_sum(mu, n).terms.items()})
                 total = total + sp * skew_schur_jt(lam.conjugate(), mu.conjugate(), ys, vars=vs)
             assert orthosymplectic_weight_sum(lam, n, m) == total
 
