@@ -11,7 +11,6 @@ from .algebra import (
     AlgebraError,
     ExactDivisionError,
     LaurentPolynomial,
-    RationalFunction,
     VariableMismatchError,
     VariableSet,
     det_cofactor,

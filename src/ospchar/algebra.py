@@ -1,4 +1,4 @@
-"""Exact arithmetic for multivariate Laurent polynomials and rational functions.
+"""Exact arithmetic for multivariate Laurent polynomials.
 
 A Laurent polynomial is a finite map from exponent vectors (entries may be
 negative) to nonzero arbitrary-precision integer coefficients.  The inverse
@@ -16,9 +16,10 @@ the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
 entry products and never divides, so sparse multivariate entries do not swell
 the way they do under fraction-free elimination; matrix sizes stay in the
 single digits throughout this package, so the exponential factor is small.
-Rational matrices first clear a common denominator per row (det_rational);
-only the kernel-determinant identity (verify_kernel_det) needs that, since
-the character routes build their rows already cleared.
+A matrix of fractions, each a plain (numerator, denominator) pair of Laurent
+polynomials, first clears a common denominator per row (det_rational); only
+the kernel-determinant identity (verify_kernel_det) needs that, since the
+character routes build their rows already cleared.
 Bareiss elimination (det_bareiss) is kept only as the reference that the
 tests compare det_cofactor against.
 """
@@ -152,9 +153,6 @@ class VariableSet:
             return self.zero()
         return LaurentPolynomial._raw(self, {(0,) * len(self.names): int(c)})
 
-    def monomial(self, coeff: int, exps: Sequence[int]) -> "LaurentPolynomial":
-        return LaurentPolynomial(self, {tuple(exps): coeff})
-
     def gen(self, name: str) -> "LaurentPolynomial":
         exps = [0] * len(self.names)
         exps[self.index(name)] = 1
@@ -220,9 +218,7 @@ class LaurentPolynomial:
         idx = self.vars.index(name)
         return any(e[idx] for e in self.terms)
 
-    def has_negative_exponent(self, name: str | None = None) -> bool:
-        if name is None:
-            return any(x < 0 for e in self.terms for x in e)
+    def has_negative_exponent(self, name: str) -> bool:
         idx = self.vars.index(name)
         return any(e[idx] < 0 for e in self.terms)
 
@@ -506,74 +502,6 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     return quot
 
 
-class RationalFunction:
-    """Quotient of two Laurent polynomials; the denominator is nonzero.
-
-    It carries the entries and the value of det_rational, which only the
-    kernel-determinant identity uses, so it offers just what that needs:
-    construction, addition and equality.  There is no canonical gcd
-    reduction: two fractions over the same denominator are equal when their
-    numerators are, and otherwise equality is decided by cross-multiplication.
-    Addition reuses a shared denominator when the two denominators are equal,
-    which only picks a different representative of the same fraction.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial | None = None):
-        if den is None:
-            den = num.vars.one()
-        if num.vars != den.vars:
-            raise VariableMismatchError("numerator and denominator variables differ")
-        if den.is_zero():
-            raise AlgebraError("zero denominator")
-        if num.is_zero():
-            den = num.vars.one()
-        self.num = num
-        self.den = den
-
-    @property
-    def vars(self) -> VariableSet:
-        return self.num.vars
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, LaurentPolynomial):
-            return RationalFunction(other)
-        if isinstance(other, int):
-            return RationalFunction(self.vars.const(other))
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
-
-    def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __repr__(self) -> str:
-        return f"<({self.num.to_text()}) / ({self.den.to_text()})>"
-
-
 # -- determinants -----------------------------------------------------
 
 
@@ -665,17 +593,22 @@ def det_cofactor(rows: Sequence[Sequence], vars: VariableSet | None = None):
     return det
 
 
-def det_rational(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
-    """Determinant of a matrix of rational functions.
+def det_rational(
+    rows: Sequence[Sequence[tuple[LaurentPolynomial, LaurentPolynomial]]]
+) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Determinant of a matrix of fractions, each entry and the result a
+    (numerator, denominator) pair of Laurent polynomials.
 
-    Each row is first put over a single denominator (the product of its
-    distinct entry denominators), which by row-linearity factors out of the
-    determinant; the remaining polynomial matrix is expanded by cofactors.
+    Each row is first put over a single denominator, the product of its
+    distinct entry denominators (an entry with numerator 0 or denominator 1
+    adds none), which by row-linearity factors out of the determinant; the
+    remaining polynomial matrix is expanded by cofactors.  The result is not
+    reduced: its denominator is the product of the row denominators.
     """
     n = len(rows)
     if n == 0:
         raise AlgebraError("0x0 rational determinant needs no clearing; use det_cofactor")
-    vs = rows[0][0].vars
+    vs = rows[0][0][0].vars
     one = vs.one()
     cleared: list[list[LaurentPolynomial]] = []
     denprod = one
@@ -683,17 +616,19 @@ def det_rational(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction
         if len(row) != n:
             raise AlgebraError("matrix is not square")
         distinct: list[LaurentPolynomial] = []
-        for entry in row:
-            if not entry.den.is_one() and all(entry.den != d for d in distinct):
-                distinct.append(entry.den)
+        for num, den in row:
+            if den.is_zero():
+                raise AlgebraError("zero denominator")
+            if not (num.is_zero() or den.is_one() or den in distinct):
+                distinct.append(den)
         mult = one
         for d in distinct:
             mult = mult * d
         cleared.append(
             [
-                e.num if e.den == mult else e.num * exact_div(mult, e.den)
-                for e in row
+                num if num.is_zero() or den == mult else num * exact_div(mult, den)
+                for num, den in row
             ]
         )
         denprod = denprod * mult
-    return RationalFunction(det_cofactor(cleared, vs), denprod)
+    return det_cofactor(cleared, vs), denprod

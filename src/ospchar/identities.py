@@ -18,7 +18,6 @@ from itertools import combinations
 from .algebra import (
     AlgebraError,
     LaurentPolynomial,
-    RationalFunction,
     VariableSet,
     det_cofactor,
     det_rational,
@@ -327,19 +326,27 @@ def verify_beta_complement(lam: Partition, n1: int, n2: int) -> VerificationRepo
 def verify_cauchy_binet(
     m: int, n: int, seed: int = 0, entries: tuple | None = None
 ) -> VerificationReport:
-    """sum over m-subsets B of det X[B] det Y[B] equals det(X Y^t)."""
+    """sum over m-subsets B of det X[B] det Y[B] equals det(X Y^t).
+
+    X and Y are m x n integer matrices: the explicit ``entries`` pair when
+    given (seed is then unused), else seeded random entries."""
     if m < 1:
         raise ValueError("needs m >= 1")
     if m > n:
         raise ValueError("needs m <= n")
-    params = {"m": m, "n": n, "seed": seed}
     vs = VariableSet([])
     if entries is None:
+        params = {"m": m, "n": n, "seed": seed}
+        note = f"seeded random entries, seed={seed}"
         rng = random.Random(seed)
         X = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         Y = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
     else:
         X, Y = entries
+        if any(len(M) != m or any(len(row) != n for row in M) for M in (X, Y)):
+            raise ValueError(f"entries must be two {m} x {n} matrices")
+        params = {"m": m, "n": n}
+        note = "explicit entries"
     cX = [[vs.const(v) for v in row] for row in X]
     cY = [[vs.const(v) for v in row] for row in Y]
     lhs = vs.zero()
@@ -355,7 +362,7 @@ def verify_cauchy_binet(
         for i in range(m)
     ]
     rhs = det_cofactor(prod, vs)
-    return compare("cauchy_binet", params, lhs, rhs, note=f"seeded random entries, seed={seed}")
+    return compare("cauchy_binet", params, lhs, rhs, note=note)
 
 
 # -- clearing powers and specializing the first variable ---------------------
@@ -430,14 +437,16 @@ def _kernel_vars(n: int) -> tuple[VariableSet, list[Poly], list[Poly], list[Poly
     return vs, g[:n], g[n : 2 * n], g[2 * n : 3 * n], g[3 * n : 4 * n], g[-2], g[-1]
 
 
-def _kernel_entry(x: Poly, y: Poly, z: Poly, a: Poly, b: Poly, sign: int) -> RationalFunction:
-    """p (sign=-1) or q (sign=+1) kernel entry as a rational function."""
+def _kernel_entry(x: Poly, y: Poly, z: Poly, a: Poly, b: Poly, sign: int) -> tuple[Poly, Poly]:
+    """p (sign=-1) or q (sign=+1) kernel entry as a (numerator, denominator)
+    pair: num_xy / (1 - xy) + num_diff / (x - y) over (1 - xy)(x - y)."""
     vs = x.vars
     one = vs.one()
     s = vs.const(sign)
     num_xy = (one + s * x * z) * (one + s * y * z) - a * b * (x + s * z) * (y + s * z)
     num_diff = -a * (x + s * z) * (one + s * y * z) + b * (one + s * x * z) * (y + s * z)
-    return RationalFunction(num_xy, one - x * y) + RationalFunction(num_diff, x - y)
+    den_xy, den_diff = one - x * y, x - y
+    return num_xy * den_diff + num_diff * den_xy, den_xy * den_diff
 
 
 def verify_kernel_det(n: int, variant: str) -> VerificationReport:
@@ -449,9 +458,10 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
     (2n+1) x (2n+1) matrix of rows x_i^(j-1) - a_i x_i^(2n+1-j) and a final
     z-row with c.  variant "q": the plain n x n q-kernel determinant equals
     the same expression without the 1-z^2 factor and with final row
-    (-z)^(2n+1-j).  Both sides come out over the same denominator
-    prod (x_i - y_j)(1 - x_i y_j), times 1 - z^2 for "p", so RationalFunction
-    equality compares their numerators.
+    (-z)^(2n+1-j).  Each side is a (numerator, denominator) pair.  Both come
+    out over the same denominator prod (x_i - y_j)(1 - x_i y_j), times 1 - z^2
+    for "p", so the check compares their numerators; over unequal
+    denominators it would cross-multiply.
     """
     if variant not in ("p", "q"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -471,33 +481,31 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
         for v, w in zip(xs + ys, as_ + bs)
     ]
     if variant == "p":
-        rows = [kernel[i] + [RationalFunction(one - as_[i])] for i in range(n)]
-        rows.append(
-            [RationalFunction(one - bs[j]) for j in range(n)]
-            + [RationalFunction(one - c, one - z * z)]
-        )
-        lhs = det_rational(rows)
+        rows = [kernel[i] + [(one - as_[i], one)] for i in range(n)]
+        rows.append([(one - bs[j], one) for j in range(n)] + [(one - c, one - z * z)])
+        lnum, lden = det_rational(rows)
         vrows.append([z ** (j - 1) - c * z ** (big - j) for j in range(1, big + 1)])
-        den = one - z * z
+        rden = one - z * z
     else:
-        lhs = det_rational(kernel)
+        lnum, lden = det_rational(kernel)
         vrows.append([(-z) ** (big - j) for j in range(1, big + 1)])
-        den = one
+        rden = one
     for i in range(n):
         for j in range(n):
-            den = den * (xs[i] - ys[j]) * (one - xs[i] * ys[j])
+            rden = rden * (xs[i] - ys[j]) * (one - xs[i] * ys[j])
     detv = det_cofactor(vrows, vs)
-    rhs = RationalFunction(-detv if n % 2 else detv, den)
-    if lhs == rhs:
+    rnum = -detv if n % 2 else detv
+    equal = lnum == rnum if lden == rden else lnum * rden == rnum * lden
+    if equal:
         return VerificationReport("kernel_det", params, "pass")
     return VerificationReport(
         "kernel_det",
         params,
         "fail",
         witness={
-            "left": f"({lhs.num.to_text()}) / ({lhs.den.to_text()})",
-            "right": f"({rhs.num.to_text()}) / ({rhs.den.to_text()})",
-            "first_diff": first_difference(lhs.num * rhs.den, rhs.num * lhs.den),
+            "left": f"({lnum.to_text()}) / ({lden.to_text()})",
+            "right": f"({rnum.to_text()}) / ({rden.to_text()})",
+            "first_diff": first_difference(lnum * rden, rnum * lden),
         },
     )
 

@@ -108,9 +108,8 @@ class Partition:
         return f"Partition({list(self.parts)!r})"
 
 
-def partitions_of(n: int, max_length: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int, max_length: int | None = None) -> Iterator[Partition]:
     """All partitions of n, largest first part first, in lexicographic descent."""
-    cap = n if max_part is None else min(max_part, n)
     rows = n if max_length is None else max_length
 
     def rec(remaining: int, bound: int, room: int, acc: tuple[int, ...]):
@@ -122,15 +121,13 @@ def partitions_of(n: int, max_length: int | None = None, max_part: int | None = 
         for first in range(min(bound, remaining), 0, -1):
             yield from rec(remaining - first, first, room - 1, acc + (first,))
 
-    yield from rec(n, cap, rows, ())
+    yield from rec(n, n, rows, ())
 
 
-def partitions_up_to(
-    max_size: int, max_length: int | None = None, max_part: int | None = None
-) -> Iterator[Partition]:
+def partitions_up_to(max_size: int, max_length: int | None = None) -> Iterator[Partition]:
     """All partitions of size 0..max_size, ordered by size then lexicographically."""
     for n in range(max_size + 1):
-        yield from partitions_of(n, max_length, max_part)
+        yield from partitions_of(n, max_length)
 
 
 def subpartitions(lam: Partition, max_length: int | None = None) -> Iterator[Partition]:

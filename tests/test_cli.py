@@ -42,6 +42,19 @@ def test_compute_printed_example(capsys):
     assert out.strip() == expected.to_text()
 
 
+def test_readme_library_snippets_run(capsys):
+    """The README's Library examples run as written, both in one namespace,
+    so a removed export or a renamed route breaks this test too."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    snippets = [block.split("```", 1)[0] for block in library.split("```python\n")[1:]]
+    assert len(snippets) == 2
+    namespace = {}
+    for snippet in snippets:
+        exec(snippet, namespace)
+    assert capsys.readouterr().out == namespace["a"].to_text() + "\n"
+
+
 def test_compute_empty_partition(capsys):
     code, out, _ = run(capsys, "compute", "--family", "schur", "--method", "jt", "--n", "2", "--lambda", "")
     assert code == 0

@@ -7,7 +7,7 @@ from itertools import groupby
 import pytest
 
 from ospchar.symfun import Partition
-from ospchar import characters
+from ospchar import characters, identities
 from ospchar.identities import (
     IDENTITIES,
     VerificationReport,
@@ -77,11 +77,55 @@ def test_specialization_reduction_examples():
     assert verify_specialization_reduction(Partition(), 1, 0, "spo").passed
 
 
+def test_cauchy_binet_explicit_entries():
+    explicit = ([[1, 0, 2]], [[3, -1, 4]])
+    rep = verify_cauchy_binet(1, 3, entries=explicit)
+    assert rep.passed
+    assert rep.params == {"m": 1, "n": 3}  # no seed: none was used
+    assert rep.note == "explicit entries"
+    # entries of the wrong shape are a usage error, not an "error" report
+    for m, n in ((2, 3), (1, 2), (1, 4)):
+        with pytest.raises(ValueError, match=f"two {m} x {n} matrices"):
+            run_check("cauchy_binet", {"m": m, "n": n, "entries": explicit})
+    with pytest.raises(ValueError):
+        verify_cauchy_binet(1, 3, entries=([[1, 0, 2]], [[3, -1]]))
+
+
 def test_kernel_det_examples():
     assert verify_kernel_det(1, "q").passed
     assert verify_kernel_det(1, "p").passed
     with pytest.raises(ValueError):
         verify_kernel_det(1, "x")
+
+
+def test_kernel_det_cross_multiplies_unequal_denominators(monkeypatch):
+    real = identities.det_rational
+
+    def rescaled(rows, scale_num=True):
+        num, den = real(rows)
+        factor = num.vars.gen("z") + 2
+        return (num * factor if scale_num else num), den * factor
+
+    # the same fraction over a rescaled denominator still passes
+    monkeypatch.setattr(identities, "det_rational", rescaled)
+    assert verify_kernel_det(1, "p").passed
+    assert verify_kernel_det(1, "q").passed
+    # a different fraction over the rescaled denominator does not
+    monkeypatch.setattr(identities, "det_rational", lambda rows: rescaled(rows, scale_num=False))
+    rep = verify_kernel_det(1, "q")
+    assert rep.status == "fail" and rep.witness["first_diff"]
+
+
+def test_kernel_det_detects_a_sign_flip(monkeypatch):
+    real = identities.det_cofactor
+    # det_rational expands through algebra.det_cofactor, so only det V flips
+    monkeypatch.setattr(identities, "det_cofactor", lambda rows, vars=None: -real(rows, vars))
+    for variant in ("p", "q"):
+        rep = verify_kernel_det(1, variant)
+        assert rep.status == "fail"
+        assert rep.witness["first_diff"]
+        assert rep.witness["left"].startswith("(") and ") / (" in rep.witness["left"]
+        assert rep.witness["left"] != rep.witness["right"]
 
 
 def test_bkw_examples():
