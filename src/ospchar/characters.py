@@ -141,16 +141,27 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
 # -- symplectic -----------------------------------------------------------
 
 
+def _denominator_factors(xs: Sequence[Poly], singles: int) -> tuple[Poly, Poly]:
+    """prod_{i<=singles}(x_i - 1/x_i) and prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j)."""
+    vs = _vs_of(xs)
+    n = len(xs)
+    inv = [x.inverse() for x in xs]
+    return (
+        _prod(vs, (xs[i] - inv[i] for i in range(singles))),
+        _prod(vs, (xs[i] + inv[i] - xs[j] - inv[j] for i in range(n) for j in range(i + 1, n))),
+    )
+
+
+def symplectic_denominator_factors(xs: Sequence[Poly]) -> tuple[Poly, Poly]:
+    """The two factor groups of the symplectic denominator: the singles
+    prod(x_i - 1/x_i) and the pairs prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j)."""
+    return _denominator_factors(xs, len(xs))
+
+
 def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
     """prod(x_i - 1/x_i) * prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j)."""
-    vs = _vs_of(xs)
-    inv = [x.inverse() for x in xs]
-    out = _prod(vs, (x - xb for x, xb in zip(xs, inv)))
-    n = len(xs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (xs[i] + inv[i] - xs[j] - inv[j])
-    return out
+    singles, pairs = symplectic_denominator_factors(xs)
+    return singles * pairs
 
 
 def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
@@ -168,14 +179,16 @@ def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
     same determinant at the empty partition (both from symplectic_matrix).
 
     Every call checks the denominator determinant against its closed product
-    form before dividing.
+    form before dividing.  The division runs in two exact stages: first by
+    the singles prod(x_i - 1/x_i), then by the pairs
+    prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j) (symplectic_denominator_factors).
     """
     _require_length(lam, len(xs))
     vs = _vs_of(xs)
-    den = symplectic_denominator_product(xs)
-    if det_cofactor(symplectic_matrix(Partition(), xs), vs) != den:
+    if det_cofactor(symplectic_matrix(Partition(), xs), vs) != symplectic_denominator_product(xs):
         raise RuntimeError("symplectic denominator does not match its product form")
-    return exact_div(det_cofactor(symplectic_matrix(lam, xs), vs), den)
+    singles, pairs = symplectic_denominator_factors(xs)
+    return exact_div(exact_div(det_cofactor(symplectic_matrix(lam, xs), vs), singles), pairs)
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -221,6 +234,8 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     entry is a Laurent polynomial and the value is the signed exact quotient
     of that determinant by the product form: the symplectic denominator
     product times prod_{i<j}(y_i - y_j), with sign (-1)^(mn - n + k - 1).
+    The division runs in two exact stages: first by prod_{i<j}(y_i - y_j),
+    then by the symplectic denominator product in one piece.
     """
     n, m = len(xs), len(ys)
     if m == 0:
@@ -249,10 +264,9 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
         row += [zero] * (k - 1)
         rows.append(row)
     assert len(rows) == m + k - 1
-    dnum = symplectic_denominator_product(xs)
-    dnum = dnum * _prod(vs, (ys[i] - ys[j] for i in range(m) for j in range(i + 1, m)))
+    delta_y = _prod(vs, (ys[i] - ys[j] for i in range(m) for j in range(i + 1, m)))
     sign = -1 if (m * n - n + k - 1) % 2 else 1
-    return sign * exact_div(det_cofactor(rows, vs), dnum)
+    return sign * exact_div(exact_div(det_cofactor(rows, vs), delta_y), symplectic_denominator_product(xs))
 
 
 def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -330,16 +344,17 @@ def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
 # -- odd symplectic ---------------------------------------------------------
 
 
+def odd_denominator_factors(xs: Sequence[Poly]) -> tuple[Poly, Poly]:
+    """The two factor groups of the odd symplectic denominator: the singles
+    prod_{i<n}(x_i - 1/x_i) and the pairs
+    prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j)."""
+    return _denominator_factors(xs, len(xs) - 1)
+
+
 def odd_denominator_product(xs: Sequence[Poly]) -> Poly:
     """prod_{i<n}(x_i - 1/x_i) * prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j)."""
-    vs = _vs_of(xs)
-    n = len(xs)
-    inv = [x.inverse() for x in xs]
-    out = _prod(vs, (xs[i] - inv[i] for i in range(n - 1)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (xs[i] + inv[i] - xs[j] - inv[j])
-    return out
+    singles, pairs = odd_denominator_factors(xs)
+    return singles * pairs
 
 
 def odd_symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
@@ -367,17 +382,19 @@ def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """Quotient det A_lam / det A_empty of odd_symplectic_matrix.
 
     det A_empty is checked against its closed product form on every call,
-    before dividing.
+    before dividing.  The division runs in two exact stages: first by the
+    singles prod_{i<n}(x_i - 1/x_i), then by the pairs
+    prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j) (odd_denominator_factors).
     """
     n = len(xs)
     if n < 1:
         raise ValueError("needs at least one variable")
     _require_length(lam, n)
     vs = _vs_of(xs)
-    den = odd_denominator_product(xs)
-    if det_cofactor(odd_symplectic_matrix(Partition(), xs), vs) != den:
+    if det_cofactor(odd_symplectic_matrix(Partition(), xs), vs) != odd_denominator_product(xs):
         raise RuntimeError("odd symplectic denominator does not match its product form")
-    return exact_div(det_cofactor(odd_symplectic_matrix(lam, xs), vs), den)
+    singles, pairs = odd_denominator_factors(xs)
+    return exact_div(exact_div(det_cofactor(odd_symplectic_matrix(lam, xs), vs), singles), pairs)
 
 
 # -- request dispatch --------------------------------------------------------

@@ -2,12 +2,17 @@
 
 import pytest
 
-from ospchar.symfun import Partition, k_index, partitions_up_to
+from ospchar import characters
+from ospchar.algebra import det_cofactor, exact_div
+from ospchar.symfun import Partition, k_index, partitions_of, partitions_up_to
 from ospchar.characters import (
     CharacterRequest,
     hook_schur_det,
     hook_schur_jt,
+    odd_denominator_factors,
+    odd_denominator_product,
     odd_symplectic_det,
+    odd_symplectic_matrix,
     ortho_det_laurent,
     ortho_det_rational,
     ortho_jt,
@@ -16,6 +21,9 @@ from ospchar.characters import (
     schur_bialternant,
     standard_x,
     standard_xy,
+    symplectic_denominator_factors,
+    symplectic_denominator_product,
+    symplectic_matrix,
     symplectic_weyl,
 )
 from ospchar import tableaux
@@ -199,6 +207,64 @@ def test_odd_symplectic_det_examples():
     assert odd_symplectic_det(Partition([1]), xs) == tableaux.odd_symplectic_weight_sum(Partition([1]), 2)
     with pytest.raises(ValueError):
         odd_symplectic_det(Partition([1, 1, 1]), xs)
+
+
+# -- staged division -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_denominator_factor_groups_multiply_to_the_product_form(n):
+    vs, xs = standard_x(n)
+    empty = Partition()
+    for factors, product, matrix in (
+        (symplectic_denominator_factors, symplectic_denominator_product, symplectic_matrix),
+        (odd_denominator_factors, odd_denominator_product, odd_symplectic_matrix),
+    ):
+        singles, pairs = factors(xs)
+        assert singles * pairs == product(xs) == det_cofactor(matrix(empty, xs), vs)
+
+
+def _reference_one_shot(monkeypatch, route, lam, *alphabet):
+    """Run ``route`` and also divide its determinant in one call.
+
+    Records the route's two stage divisions.  Returns the route's value and
+    the first stage's dividend divided by the product of both stage divisors
+    in one exact_div call, as the routes did before they were staged.
+    """
+    calls = []
+
+    def recording(a, b):
+        q = exact_div(a, b)
+        calls.append((a, b, q))
+        return q
+
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "exact_div", recording)
+        value = route(lam, *alphabet)
+    (det, first, quotient), (dividend, second, _) = calls
+    assert dividend == quotient
+    return value, exact_div(det, first * second)
+
+
+# the closed_form orthosymplectic shapes at n = m = 3, and one longer than n
+ORTHO_STAGED_SHAPES = [lam.parts for size in (5, 6) for lam in partitions_of(size, 3)] + [(3, 2, 1, 1)]
+
+
+@pytest.mark.parametrize("parts", ORTHO_STAGED_SHAPES, ids=lambda parts: ",".join(map(str, parts)))
+def test_staged_ortho_det_rational_matches_one_shot_division(monkeypatch, parts):
+    lam = Partition(list(parts))
+    vs, xs, ys = standard_xy(3, 3)
+    value, one_shot = _reference_one_shot(monkeypatch, ortho_det_rational, lam, xs, ys)
+    sign = -1 if (9 - 3 + k_index(lam, 3, 3) - 1) % 2 else 1
+    assert value == sign * one_shot
+
+
+@pytest.mark.parametrize("route", [symplectic_weyl, odd_symplectic_det], ids=["weyl", "okada"])
+def test_staged_weyl_type_quotients_match_one_shot_division(monkeypatch, route):
+    vs, xs = standard_x(4)
+    for lam in partitions_up_to(4, 4):
+        value, one_shot = _reference_one_shot(monkeypatch, route, lam, xs)
+        assert value == one_shot, lam
 
 
 # -- request dispatch --------------------------------------------------------------------

@@ -299,6 +299,40 @@ def test_formula_defect_message_stays_short(capsys, monkeypatch):
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.parametrize(
+    "factors, argv, message",
+    [
+        (
+            "symplectic_denominator_factors",
+            ["--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1"],
+            "denominator does not match its product form",
+        ),
+        (
+            "symplectic_denominator_factors",
+            ["--family", "orthosymplectic", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"],
+            "inexact division",
+        ),
+        (
+            "odd_denominator_factors",
+            ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"],
+            "denominator does not match its product form",
+        ),
+    ],
+    ids=["weyl", "det", "okada"],
+)
+def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, factors, argv, message):
+    real = getattr(characters, factors)
+
+    def broken(xs):
+        singles, pairs = real(xs)
+        return singles, pairs + xs[0]
+
+    monkeypatch.setattr(characters, factors, broken)
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 3 and not out
+    assert err.startswith("ospchar: internal error:") and message in err
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as_json):
     real = characters.symplectic_denominator_product
