@@ -214,14 +214,6 @@ class LaurentPolynomial:
             return False
         return next(iter(self.terms.values())) in (1, -1)
 
-    def depends_on(self, name: str) -> bool:
-        idx = self.vars.index(name)
-        return any(e[idx] for e in self.terms)
-
-    def has_negative_exponent(self, name: str) -> bool:
-        idx = self.vars.index(name)
-        return any(e[idx] < 0 for e in self.terms)
-
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other) -> "LaurentPolynomial":

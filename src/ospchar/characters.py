@@ -87,16 +87,7 @@ def schur_bialternant(lam: Partition, xs: Sequence[Poly]) -> Poly:
 
 def hook_schur_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     """det(H_{lam_i - i + j}) over the complete supersymmetric functions."""
-    vs = _vs_of(xs, ys)
-    size = max(lam.length, 1)
-    table = complete_table(lam.part(1) + size - 1, xs, vs, ys=ys)
-    zero = vs.zero()
-
-    def h(r: int) -> Poly:
-        return table[r] if r >= 0 else zero
-
-    rows = [[h(lam.part(i) - i + j) for j in range(1, size + 1)] for i in range(1, size + 1)]
-    return det_cofactor(rows, vs)
+    return skew_schur_jt(lam, Partition(), xs, _vs_of(xs, ys), ys=ys)
 
 
 def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -225,7 +216,8 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     x_i/((x_i+y_j) prod(1/x_i+y_q)) - (1/x_i)/((1/x_i+y_j) prod(x_i+y_q))
     and the k - 1 border columns x_i^e/prod(1/x_i+y_q) - x_i^-e/prod(x_i+y_q)
     with e = lam_j + n - m - j + 1.  The lower border holds y-powers.
-    With Y empty this is the symplectic Weyl quotient.  Valid on the whole
+    With Y empty and len(lam) <= n the matrix is symplectic_matrix(lam, xs),
+    so the value is the symplectic character.  Valid on the whole
     (n, m)-hook, lam_{n+1} <= m, shapes longer than n included; outside it
     k - 1 > n border columns are nonzero only in the n main rows, so the
     value is 0, as is the character.
@@ -238,8 +230,6 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     then by the symplectic denominator product in one piece.
     """
     n, m = len(xs), len(ys)
-    if m == 0:
-        return symplectic_weyl(lam, xs)
     vs = _vs_of(xs, ys)
     k = k_index(lam, n, m)
     lamc = lam.conjugate()
@@ -276,11 +266,11 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
     x_i^e prod(x_i + y_q) - x_i^-e prod(1/x_i + y_q), e = lam_j + n - m - j + 1;
     lower border h_{lam'_i - n - i + j}(Y); divided by the symplectic
     denominator product with sign (-1)^(mn - n + k - 1).  Like
-    ortho_det_rational, valid on the (n, m)-hook and 0 outside it.
+    ortho_det_rational, valid on the (n, m)-hook and 0 outside it; with Y
+    empty it has only the border columns, symplectic_matrix(lam, xs) when
+    len(lam) <= n.
     """
     n, m = len(xs), len(ys)
-    if m == 0:
-        return symplectic_weyl(lam, xs)
     vs = _vs_of(xs, ys)
     k = k_index(lam, n, m)
     lamc = lam.conjugate()

@@ -3,6 +3,11 @@
 Each ``verify_*`` function evaluates both sides of one identity exactly and
 returns a VerificationReport; a failure carries the two values and the first
 term where they differ, so a broken formula is immediately localizable.
+``compare`` alone decides pass or fail for a polynomial identity: a method
+agreement runs each route through it in turn and names the first that
+disagrees in ``witness["method"]``; a claim that a variable drops out, or
+that a value is a polynomial, compares the value with its part that meets
+the claim.
 ``IDENTITIES`` maps each identity name to its parameter grid; ``run_suite``
 sweeps them all, in registry order, through ``run_check``, which turns a
 computation error into an "error" report.
@@ -126,8 +131,22 @@ def compare(identity: str, params: dict, left: Poly, right: Poly, note: str | No
     )
 
 
-def _lam_params(lam: Partition, **rest) -> dict:
-    return {"lambda": lam.to_string(), **rest}
+def _params(**params) -> dict:
+    """Report parameters in the given order, with the partition ``lam`` shown
+    as its text under "lambda"."""
+    return {("lambda" if k == "lam" else k): (v.to_string() if k == "lam" else v) for k, v in params.items()}
+
+
+def _agreement(identity: str, params: dict, base: Poly, routes, *args) -> VerificationReport:
+    """Compare the tableau sum ``base`` with each (method, route) of
+    ``routes`` called on ``args``, in order; the first failure names its
+    method in witness["method"]."""
+    for method, route in routes:
+        report = compare(identity, params, base, route(*args))
+        if not report.passed:
+            report.witness["method"] = method
+            break
+    return report
 
 
 # -- character method agreements ------------------------------------------
@@ -139,71 +158,55 @@ def verify_ortho_methods(lam: Partition, n: int, m: int) -> VerificationReport:
     _check_counts("orthosymplectic", n, m)
     if lam.part(n + 1) > m:
         raise ValueError("outside the determinant formula's domain: lam_{n+1} > m")
-    params = _lam_params(lam, n=n, m=m)
     base = tableaux.orthosymplectic_weight_sum(lam, n, m)
-    _, xs, ys = standard_xy(n, m)
     routes = (
         ("jt", ortho_jt),
         ("det", ortho_det_rational),
         ("det_equiv", ortho_det_laurent),
         ("sp_schur_sum", ortho_sp_schur_sum),
     )
-    for name, route in routes if lam.length <= n else routes[1:]:
-        value = route(lam, xs, ys)
-        if value != base:
-            rep = compare("ortho_methods", params, base, value)
-            rep.witness["method"] = name
-            return rep
-    return VerificationReport("ortho_methods", params, "pass")
+    if lam.length > n:
+        routes = routes[1:]
+    return _agreement("ortho_methods", _params(lam=lam, n=n, m=m), base, routes, lam, *standard_xy(n, m)[1:])
 
 
 def verify_hook_methods(lam: Partition, n: int, m: int) -> VerificationReport:
     """Tableau sum against the Jacobi-Trudi and Cauchy-block hook formulas."""
     _check_counts("hook", n, m)
-    params = _lam_params(lam, n=n, m=m)
     base = tableaux.super_weight_sum(lam, n, m)
-    _, xs, ys = standard_xy(n, m)
-    for name, value in (
-        ("jt", hook_schur_jt(lam, xs, ys)),
-        ("det", hook_schur_det(lam, xs, ys)),
-    ):
-        if value != base:
-            rep = compare("hook_methods", params, base, value)
-            rep.witness["method"] = name
-            return rep
-    return VerificationReport("hook_methods", params, "pass")
+    routes = (("jt", hook_schur_jt), ("det", hook_schur_det))
+    return _agreement("hook_methods", _params(lam=lam, n=n, m=m), base, routes, lam, *standard_xy(n, m)[1:])
 
 
 def verify_symplectic_methods(lam: Partition, n: int) -> VerificationReport:
     _check_counts("symplectic", n, 0)
-    params = _lam_params(lam, n=n)
     base = tableaux.symplectic_weight_sum(lam, n)
-    value = symplectic_weyl(lam, standard_x(n)[1])
-    return compare("symplectic_methods", params, base, value)
+    routes = (("weyl", symplectic_weyl),)
+    return _agreement("symplectic_methods", _params(lam=lam, n=n), base, routes, lam, standard_x(n)[1])
 
 
 def verify_odd_methods(lam: Partition, n: int) -> VerificationReport:
     _check_counts("odd_symplectic", n, 0)
-    params = _lam_params(lam, n=n)
     base = tableaux.odd_symplectic_weight_sum(lam, n)
-    value = odd_symplectic_det(lam, standard_x(n)[1])
-    return compare("odd_methods", params, base, value)
+    routes = (("okada", odd_symplectic_det),)
+    return _agreement("odd_methods", _params(lam=lam, n=n), base, routes, lam, standard_x(n)[1])
 
 
 def verify_odd_ortho_specialization(lam: Partition, n: int) -> VerificationReport:
     """Odd symplectic character equals the orthosymplectic one at
     (x_1, ..., x_{n-1}, 1/x_n) with single prime variable -1/x_n."""
-    params = _lam_params(lam, n=n)
     _, xs = standard_x(n)
     lhs = odd_symplectic_det(lam, xs)
     rhs = ortho_single_y(lam, xs[:-1] + [xs[-1].inverse()], -xs[-1].inverse())
-    return compare("odd_ortho_specialization", params, lhs, rhs)
+    return compare("odd_ortho_specialization", _params(lam=lam, n=n), lhs, rhs)
 
 
 # -- denominators ----------------------------------------------------------
 
 
 def verify_symplectic_denominator(n: int) -> VerificationReport:
+    if n < 1:
+        raise ValueError("needs n >= 1")
     vs, xs = standard_x(n)
     det = det_cofactor(symplectic_matrix(Partition(), xs), vs)
     return compare("symplectic_denominator", {"n": n}, det, symplectic_denominator_product(xs))
@@ -225,23 +228,15 @@ def verify_supersymmetry(lam: Partition, n: int, m: int) -> VerificationReport:
     (x_1, ..., x_{n-1}, t), (y_1, ..., y_{m-1}, -t)."""
     if n < 1 or m < 1:
         raise ValueError("needs n, m >= 1")
-    params = _lam_params(lam, n=n, m=m)
     vs = VariableSet(
         [f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)] + ["t"]
     )
     gens = vs.gens()
     xs, ys, t = gens[:n], gens[n : n + m], gens[-1]
     value = hook_schur_jt(lam, xs[:-1] + [t], ys[:-1] + [-t])
-    if not value.depends_on("t"):
-        return VerificationReport("supersymmetry", params, "pass")
-    idx = vs.index("t")
-    leftover = vs.poly({e: c for e, c in value.terms.items() if e[idx]})
-    return VerificationReport(
-        "supersymmetry",
-        params,
-        "fail",
-        witness={"left": value.to_text(), "right": "", "first_diff": leftover.to_text()},
-    )
+    # t is the last variable: the t-free part keeps the terms without it
+    t_free = vs.poly({e: c for e, c in value.terms.items() if not e[-1]})
+    return compare("supersymmetry", _params(lam=lam, n=n, m=m), value, t_free)
 
 
 # -- matrix-product evaluation of power differences --------------------------
@@ -296,7 +291,7 @@ def verify_beta_complement(lam: Partition, n1: int, n2: int) -> VerificationRepo
         raise ValueError("needs n1, n2 >= 1")
     if lam.length > n1 or lam.part(1) > n2:
         raise ValueError("partition does not fit the given box")
-    params = _lam_params(lam, n1=n1, n2=n2)
+    params = _params(lam=lam, n1=n1, n2=n2)
     conj = lam.conjugate()
     first = {lam.part(i) + n1 - i for i in range(1, n1 + 1)}
     second = {n1 - 1 + j - conj.part(j) for j in range(1, n2 + 1)}
@@ -383,7 +378,7 @@ def verify_specialization_reduction(
         raise ValueError("needs n >= 1")
     if lam.length > n or lam.part(1) > r:
         raise ValueError("needs len(lam) <= n and lam_1 <= r")
-    params = _lam_params(lam, n=n, r=r, variant=variant)
+    params = _params(lam=lam, n=n, r=r, variant=variant)
     names = [f"x{i}" for i in range(1, n + 1)] + (["z"] if variant == "spo" else [])
     vs = VariableSet(names)
     xs = [vs.gen(f"x{i}") for i in range(1, n + 1)]
@@ -398,19 +393,13 @@ def verify_specialization_reduction(
     cleared = char(lam, xs)
     for x in xs:
         cleared = cleared * x ** r
-    for i in range(1, n + 1):
-        if cleared.has_negative_exponent(f"x{i}"):
-            return VerificationReport(
-                "specialization_reduction",
-                params,
-                "fail",
-                witness={
-                    "left": cleared.to_text(),
-                    "right": "",
-                    "first_diff": f"negative exponent of x{i}",
-                },
-            )
-    # x_1 = 0: cleared has no negative power of x_1, so keep its terms free of x_1
+    # the x-variables come first: the polynomial part drops every term with
+    # a negative power of one of them
+    polynomial = vs.poly({e: c for e, c in cleared.terms.items() if min(e[:n]) >= 0})
+    report = compare("specialization_reduction", params, cleared, polynomial)
+    if not report.passed:
+        return report
+    # x_1 = 0: keep the terms free of x_1
     specialized = vs.poly({e: c for e, c in cleared.terms.items() if not e[0]})
     if lam.part(1) == r:
         expected = char(lam.drop_first(), xs[1:])
@@ -592,13 +581,7 @@ def verify_golden() -> list[VerificationReport]:
     reports = []
     for fname, req in GOLDEN_CASES:
         want = resources.files("ospchar").joinpath("golden").joinpath(fname).read_text().strip()
-        params = {
-            "family": req.family,
-            "method": req.method,
-            "lambda": req.lam.to_string(),
-            "n": req.n,
-            "m": req.m,
-        }
+        params = _params(family=req.family, method=req.method, lam=req.lam, n=req.n, m=req.m)
         try:
             got = req.compute().to_text()
         except COMPUTATION_ERRORS as exc:
@@ -693,8 +676,7 @@ def run_check(name: str, params: dict) -> list[VerificationReport]:
     try:
         result = verifier(name)(**params)
     except COMPUTATION_ERRORS as exc:
-        shown = {("lambda" if k == "lam" else k): (v.to_string() if k == "lam" else v) for k, v in params.items()}
-        return [_error_report(name, shown, exc)]
+        return [_error_report(name, _params(**params), exc)]
     return result if isinstance(result, list) else [result]
 
 

@@ -207,12 +207,15 @@ def skew_schur_jt(
     mu: Partition,
     xs: Sequence[LaurentPolynomial],
     vars: VariableSet | None = None,
+    *,
+    ys: Sequence[LaurentPolynomial] = (),
 ) -> LaurentPolynomial:
-    """Skew Schur polynomial det(h_{lam_i - mu_j - i + j}) of order max(len(lam), 1)."""
+    """Skew (hook) Schur polynomial det(H_{lam_i - mu_j - i + j}(X; Y)) of
+    order max(len(lam), 1); with Y empty the H_r are the h_r(X)."""
     if not lam.contains(mu):
         raise ValueError(f"{mu!r} is not contained in {lam!r}")
     n = max(lam.length, 1)
-    hx = complete_table(lam.part(1) + n, xs, vars)
+    hx = complete_table(lam.part(1) + n - 1, xs, vars, ys=ys)
     vs = hx[0].vars
     zero = vs.zero()
 

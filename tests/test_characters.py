@@ -141,10 +141,19 @@ def test_ortho_dets_cover_the_whole_hook():
         assert inside and outside
 
 
-def test_ortho_dets_with_empty_y_fall_back_to_symplectic():
-    vs, xs = standard_x(2)
-    lam = Partition([2, 1])
-    expected = symplectic_weyl(lam, xs)
+def test_ortho_dets_with_empty_y_are_the_symplectic_character():
+    # With Y empty the bordered matrix is symplectic_matrix(lam, xs).
+    for n in range(1, 4):
+        _, xs = standard_x(n)
+        for lam in partitions_up_to(5, max_length=n):
+            expected = symplectic_weyl(lam, xs)
+            assert ortho_det_rational(lam, xs, []) == expected, (lam, n)
+            assert ortho_det_laurent(lam, xs, []) == expected, (lam, n)
+    # A shape longer than n has no symplectic tableau.
+    lam = Partition([2, 1, 1])
+    _, xs = standard_x(2)
+    expected = tableaux.symplectic_weight_sum(lam, 2)
+    assert expected.is_zero()
     assert ortho_det_rational(lam, xs, []) == expected
     assert ortho_det_laurent(lam, xs, []) == expected
 

@@ -273,6 +273,14 @@ def test_suite_command(capsys):
     assert all(r["status"] == "pass" for r in reports)
 
 
+def test_suite_json_is_pinned(capsys):
+    # SHA-256 of the whole report list: every check's parameters, status and
+    # order stay fixed.
+    code, out, _ = run(capsys, "suite", "--max-n", "2", "--max-m", "2", "--max-weight", "3", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "4336340c9df95e53f6969b415f9c9df1518a3517af46767d196be42b16808914"
+
+
 def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
     real = characters.symplectic_denominator_product
     monkeypatch.setattr(characters, "symplectic_denominator_product", lambda xs: real(xs) + 1)
@@ -359,8 +367,9 @@ def test_verify_rejects_counts_outside_the_domain(capsys):
     assert code == 2 and "needs n >= 1" in err
     code, _, err = run(capsys, "verify", "--identity", "hook_methods", "--n", "-1", "--m", "1", "--lambda", "1")
     assert code == 2 and "--n must be nonnegative" in err
-    code, _, err = run(capsys, "verify", "--identity", "odd_denominator", "--n", "0")
-    assert code == 2 and "needs n >= 1" in err
+    for identity in ("odd_denominator", "symplectic_denominator"):
+        code, out, err = run(capsys, "verify", "--identity", identity, "--n", "0")
+        assert code == 2 and "needs n >= 1" in err and out == "", identity
     code, out, err = run(capsys, "verify", "--identity", "power_product", "--n", "0", "--l", "1")
     assert code == 2 and "needs n >= 1" in err and out == ""
     code, out, err = run(capsys, "verify", "--identity", "cauchy_binet", "--m", "0", "--n", "0")

@@ -149,6 +149,41 @@ def test_method_agreement_spot_checks():
     assert verify_odd_denominator(3).passed
 
 
+@pytest.mark.parametrize(
+    "identity, route, method, params",
+    [
+        ("ortho_methods", "ortho_det_laurent", "det_equiv", {"lam": Partition([2, 1]), "n": 2, "m": 1}),
+        ("hook_methods", "hook_schur_det", "det", {"lam": Partition([2, 1]), "n": 2, "m": 1}),
+        ("symplectic_methods", "symplectic_weyl", "weyl", {"lam": Partition([2]), "n": 2}),
+        ("odd_methods", "odd_symplectic_det", "okada", {"lam": Partition([2]), "n": 2}),
+    ],
+)
+def test_method_agreement_failure_names_its_route(monkeypatch, identity, route, method, params):
+    real = getattr(identities, route)
+    monkeypatch.setattr(identities, route, lambda *args: real(*args) + 1)
+    (rep,) = run_check(identity, params)
+    assert rep.status == "fail"
+    assert rep.witness["method"] == method
+    assert rep.witness["first_diff"].startswith("1: ")
+
+
+def test_supersymmetry_failure_shows_a_t_monomial(monkeypatch):
+    real = identities.hook_schur_jt
+    monkeypatch.setattr(identities, "hook_schur_jt", lambda lam, xs, ys: real(lam, xs, ys) + xs[-1].vars.gen("t"))
+    rep = verify_supersymmetry(Partition([2, 1]), 2, 1)
+    assert rep.status == "fail"
+    assert rep.witness["first_diff"] == "t: 1 vs 0"
+
+
+def test_specialization_reduction_failure_shows_a_negative_power(monkeypatch):
+    real = identities.symplectic_weyl
+    monkeypatch.setattr(identities, "symplectic_weyl", lambda lam, xs: real(lam, xs) * xs[0] ** -5)
+    rep = verify_specialization_reduction(Partition([1]), 2, 1, "sp")
+    assert rep.status == "fail"
+    monomial, counts = rep.witness["first_diff"].split(": ")
+    assert "x1^-" in monomial and counts.endswith(" vs 0")
+
+
 def test_golden_examples():
     reports = verify_golden()
     assert len(reports) == 4
