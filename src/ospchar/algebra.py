@@ -16,12 +16,12 @@ the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
 entry products and never divides, so sparse multivariate entries do not swell
 the way they do under fraction-free elimination; matrix sizes stay in the
 single digits throughout this package, so the exponential factor is small.
-A matrix of fractions, each a plain (numerator, denominator) pair of Laurent
-polynomials, first clears a common denominator per row (det_rational); only
-the kernel-determinant identity (verify_kernel_det) needs that, since the
-character routes build their rows already cleared.
-Bareiss elimination (det_bareiss) is kept only as the reference that the
-tests compare det_cofactor against.
+Every library caller builds its rows already cleared of denominators.  Two
+more determinants have no library caller: Bareiss elimination (det_bareiss),
+the reference that the tests compare det_cofactor against, and det_rational,
+which clears a common denominator per row of a matrix of (numerator,
+denominator) pairs and is the tests' reference for the rational-entry
+statements; the benchmark tracer wraps both by name.
 """
 
 from __future__ import annotations
@@ -544,8 +544,8 @@ def det_bareiss(
 def det_cofactor(rows: Sequence[Sequence], vars: VariableSet | None = None):
     """Determinant by first-row expansion, memoized on column subsets.
 
-    The package's one determinant algorithm: every polynomial route calls it
-    directly, and det_rational calls it on the row-cleared matrix.  Each
+    The only determinant the library calls: every route and identity check
+    builds its rows cleared of denominators and calls it directly.  Each
     subset of columns is expanded once, so an n x n matrix costs O(2^n * n)
     entry products and no division.  Works over any entry type supporting
     +, *, unary - and is_zero(); the empty matrix has determinant 1.
@@ -595,7 +595,9 @@ def det_rational(
     distinct entry denominators (an entry with numerator 0 or denominator 1
     adds none), which by row-linearity factors out of the determinant; the
     remaining polynomial matrix is expanded by cofactors.  The result is not
-    reduced: its denominator is the product of the row denominators.
+    reduced: its denominator is the product of the row denominators.  No
+    library code calls it: it is the tests' reference for the determinant
+    statements with rational entries.
     """
     n = len(rows)
     if n == 0:

@@ -3,11 +3,13 @@
 Each ``verify_*`` function evaluates both sides of one identity exactly and
 returns a VerificationReport; a failure carries the two values and the first
 term where they differ, so a broken formula is immediately localizable.
-``compare`` alone decides pass or fail for a polynomial identity: a method
-agreement runs each route through it in turn and names the first that
-disagrees in ``witness["method"]``; a claim that a variable drops out, or
-that a value is a polynomial, compares the value with its part that meets
-the claim.
+``compare`` decides pass or fail for every identity except ``golden``,
+which compares stored text: a method agreement runs each route through it
+in turn and names the first that disagrees in ``witness["method"]``; a
+claim that a variable drops out, or that a value is a polynomial, compares
+the value with its part that meets the claim; a determinant lemma with
+rational entries clears each row's denominator first; and a claim about a
+set of integers compares generating polynomials in one variable.
 ``IDENTITIES`` maps each identity name to its parameter grid; ``run_suite``
 sweeps them all, in registry order, through ``run_check``, which turns a
 computation error into an "error" report.
@@ -25,7 +27,6 @@ from .algebra import (
     LaurentPolynomial,
     VariableSet,
     det_cofactor,
-    det_rational,
 )
 from .symfun import (
     Partition,
@@ -35,7 +36,7 @@ from .symfun import (
 )
 from .characters import (
     CharacterRequest,
-    _check_counts,
+    _prod,
     hook_schur_det,
     hook_schur_jt,
     odd_denominator_product,
@@ -151,13 +152,14 @@ def _agreement(identity: str, params: dict, base: Poly, routes, *args) -> Verifi
 
 # -- character method agreements ------------------------------------------
 
+# Each agreement first validates the request of the route whose domain it
+# checks, so a point outside it raises the ValueError compute gives there.
+
 
 def verify_ortho_methods(lam: Partition, n: int, m: int) -> VerificationReport:
     """Tableau sum against the four closed orthosymplectic formulas, on the
     (n, m)-hook; the Jacobi-Trudi one only where len(lam) <= n."""
-    _check_counts("orthosymplectic", n, m)
-    if lam.part(n + 1) > m:
-        raise ValueError("outside the determinant formula's domain: lam_{n+1} > m")
+    CharacterRequest("orthosymplectic", "det", lam, n, m).validate()
     base = tableaux.orthosymplectic_weight_sum(lam, n, m)
     routes = (
         ("jt", ortho_jt),
@@ -172,21 +174,21 @@ def verify_ortho_methods(lam: Partition, n: int, m: int) -> VerificationReport:
 
 def verify_hook_methods(lam: Partition, n: int, m: int) -> VerificationReport:
     """Tableau sum against the Jacobi-Trudi and Cauchy-block hook formulas."""
-    _check_counts("hook", n, m)
+    CharacterRequest("hook", "det", lam, n, m).validate()
     base = tableaux.super_weight_sum(lam, n, m)
     routes = (("jt", hook_schur_jt), ("det", hook_schur_det))
     return _agreement("hook_methods", _params(lam=lam, n=n, m=m), base, routes, lam, *standard_xy(n, m)[1:])
 
 
 def verify_symplectic_methods(lam: Partition, n: int) -> VerificationReport:
-    _check_counts("symplectic", n, 0)
+    CharacterRequest("symplectic", "weyl", lam, n).validate()
     base = tableaux.symplectic_weight_sum(lam, n)
     routes = (("weyl", symplectic_weyl),)
     return _agreement("symplectic_methods", _params(lam=lam, n=n), base, routes, lam, standard_x(n)[1])
 
 
 def verify_odd_methods(lam: Partition, n: int) -> VerificationReport:
-    _check_counts("odd_symplectic", n, 0)
+    CharacterRequest("odd_symplectic", "okada", lam, n).validate()
     base = tableaux.odd_symplectic_weight_sum(lam, n)
     routes = (("okada", odd_symplectic_det),)
     return _agreement("odd_methods", _params(lam=lam, n=n), base, routes, lam, standard_x(n)[1])
@@ -292,27 +294,14 @@ def verify_beta_complement(lam: Partition, n1: int, n2: int) -> VerificationRepo
     if lam.length > n1 or lam.part(1) > n2:
         raise ValueError("partition does not fit the given box")
     params = _params(lam=lam, n1=n1, n2=n2)
+    vs = VariableSet(["q"])
+    q = vs.gen("q")
     conj = lam.conjugate()
-    first = {lam.part(i) + n1 - i for i in range(1, n1 + 1)}
-    second = {n1 - 1 + j - conj.part(j) for j in range(1, n2 + 1)}
-    ok = (
-        len(first) == n1
-        and len(second) == n2
-        and not (first & second)
-        and first | second == set(range(n1 + n2))
-    )
-    if ok:
-        return VerificationReport("beta_complement", params, "pass")
-    return VerificationReport(
-        "beta_complement",
-        params,
-        "fail",
-        witness={
-            "left": str(sorted(first)),
-            "right": str(sorted(second)),
-            "first_diff": str(sorted((first & second) | (set(range(n1 + n2)) - first - second))),
-        },
-    )
+    # the values fill 0..n1+n2-1 once each exactly when their generating
+    # polynomial in q is 1 + q + ... + q^(n1+n2-1)
+    values = sum((q ** (lam.part(i) + n1 - i) for i in range(1, n1 + 1)), vs.zero())
+    values = sum((q ** (n1 - 1 + j - conj.part(j)) for j in range(1, n2 + 1)), values)
+    return compare("beta_complement", params, values, sum((q ** k for k in range(n1 + n2)), vs.zero()))
 
 
 # -- Cauchy-Binet ------------------------------------------------------------
@@ -410,7 +399,7 @@ def verify_specialization_reduction(
     return compare("specialization_reduction", params, specialized, expected)
 
 
-# -- rational kernel determinants ---------------------------------------------
+# -- kernel determinants ------------------------------------------------------
 
 
 def _kernel_vars(n: int) -> tuple[VariableSet, list[Poly], list[Poly], list[Poly], list[Poly], Poly, Poly]:
@@ -426,16 +415,15 @@ def _kernel_vars(n: int) -> tuple[VariableSet, list[Poly], list[Poly], list[Poly
     return vs, g[:n], g[n : 2 * n], g[2 * n : 3 * n], g[3 * n : 4 * n], g[-2], g[-1]
 
 
-def _kernel_entry(x: Poly, y: Poly, z: Poly, a: Poly, b: Poly, sign: int) -> tuple[Poly, Poly]:
-    """p (sign=-1) or q (sign=+1) kernel entry as a (numerator, denominator)
-    pair: num_xy / (1 - xy) + num_diff / (x - y) over (1 - xy)(x - y)."""
+def _kernel_numerator(x: Poly, y: Poly, z: Poly, a: Poly, b: Poly, sign: int) -> Poly:
+    """Numerator N of the p (sign=-1) or q (sign=+1) kernel entry
+    N / ((1 - xy)(x - y)) = num_xy / (1 - xy) + num_diff / (x - y)."""
     vs = x.vars
     one = vs.one()
     s = vs.const(sign)
     num_xy = (one + s * x * z) * (one + s * y * z) - a * b * (x + s * z) * (y + s * z)
     num_diff = -a * (x + s * z) * (one + s * y * z) + b * (one + s * x * z) * (y + s * z)
-    den_xy, den_diff = one - x * y, x - y
-    return num_xy * den_diff + num_diff * den_xy, den_xy * den_diff
+    return num_xy * (x - y) + num_diff * (one - x * y)
 
 
 def verify_kernel_det(n: int, variant: str) -> VerificationReport:
@@ -447,56 +435,45 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
     (2n+1) x (2n+1) matrix of rows x_i^(j-1) - a_i x_i^(2n+1-j) and a final
     z-row with c.  variant "q": the plain n x n q-kernel determinant equals
     the same expression without the 1-z^2 factor and with final row
-    (-z)^(2n+1-j).  Each side is a (numerator, denominator) pair.  Both come
-    out over the same denominator prod (x_i - y_j)(1 - x_i y_j), times 1 - z^2
-    for "p", so the check compares their numerators; over unequal
-    denominators it would cross-multiply.
+    (-z)^(2n+1-j).  Kernel row i is multiplied by
+    d_i = prod_j (x_i - y_j)(1 - x_i y_j), and for "p" the last row by
+    1 - z^2; these factors make up the right side's denominator, so the
+    check is det(cleared) = (-1)^n det V, a polynomial identity.
     """
     if variant not in ("p", "q"):
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1:
         raise ValueError("needs n >= 1")
-    params = {"n": n, "variant": variant}
     vs, xs, ys, as_, bs, z, c = _kernel_vars(n)
     one = vs.one()
     sign_entry = -1 if variant == "p" else 1
-    kernel = [
-        [_kernel_entry(xs[i], ys[j], z, as_[i], bs[j], sign_entry) for j in range(n)]
+    dens = [[(x - y) * (one - x * y) for y in ys] for x in xs]
+    rows = [
+        [
+            _kernel_numerator(xs[i], ys[j], z, as_[i], bs[j], sign_entry)
+            * _prod(vs, (d for t, d in enumerate(dens[i]) if t != j))
+            for j in range(n)
+        ]
         for i in range(n)
     ]
+    if variant == "p":
+        for row, a, den in zip(rows, as_, dens):
+            row.append((one - a) * _prod(vs, den))
+        rows.append([(one - b) * (one - z * z) for b in bs] + [one - c])
+    # det(cleared) first, while no other large value is alive: its memoized
+    # minors set the check's peak memory
+    left = det_cofactor(rows, vs)
     big = 2 * n + 1
+    if variant == "p":
+        last = [z ** (j - 1) - c * z ** (big - j) for j in range(1, big + 1)]
+    else:
+        last = [(-z) ** (big - j) for j in range(1, big + 1)]
     vrows = [
         [v ** (j - 1) - w * v ** (big - j) for j in range(1, big + 1)]
         for v, w in zip(xs + ys, as_ + bs)
     ]
-    if variant == "p":
-        rows = [kernel[i] + [(one - as_[i], one)] for i in range(n)]
-        rows.append([(one - bs[j], one) for j in range(n)] + [(one - c, one - z * z)])
-        lnum, lden = det_rational(rows)
-        vrows.append([z ** (j - 1) - c * z ** (big - j) for j in range(1, big + 1)])
-        rden = one - z * z
-    else:
-        lnum, lden = det_rational(kernel)
-        vrows.append([(-z) ** (big - j) for j in range(1, big + 1)])
-        rden = one
-    for i in range(n):
-        for j in range(n):
-            rden = rden * (xs[i] - ys[j]) * (one - xs[i] * ys[j])
-    detv = det_cofactor(vrows, vs)
-    rnum = -detv if n % 2 else detv
-    equal = lnum == rnum if lden == rden else lnum * rden == rnum * lden
-    if equal:
-        return VerificationReport("kernel_det", params, "pass")
-    return VerificationReport(
-        "kernel_det",
-        params,
-        "fail",
-        witness={
-            "left": f"({lnum.to_text()}) / ({lden.to_text()})",
-            "right": f"({rnum.to_text()}) / ({rden.to_text()})",
-            "first_diff": first_difference(lnum * rden, rnum * lden),
-        },
-    )
+    detv = det_cofactor(vrows + [last], vs)
+    return compare("kernel_det", {"n": n, "variant": variant}, left, -detv if n % 2 else detv)
 
 
 # -- product-sum identities ----------------------------------------------------

@@ -386,6 +386,17 @@ def test_verify_rejects_counts_outside_the_domain(capsys):
     ):
         code, out, err = run(capsys, "verify", "--identity", identity, "--lambda", lam, "--n", str(n), "--m", str(m))
         assert code == 2 and message in err and out == "", (identity, n, m)
+    # Outside the domain of the route they check, the method verifiers fail
+    # with the message of compute at the same point.
+    for identity, family, method, lam, counts in (
+        ("ortho_methods", "orthosymplectic", "det", "3,3", ("--n", "1", "--m", "1")),
+        ("hook_methods", "hook", "det", "3,3", ("--n", "1", "--m", "1")),
+        ("symplectic_methods", "symplectic", "weyl", "1,1,1", ("--n", "2")),
+        ("odd_methods", "odd_symplectic", "okada", "1,1,1", ("--n", "2")),
+    ):
+        verified = run(capsys, "verify", "--identity", identity, "--lambda", lam, *counts)
+        computed = run(capsys, "compute", "--family", family, "--method", method, "--lambda", lam, *counts)
+        assert verified == computed and verified[:2] == (2, ""), identity
 
 
 @pytest.mark.parametrize(

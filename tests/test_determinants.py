@@ -3,6 +3,8 @@
 Each case runs one route with det_cofactor wrapped so that every polynomial
 matrix it evaluates is recorded; each recorded matrix is then re-evaluated by
 Bareiss elimination and, when sympy is installed, by sympy as a third oracle.
+The kernel_det cases record both the row-cleared kernel matrix and the
+alternant V.
 The bordered routes build their rows already cleared of denominators, so the
 rational-entry statement of both theorems is checked here separately.
 """
@@ -47,8 +49,8 @@ ROUTE_CASES = {
         characters,
         lambda: characters.hook_schur_det(Partition([2, 1]), *standard_xy(2, 1)[1:]),
     ),
-    "kernel_det vrows n=1 p": (identities, lambda: identities.verify_kernel_det(1, "p")),
-    "kernel_det vrows n=1 q": (identities, lambda: identities.verify_kernel_det(1, "q")),
+    "kernel_det n=1 p": (identities, lambda: identities.verify_kernel_det(1, "p")),
+    "kernel_det n=1 q": (identities, lambda: identities.verify_kernel_det(1, "q")),
     "schur_bialternant n=3 lambda=2,1": (
         characters,
         lambda: characters.schur_bialternant(Partition([2, 1]), standard_x(3)[1]),

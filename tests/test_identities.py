@@ -57,6 +57,15 @@ def test_beta_complement_examples():
         verify_beta_complement(Partition([2]), 1, 1)
 
 
+def test_beta_complement_failure_shows_a_doubled_value(monkeypatch):
+    # with lam' = lam, lam = (2) in the 1 x 2 box gives the values {2} and
+    # {-1, 2}: 2 is hit twice, 0 and 1 not at all
+    monkeypatch.setattr(Partition, "conjugate", lambda self: self)
+    rep = verify_beta_complement(Partition([2]), 1, 2)
+    assert rep.status == "fail"
+    assert rep.witness["first_diff"] == "q^2: 2 vs 1"
+
+
 def test_cauchy_binet_examples():
     assert verify_cauchy_binet(2, 2, seed=5).passed  # square case
     assert verify_cauchy_binet(1, 3, seed=5).passed
@@ -98,33 +107,15 @@ def test_kernel_det_examples():
         verify_kernel_det(1, "x")
 
 
-def test_kernel_det_cross_multiplies_unequal_denominators(monkeypatch):
-    real = identities.det_rational
-
-    def rescaled(rows, scale_num=True):
-        num, den = real(rows)
-        factor = num.vars.gen("z") + 2
-        return (num * factor if scale_num else num), den * factor
-
-    # the same fraction over a rescaled denominator still passes
-    monkeypatch.setattr(identities, "det_rational", rescaled)
-    assert verify_kernel_det(1, "p").passed
-    assert verify_kernel_det(1, "q").passed
-    # a different fraction over the rescaled denominator does not
-    monkeypatch.setattr(identities, "det_rational", lambda rows: rescaled(rows, scale_num=False))
-    rep = verify_kernel_det(1, "q")
-    assert rep.status == "fail" and rep.witness["first_diff"]
-
-
 def test_kernel_det_detects_a_sign_flip(monkeypatch):
-    real = identities.det_cofactor
-    # det_rational expands through algebra.det_cofactor, so only det V flips
-    monkeypatch.setattr(identities, "det_cofactor", lambda rows, vars=None: -real(rows, vars))
+    real = identities._kernel_numerator
+    # only the kernel side flips: det V does not use the kernel entries
+    monkeypatch.setattr(identities, "_kernel_numerator", lambda *args: -real(*args))
     for variant in ("p", "q"):
         rep = verify_kernel_det(1, variant)
         assert rep.status == "fail"
+        assert set(rep.witness) == {"left", "right", "first_diff"}
         assert rep.witness["first_diff"]
-        assert rep.witness["left"].startswith("(") and ") / (" in rep.witness["left"]
         assert rep.witness["left"] != rep.witness["right"]
 
 
