@@ -11,6 +11,14 @@ layers of a weighted degree chosen per divisor instead (see exact_div); an
 exact quotient is unique, so only the remainder an inexact division reports
 depends on that choice.
 
+Both kernels, large products (_mul_packed) and exact division, work on
+packed keys: an exponent vector minus a per-operand offset, one field per
+variable, every field the same whole number of bytes wide, read as one
+big-endian integer.  Monomial multiplication is then one integer addition.
+A key packs and unpacks through bytes, and struct for fields of 2, 4 or 8
+bytes, in one pass per vector, and the offsets fold into packing and
+unpacking, so no shifted copy of an operand is made.
+
 Determinants: one algorithm serves every matrix, a cofactor expansion along
 the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
 entry products and never divides, so sparse multivariate entries do not swell
@@ -27,8 +35,11 @@ statements; the benchmark tracer wraps both by name.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add, mul
+from operator import add, mul, sub
+from struct import Struct
 from typing import Iterable, Sequence
+
+_from_bytes = int.from_bytes
 
 
 class AlgebraError(Exception):
@@ -55,12 +66,69 @@ def _term_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exps), exps)
 
 
-def _mul_packed(a: dict, b: dict) -> dict:
-    """Multiply two term maps by packing exponent vectors into integers.
+# -- packed exponent keys ----------------------------------------------
+#
+# Field v of a key holds e[v] - lo[v], most significant first.  Adding two
+# keys adds their exponent vectors as long as no field overflows; each
+# kernel sizes its fields so that none does.
 
-    Each variable gets a bit field wide enough for the sum of both operands'
-    exponent ranges, so monomial products become single integer additions.
-    Used only above a size threshold; result is a normalized term map.
+
+def _field_bytes(bits: int) -> int:
+    """Bytes per field for values of up to ``bits`` bits: 1, 2, 4, 8 or,
+    past 64 bits, the exact byte count."""
+    size = max(1, (bits + 7) // 8)
+    if size <= 2 or size > 8:
+        return size
+    return 4 if size <= 4 else 8
+
+
+def _struct(width: int, fbytes: int) -> Struct:
+    return Struct(">" + {2: "H", 4: "I", 8: "Q"}[fbytes] * width)
+
+
+def _packer(fbytes: int, lo: tuple[int, ...]):
+    """pack(e): the key of the fields e - lo, each ``fbytes`` bytes wide."""
+    width = len(lo)
+    if fbytes == 1:
+        return lambda e: _from_bytes(bytes(map(sub, e, lo)), "big")
+    if fbytes <= 8:
+        spack = _struct(width, fbytes).pack
+        return lambda e: _from_bytes(spack(*map(sub, e, lo)), "big")
+    shifts = [8 * fbytes * (width - 1 - v) for v in range(width)]
+
+    def pack(e):
+        k = 0
+        for x, low, s in zip(e, lo, shifts):
+            k |= (x - low) << s
+        return k
+
+    return pack
+
+
+def _unpacker(fbytes: int, off: tuple[int, ...]):
+    """unpack(k): the exponent vector of key k's fields plus off."""
+    width = len(off)
+    size = width * fbytes
+    if fbytes == 1:
+        return lambda k: tuple(map(add, k.to_bytes(size, "big"), off))
+    if fbytes <= 8:
+        sunpack = _struct(width, fbytes).unpack
+        return lambda k: tuple(map(add, sunpack(k.to_bytes(size, "big")), off))
+    bits = 8 * fbytes
+    mask = (1 << bits) - 1
+    shifts = [bits * (width - 1 - v) for v in range(width)]
+    return lambda k: tuple(((k >> s) & mask) + o for s, o in zip(shifts, off))
+
+
+def _mul_packed(a: dict, b: dict) -> dict:
+    """Multiply two term maps through packed exponent keys.
+
+    Every field is wide enough, in whole bytes, for the largest sum of both
+    operands' exponent ranges over the variables, so a monomial product is
+    one integer addition.  Each operand is packed relative to its own
+    per-variable minimum exponents, and the product unpacks with their sum
+    added back.  Used only above a size threshold; result is a normalized
+    term map.
     """
     width = len(next(iter(a)))
     if width == 0:
@@ -69,34 +137,20 @@ def _mul_packed(a: dict, b: dict) -> dict:
         return {(): ca * cb} if ca * cb else {}
     acols = list(zip(*a))
     bcols = list(zip(*b))
-    amin = [min(col) for col in acols]
-    bmin = [min(col) for col in bcols]
-    spans = [
+    amin = tuple(map(min, acols))
+    bmin = tuple(map(min, bcols))
+    span = max(
         max(col_a) - lo_a + max(col_b) - lo_b
         for col_a, lo_a, col_b, lo_b in zip(acols, amin, bcols, bmin)
-    ]
-    bits = [max(1, s.bit_length()) for s in spans]
-    shifts = []
-    pos = 0
-    for w in reversed(bits):
-        shifts.append(pos)
-        pos += w
-    shifts.reverse()
-
-    def pack(terms, mins):
-        packed = {}
-        for e, c in terms.items():
-            k = 0
-            for x, lo, s in zip(e, mins, shifts):
-                k |= (x - lo) << s
-            packed[k] = c
-        return packed
-
-    pa = pack(a, amin)
-    pb = pack(b, bmin)
+    )
+    fbytes = _field_bytes(span.bit_length())
+    pack_a = _packer(fbytes, amin)
+    pack_b = _packer(fbytes, bmin)
+    pa = {pack_a(e): c for e, c in a.items()}
     out: dict[int, int] = {}
     get = out.get
-    for k2, c2 in pb.items():
+    for e2, c2 in b.items():
+        k2 = pack_b(e2)
         for k1, c1 in pa.items():
             k = k1 + k2
             nc = get(k, 0) + c1 * c2
@@ -104,12 +158,8 @@ def _mul_packed(a: dict, b: dict) -> dict:
                 out[k] = nc
             else:
                 del out[k]
-    offs = [la + lb for la, lb in zip(amin, bmin)]
-    masks = [(1 << w) - 1 for w in bits]
-    result = {}
-    for k, c in out.items():
-        result[tuple(((k >> s) & m) + o for s, m, o in zip(shifts, masks, offs))] = c
-    return result
+    unpack = _unpacker(fbytes, tuple(map(add, amin, bmin)))
+    return {unpack(k): c for k, c in out.items()}
 
 
 class VariableSet:
@@ -263,7 +313,16 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            nc = out.get(e, 0) - c
+            if nc:
+                out[e] = nc
+            else:
+                del out[e]
+        return LaurentPolynomial._raw(self.vars, out)
 
     def __rsub__(self, other) -> "LaurentPolynomial":
         return (-self) + other
@@ -387,13 +446,16 @@ class LaurentPolynomial:
 def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     """Quotient q with q*b == a, verified; raises ExactDivisionError otherwise.
 
-    Both operands are shifted so every exponent is nonnegative.  Variable v
-    weighs (width - v)^K, for the smallest K >= 1 that gives the shifted
-    divisor B one w-leading term btop.  Each w-degree layer of the dividend,
-    from the top, divided by btop is a layer of the quotient, and that layer
-    times each other term of B lands in one fixed lower layer.  The quotient
-    is shifted back: per-variable minimum exponents are additive over
-    products, so the back-shift is exact whenever the division is.
+    Both operands are packed (see _packer) relative to their own per-variable
+    minimum exponents, amin and bmin, so every field is nonnegative; no
+    shifted copy of either operand is made.  Variable v weighs
+    (width - v)^K, for the smallest K >= 1 that gives the divisor b one
+    w-leading term btop.  Each w-degree layer of the dividend, from the top,
+    divided by btop is a layer of the quotient, and that layer times each
+    other term of b lands in one fixed lower layer.  The quotient's keys
+    unpack with amin - bmin added back: per-variable minimum exponents are
+    additive over products, so that offset is exact whenever the division
+    is.
     """
     if a.vars != b.vars:
         raise VariableMismatchError("exact_div operands use different variables")
@@ -403,48 +465,43 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
         return a.vars.zero()
     amin = a.min_exponents()
     bmin = b.min_exponents()
-    A = a.shift(tuple(-x for x in amin))
-    B = b.shift(tuple(-x for x in bmin))
 
     width = len(a.vars)
     K = 1
     while True:
         weights = [(width - v) ** K for v in range(width)]
-        bdeg = {e: sum(map(mul, weights, e)) for e in B.terms}
+        bdeg = {e: sum(map(mul, weights, e)) for e in b.terms}
         dtop = max(bdeg.values())
         if sum(d == dtop for d in bdeg.values()) == 1:
             break
         K += 1
+    adeg = {e: sum(map(mul, weights, e)) for e in a.terms}
 
-    # Pack shifted exponent vectors into bit fields, each with a guard bit on
-    # top: (k | guard) - btop keeps a field's guard bit iff that exponent of
-    # k is at least btop's.  Every intermediate monomial has nonnegative
-    # exponents and w-degree at most max(deg A, deg B), which bounds each
-    # exponent, so the fields never overflow.
-    dmax = max(max(sum(map(mul, weights, e)) for e in A.terms), dtop, 1)
-    w = dmax.bit_length() + 1
-    mask = (1 << w) - 1
-    shifts = [(width - 1 - v) * w for v in range(width)]
-    guard = sum(1 << (s + w - 1) for s in shifts)
-
-    def pack(e: tuple[int, ...]) -> int:
-        k = 0
-        for x, s in zip(e, shifts):
-            k |= x << s
-        return k
-
-    def unpack(k: int) -> tuple[int, ...]:
-        return tuple((k >> s) & mask for s in shifts)
+    # Each field carries a guard bit on top: (k | guard) - btop keeps a
+    # field's guard bit iff that exponent of k is at least btop's.  Relative
+    # to amin and bmin every intermediate monomial has nonnegative exponents
+    # and a w-degree at most dmax, the larger top w-degree of the dividend
+    # and the divisor, each relative to its offset.  Every weight is at
+    # least 1, so dmax bounds each exponent and no field reaches its guard.
+    dmax = max(
+        max(adeg.values()) - sum(map(mul, weights, amin)),
+        dtop - sum(map(mul, weights, bmin)),
+        1,
+    )
+    fbytes = _field_bytes(dmax.bit_length() + 1)
+    guard = _from_bytes(bytes([0x80] + [0] * (fbytes - 1)) * width, "big")
+    pack_a = _packer(fbytes, amin)
+    pack_b = _packer(fbytes, bmin)
 
     layers: dict[int, dict[int, int]] = {}
-    for e, c in A.terms.items():
-        layers.setdefault(sum(map(mul, weights, e)), {})[pack(e)] = c
+    for e, c in a.terms.items():
+        layers.setdefault(adeg[e], {})[pack_a(e)] = c
     drops: dict[int, list[tuple[int, int]]] = {}
     for e, d in bdeg.items():
         if d == dtop:
-            btop, btop_c = pack(e), B.terms[e]
+            btop, btop_c = pack_b(e), b.terms[e]
         else:
-            drops.setdefault(dtop - d, []).append((pack(e), B.terms[e]))
+            drops.setdefault(dtop - d, []).append((pack_b(e), b.terms[e]))
     heap = [-d for d in layers]
     heapify(heap)
     q: dict[int, int] = {}
@@ -458,9 +515,10 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
             # the field test also ends the walk: no term below btop's layer passes it
             if ((k | guard) - btop) & guard != guard or c % btop_c:
                 layers[d] = layer
+                unpack = _unpacker(fbytes, amin)
                 witness = LaurentPolynomial(
                     a.vars, {unpack(kk): cc for lay in layers.values() for kk, cc in lay.items()}
-                ).shift(amin)
+                )
                 # the whole remainder can run to megabytes of text: name its size and head
                 head = LaurentPolynomial._raw(a.vars, dict(witness.sorted_terms()[:3])).to_text()
                 more = " + ..." if len(witness.terms) > 3 else ""
@@ -485,10 +543,8 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
                         target[e] = nc
                     else:
                         del target[e]
-    offset = tuple(x - y for x, y in zip(amin, bmin))
-    quot = LaurentPolynomial._raw(
-        a.vars, {unpack(k): c for k, c in q.items()}
-    ).shift(offset)
+    unpack = _unpacker(fbytes, tuple(map(sub, amin, bmin)))
+    quot = LaurentPolynomial._raw(a.vars, {unpack(k): c for k, c in q.items()})
     if quot * b != a:
         raise ExactDivisionError("division self-check failed", remainder=None)
     return quot
@@ -548,7 +604,7 @@ def det_cofactor(rows: Sequence[Sequence], vars: VariableSet | None = None):
     builds its rows cleared of denominators and calls it directly.  Each
     subset of columns is expanded once, so an n x n matrix costs O(2^n * n)
     entry products and no division.  Works over any entry type supporting
-    +, *, unary - and is_zero(); the empty matrix has determinant 1.
+    +, -, * and is_zero(); the empty matrix has determinant 1.
     """
     vs = _det_vars(rows, vars)
     n = len(rows)
@@ -564,17 +620,13 @@ def det_cofactor(rows: Sequence[Sequence], vars: VariableSet | None = None):
         if got is not None:
             return got
         row = rows[r]
-        acc = None
+        acc = zero
         for t, c in enumerate(cols):
             entry = row[c]
             if entry.is_zero():
                 continue
             term = entry * minor(r + 1, cols[:t] + cols[t + 1 :])
-            if t & 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = zero
+            acc = acc - term if t & 1 else acc + term
         memo[cols] = acc
         return acc
 

@@ -132,27 +132,35 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
 # -- symplectic -----------------------------------------------------------
 
 
-def _denominator_factors(xs: Sequence[Poly], singles: int) -> tuple[Poly, Poly]:
-    """prod_{i<=singles}(x_i - 1/x_i) and prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j)."""
+def _denominator_factors(xs: Sequence[Poly], singles: int) -> tuple[Poly, Poly, Poly]:
+    """The three root groups of a C_n-type denominator, in division order:
+    prod_{i<=singles}(x_i - 1/x_i) (roots 2e_i), prod_{i<j}(1 - 1/(x_i x_j))
+    (roots e_i + e_j) and the Vandermonde prod_{i<j}(x_i - x_j) (roots
+    e_i - e_j).  The last two multiply to prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j),
+    since x_i + 1/x_i - x_j - 1/x_j = (x_i - x_j)(1 - 1/(x_i x_j))."""
     vs = _vs_of(xs)
     n = len(xs)
+    one = vs.one()
     inv = [x.inverse() for x in xs]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return (
         _prod(vs, (xs[i] - inv[i] for i in range(singles))),
-        _prod(vs, (xs[i] + inv[i] - xs[j] - inv[j] for i in range(n) for j in range(i + 1, n))),
+        _prod(vs, (one - inv[i] * inv[j] for i, j in pairs)),
+        _prod(vs, (xs[i] - xs[j] for i, j in pairs)),
     )
 
 
-def symplectic_denominator_factors(xs: Sequence[Poly]) -> tuple[Poly, Poly]:
-    """The two factor groups of the symplectic denominator: the singles
-    prod(x_i - 1/x_i) and the pairs prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j)."""
+def symplectic_denominator_factors(xs: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
+    """The three root groups of the symplectic denominator: the singles
+    prod(x_i - 1/x_i), prod_{i<j}(1 - 1/(x_i x_j)) and the Vandermonde
+    prod_{i<j}(x_i - x_j)."""
     return _denominator_factors(xs, len(xs))
 
 
 def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
-    """prod(x_i - 1/x_i) * prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j)."""
-    singles, pairs = symplectic_denominator_factors(xs)
-    return singles * pairs
+    """prod(x_i - 1/x_i) * prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j), as the
+    product of the three root groups of symplectic_denominator_factors."""
+    return _prod(_vs_of(xs), symplectic_denominator_factors(xs))
 
 
 def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
@@ -170,16 +178,19 @@ def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
     same determinant at the empty partition (both from symplectic_matrix).
 
     Every call checks the denominator determinant against its closed product
-    form before dividing.  The division runs in two exact stages: first by
-    the singles prod(x_i - 1/x_i), then by the pairs
-    prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j) (symplectic_denominator_factors).
+    form before dividing.  The division runs in three exact stages, one per
+    root group of symplectic_denominator_factors: the singles
+    prod(x_i - 1/x_i), then prod_{i<j}(1 - 1/(x_i x_j)), then the
+    Vandermonde prod_{i<j}(x_i - x_j).
     """
     _require_length(lam, len(xs))
     vs = _vs_of(xs)
     if det_cofactor(symplectic_matrix(Partition(), xs), vs) != symplectic_denominator_product(xs):
         raise RuntimeError("symplectic denominator does not match its product form")
-    singles, pairs = symplectic_denominator_factors(xs)
-    return exact_div(exact_div(det_cofactor(symplectic_matrix(lam, xs), vs), singles), pairs)
+    quotient = det_cofactor(symplectic_matrix(lam, xs), vs)
+    for group in symplectic_denominator_factors(xs):
+        quotient = exact_div(quotient, group)
+    return quotient
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -334,17 +345,17 @@ def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
 # -- odd symplectic ---------------------------------------------------------
 
 
-def odd_denominator_factors(xs: Sequence[Poly]) -> tuple[Poly, Poly]:
-    """The two factor groups of the odd symplectic denominator: the singles
-    prod_{i<n}(x_i - 1/x_i) and the pairs
-    prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j)."""
+def odd_denominator_factors(xs: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
+    """The three root groups of the odd symplectic denominator: the singles
+    prod_{i<n}(x_i - 1/x_i), prod_{i<j<=n}(1 - 1/(x_i x_j)) and the
+    Vandermonde prod_{i<j<=n}(x_i - x_j)."""
     return _denominator_factors(xs, len(xs) - 1)
 
 
 def odd_denominator_product(xs: Sequence[Poly]) -> Poly:
-    """prod_{i<n}(x_i - 1/x_i) * prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j)."""
-    singles, pairs = odd_denominator_factors(xs)
-    return singles * pairs
+    """prod_{i<n}(x_i - 1/x_i) * prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j), as
+    the product of the three root groups of odd_denominator_factors."""
+    return _prod(_vs_of(xs), odd_denominator_factors(xs))
 
 
 def odd_symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
@@ -372,9 +383,10 @@ def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """Quotient det A_lam / det A_empty of odd_symplectic_matrix.
 
     det A_empty is checked against its closed product form on every call,
-    before dividing.  The division runs in two exact stages: first by the
-    singles prod_{i<n}(x_i - 1/x_i), then by the pairs
-    prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j) (odd_denominator_factors).
+    before dividing.  The division runs in three exact stages, one per root
+    group of odd_denominator_factors: the singles prod_{i<n}(x_i - 1/x_i),
+    then prod_{i<j<=n}(1 - 1/(x_i x_j)), then the Vandermonde
+    prod_{i<j<=n}(x_i - x_j).
     """
     n = len(xs)
     if n < 1:
@@ -383,8 +395,10 @@ def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
     vs = _vs_of(xs)
     if det_cofactor(odd_symplectic_matrix(Partition(), xs), vs) != odd_denominator_product(xs):
         raise RuntimeError("odd symplectic denominator does not match its product form")
-    singles, pairs = odd_denominator_factors(xs)
-    return exact_div(exact_div(det_cofactor(odd_symplectic_matrix(lam, xs), vs), singles), pairs)
+    quotient = det_cofactor(odd_symplectic_matrix(lam, xs), vs)
+    for group in odd_denominator_factors(xs):
+        quotient = exact_div(quotient, group)
+    return quotient
 
 
 # -- request dispatch --------------------------------------------------------

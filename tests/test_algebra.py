@@ -2,9 +2,11 @@
 
 import json
 from heapq import heapify, heappop, heappush
+from itertools import product
+from operator import mul
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from ospchar import characters
 from ospchar.algebra import (
@@ -93,6 +95,116 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
     assert (p * q) * r == p * (q * r)
+
+
+@given(polys3, polys3)
+def test_subtraction_adds_the_negative(p, q):
+    assert p - q == p + (-q)
+    assert (p - q) + q == p
+    assert VS3.zero() - p == -p and p - VS3.zero() == p
+    assert (p - p).is_zero()
+
+
+# -- packed multiplication -------------------------------------------------
+
+
+def _reference_mul_packed(a: dict, b: dict) -> dict:
+    """The earlier packed kernel: one bit field per variable, each as wide as
+    that variable's span, packed and unpacked a field at a time.  Kept as
+    the reference that the byte-aligned kernel behind * is compared against."""
+    width = len(next(iter(a)))
+    if width == 0:
+        ca = sum(a.values())
+        cb = sum(b.values())
+        return {(): ca * cb} if ca * cb else {}
+    acols = list(zip(*a))
+    bcols = list(zip(*b))
+    amin = [min(col) for col in acols]
+    bmin = [min(col) for col in bcols]
+    spans = [
+        max(col_a) - lo_a + max(col_b) - lo_b
+        for col_a, lo_a, col_b, lo_b in zip(acols, amin, bcols, bmin)
+    ]
+    bits = [max(1, s.bit_length()) for s in spans]
+    shifts = []
+    pos = 0
+    for w in reversed(bits):
+        shifts.append(pos)
+        pos += w
+    shifts.reverse()
+
+    def pack(terms, mins):
+        packed = {}
+        for e, c in terms.items():
+            k = 0
+            for x, lo, s in zip(e, mins, shifts):
+                k |= (x - lo) << s
+            packed[k] = c
+        return packed
+
+    pa = pack(a, amin)
+    pb = pack(b, bmin)
+    out: dict[int, int] = {}
+    get = out.get
+    for k2, c2 in pb.items():
+        for k1, c1 in pa.items():
+            k = k1 + k2
+            nc = get(k, 0) + c1 * c2
+            if nc:
+                out[k] = nc
+            else:
+                del out[k]
+    offs = [la + lb for la, lb in zip(amin, bmin)]
+    masks = [(1 << w) - 1 for w in bits]
+    result = {}
+    for k, c in out.items():
+        result[tuple(((k >> s) & m) + o for s, m, o in zip(shifts, masks, offs))] = c
+    return result
+
+
+def wide_poly_strategy(vs, scale):
+    """A few drawn terms times a fixed factor of 27 terms, over three
+    variables of which only the middle one is wide: its exponents lie within
+    3 of -scale, 0 or scale, the others' within 4 of 0.  Two such operands
+    take the packed kernel; their product's span in the middle variable lies
+    in [4 * scale, 8 * scale + 12] and sizes every field, and the narrow
+    fields on either side of it show a field sized by the wrong variable.
+    The draws stay small, so a failing example shrinks quickly."""
+    scales = (1, scale, 1)
+    cube = product((-1, 0, 1), repeat=3)
+    dense = vs.poly({tuple(map(mul, t, scales)): i + 1 for i, t in enumerate(cube)})
+    exps = st.tuples(
+        *[st.tuples(st.integers(-1, 1), st.integers(-3, 3)).map(lambda t, s=s: t[0] * s + t[1]) for s in scales]
+    )
+    term = st.tuples(exps, st.integers(-9, 9).filter(bool))
+    return st.lists(term, min_size=1, max_size=3).map(lambda items: vs.poly(dict(items)) * dense)
+
+
+# field widths of the packed product: 1 byte, 2 bytes, 3 bytes (packed as 4),
+# 6 bytes (packed as 8) and 9 bytes (past the struct formats)
+FIELD_SCALES = [2 ** 4, 2 ** 11, 2 ** 18, 2 ** 38, 2 ** 68]
+
+
+# a failing product is slow to report, and the explain phase reruns it
+# hundreds of times
+@settings(phases=[phase for phase in Phase if phase is not Phase.explain])
+@given(st.sampled_from(FIELD_SCALES).flatmap(lambda scale: st.tuples(*[wide_poly_strategy(VS3, scale)] * 2)))
+def test_packed_product_matches_the_bit_field_reference(operands):
+    p, q = operands
+    assume(len(p.terms) * len(q.terms) > 256)
+    assert (p * q).terms == _reference_mul_packed(p.terms, q.terms)
+
+
+def test_exponent_past_64_bits_through_product_and_division():
+    x, y = VS2.gens()
+    big = 2 ** 70
+    q = sum((c * x ** (big - c) * y ** -c for c in range(1, 21)), x ** -big)
+    b = sum((x ** c * y ** (big + c) for c in range(15)), x ** big * y ** -3)
+    assert len(q.terms) * len(b.terms) > 256
+    a = q * b
+    assert a.terms == _reference_mul_packed(q.terms, b.terms)
+    assert exact_div(a, b) == q == _reference_exact_div(a, b)
+    assert exact_div(a, q) == b == _reference_exact_div(a, q)
 
 
 # -- exact division ------------------------------------------------------
@@ -192,6 +304,15 @@ def test_exact_div_tied_top_term_needs_a_higher_weight_power():
     assert exact_div(a - err.value.remainder, b) * b == a - err.value.remainder
     with pytest.raises(ExactDivisionError):
         _reference_exact_div(a, b)
+
+
+@pytest.mark.parametrize("top_bits", [8, 16, 32, 64])
+def test_exact_div_keeps_a_guard_bit_above_a_full_field(top_bits):
+    # the dividend's exponent fills top_bits bits exactly, so its field must
+    # be wider than top_bits to hold the guard bit as well
+    x = VariableSet(["x1"]).gen("x1")
+    half = 3 << (top_bits - 3)
+    assert exact_div(x ** (2 * half) - 1, x ** half - 1) == x ** half + 1
 
 
 @given(polys3, polys3)

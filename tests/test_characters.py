@@ -224,21 +224,32 @@ def test_odd_symplectic_det_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_denominator_factor_groups_multiply_to_the_product_form(n):
     vs, xs = standard_x(n)
+    one = vs.one()
     empty = Partition()
-    for factors, product, matrix in (
-        (symplectic_denominator_factors, symplectic_denominator_product, symplectic_matrix),
-        (odd_denominator_factors, odd_denominator_product, odd_symplectic_matrix),
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for factors, product, matrix, singles in (
+        (symplectic_denominator_factors, symplectic_denominator_product, symplectic_matrix, n),
+        (odd_denominator_factors, odd_denominator_product, odd_symplectic_matrix, n - 1),
     ):
-        singles, pairs = factors(xs)
-        assert singles * pairs == product(xs) == det_cofactor(matrix(empty, xs), vs)
+        long_roots, plus_roots, minus_roots = factors(xs)
+        expected_long = one
+        for x in xs[:singles]:
+            expected_long = expected_long * (x - x.inverse())
+        expected_plus, expected_minus = one, one
+        for i, j in pairs:
+            expected_plus = expected_plus * (one - (xs[i] * xs[j]).inverse())
+            expected_minus = expected_minus * (xs[i] - xs[j])
+        assert (long_roots, plus_roots, minus_roots) == (expected_long, expected_plus, expected_minus)
+        assert long_roots * plus_roots * minus_roots == product(xs) == det_cofactor(matrix(empty, xs), vs)
 
 
 def _reference_one_shot(monkeypatch, route, lam, *alphabet):
     """Run ``route`` and also divide its determinant in one call.
 
-    Records the route's two stage divisions.  Returns the route's value and
-    the first stage's dividend divided by the product of both stage divisors
-    in one exact_div call, as the routes did before they were staged.
+    Records the route's stage divisions, each of which must divide the
+    previous stage's quotient.  Returns the route's value and the first
+    stage's dividend divided by the product of all stage divisors in one
+    exact_div call, as the routes did before they were staged.
     """
     calls = []
 
@@ -250,9 +261,12 @@ def _reference_one_shot(monkeypatch, route, lam, *alphabet):
     with monkeypatch.context() as patch:
         patch.setattr(characters, "exact_div", recording)
         value = route(lam, *alphabet)
-    (det, first, quotient), (dividend, second, _) = calls
-    assert dividend == quotient
-    return value, exact_div(det, first * second)
+    (det, divisor, quotient), *later = calls
+    for dividend, stage_divisor, stage_quotient in later:
+        assert dividend == quotient
+        divisor = divisor * stage_divisor
+        quotient = stage_quotient
+    return value, exact_div(det, divisor)
 
 
 # the closed_form orthosymplectic shapes at n = m = 3, and one longer than n

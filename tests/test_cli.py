@@ -330,15 +330,18 @@ def test_formula_defect_message_stays_short(capsys, monkeypatch):
 )
 def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, factors, argv, message):
     real = getattr(characters, factors)
+    for broken_group in range(3):
 
-    def broken(xs):
-        singles, pairs = real(xs)
-        return singles, pairs + xs[0]
+        def broken(xs):
+            groups = list(real(xs))
+            groups[broken_group] = groups[broken_group] + xs[0]
+            return tuple(groups)
 
-    monkeypatch.setattr(characters, factors, broken)
-    code, out, err = run(capsys, "compute", *argv)
-    assert code == 3 and not out
-    assert err.startswith("ospchar: internal error:") and message in err
+        with monkeypatch.context() as patch:
+            patch.setattr(characters, factors, broken)
+            code, out, err = run(capsys, "compute", *argv)
+        assert code == 3 and not out, broken_group
+        assert err.startswith("ospchar: internal error:") and message in err, broken_group
 
 
 @pytest.mark.parametrize("as_json", [False, True])
