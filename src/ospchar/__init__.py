@@ -20,8 +20,6 @@ from .algebra import (
 from .symfun import (
     Partition,
     box_partitions,
-    complete,
-    elementary,
     k_index,
     partitions_of,
     partitions_up_to,

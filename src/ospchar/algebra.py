@@ -127,14 +127,10 @@ def _mul_packed(a: dict, b: dict) -> dict:
     operands' exponent ranges over the variables, so a monomial product is
     one integer addition.  Each operand is packed relative to its own
     per-variable minimum exponents, and the product unpacks with their sum
-    added back.  Used only above a size threshold; result is a normalized
+    added back.  Used only above a size threshold, so each operand has more
+    than one term and hence at least one variable; result is a normalized
     term map.
     """
-    width = len(next(iter(a)))
-    if width == 0:
-        ca = sum(a.values())
-        cb = sum(b.values())
-        return {(): ca * cb} if ca * cb else {}
     acols = list(zip(*a))
     bcols = list(zip(*b))
     amin = tuple(map(min, acols))
@@ -385,13 +381,6 @@ class LaurentPolynomial:
             raise AlgebraError(f"not invertible in the Laurent ring: {self.to_text()}")
         (e, c), = self.terms.items()
         return LaurentPolynomial._raw(self.vars, {tuple(-x for x in e): c})
-
-    def shift(self, offsets: Sequence[int]) -> "LaurentPolynomial":
-        """Multiply by the monomial with the given exponent vector."""
-        offsets = tuple(offsets)
-        return LaurentPolynomial._raw(
-            self.vars, {tuple(map(add, e, offsets)): c for e, c in self.terms.items()}
-        )
 
     def min_exponents(self) -> tuple[int, ...]:
         """Per-variable minimum exponent over all terms (zero polynomial: all 0)."""

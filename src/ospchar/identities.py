@@ -105,11 +105,7 @@ def first_difference(left: Poly, right: Poly) -> str | None:
     """Canonical text of the largest monomial whose coefficients differ."""
     if left == right:
         return None
-    keys = set(left.terms) | set(right.terms)
-    mono = max(
-        (e for e in keys if left.terms.get(e, 0) != right.terms.get(e, 0)),
-        key=lambda e: (sum(e), e),
-    )
+    mono = (left - right).sorted_terms()[0][0]
     lc = left.terms.get(mono, 0)
     rc = right.terms.get(mono, 0)
     body = left.vars.poly({mono: 1}).to_text()
@@ -307,30 +303,19 @@ def verify_beta_complement(lam: Partition, n1: int, n2: int) -> VerificationRepo
 # -- Cauchy-Binet ------------------------------------------------------------
 
 
-def verify_cauchy_binet(
-    m: int, n: int, seed: int = 0, entries: tuple | None = None
-) -> VerificationReport:
+def verify_cauchy_binet(m: int, n: int, seed: int = 0) -> VerificationReport:
     """sum over m-subsets B of det X[B] det Y[B] equals det(X Y^t).
 
-    X and Y are m x n integer matrices: the explicit ``entries`` pair when
-    given (seed is then unused), else seeded random entries."""
+    X and Y are m x n integer matrices with entries in -9..9 drawn from
+    random.Random(seed)."""
     if m < 1:
         raise ValueError("needs m >= 1")
     if m > n:
         raise ValueError("needs m <= n")
     vs = VariableSet([])
-    if entries is None:
-        params = {"m": m, "n": n, "seed": seed}
-        note = f"seeded random entries, seed={seed}"
-        rng = random.Random(seed)
-        X = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        Y = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-    else:
-        X, Y = entries
-        if any(len(M) != m or any(len(row) != n for row in M) for M in (X, Y)):
-            raise ValueError(f"entries must be two {m} x {n} matrices")
-        params = {"m": m, "n": n}
-        note = "explicit entries"
+    rng = random.Random(seed)
+    X = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    Y = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
     cX = [[vs.const(v) for v in row] for row in X]
     cY = [[vs.const(v) for v in row] for row in Y]
     lhs = vs.zero()
@@ -346,7 +331,8 @@ def verify_cauchy_binet(
         for i in range(m)
     ]
     rhs = det_cofactor(prod, vs)
-    return compare("cauchy_binet", params, lhs, rhs, note=note)
+    params = {"m": m, "n": n, "seed": seed}
+    return compare("cauchy_binet", params, lhs, rhs, note=f"seeded random entries, seed={seed}")
 
 
 # -- clearing powers and specializing the first variable ---------------------

@@ -181,16 +181,6 @@ def complete_table(
     return table
 
 
-def elementary(r: int, letters: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
-    """e_r of the given letters, H_r(; letters); e_0 = 1, zero for r < 0."""
-    return super_complete(r, (), letters, vars)
-
-
-def complete(r: int, letters: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
-    """h_r of the given letters, H_r(letters; ); h_0 = 1, zero for r < 0."""
-    return super_complete(r, letters, (), vars)
-
-
 def super_complete(r: int, xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> LaurentPolynomial:
     """H_r(X;Y) = sum_j h_j(X) e_{r-j}(Y); H_0 = 1, zero for r < 0."""
     table = complete_table(max(r, 0), xs, vars, ys=ys)

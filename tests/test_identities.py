@@ -6,6 +6,7 @@ from itertools import groupby
 
 import pytest
 
+from ospchar.algebra import VariableSet
 from ospchar.symfun import Partition
 from ospchar import characters, identities
 from ospchar.identities import (
@@ -70,8 +71,6 @@ def test_cauchy_binet_examples():
     assert verify_cauchy_binet(2, 2, seed=5).passed  # square case
     assert verify_cauchy_binet(1, 3, seed=5).passed
     assert verify_cauchy_binet(2, 4, seed=5).passed
-    explicit = ([[1, 0, 2]], [[3, -1, 4]])
-    assert verify_cauchy_binet(1, 3, entries=explicit).passed
     rep = verify_cauchy_binet(2, 3, seed=9)
     assert rep.note and "seed=9" in rep.note
 
@@ -84,20 +83,6 @@ def test_specialization_reduction_examples():
                 assert verify_specialization_reduction(Partition([r - 1]), n, r, variant).passed
     assert verify_specialization_reduction(Partition(), 1, 0, "sp").passed
     assert verify_specialization_reduction(Partition(), 1, 0, "spo").passed
-
-
-def test_cauchy_binet_explicit_entries():
-    explicit = ([[1, 0, 2]], [[3, -1, 4]])
-    rep = verify_cauchy_binet(1, 3, entries=explicit)
-    assert rep.passed
-    assert rep.params == {"m": 1, "n": 3}  # no seed: none was used
-    assert rep.note == "explicit entries"
-    # entries of the wrong shape are a usage error, not an "error" report
-    for m, n in ((2, 3), (1, 2), (1, 4)):
-        with pytest.raises(ValueError, match=f"two {m} x {n} matrices"):
-            run_check("cauchy_binet", {"m": m, "n": n, "entries": explicit})
-    with pytest.raises(ValueError):
-        verify_cauchy_binet(1, 3, entries=([[1, 0, 2]], [[3, -1]]))
 
 
 def test_kernel_det_examples():
@@ -192,6 +177,15 @@ def test_corrupted_formula_is_detected():
     assert rep.witness["left"] != rep.witness["right"]
     assert first_difference(base, corrupted) is not None
     assert first_difference(base, base) is None
+
+
+def test_first_difference_names_the_largest_monomial_in_graded_lex_order():
+    vs = VariableSet(["x1", "x2"])
+    x1, x2 = vs.gens()
+    # equal total degree: the larger exponent vector wins
+    assert first_difference(x1 ** 2, x2 ** 2) == "x1^2: 1 vs 0"
+    # a higher total degree beats a larger exponent vector
+    assert first_difference(3 * x1 ** 2, x1 * x2 ** 2) == "x1*x2^2: 0 vs 1"
 
 
 def test_report_json_schema():

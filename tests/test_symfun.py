@@ -9,9 +9,7 @@ from ospchar.algebra import AlgebraError, VariableSet
 from ospchar.symfun import (
     Partition,
     box_partitions,
-    complete,
     complete_table,
-    elementary,
     jseries_table,
     k_index,
     partitions_up_to,
@@ -83,20 +81,20 @@ def test_partition_enumeration_is_deterministic():
 
 def test_elementary_examples():
     vs, xs = standard_x(3)
-    assert elementary(1, xs) == xs[0] + xs[1] + xs[2]
-    assert elementary(-1, xs).is_zero()
+    assert super_complete(1, (), xs) == xs[0] + xs[1] + xs[2]
+    assert super_complete(-1, (), xs).is_zero()
     vs2, xs2 = standard_x(2)
-    assert elementary(2, xs2) == xs2[0] * xs2[1]
-    assert elementary(3, xs2).is_zero()
-    assert elementary(0, xs2) == vs2.one()
+    assert super_complete(2, (), xs2) == xs2[0] * xs2[1]
+    assert super_complete(3, (), xs2).is_zero()
+    assert super_complete(0, (), xs2) == vs2.one()
 
 
 def test_complete_examples():
     vs, xs = standard_x(2)
     x1, x2 = xs
-    assert complete(2, xs) == x1 ** 2 + x1 * x2 + x2 ** 2
-    assert complete(0, xs) == vs.one()
-    assert complete(-2, xs).is_zero()
+    assert super_complete(2, xs, ()) == x1 ** 2 + x1 * x2 + x2 ** 2
+    assert super_complete(0, xs, ()) == vs.one()
+    assert super_complete(-2, xs, ()).is_zero()
 
 
 def test_complete_three_variables_by_enumeration():
@@ -106,8 +104,8 @@ def test_complete_three_variables_by_enumeration():
     expected = vs.zero()
     for i, j in itertools.combinations_with_replacement(range(3), 2):
         expected = expected + ys[i] * ys[j]
-    assert complete(2, ys) == expected
-    assert len(complete(2, ys).terms) == 6
+    assert super_complete(2, ys, ()) == expected
+    assert len(super_complete(2, ys, ()).terms) == 6
 
 
 @given(st.integers(1, 3))
@@ -118,7 +116,7 @@ def test_generating_function_inverse_pair(n):
         acc = vs.zero()
         for r in range(degree + 1):
             sign = -1 if (degree - r) % 2 else 1
-            acc = acc + sign * elementary(r, xs, vs) * complete(degree - r, xs, vs)
+            acc = acc + sign * super_complete(r, (), xs, vs) * super_complete(degree - r, xs, (), vs)
         assert acc.is_zero()
 
 
@@ -146,7 +144,7 @@ def test_super_h_e_swap_symmetry(r):
     # H_r(X;Y) = E_r(Y;X) = sum_j e_j(Y) h_{r-j}(X)
     swapped = vs.zero()
     for j in range(r + 1):
-        swapped = swapped + elementary(j, ys) * complete(r - j, xs)
+        swapped = swapped + super_complete(j, (), ys) * super_complete(r - j, xs, ())
     assert super_complete(r, xs, ys) == swapped
 
 
@@ -237,8 +235,8 @@ def test_letter_recurrence_matches_the_reference_generators():
     vs, xs, ys = _letter_lists()
     for rmax in range(-2, 7):
         for letters in xs + ys:
-            assert elementary(rmax, letters, vs) == _reference_elementary(rmax, letters, vs)
-            assert complete(rmax, letters, vs) == _reference_complete(rmax, letters, vs)
+            assert super_complete(rmax, (), letters, vs) == _reference_elementary(rmax, letters, vs)
+            assert super_complete(rmax, letters, (), vs) == _reference_complete(rmax, letters, vs)
         for x in xs:
             for y in ys:
                 assert super_complete(rmax, x, y, vs) == _reference_super_complete(rmax, x, y, vs)
@@ -249,9 +247,6 @@ def test_letter_recurrence_matches_the_reference_generators():
 
 def test_letter_recurrence_needs_a_variable_set():
     # With no letter to take it from, the set must be given, as before.
-    for view in (elementary, complete):
-        with pytest.raises(AlgebraError):
-            view(0, [])
     for view in (super_complete, jseries_table, lambda r, xs, ys: complete_table(r, xs, ys=ys)):
         with pytest.raises(AlgebraError):
             view(1, [], [])
@@ -264,9 +259,9 @@ def test_laurent_complete_examples():
     vs, xs = standard_x(1)
     x = xs[0]
     letters = [x, x.inverse()]
-    assert complete(1, letters) == x + x.inverse()
-    assert complete(2, letters) == x ** 2 + vs.one() + x ** -2
-    assert complete(-1, letters).is_zero()
+    assert super_complete(1, letters, ()) == x + x.inverse()
+    assert super_complete(2, letters, ()) == x ** 2 + vs.one() + x ** -2
+    assert super_complete(-1, letters, ()).is_zero()
 
 
 def test_jseries_examples():
