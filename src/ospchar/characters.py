@@ -30,23 +30,13 @@ from .symfun import (
     jseries_table,
     k_index,
     skew_schur_jt,
+    standard_x,
+    standard_xy,
     subpartitions,
 )
 from . import tableaux
 
 Poly = LaurentPolynomial
-
-
-def standard_xy(n: int, m: int) -> tuple[VariableSet, list[Poly], list[Poly]]:
-    """Variable set x1..xn, y1..ym with its generators split into X and Y."""
-    vs = VariableSet([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)])
-    gens = vs.gens()
-    return vs, gens[:n], gens[n:]
-
-
-def standard_x(n: int) -> tuple[VariableSet, list[Poly]]:
-    vs = VariableSet([f"x{i}" for i in range(1, n + 1)])
-    return vs, vs.gens()
 
 
 def _vs_of(xs: Sequence[Poly], ys: Sequence[Poly] = ()) -> VariableSet:
@@ -173,24 +163,32 @@ def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
     return [[x ** a - x ** (-a) for a in exps] for x in xs]
 
 
-def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
-    """Weyl quotient det(x_i^a - x_i^-a), a = lam_j + n - j + 1, over the
-    same determinant at the empty partition (both from symplectic_matrix).
-
-    Every call checks the denominator determinant against its closed product
-    form before dividing.  The division runs in three exact stages, one per
-    root group of symplectic_denominator_factors: the singles
-    prod(x_i - 1/x_i), then prod_{i<j}(1 - 1/(x_i x_j)), then the
-    Vandermonde prod_{i<j}(x_i - x_j).
-    """
-    _require_length(lam, len(xs))
+def _checked_denominator(matrix, xs: Sequence[Poly], groups: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """The root groups, once det matrix(empty, xs) is checked against their
+    product; a mismatch is a RuntimeError naming the matrix's family."""
     vs = _vs_of(xs)
-    if det_cofactor(symplectic_matrix(Partition(), xs), vs) != symplectic_denominator_product(xs):
-        raise RuntimeError("symplectic denominator does not match its product form")
-    quotient = det_cofactor(symplectic_matrix(lam, xs), vs)
-    for group in symplectic_denominator_factors(xs):
+    if det_cofactor(matrix(Partition(), xs), vs) != _prod(vs, groups):
+        family = matrix.__name__.removesuffix("_matrix").replace("_", " ")
+        raise RuntimeError(f"{family} denominator does not match its product form")
+    return groups
+
+
+def _alternant_quotient(matrix, lam: Partition, xs: Sequence[Poly], groups: tuple[Poly, ...]) -> Poly:
+    """det matrix(lam, xs) divided by each root group in turn, one exact stage each."""
+    quotient = det_cofactor(matrix(lam, xs), _vs_of(xs))
+    for group in groups:
         quotient = exact_div(quotient, group)
     return quotient
+
+
+def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
+    """Weyl quotient det(x_i^a - x_i^-a), a = lam_j + n - j + 1, over the
+    same determinant at the empty partition (both from symplectic_matrix),
+    checked on every call and divided by the three root groups of
+    symplectic_denominator_factors in turn."""
+    _require_length(lam, len(xs))
+    groups = _checked_denominator(symplectic_matrix, xs, symplectic_denominator_factors(xs))
+    return _alternant_quotient(symplectic_matrix, lam, xs, groups)
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -330,13 +328,15 @@ def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
 
 
 def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
-    """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y)."""
+    """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y); every sp_mu is
+    a Weyl quotient by the same root groups, checked once per call."""
     n = len(xs)
     vs = _vs_of(xs, ys)
     lamc = lam.conjugate()
     total = vs.zero()
+    groups = _checked_denominator(symplectic_matrix, xs, symplectic_denominator_factors(xs))
     for mu in subpartitions(lam, max_length=n):
-        sp = symplectic_weyl(mu, xs)
+        sp = _alternant_quotient(symplectic_matrix, mu, xs, groups)
         sk = skew_schur_jt(lamc, mu.conjugate(), ys, vars=vs)
         total = total + sp * sk
     return total
@@ -380,25 +380,12 @@ def odd_symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]
 
 
 def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
-    """Quotient det A_lam / det A_empty of odd_symplectic_matrix.
-
-    det A_empty is checked against its closed product form on every call,
-    before dividing.  The division runs in three exact stages, one per root
-    group of odd_denominator_factors: the singles prod_{i<n}(x_i - 1/x_i),
-    then prod_{i<j<=n}(1 - 1/(x_i x_j)), then the Vandermonde
-    prod_{i<j<=n}(x_i - x_j).
-    """
-    n = len(xs)
-    if n < 1:
-        raise ValueError("needs at least one variable")
-    _require_length(lam, n)
-    vs = _vs_of(xs)
-    if det_cofactor(odd_symplectic_matrix(Partition(), xs), vs) != odd_denominator_product(xs):
-        raise RuntimeError("odd symplectic denominator does not match its product form")
-    quotient = det_cofactor(odd_symplectic_matrix(lam, xs), vs)
-    for group in odd_denominator_factors(xs):
-        quotient = exact_div(quotient, group)
-    return quotient
+    """Quotient det A_lam / det A_empty of odd_symplectic_matrix, checked on
+    every call and divided by the three root groups of
+    odd_denominator_factors in turn."""
+    _require_length(lam, len(xs))
+    groups = _checked_denominator(odd_symplectic_matrix, xs, odd_denominator_factors(xs))
+    return _alternant_quotient(odd_symplectic_matrix, lam, xs, groups)
 
 
 # -- request dispatch --------------------------------------------------------

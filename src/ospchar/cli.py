@@ -29,6 +29,16 @@ class _UsageError(Exception):
     pass
 
 
+def _verify_flags() -> dict[str, type]:
+    """Each verifier parameter, in registry order, with its flag's type: str
+    for lam and for a str annotation (text when postponed), else int."""
+    flags = {}
+    for identity in identities.IDENTITIES:
+        for name, param in inspect.signature(identities.verifier(identity)).parameters.items():
+            flags[name] = str if name == "lam" or param.annotation in (str, "str") else int
+    return flags
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ospchar",
@@ -53,15 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check one identity")
     ver.add_argument("--identity", required=True, choices=sorted(identities.IDENTITIES))
-    ver.add_argument("--lambda", dest="lam", default=None)
-    ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--m", type=int, default=None)
-    ver.add_argument("--l", type=int, default=None)
-    ver.add_argument("--r", type=int, default=None)
-    ver.add_argument("--n1", type=int, default=None)
-    ver.add_argument("--n2", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--variant", default=None)
+    for name, kind in _verify_flags().items():
+        ver.add_argument(_flag(name), dest=name, type=kind, default=None)
     ver.add_argument("--json", action="store_true")
 
     suite = sub.add_parser("suite", help="run every identity over a bounded grid")
@@ -110,9 +113,8 @@ def _flag(name: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    # Each parameter of the identity's check is the flag of the same name
-    # (lam is --lambda), required unless the parameter has a default; any
-    # other parameter flag is an error.
+    # A parameter of the identity's check is a required flag unless it has a
+    # default; any other parameter flag is an error.
     signature = inspect.signature(identities.verifier(args.identity)).parameters
     for name, value in vars(args).items():
         if name not in ("command", "identity", "json") and value is not None and name not in signature:

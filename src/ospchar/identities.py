@@ -33,6 +33,8 @@ from .symfun import (
     box_partitions,
     complete_table,
     partitions_up_to,
+    standard_x,
+    standard_xy,
 )
 from .characters import (
     CharacterRequest,
@@ -47,8 +49,6 @@ from .characters import (
     ortho_jt,
     ortho_single_y,
     ortho_sp_schur_sum,
-    standard_x,
-    standard_xy,
     symplectic_denominator_product,
     symplectic_matrix,
     symplectic_weyl,
@@ -193,6 +193,7 @@ def verify_odd_methods(lam: Partition, n: int) -> VerificationReport:
 def verify_odd_ortho_specialization(lam: Partition, n: int) -> VerificationReport:
     """Odd symplectic character equals the orthosymplectic one at
     (x_1, ..., x_{n-1}, 1/x_n) with single prime variable -1/x_n."""
+    CharacterRequest("odd_symplectic", "okada", lam, n).validate()
     _, xs = standard_x(n)
     lhs = odd_symplectic_det(lam, xs)
     rhs = ortho_single_y(lam, xs[:-1] + [xs[-1].inverse()], -xs[-1].inverse())
@@ -202,20 +203,19 @@ def verify_odd_ortho_specialization(lam: Partition, n: int) -> VerificationRepor
 # -- denominators ----------------------------------------------------------
 
 
-def verify_symplectic_denominator(n: int) -> VerificationReport:
+def _verify_denominator(identity: str, n: int, matrix, product) -> VerificationReport:
     if n < 1:
         raise ValueError("needs n >= 1")
     vs, xs = standard_x(n)
-    det = det_cofactor(symplectic_matrix(Partition(), xs), vs)
-    return compare("symplectic_denominator", {"n": n}, det, symplectic_denominator_product(xs))
+    return compare(identity, {"n": n}, det_cofactor(matrix(Partition(), xs), vs), product(xs))
+
+
+def verify_symplectic_denominator(n: int) -> VerificationReport:
+    return _verify_denominator("symplectic_denominator", n, symplectic_matrix, symplectic_denominator_product)
 
 
 def verify_odd_denominator(n: int) -> VerificationReport:
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    vs, xs = standard_x(n)
-    det = det_cofactor(odd_symplectic_matrix(Partition(), xs), vs)
-    return compare("odd_denominator", {"n": n}, det, odd_denominator_product(xs))
+    return _verify_denominator("odd_denominator", n, odd_symplectic_matrix, odd_denominator_product)
 
 
 # -- supersymmetry ----------------------------------------------------------

@@ -149,6 +149,19 @@ def box_partitions(max_length: int, max_part: int) -> Iterator[Partition]:
     yield from subpartitions(Partition((max_part,) * max_length))
 
 
+def standard_xy(n: int, m: int) -> tuple[VariableSet, list[LaurentPolynomial], list[LaurentPolynomial]]:
+    """Variable set x1..xn, y1..ym with its generators split into X and Y;
+    tableau sums and closed-form routes share it, so their values compare."""
+    vs = VariableSet([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)])
+    gens = vs.gens()
+    return vs, gens[:n], gens[n:]
+
+
+def standard_x(n: int) -> tuple[VariableSet, list[LaurentPolynomial]]:
+    vs, xs, _ = standard_xy(n, 0)
+    return vs, xs
+
+
 # -- symmetric function generators ----------------------------------------
 
 

@@ -39,8 +39,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .algebra import LaurentPolynomial, VariableSet
-from .symfun import Partition
+from .algebra import LaurentPolynomial
+from .symfun import Partition, standard_xy
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class Tableau:
         if self.inner:
             rows = tuple((".",) * skip + row for skip, row in zip(self.inner, rows)) + rows[len(self.inner) :]
         return "[[" + "],[".join([",".join(row) for row in rows]) + "]]"
-
-
-def _xy_vars(n: int, m: int) -> VariableSet:
-    return VariableSet([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)])
 
 
 class Letter(NamedTuple):
@@ -160,7 +156,7 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
     """
     _check_domain(family, lam, mu, n)
     letters = LETTERS[family](n, m)
-    vs = _xy_vars(n, m)
+    vs = standard_xy(n, m)[0]
     target = lam.parts
     layer = {tuple(mu.part(r + 1) for r in range(len(target))): {(0,) * len(vs): 1}}
     for k, letter in enumerate(letters):

@@ -216,6 +216,9 @@ def test_odd_symplectic_det_examples():
     assert odd_symplectic_det(Partition([1]), xs) == tableaux.odd_symplectic_weight_sum(Partition([1]), 2)
     with pytest.raises(ValueError):
         odd_symplectic_det(Partition([1, 1, 1]), xs)
+    for lam in (Partition(), Partition([1])):
+        with pytest.raises(ValueError):
+            odd_symplectic_det(lam, [])
 
 
 # -- staged division -------------------------------------------------------------------
@@ -288,6 +291,23 @@ def test_staged_weyl_type_quotients_match_one_shot_division(monkeypatch, route):
     for lam in partitions_up_to(4, 4):
         value, one_shot = _reference_one_shot(monkeypatch, route, lam, xs)
         assert value == one_shot, lam
+
+
+def test_ortho_sp_schur_sum_builds_its_denominator_groups_once(monkeypatch):
+    # every mu's symplectic quotient divides by the groups checked once per call
+    calls = []
+    real = characters.symplectic_denominator_factors
+
+    def counting(xs):
+        calls.append(len(xs))
+        return real(xs)
+
+    lam = Partition([3, 2, 1])
+    vs, xs, ys = standard_xy(3, 2)
+    monkeypatch.setattr(characters, "symplectic_denominator_factors", counting)
+    value = ortho_sp_schur_sum(lam, xs, ys)
+    assert calls == [3]
+    assert value == tableaux.orthosymplectic_weight_sum(lam, 3, 2)
 
 
 # -- request dispatch --------------------------------------------------------------------

@@ -16,7 +16,7 @@ import ospchar
 from ospchar import characters
 from ospchar.algebra import LaurentPolynomial
 from ospchar.characters import standard_xy
-from ospchar.cli import _build_parser, _emit, main
+from ospchar.cli import _build_parser, _emit, _verify_flags, main
 from ospchar.identities import IDENTITIES, VerificationReport
 
 
@@ -291,6 +291,9 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
         "--n", "2", "--m", "1", "--lambda", "2,1",
     )
     assert code == 3 and err.startswith("ospchar: internal error:")
+    # the Weyl quotient checks its denominator against its own root groups
+    real_factors = characters.symplectic_denominator_factors
+    monkeypatch.setattr(characters, "symplectic_denominator_factors", lambda xs: (real_factors(xs)[0] + 1,) + real_factors(xs)[1:])
     code, _, err = run(capsys, "compute", "--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1")
     assert code == 3 and "denominator does not match its product form" in err
 
@@ -321,12 +324,17 @@ def test_formula_defect_message_stays_short(capsys, monkeypatch):
             "inexact division",
         ),
         (
+            "symplectic_denominator_factors",
+            ["--family", "orthosymplectic", "--method", "sp_schur_sum", "--n", "2", "--m", "1", "--lambda", "2,1"],
+            "denominator does not match its product form",
+        ),
+        (
             "odd_denominator_factors",
             ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"],
             "denominator does not match its product form",
         ),
     ],
-    ids=["weyl", "det", "okada"],
+    ids=["weyl", "det", "sp_schur_sum", "okada"],
 )
 def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, factors, argv, message):
     real = getattr(characters, factors)
@@ -389,17 +397,27 @@ def test_verify_rejects_counts_outside_the_domain(capsys):
     ):
         code, out, err = run(capsys, "verify", "--identity", identity, "--lambda", lam, "--n", str(n), "--m", str(m))
         assert code == 2 and message in err and out == "", (identity, n, m)
-    # Outside the domain of the route they check, the method verifiers fail
-    # with the message of compute at the same point.
+    # Outside the domain of the route they check, the method verifiers and
+    # odd_ortho_specialization fail with the message of compute at the same point.
     for identity, family, method, lam, counts in (
         ("ortho_methods", "orthosymplectic", "det", "3,3", ("--n", "1", "--m", "1")),
         ("hook_methods", "hook", "det", "3,3", ("--n", "1", "--m", "1")),
         ("symplectic_methods", "symplectic", "weyl", "1,1,1", ("--n", "2")),
         ("odd_methods", "odd_symplectic", "okada", "1,1,1", ("--n", "2")),
+        ("odd_ortho_specialization", "odd_symplectic", "okada", "1,1,1", ("--n", "2")),
+        ("odd_ortho_specialization", "odd_symplectic", "okada", "1,1", ("--n", "1")),
+        ("odd_ortho_specialization", "odd_symplectic", "okada", "", ("--n", "0")),
     ):
         verified = run(capsys, "verify", "--identity", identity, "--lambda", lam, *counts)
         computed = run(capsys, "compute", "--family", family, "--method", method, "--lambda", lam, *counts)
         assert verified == computed and verified[:2] == (2, ""), identity
+
+
+def test_verify_flags_come_from_the_verifier_signatures():
+    # one flag per parameter name of the registered verifiers; lam is --lambda
+    assert _verify_flags() == {
+        "lam": str, "n": int, "m": int, "l": int, "n1": int, "n2": int, "seed": int, "r": int, "variant": str,
+    }
 
 
 @pytest.mark.parametrize(

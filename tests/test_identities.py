@@ -238,8 +238,8 @@ def test_run_suite_covers_the_registry():
 
 
 def test_run_check_turns_a_computation_error_into_a_report(monkeypatch):
-    real = characters.symplectic_denominator_product
-    monkeypatch.setattr(characters, "symplectic_denominator_product", lambda xs: real(xs) + 1)
+    real = characters.symplectic_denominator_factors
+    monkeypatch.setattr(characters, "symplectic_denominator_factors", lambda xs: (real(xs)[0] + 1,) + real(xs)[1:])
     (rep,) = run_check("symplectic_methods", {"lam": Partition([1]), "n": 2})
     assert rep.status == "error" and not rep.passed
     assert rep.params == {"lambda": "1", "n": 2}
