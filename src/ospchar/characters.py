@@ -477,5 +477,11 @@ class CharacterRequest:
             raise ValueError("outside the determinant formula's domain: lam_{n+1} > m")
 
     def compute(self) -> Poly:
+        """The character by the requested route.  A request outside the
+        route's domain raises ValueError before the route runs; a ValueError
+        the route raises afterwards is a formula defect, a RuntimeError."""
         self.validate()
-        return _ROUTES[(self.family, self.method)](self.lam, self.n, self.m)
+        try:
+            return _ROUTES[(self.family, self.method)](self.lam, self.n, self.m)
+        except ValueError as exc:
+            raise RuntimeError(str(exc)) from exc

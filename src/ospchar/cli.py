@@ -5,7 +5,13 @@ fails, 2 on usage errors, 3 on internal errors: a computation broke an
 arithmetic contract (say, an inexact division) or failed a built-in
 consistency check, which points at a defect in a formula, not at the input.
 ``verify`` and ``suite`` print such a check as an "error" report, print every
-other report too, and then exit 3.  The ``ospchar`` command ends quietly, by
+other report too, and then exit 3.  A usage error is a ValueError raised
+before any computation runs: a bad flag value, a partition that does not
+parse, a point outside the route's domain.  A ValueError raised later, by a
+``compute`` route or at a ``suite`` grid point (each inside its domain), is
+internal.  ``verify`` is the exception: its point comes from the user and
+each check validates it in its own body, so any ValueError from the check
+is a usage error.  The ``ospchar`` command ends quietly, by
 SIGPIPE, when its reader closes the pipe early (``enumerate ... | head``).
 Text output is canonical and byte-stable; JSON round-trips through the
 documented schema.
@@ -23,10 +29,6 @@ from typing import Sequence
 from .characters import FAMILIES, METHODS, CharacterRequest, family_tableaux
 from .symfun import Partition
 from . import identities
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _verify_flags() -> dict[str, type]:
@@ -75,20 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_partition(text: str) -> Partition:
-    try:
-        return Partition.from_string(text)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _cmd_compute(args) -> int:
-    req = CharacterRequest(args.family, args.method, _parse_partition(args.lam), args.n, args.m)
-    try:
-        req.validate()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    value = req.compute()
+    value = CharacterRequest(args.family, args.method, Partition.from_string(args.lam), args.n, args.m).compute()
     if args.format == "json":
         print(json.dumps(value.to_json_dict(), separators=(",", ":")))
     else:
@@ -97,14 +87,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    lam = _parse_partition(args.lam)
+    lam = Partition.from_string(args.lam)
     if args.mu is not None and args.family != "schur":
-        raise _UsageError("--mu applies to the schur family only")
-    mu = _parse_partition(args.mu) if args.mu is not None else Partition()
-    try:
-        sys.stdout.writelines(f"{t}\n" for t in family_tableaux(args.family, lam, args.n, args.m, mu))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError("--mu applies to the schur family only")
+    mu = Partition.from_string(args.mu) if args.mu is not None else Partition()
+    sys.stdout.writelines(f"{t}\n" for t in family_tableaux(args.family, lam, args.n, args.m, mu))
     return 0
 
 
@@ -118,33 +105,25 @@ def _cmd_verify(args) -> int:
     signature = inspect.signature(identities.verifier(args.identity)).parameters
     for name, value in vars(args).items():
         if name not in ("command", "identity", "json") and value is not None and name not in signature:
-            raise _UsageError(f"identity {args.identity} does not take {_flag(name)}")
+            raise ValueError(f"identity {args.identity} does not take {_flag(name)}")
     params = {}
     for name, param in signature.items():
         value = getattr(args, name, None)
         required = param.default is param.empty
         if value is None:
             if required:
-                raise _UsageError(f"identity {args.identity} needs {_flag(name)}")
+                raise ValueError(f"identity {args.identity} needs {_flag(name)}")
             continue
         if name == "lam":
-            value = _parse_partition(value)
+            value = Partition.from_string(value)
         elif required and isinstance(value, int) and value < 0:
-            raise _UsageError(f"--{name} must be nonnegative")
+            raise ValueError(f"--{name} must be nonnegative")
         params[name] = value
-    try:
-        reports = identities.run_check(args.identity, params)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    return _emit(reports, args.json)
+    return _emit(identities.run_check(args.identity, params), args.json)
 
 
 def _cmd_suite(args) -> int:
-    try:
-        reports = identities.run_suite(args.max_n, args.max_m, args.max_weight)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    return _emit(reports, args.json, summary=True)
+    return _emit(identities.run_suite(args.max_n, args.max_m, args.max_weight), args.json, summary=True)
 
 
 def _emit(reports: Sequence[identities.VerificationReport], as_json: bool, summary: bool = False) -> int:
@@ -163,10 +142,13 @@ def _emit(reports: Sequence[identities.VerificationReport], as_json: bool, summa
     return 1 if failures else 0
 
 
+# Built once per process: building it costs ten times a one-cell compute.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -177,7 +159,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_suite(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"ospchar: {exc}", file=sys.stderr)
         return 2
     except identities.COMPUTATION_ERRORS as exc:

@@ -12,7 +12,10 @@ rational entries clears each row's denominator first; and a claim about a
 set of integers compares generating polynomials in one variable.
 ``IDENTITIES`` maps each identity name to its parameter grid; ``run_suite``
 sweeps them all, in registry order, through ``run_check``, which turns a
-computation error into an "error" report.
+computation error into an "error" report.  A ValueError means a point
+outside the identity's domain: ``run_check`` raises it, since its point comes
+from the caller, but every grid point of ``run_suite`` is in its identity's
+domain, so there a ValueError is a formula defect and an "error" report too.
 """
 
 from __future__ import annotations
@@ -92,7 +95,8 @@ class VerificationReport:
 
 # A check that raises one of these has hit a formula defect (a broken
 # arithmetic contract or a failed consistency check); it is reported as an
-# "error", while a ValueError stays a usage error.
+# "error".  A ValueError is a point outside the check's domain, which only a
+# caller-chosen point can be: run_check raises it, run_suite reports it.
 COMPUTATION_ERRORS = (AlgebraError, RuntimeError)
 
 
@@ -144,6 +148,14 @@ def _agreement(identity: str, params: dict, base: Poly, routes, *args) -> Verifi
             report.witness["method"] = method
             break
     return report
+
+
+def _alphabet(n: int, m: int, letter: str) -> tuple[VariableSet, list[Poly], list[Poly], Poly]:
+    """The variables x1..xn, y1..ym and ``letter``, in that order, and their
+    generators: the xs, the ys and the letter's."""
+    vs = VariableSet([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)] + [letter])
+    g = vs.gens()
+    return vs, g[:n], g[n : n + m], g[-1]
 
 
 # -- character method agreements ------------------------------------------
@@ -226,11 +238,7 @@ def verify_supersymmetry(lam: Partition, n: int, m: int) -> VerificationReport:
     (x_1, ..., x_{n-1}, t), (y_1, ..., y_{m-1}, -t)."""
     if n < 1 or m < 1:
         raise ValueError("needs n, m >= 1")
-    vs = VariableSet(
-        [f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)] + ["t"]
-    )
-    gens = vs.gens()
-    xs, ys, t = gens[:n], gens[n : n + m], gens[-1]
+    vs, xs, ys, t = _alphabet(n, m, "t")
     value = hook_schur_jt(lam, xs[:-1] + [t], ys[:-1] + [-t])
     # t is the last variable: the t-free part keeps the terms without it
     t_free = vs.poly({e: c for e, c in value.terms.items() if not e[-1]})
@@ -354,16 +362,14 @@ def verify_specialization_reduction(
     if lam.length > n or lam.part(1) > r:
         raise ValueError("needs len(lam) <= n and lam_1 <= r")
     params = _params(lam=lam, n=n, r=r, variant=variant)
-    names = [f"x{i}" for i in range(1, n + 1)] + (["z"] if variant == "spo" else [])
-    vs = VariableSet(names)
-    xs = [vs.gen(f"x{i}") for i in range(1, n + 1)]
+    vs, xs, _, z = _alphabet(n, 0, "z")  # z is the spo variant's prime variable
 
     def char(p: Partition, vars_: list[Poly]) -> Poly:
         if not vars_:
             return vs.one()
         if variant == "sp":
             return symplectic_weyl(p, vars_)
-        return ortho_single_y(p, vars_, vs.gen("z"))
+        return ortho_single_y(p, vars_, z)
 
     cleared = char(lam, xs)
     for x in xs:
@@ -465,14 +471,6 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
 # -- product-sum identities ----------------------------------------------------
 
 
-def _bkw_vars(n: int, m: int) -> tuple[VariableSet, list[Poly], list[Poly], Poly]:
-    vs = VariableSet(
-        [f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)] + ["z"]
-    )
-    g = vs.gens()
-    return vs, g[:n], g[n : n + m], g[-1]
-
-
 def verify_bkw_general(n: int, m: int, r: int) -> VerificationReport:
     """Sum of z^r spo(X; z) spo(Y; z) over box shapes against a z-graded sum
     of symplectic characters of near-rectangles in the joint alphabet.
@@ -485,7 +483,7 @@ def verify_bkw_general(n: int, m: int, r: int) -> VerificationReport:
     if r < 0:
         raise ValueError("needs r >= 0")
     params = {"n": n, "m": m, "r": r}
-    vs, xs, ys, z = _bkw_vars(n, m)
+    vs, xs, ys, z = _alphabet(n, m, "z")
     lhs = vs.zero()
     for lam in box_partitions(n, r):
         left = ortho_single_y(lam, xs, z)
@@ -514,7 +512,7 @@ def verify_bkw_original(n: int, m: int, r: int) -> VerificationReport:
     if r < 0:
         raise ValueError("needs r >= 0")
     params = {"n": n, "m": m, "r": r}
-    vs, xs, ys, z = _bkw_vars(n, m)
+    vs, xs, ys, z = _alphabet(n, m, "z")
     lhs = vs.zero()
     for lam in box_partitions(n + 1, r):
         left = odd_symplectic_det(lam, xs + [z])
@@ -633,12 +631,13 @@ def verifier(name: str):
     return globals()[f"verify_{name}"]
 
 
-def run_check(name: str, params: dict) -> list[VerificationReport]:
-    """Call verify_<name>(**params) and return its reports; one of the
-    COMPUTATION_ERRORS becomes an "error" report, a ValueError propagates."""
+def run_check(name: str, params: dict, errors: tuple = COMPUTATION_ERRORS) -> list[VerificationReport]:
+    """Call verify_<name>(**params) and return its reports; one of ``errors``
+    becomes an "error" report.  A ValueError, by default not among them,
+    propagates: it says the caller's point is outside the identity's domain."""
     try:
         result = verifier(name)(**params)
-    except COMPUTATION_ERRORS as exc:
+    except errors as exc:
         return [_error_report(name, _params(**params), exc)]
     return result if isinstance(result, list) else [result]
 
@@ -648,8 +647,9 @@ def run_suite(max_n: int, max_m: int, max_weight: int) -> list[VerificationRepor
 
     Character-method agreements sweep all shapes of weight up to max_weight
     for each alphabet; the lemma-style checks run over small grids derived
-    from the bounds.  Failed and errored checks become reports; only bad
-    bounds raise.
+    from the bounds.  Failed and errored checks become reports, a ValueError
+    among them: every grid point is in its identity's domain, so one raised
+    there is a formula defect.  Only bad bounds raise.
     """
     if max_n < 1 or max_m < 1 or max_weight < 1:
         raise ValueError("bounds must be at least 1")
@@ -657,5 +657,5 @@ def run_suite(max_n: int, max_m: int, max_weight: int) -> list[VerificationRepor
         report
         for name, grid in IDENTITIES.items()
         for params in grid(max_n, max_m, max_weight)
-        for report in run_check(name, params)
+        for report in run_check(name, params, COMPUTATION_ERRORS + (ValueError,))
     ]

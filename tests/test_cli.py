@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ospchar
-from ospchar import characters
+from ospchar import characters, cli
 from ospchar.algebra import LaurentPolynomial
 from ospchar.characters import standard_xy
 from ospchar.cli import _build_parser, _emit, _verify_flags, main
@@ -256,6 +256,15 @@ def test_error_report_outranks_failure(capsys):
     assert err == "ospchar: internal error: boom\n"
 
 
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    code, out, _ = run(capsys, "compute", "--family", "schur", "--method", "jt", "--n", "2", "--lambda", "1")
+    assert (code, out) == (0, "x1 + x2\n")
+
+
 def test_verify_identity_choices_are_the_registry():
     parser = _build_parser()
     verify = parser._subparsers._group_actions[0].choices["verify"]
@@ -296,6 +305,20 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(characters, "symplectic_denominator_factors", lambda xs: (real_factors(xs)[0] + 1,) + real_factors(xs)[1:])
     code, _, err = run(capsys, "compute", "--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1")
     assert code == 3 and "denominator does not match its product form" in err
+    # a ValueError a route raises past compute's own domain check is a defect
+    monkeypatch.undo()
+    monkeypatch.setattr(characters, "skew_schur_jt", nested_domain_check)
+    code, out, err = run(
+        capsys, "compute", "--family", "orthosymplectic", "--method", "sp_schur_sum",
+        "--n", "2", "--m", "1", "--lambda", "2,1",
+    )
+    assert (code, out, err) == (3, "", "ospchar: internal error: wrong inner shape\n")
+    # golden runs each example through compute: one "error" report, the
+    # other three checked
+    code, out, err = run(capsys, "verify", "--identity", "golden", "--json")
+    reports = json.loads(out)
+    assert code == 3 and [r["status"] for r in reports] == ["pass", "pass", "error", "pass"]
+    assert reports[2]["witness"] == {"exception": "RuntimeError", "message": "wrong inner shape"}
 
 
 def test_formula_defect_message_stays_short(capsys, monkeypatch):
@@ -352,25 +375,34 @@ def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monke
         assert err.startswith("ospchar: internal error:") and message in err, broken_group
 
 
+def nested_domain_check(*args, **kwargs):
+    # a route's own domain check, tripped by a defect in the formula around it
+    raise ValueError("wrong inner shape")
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as_json):
     real = characters.symplectic_denominator_product
-    monkeypatch.setattr(characters, "symplectic_denominator_product", lambda xs: real(xs) + 1)
     argv = ["suite", "--max-n", "1", "--max-m", "1", "--max-weight", "1"] + (["--json"] if as_json else [])
-    code, out, err = run(capsys, *argv)
-    assert code == 3 and err.startswith("ospchar: internal error:")
-    if as_json:
-        statuses = [(r["identity"], r["status"]) for r in json.loads(out)]
-    else:
-        lines = out.splitlines()
-        errors = sum(line.startswith("ERROR ") for line in lines[:-1])
-        assert errors and lines[-1] == f"{len(lines) - 1} checks, 0 failures, {errors} errors"
-        statuses = [(line.split()[1], line.split()[0].lower()) for line in lines[:-1]]
-    assert len(statuses) == 36  # as many as a clean run
-    assert ("ortho_methods", "error") in statuses
-    assert all(status == "pass" for identity, status in statuses if identity == "hook_methods")
-    # one golden example breaks; the other three are still checked
-    assert [status for identity, status in statuses if identity == "golden"] == ["error", "pass", "pass", "pass"]
+    # a wrong value, and a ValueError from inside the routes: every grid
+    # point is in its identity's domain, so neither is a usage error
+    for broken in (lambda xs: real(xs) + 1, nested_domain_check):
+        with monkeypatch.context() as patch:
+            patch.setattr(characters, "symplectic_denominator_product", broken)
+            code, out, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("ospchar: internal error:"), broken
+        if as_json:
+            statuses = [(r["identity"], r["status"]) for r in json.loads(out)]
+        else:
+            lines = out.splitlines()
+            errors = sum(line.startswith("ERROR ") for line in lines[:-1])
+            assert errors and lines[-1] == f"{len(lines) - 1} checks, 0 failures, {errors} errors"
+            statuses = [(line.split()[1], line.split()[0].lower()) for line in lines[:-1]]
+        assert len(statuses) == 36  # as many as a clean run
+        assert ("ortho_methods", "error") in statuses
+        assert all(status == "pass" for identity, status in statuses if identity == "hook_methods")
+        # one golden example breaks; the other three are still checked
+        assert [status for identity, status in statuses if identity == "golden"] == ["error", "pass", "pass", "pass"]
 
 
 def test_verify_rejects_counts_outside_the_domain(capsys):
