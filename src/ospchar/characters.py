@@ -436,9 +436,10 @@ def _check_counts(family: str, n: int, m: int) -> None:
         raise ValueError(f"family {family!r} does not take --m")
 
 
-def family_tableaux(family: str, lam: Partition, n: int, m: int, mu: Partition) -> Iterator[tableaux.Tableau]:
+def family_tableaux(family: str, lam: Partition, n: int, m: int, mu: Partition) -> Iterator[str]:
     """The tableaux whose weights the family's tableau route sums, in
-    enumeration order; mu is an inner shape (schur only).
+    enumeration order, each as its display text; mu is an inner shape
+    (schur only).
 
     Raises ValueError when called, before any tableau is listed, outside
     the tableau route's domain, with the same message as

@@ -12,10 +12,11 @@ Enumeration fills a Young diagram row-major by backtracking.  It reads the
 same letter table: every filling rule of the five families bounds a cell's
 code from below, by its row's cap and by its left and top neighbours.  It
 lists the tableaux for ``ospchar enumerate`` and is the oracle the tests
-hold the weight sums to on small shapes.  The listing streams: it holds one
-filling at a time, and a row is rebuilt (and mapped to display tokens again)
-only when one of its cells was assigned since the previous tableau, so the
-cost per tableau follows what changed, not the size of the shape.
+hold the weight sums to on small shapes.  The listing streams each tableau
+as its display text (``[[1,1b],[2p]]``): it holds one filling and its rows'
+text, and a row is rebuilt and rendered again only when one of its cells was
+assigned since the previous tableau, so the cost per tableau follows what
+changed, not the size of the shape.
 
 Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
 place that says what each code shows as, weighs, and which strip it fills:
@@ -36,32 +37,10 @@ with it on brute-forced small shapes, which holds the table to the rules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .algebra import LaurentPolynomial
 from .symfun import Partition, standard_xy
-
-
-@dataclass(frozen=True)
-class Tableau:
-    """A filled (possibly skew) shape, entries as display tokens.
-
-    Tokens: plain letters ``3``, barred ``3b``, primed ``2p``; cells of the
-    inner shape print as ``.``.
-    """
-
-    shape: tuple[int, ...]
-    inner: tuple[int, ...]
-    rows: tuple[tuple[str, ...], ...]
-
-    def __str__(self) -> str:
-        if not self.rows:
-            return "[]"
-        rows = self.rows
-        if self.inner:
-            rows = tuple((".",) * skip + row for skip, row in zip(self.inner, rows)) + rows[len(self.inner) :]
-        return "[[" + "],[".join([",".join(row) for row in rows]) + "]]"
 
 
 class Letter(NamedTuple):
@@ -269,22 +248,28 @@ def grids(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Ite
     return fill()
 
 
-def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[Tableau]:
+def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[str]:
+    """The fillings of grids, in its order, each as its display text.
+
+    The text lists the rows in brackets, their cells' tokens separated by
+    commas, with ``.`` for each cell of the inner shape: ``[[1,1b],[2p]]``
+    or ``[[.,1],[.]]``; the empty shape shows as ``[]``.  A row's text is
+    rendered again only when grids hands back a new row object for it, so
+    nothing but the current rows and their text is kept across fillings.
+    """
     found = grids(family, lam, mu, n, m)  # raises here, not at the first tableau
     token = [letter.token for letter in LETTERS[family](n, m)].__getitem__
+    dots = [(".",) * mu.part(r + 1) for r in range(lam.length)]
 
     def listing():
-        # grids hands back the same row object while a row is unchanged, so
-        # only new rows are mapped to tokens again.
-        shape, inner = lam.parts, mu.parts
-        codes: list[tuple[int, ...] | None] = [None] * len(shape)
-        shown: list[tuple[str, ...]] = [()] * len(shape)
+        codes: list[tuple[int, ...] | None] = [None] * lam.length
+        shown = [""] * lam.length
         for grid in found:
             for r, row in enumerate(grid):
                 if row is not codes[r]:
                     codes[r] = row
-                    shown[r] = tuple(map(token, row))
-            yield Tableau(shape, inner, tuple(shown))
+                    shown[r] = f"[{','.join(dots[r] + tuple(map(token, row)))}]"
+            yield f"[{','.join(shown)}]"
 
     return listing()
 
@@ -309,7 +294,7 @@ def ssyt_weight_sum(lam: Partition, mu: Partition, n: int) -> LaurentPolynomial:
     return _strip_sum("ssyt", lam, mu, n)
 
 
-def ssyt_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[Tableau]:
+def ssyt_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[str]:
     return _listing("ssyt", lam, mu, n)
 
 
@@ -338,7 +323,7 @@ def super_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynomial:
     return _strip_sum("super", lam, Partition(), n, m)
 
 
-def super_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:
+def super_tableaux(lam: Partition, n: int, m: int) -> Iterator[str]:
     return _listing("super", lam, Partition(), n, m)
 
 
@@ -366,7 +351,7 @@ def symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
     return _strip_sum("symplectic", lam, Partition(), n)
 
 
-def symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
+def symplectic_tableaux(lam: Partition, n: int) -> Iterator[str]:
     return _listing("symplectic", lam, Partition(), n)
 
 
@@ -379,7 +364,7 @@ def odd_symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
     return _strip_sum("odd_symplectic", lam, Partition(), n)
 
 
-def odd_symplectic_tableaux(lam: Partition, n: int) -> Iterator[Tableau]:
+def odd_symplectic_tableaux(lam: Partition, n: int) -> Iterator[str]:
     return _listing("odd_symplectic", lam, Partition(), n)
 
 
@@ -426,7 +411,7 @@ def orthosymplectic_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynom
     return _strip_sum("orthosymplectic", lam, Partition(), n, m)
 
 
-def orthosymplectic_tableaux(lam: Partition, n: int, m: int) -> Iterator[Tableau]:
+def orthosymplectic_tableaux(lam: Partition, n: int, m: int) -> Iterator[str]:
     return _listing("orthosymplectic", lam, Partition(), n, m)
 
 

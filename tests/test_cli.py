@@ -138,6 +138,9 @@ ENUMERATE_PINS = {
     # the empty shape prints as [], and a skew shape may end in a fully inner row
     ("schur", 2, 0, "", None): (1, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     ("schur", 3, 0, "3,1", "1,1"): (6, "ffedbd9b1ba707105da99b15fcddb2e760c45e2e9e124b3cadc5913aff172baa"),
+    # full scale: many fillings share their upper rows
+    ("symplectic", 4, 0, "4,3,2,1", None): (65536, "57c763727c4b8e7ae0580e1bd34975cce27bc174225cd990916cd4a1dcc140f8"),
+    ("orthosymplectic", 3, 3, "4,3,1", None): (57519, "028fea82020e8cf4cd011d7305d1663db44603192eceb1436ca3458ee76456ef"),
 }
 
 

@@ -1,5 +1,6 @@
 """Tableau enumerators against printed examples and brute-force filters."""
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -354,16 +355,59 @@ def test_skew_grids_match_the_reference_in_order():
                 _same_fillings("ssyt", lam, mu, n)
 
 
+def _reference_render(family, grid, lam, mu, n, m=0):
+    """One filling's display text with every row rendered from its codes:
+    tokens from the letter table, ``.`` for the inner cells, ``[]`` for the
+    empty shape."""
+    if not grid:
+        return "[]"
+    token = [letter.token for letter in tableaux.LETTERS[family](n, m)]
+    rows = [tuple(token[v] for v in row) for row in grid]
+    inner = mu.parts
+    rows = [(".",) * skip + row for skip, row in zip(inner, rows)] + rows[len(inner) :]
+    return "[[" + "],[".join([",".join(row) for row in rows]) + "]]"
+
+
+def _same_listing(family, lam, mu, n, m=0):
+    try:
+        want = [_reference_render(family, grid, lam, mu, n, m) for grid in grids(family, lam, mu, n, m)]
+    except ValueError:
+        with pytest.raises(ValueError):
+            tableaux._listing(family, lam, mu, n, m)
+        return
+    assert list(tableaux._listing(family, lam, mu, n, m)) == want, (family, lam, mu, n, m)
+
+
+@pytest.mark.parametrize("family", sorted(STRIP_FAMILIES))
+def test_listing_matches_rendering_from_scratch(family):
+    # The listing renders a row again only when grids hands back a new row
+    # object; rendering every row of every filling must give the same text.
+    for n in (1, 2, 3):
+        for m in STRIP_FAMILIES[family][1]:
+            for lam in partitions_up_to(6):
+                _same_listing(family, lam, Partition(), n, m)
+
+
+def test_skew_listing_matches_rendering_from_scratch():
+    # Fully inner rows, mu == lam (one filling of inner cells only), the
+    # empty shape, and mu not inside lam (raises on both sides).
+    for n in (1, 2, 3):
+        for lam in partitions_up_to(5):
+            for mu in partitions_up_to(5):
+                _same_listing("ssyt", lam, mu, n)
+
+
 def test_listing_streams():
     # 142,506 tableaux in all; a listing that kept what it had listed, or
     # memoized rows across fillings, would grow with the count.
     tracemalloc.start()
     try:
-        taken = sum(1 for _ in itertools.islice(tableaux.ssyt_tableaux(Partition([25]), Partition(), 6), 50_000))
+        listing = itertools.islice(tableaux.ssyt_tableaux(Partition([25]), Partition(), 6), 50_000)
+        kinds = collections.Counter(map(type, listing))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert taken == 50_000
+    assert kinds == {str: 50_000}
     assert peak < 8 * 2**20
 
 
