@@ -14,7 +14,6 @@ from .algebra import (
     VariableMismatchError,
     VariableSet,
     det_cofactor,
-    det_rational,
     exact_div,
 )
 from .symfun import (
@@ -25,7 +24,6 @@ from .symfun import (
     partitions_up_to,
     skew_schur_jt,
     subpartitions,
-    super_complete,
 )
 from .characters import (
     CharacterRequest,

@@ -3,7 +3,8 @@
 Every function takes explicit variable arguments: ``xs`` (and ``ys``) are
 unit monomials in a shared variable set, so the same formulas evaluate both
 at the standard alphabets x_1..x_n / y_1..y_m and at specialized points such
-as (x_1, ..., 1/x_n).  Bars are inverses: ``xb = x.inverse()``.
+as (x_1, ..., 1/x_n).  Bars are inverses: ``xb = x.inverse()``.  A route
+checks its domain with the symfun guard that CharacterRequest.validate calls.
 
 Routes implemented per family (all agreeing, which the identity suite and
 the acceptance tests verify against tableau enumeration):
@@ -29,6 +30,8 @@ from .symfun import (
     complete_table,
     jseries_table,
     k_index,
+    require_hook,
+    require_length,
     skew_schur_jt,
     standard_x,
     standard_xy,
@@ -47,11 +50,6 @@ def _vs_of(xs: Sequence[Poly], ys: Sequence[Poly] = ()) -> VariableSet:
     raise ValueError("at least one variable is required")
 
 
-def _require_length(lam: Partition, n: int) -> None:
-    if lam.length > n:
-        raise ValueError(f"partition {lam.parts} is longer than the {n} variables")
-
-
 def _prod(vs: VariableSet, factors) -> Poly:
     out = vs.one()
     for f in factors:
@@ -65,7 +63,7 @@ def _prod(vs: VariableSet, factors) -> Poly:
 def schur_bialternant(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """det(x_i^(lam_j + n - j)) / det(x_i^(n - j))."""
     n = len(xs)
-    _require_length(lam, n)
+    require_length(lam, n)
     vs = _vs_of(xs)
     num = [[xs[i] ** (lam.part(j) + n - j) for j in range(1, n + 1)] for i in range(n)]
     den = [[xs[i] ** (n - j) for j in range(1, n + 1)] for i in range(n)]
@@ -94,9 +92,8 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
     prod(x_i - x_j) prod(y_i - y_j).
     """
     n, m = len(xs), len(ys)
+    require_hook(lam, n, m)
     vs = _vs_of(xs, ys)
-    if lam.part(n + 1) > m:
-        raise ValueError(f"part {n + 1} of {lam.parts} exceeds m={m}")
     k = k_index(lam, n, m)
     size = m + k - 1
     lamc = lam.conjugate()
@@ -186,7 +183,7 @@ def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
     same determinant at the empty partition (both from symplectic_matrix),
     checked on every call and divided by the three root groups of
     symplectic_denominator_factors in turn."""
-    _require_length(lam, len(xs))
+    require_length(lam, len(xs))
     groups = _checked_denominator(symplectic_matrix, xs, symplectic_denominator_factors(xs))
     return _alternant_quotient(symplectic_matrix, lam, xs, groups)
 
@@ -199,7 +196,7 @@ def ortho_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     j-th column J_{lam_i - i + j} + J_{lam_i - i - j + 2} for j >= 2,
     J_r = sum_l h_l(X, 1/X) e_{r-l}(Y)."""
     n = len(xs)
-    _require_length(lam, n)
+    require_length(lam, n)
     vs = _vs_of(xs, ys)
     rmax = max(lam.part(1) + n - 1, 0)
     jt = jseries_table(rmax, xs, ys, vs)
@@ -314,7 +311,7 @@ def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
     """One-prime-variable case: det(x_i^(a+1) - x_i^-(a+1) + y (x_i^a - x_i^-a))
     over the symplectic denominator product, a = lam_j + n - j."""
     n = len(xs)
-    _require_length(lam, n)
+    require_length(lam, n)
     vs = _vs_of(xs)
     rows = []
     for i in range(n):
@@ -383,7 +380,7 @@ def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """Quotient det A_lam / det A_empty of odd_symplectic_matrix, checked on
     every call and divided by the three root groups of
     odd_denominator_factors in turn."""
-    _require_length(lam, len(xs))
+    require_length(lam, len(xs))
     groups = _checked_denominator(odd_symplectic_matrix, xs, odd_denominator_factors(xs))
     return _alternant_quotient(odd_symplectic_matrix, lam, xs, groups)
 
@@ -471,11 +468,10 @@ class CharacterRequest:
         if (self.family, self.method) not in _ROUTES:
             raise ValueError(f"method {self.method!r} is not available for {self.family!r}")
         _check_counts(self.family, self.n, self.m)
-        length_bound = self.family in ("schur", "symplectic", "odd_symplectic") or (self.family, self.method) == ("orthosymplectic", "jt")
-        if length_bound and self.lam.length > self.n:
-            raise ValueError(f"partition {self.lam.parts} is longer than n={self.n}")
-        if self.method == "det" and self.lam.part(self.n + 1) > self.m:
-            raise ValueError("outside the determinant formula's domain: lam_{n+1} > m")
+        if self.family in ("schur", "symplectic", "odd_symplectic") or (self.family, self.method) == ("orthosymplectic", "jt"):
+            require_length(self.lam, self.n)
+        if self.method == "det":
+            require_hook(self.lam, self.n, self.m)
 
     def compute(self) -> Poly:
         """The character by the requested route.  A request outside the

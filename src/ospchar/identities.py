@@ -16,6 +16,8 @@ computation error into an "error" report.  A ValueError means a point
 outside the identity's domain: ``run_check`` raises it, since its point comes
 from the caller, but every grid point of ``run_suite`` is in its identity's
 domain, so there a ValueError is a formula defect and an "error" report too.
+The identities build their x- and y-variables, and any extra letter, with
+``symfun.standard_xy``, the alphabet the routes and the tableau sums use.
 """
 
 from __future__ import annotations
@@ -150,14 +152,6 @@ def _agreement(identity: str, params: dict, base: Poly, routes, *args) -> Verifi
     return report
 
 
-def _alphabet(n: int, m: int, letter: str) -> tuple[VariableSet, list[Poly], list[Poly], Poly]:
-    """The variables x1..xn, y1..ym and ``letter``, in that order, and their
-    generators: the xs, the ys and the letter's."""
-    vs = VariableSet([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)] + [letter])
-    g = vs.gens()
-    return vs, g[:n], g[n : n + m], g[-1]
-
-
 # -- character method agreements ------------------------------------------
 
 # Each agreement first validates the request of the route whose domain it
@@ -238,7 +232,7 @@ def verify_supersymmetry(lam: Partition, n: int, m: int) -> VerificationReport:
     (x_1, ..., x_{n-1}, t), (y_1, ..., y_{m-1}, -t)."""
     if n < 1 or m < 1:
         raise ValueError("needs n, m >= 1")
-    vs, xs, ys, t = _alphabet(n, m, "t")
+    vs, xs, ys, t = standard_xy(n, m, "t")
     value = hook_schur_jt(lam, xs[:-1] + [t], ys[:-1] + [-t])
     # t is the last variable: the t-free part keeps the terms without it
     t_free = vs.poly({e: c for e, c in value.terms.items() if not e[-1]})
@@ -362,7 +356,7 @@ def verify_specialization_reduction(
     if lam.length > n or lam.part(1) > r:
         raise ValueError("needs len(lam) <= n and lam_1 <= r")
     params = _params(lam=lam, n=n, r=r, variant=variant)
-    vs, xs, _, z = _alphabet(n, 0, "z")  # z is the spo variant's prime variable
+    vs, xs, _, z = standard_xy(n, 0, "z")  # z is the spo variant's prime variable
 
     def char(p: Partition, vars_: list[Poly]) -> Poly:
         if not vars_:
@@ -394,19 +388,6 @@ def verify_specialization_reduction(
 # -- kernel determinants ------------------------------------------------------
 
 
-def _kernel_vars(n: int) -> tuple[VariableSet, list[Poly], list[Poly], list[Poly], list[Poly], Poly, Poly]:
-    names = (
-        [f"x{i}" for i in range(1, n + 1)]
-        + [f"y{i}" for i in range(1, n + 1)]
-        + [f"a{i}" for i in range(1, n + 1)]
-        + [f"b{i}" for i in range(1, n + 1)]
-        + ["z", "c"]
-    )
-    vs = VariableSet(names)
-    g = vs.gens()
-    return vs, g[:n], g[n : 2 * n], g[2 * n : 3 * n], g[3 * n : 4 * n], g[-2], g[-1]
-
-
 def _kernel_numerator(x: Poly, y: Poly, z: Poly, a: Poly, b: Poly, sign: int) -> Poly:
     """Numerator N of the p (sign=-1) or q (sign=+1) kernel entry
     N / ((1 - xy)(x - y)) = num_xy / (1 - xy) + num_diff / (x - y)."""
@@ -436,7 +417,9 @@ def verify_kernel_det(n: int, variant: str) -> VerificationReport:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1:
         raise ValueError("needs n >= 1")
-    vs, xs, ys, as_, bs, z, c = _kernel_vars(n)
+    ab = [f"{name}{i}" for name in "ab" for i in range(1, n + 1)]
+    vs, xs, ys, *rest = standard_xy(n, n, *ab, "z", "c")
+    as_, bs, (z, c) = rest[:n], rest[n : 2 * n], rest[2 * n :]
     one = vs.one()
     sign_entry = -1 if variant == "p" else 1
     dens = [[(x - y) * (one - x * y) for y in ys] for x in xs]
@@ -483,7 +466,7 @@ def verify_bkw_general(n: int, m: int, r: int) -> VerificationReport:
     if r < 0:
         raise ValueError("needs r >= 0")
     params = {"n": n, "m": m, "r": r}
-    vs, xs, ys, z = _alphabet(n, m, "z")
+    vs, xs, ys, z = standard_xy(n, m, "z")
     lhs = vs.zero()
     for lam in box_partitions(n, r):
         left = ortho_single_y(lam, xs, z)
@@ -512,7 +495,7 @@ def verify_bkw_original(n: int, m: int, r: int) -> VerificationReport:
     if r < 0:
         raise ValueError("needs r >= 0")
     params = {"n": n, "m": m, "r": r}
-    vs, xs, ys, z = _alphabet(n, m, "z")
+    vs, xs, ys, z = standard_xy(n, m, "z")
     lhs = vs.zero()
     for lam in box_partitions(n + 1, r):
         left = odd_symplectic_det(lam, xs + [z])

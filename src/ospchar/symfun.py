@@ -8,6 +8,9 @@ H_r(; Y), and the letters X, 1/X give the J_r = H_r(X, 1/X; Y) of the
 hyperoctahedral Jacobi-Trudi matrices.  A "letter" may be any Laurent
 polynomial, so the same tables evaluate at specialized points such as
 (x_1, ..., x_{n-1}, t) and (y_1, ..., -t).
+
+Each shape rule has its one guard here, with the CLI's message, and the
+alphabet x1..xn, y1..ym (plus extra letters) its one builder, standard_xy.
 """
 
 from __future__ import annotations
@@ -149,12 +152,31 @@ def box_partitions(max_length: int, max_part: int) -> Iterator[Partition]:
     yield from subpartitions(Partition((max_part,) * max_length))
 
 
-def standard_xy(n: int, m: int) -> tuple[VariableSet, list[LaurentPolynomial], list[LaurentPolynomial]]:
-    """Variable set x1..xn, y1..ym with its generators split into X and Y;
-    tableau sums and closed-form routes share it, so their values compare."""
-    vs = VariableSet([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)])
+def require_length(lam: Partition, n: int) -> None:
+    """len(lam) <= n: the domain of the Weyl, Jacobi-Trudi and Okada forms."""
+    if lam.length > n:
+        raise ValueError(f"partition {lam.parts} is longer than n={n}")
+
+
+def require_hook(lam: Partition, n: int, m: int) -> None:
+    """lam_{n+1} <= m, lam in the (n, m)-hook: the bordered determinants' domain."""
+    if lam.part(n + 1) > m:
+        raise ValueError("outside the determinant formula's domain: lam_{n+1} > m")
+
+
+def require_inside(lam: Partition, mu: Partition) -> None:
+    """mu inside lam: the domain of a skew shape lam/mu."""
+    if not lam.contains(mu):
+        raise ValueError(f"{mu!r} is not contained in {lam!r}")
+
+
+def standard_xy(n: int, m: int, *letters: str) -> tuple:
+    """The variable set x1..xn, y1..ym, then ``letters``, and its generators
+    as (vs, xs, ys, *one per letter); tableau sums, closed-form routes and
+    identities share it, so their values compare."""
+    vs = VariableSet([f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, m + 1)] + list(letters))
     gens = vs.gens()
-    return vs, gens[:n], gens[n:]
+    return (vs, gens[:n], gens[n : n + m], *gens[n + m :])
 
 
 def standard_x(n: int) -> tuple[VariableSet, list[LaurentPolynomial]]:
@@ -215,8 +237,7 @@ def skew_schur_jt(
 ) -> LaurentPolynomial:
     """Skew (hook) Schur polynomial det(H_{lam_i - mu_j - i + j}(X; Y)) of
     order max(len(lam), 1); with Y empty the H_r are the h_r(X)."""
-    if not lam.contains(mu):
-        raise ValueError(f"{mu!r} is not contained in {lam!r}")
+    require_inside(lam, mu)
     n = max(lam.length, 1)
     hx = complete_table(lam.part(1) + n - 1, xs, vars, ys=ys)
     vs = hx[0].vars

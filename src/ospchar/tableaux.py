@@ -40,7 +40,7 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from .algebra import LaurentPolynomial
-from .symfun import Partition, standard_xy
+from .symfun import Partition, require_inside, require_length, standard_xy
 
 
 class Letter(NamedTuple):
@@ -118,10 +118,9 @@ def _check_domain(family: str, lam: Partition, mu: Partition, n: int) -> None:
     A too-tall shape is in the domain and has no tableaux, except for the
     odd symplectic family, whose character is defined for at most n rows.
     """
-    if not lam.contains(mu):
-        raise ValueError(f"{mu!r} is not contained in {lam!r}")
-    if family == "odd_symplectic" and lam.length > n:
-        raise ValueError(f"partition length {lam.length} exceeds n={n}")
+    require_inside(lam, mu)
+    if family == "odd_symplectic":
+        require_length(lam, n)
 
 
 def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> LaurentPolynomial:

@@ -4,7 +4,7 @@ import pytest
 
 from ospchar import characters
 from ospchar.algebra import det_cofactor, exact_div
-from ospchar.symfun import Partition, k_index, partitions_of, partitions_up_to
+from ospchar.symfun import Partition, k_index, partitions_of, partitions_up_to, skew_schur_jt
 from ospchar.characters import (
     CharacterRequest,
     hook_schur_det,
@@ -308,6 +308,51 @@ def test_ortho_sp_schur_sum_builds_its_denominator_groups_once(monkeypatch):
     value = ortho_sp_schur_sum(lam, xs, ys)
     assert calls == [3]
     assert value == tableaux.orthosymplectic_weight_sum(lam, 3, 2)
+
+
+# -- one message per shape rule -------------------------------------------------------
+
+# route -> its call on lam at n = m = 1.  Library callers pass raw variables,
+# so each route guards len(lam) <= n itself, with the message the CLI prints.
+LENGTH_GUARDED = {
+    "schur_bialternant": lambda lam, xs, ys: schur_bialternant(lam, xs),
+    "symplectic_weyl": lambda lam, xs, ys: symplectic_weyl(lam, xs),
+    "ortho_jt": lambda lam, xs, ys: ortho_jt(lam, xs, ys),
+    "ortho_single_y": lambda lam, xs, ys: ortho_single_y(lam, xs, ys[0]),
+    "odd_symplectic_det": lambda lam, xs, ys: odd_symplectic_det(lam, xs),
+    "odd_symplectic_weight_sum": lambda lam, xs, ys: tableaux.odd_symplectic_weight_sum(lam, 1),
+    "odd_symplectic_tableaux": lambda lam, xs, ys: tableaux.odd_symplectic_tableaux(lam, 1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(LENGTH_GUARDED))
+def test_every_length_guard_gives_the_cli_message(route):
+    _, xs, ys = standard_xy(1, 1)
+    with pytest.raises(ValueError) as exc:
+        LENGTH_GUARDED[route](Partition([1, 1]), xs, ys)
+    assert str(exc.value) == "partition (1, 1) is longer than n=1"
+
+
+def test_hook_guard_gives_the_cli_message():
+    _, xs, ys = standard_xy(1, 1)
+    with pytest.raises(ValueError) as exc:
+        hook_schur_det(Partition([2, 2]), xs, ys)
+    assert str(exc.value) == "outside the determinant formula's domain: lam_{n+1} > m"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam, mu: skew_schur_jt(lam, mu, standard_x(2)[1]),
+        lambda lam, mu: tableaux.ssyt_weight_sum(lam, mu, 2),
+        lambda lam, mu: tableaux.ssyt_tableaux(lam, mu, 2),
+    ],
+    ids=["skew_schur_jt", "ssyt_weight_sum", "ssyt_tableaux"],
+)
+def test_every_containment_guard_gives_the_cli_message(call):
+    with pytest.raises(ValueError) as exc:
+        call(Partition([1]), Partition([2]))
+    assert str(exc.value) == "Partition([2]) is not contained in Partition([1])"
 
 
 # -- request dispatch --------------------------------------------------------------------

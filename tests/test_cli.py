@@ -213,6 +213,47 @@ def test_verify_ortho_methods_on_a_shape_longer_than_n(capsys):
     assert (code, out) == (0, "PASS ortho_methods lambda=1,1 n=1 m=1\n")
 
 
+# (family, n, m, lambda) -> compute methods whose outputs are byte-equal
+# there: points past the acceptance sweep's n, m <= 3 and |lambda| <= 6.
+COMPUTE_AGREEMENTS = {
+    # |lambda| = 8: the letter recurrence at full scale
+    ("orthosymplectic", 3, 3, "4,3,1"): ("tableau", "sp_schur_sum", "jt"),
+    # n = 4 and 5: every staged division one size up
+    ("symplectic", 4, 0, "5,1"): ("tableau", "weyl"),
+    ("odd_symplectic", 4, 0, "5,1"): ("tableau", "okada"),
+    ("orthosymplectic", 4, 3, "3,2,1"): ("tableau", "det"),
+    ("symplectic", 5, 0, "3,2,1"): ("tableau", "weyl"),
+    ("odd_symplectic", 5, 0, "3,2,1"): ("tableau", "okada"),
+    ("orthosymplectic", 4, 2, "3,2,1"): ("tableau", "sp_schur_sum"),
+    # lam_4 = 1 <= m: inside the (3, 3)-hook though longer than n = 3
+    ("orthosymplectic", 3, 3, "3,2,1,1"): ("tableau", "det", "sp_schur_sum"),
+    # exponents past 255 take two-byte fields in both packed kernels
+    ("schur", 2, 0, "300,100"): ("weyl", "jt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPUTE_AGREEMENTS, key=str), ids=lambda case: "-".join(map(str, case)))
+def test_compute_routes_agree_past_the_sweep(capsys, case):
+    family, n, m, lam = case
+    args = ("--family", family, "--n", str(n), "--m", str(m), "--lambda", lam)
+    first, *others = COMPUTE_AGREEMENTS[case]
+    code, want, _ = run(capsys, "compute", "--method", first, *args)
+    assert code == 0 and want
+    for method in others:
+        assert run(capsys, "compute", "--method", method, *args) == (0, want, ""), method
+
+
+@pytest.mark.parametrize("family, n, m, lam", [("hook", 3, 3, "6,2,1,1,1"), ("orthosymplectic", 3, 3, "4,3,1")])
+def test_enumerate_lists_as_many_tableaux_as_the_sum_counts(capsys, family, n, m, lam):
+    # one line per tableau, and each tableau adds 1 to one coefficient
+    args = ("--family", family, "--n", str(n), "--m", str(m), "--lambda", lam)
+    code, listing, _ = run(capsys, "enumerate", *args)
+    assert code == 0
+    code, out, _ = run(capsys, "compute", "--method", "tableau", "--format", "json", *args)
+    assert code == 0
+    assert len(listing.splitlines()) == sum(int(t["c"]) for t in json.loads(out)["terms"])
+
+
 def test_closed_pipe_ends_the_command_quietly():
     # like any Unix filter: no traceback, killed by SIGPIPE, not exit 1
     if not hasattr(signal, "SIGPIPE"):

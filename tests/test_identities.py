@@ -92,6 +92,20 @@ def test_kernel_det_examples():
         verify_kernel_det(1, "x")
 
 
+def test_kernel_det_variable_order(monkeypatch):
+    # x, y, a, b, then z and c: the order of every monomial in a witness
+    seen = []
+    real = identities.compare
+
+    def record(identity, params, left, right, note=None):
+        seen.append(left.vars.names)
+        return real(identity, params, left, right, note)
+
+    monkeypatch.setattr(identities, "compare", record)
+    assert verify_kernel_det(2, "p").passed
+    assert seen == [("x1", "x2", "y1", "y2", "a1", "a2", "b1", "b2", "z", "c")]
+
+
 def test_kernel_det_detects_a_sign_flip(monkeypatch):
     real = identities._kernel_numerator
     # only the kernel side flips: det V does not use the kernel entries

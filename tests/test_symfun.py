@@ -272,6 +272,19 @@ def test_jseries_examples():
     assert jseries_table(-3, xs, ys) == []
 
 
+# -- the standard alphabet -------------------------------------------------------
+
+
+def test_standard_xy_puts_extra_letters_after_y():
+    vs, xs, ys, t = standard_xy(2, 1, "t")
+    assert vs.names == ("x1", "x2", "y1", "t")
+    assert [g.to_text() for g in xs + ys + [t]] == ["x1", "x2", "y1", "t"]
+    assert len(standard_xy(2, 1)) == 3
+    vs, xs, ys, z, c = standard_xy(1, 0, "z", "c")
+    assert vs.names == ("x1", "z", "c") and ys == []
+    assert [g.to_text() for g in xs + [z, c]] == ["x1", "z", "c"]
+
+
 # -- skew Schur ------------------------------------------------------------------
 
 
