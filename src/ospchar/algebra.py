@@ -11,8 +11,9 @@ layers of a weighted degree chosen per divisor instead (see exact_div); an
 exact quotient is unique, so only the remainder an inexact division reports
 depends on that choice.
 
-Both kernels, large products (_mul_packed) and exact division, work on
-packed keys: an exponent vector minus a per-operand offset, one field per
+The kernels, large products (_mul_packed), exact division and the
+substitution z -> u + 1/u (substitute_reciprocal_sums), work on packed
+keys: an exponent vector minus a per-operand offset, one field per
 variable, every field the same whole number of bytes wide, read as one
 big-endian integer.  Monomial multiplication is then one integer addition.
 A key packs and unpacks through bytes, and struct for fields of 2, 4 or 8
@@ -35,6 +36,7 @@ statements; the benchmark tracer wraps both by name.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import comb
 from operator import add, mul, sub
 from struct import Struct
 from typing import Iterable, Sequence
@@ -537,6 +539,67 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     if quot * b != a:
         raise ExactDivisionError("division self-check failed", remainder=None)
     return quot
+
+
+def substitute_reciprocal_sums(
+    p: LaurentPolynomial, vars: VariableSet, units: Sequence[LaurentPolynomial]
+) -> LaurentPolynomial:
+    """p with its letter len(vars) + i replaced by units[i] + 1/units[i], in ``vars``.
+
+    p's variables are ``vars`` followed by one letter per unit, each unit a
+    unit monomial s*x^d of ``vars``, and p is a polynomial in those letters.
+    The letters go one at a time, last first: z^k becomes
+    s^k * sum_j C(k, j) x^((k - 2j) d).  Keys are packed (see _packer) with
+    the letters in the lowest fields and every other field offset by its
+    minimum minus the farthest the substitution can move it, so a field
+    never leaves its range and moving a term by x^(k d) is adding one
+    integer to its key.
+    """
+    width, count = len(vars), len(units)
+    if p.vars.names[:width] != vars.names or len(p.vars) != width + count:
+        raise VariableMismatchError("substitution needs the variables followed by one letter per unit")
+    moves = []
+    for u in units:
+        if u.vars != vars or not u.is_unit_monomial():
+            raise AlgebraError(f"not a unit monomial of {vars.names}: {u.to_text()}")
+        moves.append(next(iter(u.terms.items())))
+    if not p.terms:
+        return vars.zero()
+    cols = list(zip(*p.terms))
+    kmax = [max(col) for col in cols[width:]]
+    if any(min(col) < 0 for col in cols[width:]):
+        raise AlgebraError("a negative power of u + 1/u is not a Laurent polynomial")
+    reach = [sum(k * abs(d[v]) for k, (d, _) in zip(kmax, moves)) for v in range(width)]
+    lo = tuple(min(col) - r for col, r in zip(cols, reach))
+    span = max([max(col) + r - low for col, r, low in zip(cols, reach, lo)] + kmax + [1])
+    fbytes = _field_bytes(span.bit_length())
+    bits = 8 * fbytes
+    pack = _packer(fbytes, lo + (0,) * count)
+    terms = {pack(e): c for e, c in p.terms.items()}
+    mask = (1 << bits) - 1
+    for i in range(count - 1, -1, -1):
+        shift = bits * (count - 1 - i)
+        d, s = moves[i]
+        step = sum(dv << (bits * (count + width - 1 - v)) for v, dv in enumerate(d))
+        spread: dict[int, list[tuple[int, int]]] = {}
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in terms.items():
+            k = (key >> shift) & mask
+            moved = spread.get(k)
+            if moved is None:
+                moved = spread[k] = [((k - 2 * j) * step - (k << shift), comb(k, j) * s**k) for j in range(k + 1)]
+            for off, b in moved:
+                kk = key + off
+                nc = get(kk, 0) + c * b
+                if nc:
+                    out[kk] = nc
+                else:
+                    del out[kk]
+        terms = out
+    unpack = _unpacker(fbytes, lo)
+    drop = bits * count
+    return LaurentPolynomial._raw(vars, {unpack(k >> drop): c for k, c in terms.items()})
 
 
 # -- determinants -----------------------------------------------------

@@ -17,6 +17,10 @@ the acceptance tests verify against tableau enumeration):
   rational entries; an equivalent bordered determinant with Laurent entries;
   the expansion sum over symplectic times skew Schur
 * odd symplectic: quotient determinant with one distinguished variable
+
+The C_n-type routes (symplectic, the orthosymplectic determinants and sum,
+odd symplectic) compute in z_i = x_i + 1/x_i and map back at the end; see
+the comment that opens their section.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import LaurentPolynomial, VariableSet, det_cofactor, exact_div
+from .algebra import LaurentPolynomial, VariableSet, det_cofactor, exact_div, substitute_reciprocal_sums
 from .symfun import (
     Partition,
     complete_table,
@@ -55,6 +59,12 @@ def _prod(vs: VariableSet, factors) -> Poly:
     for f in factors:
         out = out * f
     return out
+
+
+def _vandermonde(vs: VariableSet, letters: Sequence[Poly]) -> Poly:
+    """prod_{i<j}(letters_i - letters_j)."""
+    n = len(letters)
+    return _prod(vs, (letters[i] - letters[j] for i in range(n) for j in range(i + 1, n)))
 
 
 # -- general linear -----------------------------------------------------
@@ -110,17 +120,28 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
         row += [zero] * (k - 1)
         rows.append(row)
     assert len(rows) == size
-    dnum = _prod(vs, (xs[i] - xs[j] for i in range(n) for j in range(i + 1, n)))
-    dnum = dnum * _prod(vs, (ys[i] - ys[j] for i in range(m) for j in range(i + 1, m)))
+    dnum = _vandermonde(vs, xs) * _vandermonde(vs, ys)
     sign = -1 if (m * n - n + k - 1) % 2 else 1
     return sign * exact_div(det_cofactor(rows, vs), dnum)
 
 
-# -- symplectic -----------------------------------------------------------
+# -- C_n-type routes in z = x + 1/x -----------------------------------------------
+#
+# Every main row of a C_n-type matrix is odd under x_i -> 1/x_i, so it is
+# (x_i - 1/x_i) times a row of polynomials in z_i = x_i + 1/x_i:
+# x^a - x^-a = (x - 1/x) odd(a), with odd(0) = 0, odd(1) = 1 and
+# odd(a + 1) = z odd(a) - odd(a - 1).  The symplectic denominator is
+# prod(x_i - 1/x_i) * prod_{i<j}(z_i - z_j), so its long-root factors cancel
+# from every quotient.  Each route builds its reduced rows over the caller's
+# variables plus one z-letter per x-letter, divides their determinant by a
+# Vandermonde in the z_i, and maps the quotient back with z_i -> x_i + 1/x_i
+# (substitute_reciprocal_sums).  That map is a ring homomorphism for any unit
+# monomial x_i, so the routes still evaluate at points such as
+# (x_1, ..., 1/x_n) or (-x_1, x_2, ...).
 
 
 def _denominator_factors(xs: Sequence[Poly], singles: int) -> tuple[Poly, Poly, Poly]:
-    """The three root groups of a C_n-type denominator, in division order:
+    """The three root groups of a C_n-type denominator:
     prod_{i<=singles}(x_i - 1/x_i) (roots 2e_i), prod_{i<j}(1 - 1/(x_i x_j))
     (roots e_i + e_j) and the Vandermonde prod_{i<j}(x_i - x_j) (roots
     e_i - e_j).  The last two multiply to prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j),
@@ -150,6 +171,51 @@ def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
     return _prod(_vs_of(xs), symplectic_denominator_factors(xs))
 
 
+def symplectic_reduced_denominator(zs: Sequence[Poly]) -> Poly:
+    """prod_{i<j}(z_i - z_j): the symplectic denominator over
+    prod(x_i - 1/x_i), at z_i = x_i + 1/x_i."""
+    return _vandermonde(_vs_of(zs), zs)
+
+
+def _z_alphabet(vs: VariableSet, count: int):
+    """vs followed by ``count`` z-letters named apart from vs's: the new
+    variable set, its z-letters and the map of vs's polynomials into it."""
+    prefix = "z"
+    while any(f"{prefix}{i}" in vs.names for i in range(1, count + 1)):
+        prefix += "z"
+    ext = VariableSet(vs.names + tuple(f"{prefix}{i}" for i in range(1, count + 1)))
+    pad = (0,) * count
+
+    def lift(p: Poly) -> Poly:
+        return LaurentPolynomial._raw(ext, {e + pad: c for e, c in p.terms.items()})
+
+    return ext, [ext.gen(name) for name in ext.names[len(vs) :]], lift
+
+
+def _reducer(z: Poly):
+    """odd(a) = (x^a - x^-a) / (x - 1/x) as a polynomial in z = x + 1/x:
+    odd(0) = 0, odd(1) = 1, odd(a + 1) = z odd(a) - odd(a - 1) and
+    odd(-a) = -odd(a).  The table grows as far as it is asked."""
+    table = [z.vars.zero(), z.vars.one()]
+
+    def odd(a: int) -> Poly:
+        b = abs(a)
+        while len(table) <= b:
+            table.append(z * table[-1] - table[-2])
+        return -table[b] if a < 0 else table[b]
+
+    return odd
+
+
+def _checked_denominator(family: str, empty_rows: list[list[Poly]], divisor: Poly) -> Poly:
+    """The divisor, once the determinant of the reduced rows at the empty
+    partition is checked against it; a mismatch is a RuntimeError naming the
+    family."""
+    if det_cofactor(empty_rows, divisor.vars) != divisor:
+        raise RuntimeError(f"{family} denominator does not match its product form")
+    return divisor
+
+
 def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
     """Rows x_i^a - x_i^-a with a = lam_j + n - j + 1.
 
@@ -160,32 +226,23 @@ def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
     return [[x ** a - x ** (-a) for a in exps] for x in xs]
 
 
-def _checked_denominator(matrix, xs: Sequence[Poly], groups: tuple[Poly, ...]) -> tuple[Poly, ...]:
-    """The root groups, once det matrix(empty, xs) is checked against their
-    product; a mismatch is a RuntimeError naming the matrix's family."""
-    vs = _vs_of(xs)
-    if det_cofactor(matrix(Partition(), xs), vs) != _prod(vs, groups):
-        family = matrix.__name__.removesuffix("_matrix").replace("_", " ")
-        raise RuntimeError(f"{family} denominator does not match its product form")
-    return groups
-
-
-def _alternant_quotient(matrix, lam: Partition, xs: Sequence[Poly], groups: tuple[Poly, ...]) -> Poly:
-    """det matrix(lam, xs) divided by each root group in turn, one exact stage each."""
-    quotient = det_cofactor(matrix(lam, xs), _vs_of(xs))
-    for group in groups:
-        quotient = exact_div(quotient, group)
-    return quotient
+def _symplectic_rows(lam: Partition, odds) -> list[list[Poly]]:
+    """symplectic_matrix(lam, xs) with row i divided by x_i - 1/x_i."""
+    n = len(odds)
+    return [[odd(lam.part(j) + n - j + 1) for j in range(1, n + 1)] for odd in odds]
 
 
 def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
-    """Weyl quotient det(x_i^a - x_i^-a), a = lam_j + n - j + 1, over the
-    same determinant at the empty partition (both from symplectic_matrix),
-    checked on every call and divided by the three root groups of
-    symplectic_denominator_factors in turn."""
+    """Weyl quotient det(x_i^a - x_i^-a) / det(x_i^b - x_i^-b), with
+    a = lam_j + n - j + 1 and b = n - j + 1, in z = x + 1/x: the reduced
+    rows' determinant over symplectic_reduced_denominator, which is checked
+    on every call against the reduced rows at the empty partition."""
     require_length(lam, len(xs))
-    groups = _checked_denominator(symplectic_matrix, xs, symplectic_denominator_factors(xs))
-    return _alternant_quotient(symplectic_matrix, lam, xs, groups)
+    vs = _vs_of(xs)
+    ext, zs, _ = _z_alphabet(vs, len(xs))
+    odds = [_reducer(z) for z in zs]
+    delta = _checked_denominator("symplectic", _symplectic_rows(Partition(), odds), symplectic_reduced_denominator(zs))
+    return substitute_reciprocal_sums(exact_div(det_cofactor(_symplectic_rows(lam, odds), ext), delta), vs, xs)
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -228,41 +285,38 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     k - 1 > n border columns are nonzero only in the n main rows, so the
     value is 0, as is the character.
 
-    Each main-block row is built scaled by its common denominator, so every
-    entry is a Laurent polynomial and the value is the signed exact quotient
-    of that determinant by the product form: the symplectic denominator
-    product times prod_{i<j}(y_i - y_j), with sign (-1)^(mn - n + k - 1).
-    The division runs in two exact stages: first by prod_{i<j}(y_i - y_j),
-    then by the symplectic denominator product in one piece.
+    Cleared of its denominator, a main-block row holds f(x_i) - f(1/x_i)
+    with f(x) = x prod_{t != j}(x + y_t) = sum_r e_r(Y - y_j) x^(m-r), and
+    the border g(x_i) - g(1/x_i) with g(x) = x^e prod_q(x + y_q); each is
+    x_i - 1/x_i times sum_r c_r odd(r) in z_i.  The value is the signed
+    exact quotient of the reduced determinant by prod_{i<j}(y_i - y_j),
+    then by symplectic_reduced_denominator, with sign (-1)^(mn - n + k - 1).
     """
     n, m = len(xs), len(ys)
     vs = _vs_of(xs, ys)
+    ext, zs, lift = _z_alphabet(vs, n)
+    ys = [lift(y) for y in ys]
     k = k_index(lam, n, m)
     lamc = lam.conjugate()
+    zero = ext.zero()
+    e_all = complete_table(m, (), ext, ys=ys)
+    e_rest = [complete_table(m - 1, (), ext, ys=ys[:j] + ys[j + 1 :]) for j in range(m)]
     rows: list[list[Poly]] = []
-    for i in range(n):
-        x = xs[i]
-        xb = x.inverse()
-        p = _prod(vs, (x + y for y in ys))
-        q = _prod(vs, (xb + y for y in ys))
-        row = [
-            x * _prod(vs, (x + ys[t] for t in range(m) if t != j))
-            - xb * _prod(vs, (xb + ys[t] for t in range(m) if t != j))
-            for j in range(m)
-        ]
+    for odd in map(_reducer, zs):
+        row = [sum((c * odd(m - r) for r, c in enumerate(e_rest[j])), zero) for j in range(m)]
         for j in range(1, k):
             e = lam.part(j) + n - m - j + 1
-            row.append(x ** e * p - xb ** e * q)
+            row.append(sum((c * odd(e + m - r) for r, c in enumerate(e_all)), zero))
         rows.append(row)
-    zero = vs.zero()
     for i in range(1, m - n + k):
         row = [ys[j] ** (lamc.part(i) + m - n - i) for j in range(m)]
         row += [zero] * (k - 1)
         rows.append(row)
     assert len(rows) == m + k - 1
-    delta_y = _prod(vs, (ys[i] - ys[j] for i in range(m) for j in range(i + 1, m)))
+    quotient = exact_div(det_cofactor(rows, ext), _vandermonde(ext, ys))
+    quotient = exact_div(quotient, symplectic_reduced_denominator(zs))
     sign = -1 if (m * n - n + k - 1) % 2 else 1
-    return sign * exact_div(exact_div(det_cofactor(rows, vs), delta_y), symplectic_denominator_product(xs))
+    return sign * substitute_reciprocal_sums(quotient, vs, xs)
 
 
 def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -275,68 +329,75 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
     ortho_det_rational, valid on the (n, m)-hook and 0 outside it; with Y
     empty it has only the border columns, symplectic_matrix(lam, xs) when
     len(lam) <= n.
+
+    Row i of the main block and border is x_i - 1/x_i times a row in z_i:
+    (-1)^(m-j) odd(j), and sum_r e_r(Y) odd(e + m - r) from
+    prod_q(x + y_q) = sum_r e_r(Y) x^(m-r).  The value is the signed exact
+    quotient of that determinant by symplectic_reduced_denominator.
     """
     n, m = len(xs), len(ys)
     vs = _vs_of(xs, ys)
+    ext, zs, lift = _z_alphabet(vs, n)
+    ys = [lift(y) for y in ys]
     k = k_index(lam, n, m)
     lamc = lam.conjugate()
-    zero = vs.zero()
+    zero = ext.zero()
+    e_all = complete_table(m, (), ext, ys=ys)
     rows: list[list[Poly]] = []
-    for i in range(n):
-        x = xs[i]
-        xb = x.inverse()
-        p = _prod(vs, (x + y for y in ys))
-        q = _prod(vs, (xb + y for y in ys))
-        row = []
-        for j in range(1, m + 1):
-            entry = x ** j - xb ** j
-            row.append(-entry if (m - j) % 2 else entry)
+    for odd in map(_reducer, zs):
+        row = [-odd(j) if (m - j) % 2 else odd(j) for j in range(1, m + 1)]
         for j in range(1, k):
             e = lam.part(j) + n - m - j + 1
-            row.append(x ** e * p - xb ** e * q)
+            row.append(sum((c * odd(e + m - r) for r, c in enumerate(e_all)), zero))
         rows.append(row)
-    hy = complete_table(lamc.part(1) - n - 1 + m, ys, vs)
+    hy = complete_table(lamc.part(1) - n - 1 + m, ys, ext)
     for i in range(1, m - n + k):
         a = lamc.part(i) - n - i
         row = [hy[a + j] if a + j >= 0 else zero for j in range(1, m + 1)]
         row += [zero] * (k - 1)
         rows.append(row)
     assert len(rows) == m + k - 1
-    det = det_cofactor(rows, vs)
+    quotient = exact_div(det_cofactor(rows, ext), symplectic_reduced_denominator(zs))
     sign = -1 if (m * n - n + k - 1) % 2 else 1
-    return sign * exact_div(det, symplectic_denominator_product(xs))
+    return sign * substitute_reciprocal_sums(quotient, vs, xs)
 
 
 def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
     """One-prime-variable case: det(x_i^(a+1) - x_i^-(a+1) + y (x_i^a - x_i^-a))
-    over the symplectic denominator product, a = lam_j + n - j."""
+    over the symplectic denominator product, a = lam_j + n - j.  In z:
+    rows odd(a + 1) + y odd(a) over symplectic_reduced_denominator, checked
+    on every call against the same rows at the empty partition."""
     n = len(xs)
     require_length(lam, n)
     vs = _vs_of(xs)
-    rows = []
-    for i in range(n):
-        x = xs[i]
-        row = []
-        for j in range(1, n + 1):
-            a = lam.part(j) + n - j
-            row.append(x ** (a + 1) - x ** (-a - 1) + y * (x ** a - x ** (-a)))
-        rows.append(row)
-    return exact_div(det_cofactor(rows, vs), symplectic_denominator_product(xs))
+    ext, zs, lift = _z_alphabet(vs, n)
+    y = lift(y)
+    odds = [_reducer(z) for z in zs]
+
+    def rows(p: Partition) -> list[list[Poly]]:
+        exps = [p.part(j) + n - j for j in range(1, n + 1)]
+        return [[odd(a + 1) + y * odd(a) for a in exps] for odd in odds]
+
+    delta = _checked_denominator("symplectic", rows(Partition()), symplectic_reduced_denominator(zs))
+    return substitute_reciprocal_sums(exact_div(det_cofactor(rows(lam), ext), delta), vs, xs)
 
 
 def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
-    """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y); every sp_mu is
-    a Weyl quotient by the same root groups, checked once per call."""
+    """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y), summed in z and
+    mapped back once; every sp_mu is symplectic_weyl's reduced quotient by
+    the same divisor, checked once per call."""
     n = len(xs)
     vs = _vs_of(xs, ys)
+    ext, zs, lift = _z_alphabet(vs, n)
+    ys = [lift(y) for y in ys]
+    odds = [_reducer(z) for z in zs]
+    delta = _checked_denominator("symplectic", _symplectic_rows(Partition(), odds), symplectic_reduced_denominator(zs))
     lamc = lam.conjugate()
-    total = vs.zero()
-    groups = _checked_denominator(symplectic_matrix, xs, symplectic_denominator_factors(xs))
+    total = ext.zero()
     for mu in subpartitions(lam, max_length=n):
-        sp = _alternant_quotient(symplectic_matrix, mu, xs, groups)
-        sk = skew_schur_jt(lamc, mu.conjugate(), ys, vars=vs)
-        total = total + sp * sk
-    return total
+        sp = exact_div(det_cofactor(_symplectic_rows(mu, odds), ext), delta)
+        total = total + sp * skew_schur_jt(lamc, mu.conjugate(), ys, vars=ext)
+    return substitute_reciprocal_sums(total, vs, xs)
 
 
 # -- odd symplectic ---------------------------------------------------------
@@ -353,6 +414,13 @@ def odd_denominator_product(xs: Sequence[Poly]) -> Poly:
     """prod_{i<n}(x_i - 1/x_i) * prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j), as
     the product of the three root groups of odd_denominator_factors."""
     return _prod(_vs_of(xs), odd_denominator_factors(xs))
+
+
+def odd_reduced_denominator(zs: Sequence[Poly], y: Poly) -> Poly:
+    """prod_{i<j<n}(z_i - z_j) * prod_{i<n}(z_i - y - 1/y): the odd
+    symplectic denominator over prod_{i<n}(x_i - 1/x_i), at
+    z_i = x_i + 1/x_i and y = x_n."""
+    return _vandermonde(y.vars, list(zs) + [y + y.inverse()])
 
 
 def odd_symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
@@ -376,13 +444,28 @@ def odd_symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]
     return rows
 
 
+def _odd_rows(lam: Partition, odds, y: Poly) -> list[list[Poly]]:
+    """odd_symplectic_matrix(lam, xs) with row i < n divided by x_i - 1/x_i."""
+    n = len(odds) + 1
+    yb = y.inverse()
+    exps = [lam.part(j) + n - j for j in range(1, n + 1)]
+    rows = [[odd(a + 1) - yb * odd(a) for a in exps] for odd in odds]
+    rows.append([y ** a for a in exps])
+    return rows
+
+
 def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
-    """Quotient det A_lam / det A_empty of odd_symplectic_matrix, checked on
-    every call and divided by the three root groups of
-    odd_denominator_factors in turn."""
+    """Quotient det A_lam / det A_empty of odd_symplectic_matrix, in z for
+    x_1..x_{n-1}: the reduced rows' determinant over
+    odd_reduced_denominator, which is checked on every call against the
+    reduced rows at the empty partition."""
     require_length(lam, len(xs))
-    groups = _checked_denominator(odd_symplectic_matrix, xs, odd_denominator_factors(xs))
-    return _alternant_quotient(odd_symplectic_matrix, lam, xs, groups)
+    vs = _vs_of(xs)
+    ext, zs, lift = _z_alphabet(vs, len(xs) - 1)
+    y = lift(xs[-1])
+    odds = [_reducer(z) for z in zs]
+    divisor = _checked_denominator("odd symplectic", _odd_rows(Partition(), odds, y), odd_reduced_denominator(zs, y))
+    return substitute_reciprocal_sums(exact_div(det_cofactor(_odd_rows(lam, odds, y), ext), divisor), vs, xs[:-1])
 
 
 # -- request dispatch --------------------------------------------------------

@@ -38,6 +38,7 @@ from .symfun import (
     box_partitions,
     complete_table,
     partitions_up_to,
+    require_length,
     standard_x,
     standard_xy,
 )
@@ -353,8 +354,9 @@ def verify_specialization_reduction(
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1:
         raise ValueError("needs n >= 1")
-    if lam.length > n or lam.part(1) > r:
-        raise ValueError("needs len(lam) <= n and lam_1 <= r")
+    require_length(lam, n)
+    if lam.part(1) > r:
+        raise ValueError("needs lam_1 <= r")
     params = _params(lam=lam, n=n, r=r, variant=variant)
     vs, xs, _, z = standard_xy(n, 0, "z")  # z is the spo variant's prime variable
 

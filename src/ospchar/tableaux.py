@@ -157,7 +157,8 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
                         e = e[:i] + (e[i] + d,) + e[i + 1 :]
                     out[e] = out.get(e, 0) + c
         layer = nxt
-    return vs.poly(layer.get(target, {}))
+    # the keys are exponent tuples of vs's width and every count is positive
+    return LaurentPolynomial._raw(vs, layer.get(target, {}))
 
 
 # -- the backtracking enumerator ----------------------------------------

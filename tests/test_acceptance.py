@@ -220,3 +220,17 @@ def test_criterion_10_supersymmetry_property():
                 if not verify_supersymmetry(lam, n, m).passed:
                     failures.append((n, m, lam.parts))
     _finish("10 supersymmetry property", not failures, started, 60.0, f"{failures or ''}")
+
+
+def test_criterion_11_determinant_one_size_up():
+    # compute --method det at n = 4 against the tableau sum.  The x-world
+    # route took 35 s and 16 s on these two points (2-vCPU Xeon, CPU time);
+    # in z = x + 1/x they take about 1.5 s and 2 s.
+    started = time.time()
+    failures = []
+    for n, m, parts in ((4, 3, (4, 3, 2, 1)), (4, 4, (3, 2, 1))):
+        lam = Partition(list(parts))
+        vs, xs, ys = standard_xy(n, m)
+        if ortho_det_rational(lam, xs, ys) != tableaux.orthosymplectic_weight_sum(lam, n, m):
+            failures.append((n, m, parts))
+    _finish("11 bordered determinant at n = 4", not failures, started, 20.0, f"{failures or ''}")

@@ -19,6 +19,7 @@ from ospchar.algebra import (
     det_cofactor,
     det_rational,
     exact_div,
+    substitute_reciprocal_sums,
 )
 from ospchar.characters import standard_x, standard_xy
 from ospchar.symfun import Partition
@@ -379,6 +380,18 @@ ROUTE_DIVISIONS = {
         lambda: characters.ortho_det_rational(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
         "exquo",
     ),
+    "ortho_det_laurent n=4 m=3 lambda=3,2,1": (
+        lambda: characters.ortho_det_laurent(Partition([3, 2, 1]), *standard_xy(4, 3)[1:]),
+        "exquo",
+    ),
+    "ortho_single_y n=3 lambda=4,2": (
+        lambda: characters.ortho_single_y(Partition([4, 2]), *standard_xy(3, 1)[1:2], standard_xy(3, 1)[2][0]),
+        "cancel",
+    ),
+    "ortho_sp_schur_sum n=3 m=2 lambda=3,2,1": (
+        lambda: characters.ortho_sp_schur_sum(Partition([3, 2, 1]), *standard_xy(3, 2)[1:]),
+        "cancel",
+    ),
     "hook_schur_det n=m=3 lambda=3,2,1": (
         lambda: characters.hook_schur_det(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
         "cancel",
@@ -416,6 +429,56 @@ def test_route_divisions_agree_with_sympy(monkeypatch, case):
             quotient = A.exquo(B)
         q = _shift(exact_div(a, b), (y - x for x, y in zip(amin, bmin)))
         assert R.from_dict(q.terms) == quotient
+
+
+# -- substituting z = u + 1/u -------------------------------------------------
+
+
+def _naive_substitution(p, vs, units):
+    """p's letters after vs's variables replaced by u + 1/u, term by term."""
+    width = len(vs)
+    out = vs.zero()
+    for e, c in p.terms.items():
+        term = vs.poly({e[:width]: c})
+        for k, u in zip(e[width:], units):
+            term = term * (u + u.inverse()) ** k
+        out = out + term
+    return out
+
+
+VS2_UV = VariableSet(["a", "b", "u", "v"])
+unit_strategy = st.tuples(st.sampled_from([1, -1]), st.tuples(st.integers(-3, 3), st.integers(-3, 3))).map(
+    lambda t: VS2.poly({t[1]: t[0]})
+)
+polys_in_z = st.lists(
+    st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 4), st.integers(0, 4)), st.integers(-8, 8)),
+    max_size=6,
+).map(lambda items: VS2_UV.poly({e: c for e, c in items if c}))
+
+
+@given(polys_in_z, unit_strategy, unit_strategy)
+def test_substitution_matches_term_by_term_expansion(p, u, v):
+    assert substitute_reciprocal_sums(p, VS2, [u, v]) == _naive_substitution(p, VS2, [u, v])
+
+
+def test_substitution_with_wide_fields():
+    # exponents past one byte per field, a negated unit and an inverted one
+    a, b, u, v = VS2_UV.gens()
+    p = a ** 200 * u ** 3 - b ** -150 * v ** 2 * u + 7 * u ** 40 + 1
+    units = [-VS2.gen("a"), VS2.gen("b") ** -90]
+    assert substitute_reciprocal_sums(p, VS2, units) == _naive_substitution(p, VS2, units)
+
+
+def test_substitution_rejects_what_it_cannot_map():
+    a, b, u, v = VS2_UV.gens()
+    units = VS2.gens()
+    with pytest.raises(AlgebraError):
+        substitute_reciprocal_sums(u.inverse(), VS2, units)  # (a + 1/a)^-1 is not Laurent
+    with pytest.raises(AlgebraError):
+        substitute_reciprocal_sums(u, VS2, [units[0] + 1, units[1]])  # not a unit monomial
+    with pytest.raises(VariableMismatchError):
+        substitute_reciprocal_sums(u, VS2, units[:1])  # one letter too many
+    assert substitute_reciprocal_sums(VS2_UV.zero(), VS2, units) == VS2.zero()
 
 
 # -- determinants ----------------------------------------------------------

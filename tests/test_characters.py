@@ -3,14 +3,15 @@
 import pytest
 
 from ospchar import characters
-from ospchar.algebra import det_cofactor, exact_div
-from ospchar.symfun import Partition, k_index, partitions_of, partitions_up_to, skew_schur_jt
+from ospchar.algebra import VariableSet, det_cofactor, exact_div, substitute_reciprocal_sums
+from ospchar.symfun import Partition, complete_table, k_index, partitions_of, partitions_up_to, skew_schur_jt, subpartitions
 from ospchar.characters import (
     CharacterRequest,
     hook_schur_det,
     hook_schur_jt,
     odd_denominator_factors,
     odd_denominator_product,
+    odd_reduced_denominator,
     odd_symplectic_det,
     odd_symplectic_matrix,
     ortho_det_laurent,
@@ -24,6 +25,7 @@ from ospchar.characters import (
     symplectic_denominator_factors,
     symplectic_denominator_product,
     symplectic_matrix,
+    symplectic_reduced_denominator,
     symplectic_weyl,
 )
 from ospchar import tableaux
@@ -221,7 +223,7 @@ def test_odd_symplectic_det_examples():
             odd_symplectic_det(lam, [])
 
 
-# -- staged division -------------------------------------------------------------------
+# -- the C_n-type denominators ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -246,30 +248,195 @@ def test_denominator_factor_groups_multiply_to_the_product_form(n):
         assert long_roots * plus_roots * minus_roots == product(xs) == det_cofactor(matrix(empty, xs), vs)
 
 
-def _reference_one_shot(monkeypatch, route, lam, *alphabet):
-    """Run ``route`` and also divide its determinant in one call.
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reduced_denominators_are_the_product_forms_over_the_long_roots(n):
+    # at z_i = x_i + 1/x_i the routes' divisors times the long-root group
+    # prod(x_i - 1/x_i) are the C_n-type denominators
+    vs, xs = standard_x(n)
+    _, zs, _ = characters._z_alphabet(vs, n)
+    sp = substitute_reciprocal_sums(symplectic_reduced_denominator(zs), vs, xs)
+    assert sp * symplectic_denominator_factors(xs)[0] == symplectic_denominator_product(xs)
+    _, zs, lift = characters._z_alphabet(vs, n - 1)
+    odd = substitute_reciprocal_sums(odd_reduced_denominator(zs, lift(xs[-1])), vs, xs[:-1])
+    assert odd * odd_denominator_factors(xs)[0] == odd_denominator_product(xs)
 
-    Records the route's stage divisions, each of which must divide the
-    previous stage's quotient.  Returns the route's value and the first
-    stage's dividend divided by the product of all stage divisors in one
-    exact_div call, as the routes did before they were staged.
-    """
-    calls = []
 
-    def recording(a, b):
-        q = exact_div(a, b)
-        calls.append((a, b, q))
-        return q
+# -- the x-world reference ---------------------------------------------------------
+#
+# The routes compute in z = x + 1/x.  What follows is the quotient they
+# replaced: the determinant of the matrix in the x_i themselves, divided by
+# prod_{i<j}(y_i - y_j) where the route has one, then by the root groups of the
+# C_n-type denominator in turn.  Every rewritten route is compared with it.
 
-    with monkeypatch.context() as patch:
-        patch.setattr(characters, "exact_div", recording)
-        value = route(lam, *alphabet)
-    (det, divisor, quotient), *later = calls
-    for dividend, stage_divisor, stage_quotient in later:
-        assert dividend == quotient
-        divisor = divisor * stage_divisor
-        quotient = stage_quotient
-    return value, exact_div(det, divisor)
+
+def _over_root_groups(det, *groups):
+    for group in groups:
+        det = exact_div(det, group)
+    return det
+
+
+def x_world_weyl(lam, xs):
+    vs = xs[0].vars
+    return _over_root_groups(det_cofactor(symplectic_matrix(lam, xs), vs), *symplectic_denominator_factors(xs))
+
+
+def x_world_okada(lam, xs):
+    vs = xs[0].vars
+    return _over_root_groups(det_cofactor(odd_symplectic_matrix(lam, xs), vs), *odd_denominator_factors(xs))
+
+
+def x_world_single_y(lam, xs, y):
+    n = len(xs)
+    exps = [lam.part(j) + n - j for j in range(1, n + 1)]
+    rows = [[x ** (a + 1) - x ** (-a - 1) + y * (x ** a - x ** (-a)) for a in exps] for x in xs]
+    return _over_root_groups(det_cofactor(rows, xs[0].vars), *symplectic_denominator_factors(xs))
+
+
+def _prod(vs, factors):
+    out = vs.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _bordered(lam, xs, ys, main_block, lower_border):
+    """The bordered orthosymplectic matrix in x: each main row's entries from
+    main_block(x, xb, j), then the k - 1 border columns
+    x^e prod(x + y_q) - x^-e prod(1/x + y_q); lower_border(i) gives row n + i."""
+    n, m = len(xs), len(ys)
+    vs = xs[0].vars
+    k = k_index(lam, n, m)
+    rows = []
+    for x in xs:
+        xb = x.inverse()
+        p = _prod(vs, (x + y for y in ys))
+        q = _prod(vs, (xb + y for y in ys))
+        row = [main_block(x, xb, j) for j in range(m)]
+        row += [x ** e * p - xb ** e * q for e in (lam.part(j) + n - m - j + 1 for j in range(1, k))]
+        rows.append(row)
+    rows += [lower_border(i) + [vs.zero()] * (k - 1) for i in range(1, m - n + k)]
+    sign = -1 if (m * n - n + k - 1) % 2 else 1
+    return rows, sign
+
+
+def _delta(vs, letters):
+    return _prod(vs, (letters[i] - letters[j] for i in range(len(letters)) for j in range(i + 1, len(letters))))
+
+
+def _rational_rows(lam, xs, ys):
+    n, m = len(xs), len(ys)
+    vs = xs[0].vars
+    lamc = lam.conjugate()
+
+    def main_block(x, xb, j):
+        others = [ys[t] for t in range(m) if t != j]
+        return x * _prod(vs, (x + y for y in others)) - xb * _prod(vs, (xb + y for y in others))
+
+    return _bordered(lam, xs, ys, main_block, lambda i: [y ** (lamc.part(i) + m - n - i) for y in ys])
+
+
+def x_world_det_rational(lam, xs, ys):
+    vs = xs[0].vars
+    rows, sign = _rational_rows(lam, xs, ys)
+    return sign * _over_root_groups(det_cofactor(rows, vs), _delta(vs, ys), *symplectic_denominator_factors(xs))
+
+
+def x_world_det_laurent(lam, xs, ys):
+    n, m = len(xs), len(ys)
+    vs = xs[0].vars
+    lamc = lam.conjugate()
+    hy = complete_table(max(lamc.part(1) - n - 1 + m, 0), ys, vs)
+
+    def main_block(x, xb, j):
+        entry = x ** (j + 1) - xb ** (j + 1)
+        return -entry if (m - j - 1) % 2 else entry
+
+    def lower_border(i):
+        a = lamc.part(i) - n - i
+        return [hy[a + j] if a + j >= 0 else vs.zero() for j in range(1, m + 1)]
+
+    rows, sign = _bordered(lam, xs, ys, main_block, lower_border)
+    return sign * _over_root_groups(det_cofactor(rows, vs), *symplectic_denominator_factors(xs))
+
+
+def x_world_sp_schur_sum(lam, xs, ys):
+    vs = xs[0].vars
+    lamc = lam.conjugate()
+    total = vs.zero()
+    for mu in subpartitions(lam, max_length=len(xs)):
+        total = total + x_world_weyl(mu, xs) * skew_schur_jt(lamc, mu.conjugate(), ys, vars=vs)
+    return total
+
+
+# name -> (rewritten route, x-world reference), each called as f(lam, xs, ys)
+X_WORLD = {
+    "det": (ortho_det_rational, x_world_det_rational),
+    "det_equiv": (ortho_det_laurent, x_world_det_laurent),
+    "sp_schur_sum": (ortho_sp_schur_sum, x_world_sp_schur_sum),
+    "single_y": (lambda lam, xs, ys: ortho_single_y(lam, xs, ys[0]), lambda lam, xs, ys: x_world_single_y(lam, xs, ys[0])),
+    "weyl": (lambda lam, xs, ys: symplectic_weyl(lam, xs), lambda lam, xs, ys: x_world_weyl(lam, xs)),
+    "okada": (lambda lam, xs, ys: odd_symplectic_det(lam, xs), lambda lam, xs, ys: x_world_okada(lam, xs)),
+}
+
+
+def _desk_points(name):
+    """The desk grid (n, m <= 3, |lam| <= 6) in each route's domain: the
+    whole (n, m)-hook for the two determinants, len(lam) <= n otherwise."""
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            if name in ("weyl", "okada", "single_y") and m > 1:
+                continue
+            for lam in partitions_up_to(6, max_length=None if name in ("det", "det_equiv") else n):
+                if lam.part(n + 1) <= m:
+                    yield n, m, lam
+
+
+@pytest.mark.parametrize("name", sorted(X_WORLD))
+def test_routes_in_z_match_the_x_world_quotient_on_the_desk_grid(name):
+    route, reference = X_WORLD[name]
+    longer = 0
+    for n, m, lam in _desk_points(name):
+        _, xs, ys = standard_xy(n, m)
+        assert route(lam, xs, ys) == reference(lam, xs, ys), (n, m, lam)
+        longer += lam.length > n
+    # the determinants also take the hook shapes longer than n
+    assert longer if name in ("det", "det_equiv") else not longer
+
+
+def _specialized_points():
+    """(label, rows, xs, ys): letters other than the standard ones, each
+    xs and ys over one variable set, for the shapes of at most ``rows`` rows."""
+    for n in (2, 3):
+        vs, xs, ys = standard_xy(n, 2)
+        bar = xs[-1].inverse()
+        # the odd-orthosymplectic specialization: x_n -> 1/x_n, y = -1/x_n
+        yield "inverted", n, xs[:-1] + [bar], [-bar]
+        yield "negated", n, [-xs[0]] + xs[1:], [-ys[0]] + ys[1:]
+    # the product-sum identities call the routes on xs + ys + [z]
+    vs, xs, ys, z = standard_xy(1, 2, "z")
+    yield "joined", 3, xs + ys + [z], [z]
+    # letters named like the routes' own z-letters
+    z1, z2, w = VariableSet(["z1", "z2", "w"]).gens()
+    yield "z-named", 2, [z1, z2], [w]
+
+
+@pytest.mark.parametrize("name", sorted(X_WORLD))
+def test_routes_in_z_match_the_x_world_quotient_at_specialized_letters(name):
+    route, reference = X_WORLD[name]
+    labels = set()
+    for label, rows, xs, ys in _specialized_points():
+        for lam in partitions_up_to(4, max_length=rows):
+            assert route(lam, xs, ys) == reference(lam, xs, ys), (label, lam)
+            labels.add(label)
+    assert labels == {"inverted", "negated", "joined", "z-named"}
+
+
+@pytest.mark.parametrize("name", ["okada", "weyl"])
+def test_weyl_type_quotients_match_the_x_world_quotient_one_size_up(name):
+    route, reference = X_WORLD[name]
+    vs, xs = standard_x(4)
+    for lam in partitions_up_to(4, 4):
+        assert route(lam, xs, []) == reference(lam, xs, []), lam
 
 
 # the closed_form orthosymplectic shapes at n = m = 3, and one longer than n
@@ -278,33 +445,39 @@ ORTHO_STAGED_SHAPES = [lam.parts for size in (5, 6) for lam in partitions_of(siz
 
 @pytest.mark.parametrize("parts", ORTHO_STAGED_SHAPES, ids=lambda parts: ",".join(map(str, parts)))
 def test_staged_ortho_det_rational_matches_one_shot_division(monkeypatch, parts):
+    # the route divides in two stages, by prod(y_i - y_j) and then by the
+    # Vandermonde in z; the x-world determinant divides in one call
     lam = Partition(list(parts))
     vs, xs, ys = standard_xy(3, 3)
-    value, one_shot = _reference_one_shot(monkeypatch, ortho_det_rational, lam, xs, ys)
-    sign = -1 if (9 - 3 + k_index(lam, 3, 3) - 1) % 2 else 1
-    assert value == sign * one_shot
+    divisions = []
 
+    def recording(a, b):
+        divisions.append(b)
+        return exact_div(a, b)
 
-@pytest.mark.parametrize("route", [symplectic_weyl, odd_symplectic_det], ids=["weyl", "okada"])
-def test_staged_weyl_type_quotients_match_one_shot_division(monkeypatch, route):
-    vs, xs = standard_x(4)
-    for lam in partitions_up_to(4, 4):
-        value, one_shot = _reference_one_shot(monkeypatch, route, lam, xs)
-        assert value == one_shot, lam
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "exact_div", recording)
+        value = ortho_det_rational(lam, xs, ys)
+    ext = divisions[0].vars
+    assert ext.names[6:] == ("z1", "z2", "z3")
+    assert divisions == [_delta(ext, ext.gens()[3:6]), _delta(ext, ext.gens()[6:])]
+    rows, sign = _rational_rows(lam, xs, ys)
+    one_shot = _delta(vs, ys) * symplectic_denominator_product(xs)
+    assert value == sign * exact_div(det_cofactor(rows, vs), one_shot)
 
 
 def test_ortho_sp_schur_sum_builds_its_denominator_groups_once(monkeypatch):
-    # every mu's symplectic quotient divides by the groups checked once per call
+    # every mu's symplectic quotient divides by the divisor checked once per call
     calls = []
-    real = characters.symplectic_denominator_factors
+    real = characters.symplectic_reduced_denominator
 
-    def counting(xs):
-        calls.append(len(xs))
-        return real(xs)
+    def counting(zs):
+        calls.append(len(zs))
+        return real(zs)
 
     lam = Partition([3, 2, 1])
     vs, xs, ys = standard_xy(3, 2)
-    monkeypatch.setattr(characters, "symplectic_denominator_factors", counting)
+    monkeypatch.setattr(characters, "symplectic_reduced_denominator", counting)
     value = ortho_sp_schur_sum(lam, xs, ys)
     assert calls == [3]
     assert value == tableaux.orthosymplectic_weight_sum(lam, 3, 2)

@@ -269,6 +269,23 @@ def test_closed_pipe_ends_the_command_quietly():
     assert (proc.wait(timeout=60), err) == (-signal.SIGPIPE, b"")
 
 
+def test_exit_codes_through_the_module_entry_point():
+    # python -m ospchar runs entry(), which the in-process tests do not reach
+    src = str(Path(ospchar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def ospchar_cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "ospchar", *argv], capture_output=True, text=True, env=env, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = ospchar_cli("compute", "--family", "schur", "--method", "jt", "--n", "1", "--lambda", "3.5")
+    assert (code, out, err) == (2, "", "ospchar: part '3.5' is not an integer\n")
+    code, out, err = ospchar_cli("verify", "--identity", "symplectic_denominator", "--n", "0")
+    assert (code, out) == (2, "") and err.startswith("ospchar: ")
+    code, out, err = ospchar_cli("verify", "--identity", "golden")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 4
+
+
 def test_verify_single_identity(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "power_product", "--n", "2", "--l", "3")
     assert code == 0
@@ -335,8 +352,8 @@ def test_suite_json_is_pinned(capsys):
 
 
 def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
-    real = characters.symplectic_denominator_product
-    monkeypatch.setattr(characters, "symplectic_denominator_product", lambda xs: real(xs) + 1)
+    real = characters.symplectic_reduced_denominator
+    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: real(zs) + 1)
     code, _, err = run(capsys, "verify", "--identity", "ortho_methods", "--n", "2", "--m", "1", "--lambda", "2,1")
     assert code == 3 and err.startswith("ospchar: internal error: inexact division")
     code, _, err = run(
@@ -344,9 +361,7 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
         "--n", "2", "--m", "1", "--lambda", "2,1",
     )
     assert code == 3 and err.startswith("ospchar: internal error:")
-    # the Weyl quotient checks its denominator against its own root groups
-    real_factors = characters.symplectic_denominator_factors
-    monkeypatch.setattr(characters, "symplectic_denominator_factors", lambda xs: (real_factors(xs)[0] + 1,) + real_factors(xs)[1:])
+    # the Weyl quotient checks its divisor against its own rows at the empty partition
     code, _, err = run(capsys, "compute", "--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1")
     assert code == 3 and "denominator does not match its product form" in err
     # a ValueError a route raises past compute's own domain check is a defect
@@ -367,8 +382,8 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
 
 def test_formula_defect_message_stays_short(capsys, monkeypatch):
     # the remainder has thousands of terms; the message names only the first few
-    real = characters.symplectic_denominator_product
-    monkeypatch.setattr(characters, "symplectic_denominator_product", lambda xs: real(xs) + xs[0])
+    real = characters.symplectic_reduced_denominator
+    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: real(zs) + zs[0])
     code, _, err = run(
         capsys, "compute", "--family", "orthosymplectic", "--method", "det",
         "--n", "3", "--m", "3", "--lambda", "3,2,1",
@@ -378,45 +393,41 @@ def test_formula_defect_message_stays_short(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "factors, argv, message",
+    "divisor, argv, message",
     [
         (
-            "symplectic_denominator_factors",
+            "symplectic_reduced_denominator",
             ["--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1"],
             "denominator does not match its product form",
         ),
         (
-            "symplectic_denominator_factors",
+            "symplectic_reduced_denominator",
             ["--family", "orthosymplectic", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"],
             "inexact division",
         ),
         (
-            "symplectic_denominator_factors",
+            "symplectic_reduced_denominator",
             ["--family", "orthosymplectic", "--method", "sp_schur_sum", "--n", "2", "--m", "1", "--lambda", "2,1"],
             "denominator does not match its product form",
         ),
         (
-            "odd_denominator_factors",
+            "odd_reduced_denominator",
             ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"],
             "denominator does not match its product form",
         ),
     ],
     ids=["weyl", "det", "sp_schur_sum", "okada"],
 )
-def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, factors, argv, message):
-    real = getattr(characters, factors)
-    for broken_group in range(3):
-
-        def broken(xs):
-            groups = list(real(xs))
-            groups[broken_group] = groups[broken_group] + xs[0]
-            return tuple(groups)
-
+def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, divisor, argv, message):
+    # the reduced denominator is the one factor group the route divides by
+    real = getattr(characters, divisor)
+    # off by a constant, and off by the first z-letter
+    for broken in (lambda *args: real(*args) + 1, lambda zs, *rest: real(zs, *rest) + zs[0]):
         with monkeypatch.context() as patch:
-            patch.setattr(characters, factors, broken)
+            patch.setattr(characters, divisor, broken)
             code, out, err = run(capsys, "compute", *argv)
-        assert code == 3 and not out, broken_group
-        assert err.startswith("ospchar: internal error:") and message in err, broken_group
+        assert code == 3 and not out, broken
+        assert err.startswith("ospchar: internal error:") and message in err, broken
 
 
 def nested_domain_check(*args, **kwargs):
@@ -426,13 +437,13 @@ def nested_domain_check(*args, **kwargs):
 
 @pytest.mark.parametrize("as_json", [False, True])
 def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as_json):
-    real = characters.symplectic_denominator_product
+    real = characters.symplectic_reduced_denominator
     argv = ["suite", "--max-n", "1", "--max-m", "1", "--max-weight", "1"] + (["--json"] if as_json else [])
     # a wrong value, and a ValueError from inside the routes: every grid
     # point is in its identity's domain, so neither is a usage error
-    for broken in (lambda xs: real(xs) + 1, nested_domain_check):
+    for broken in (lambda zs: real(zs) + 1, nested_domain_check):
         with monkeypatch.context() as patch:
-            patch.setattr(characters, "symplectic_denominator_product", broken)
+            patch.setattr(characters, "symplectic_reduced_denominator", broken)
             code, out, err = run(capsys, *argv)
         assert code == 3 and err.startswith("ospchar: internal error:"), broken
         if as_json:

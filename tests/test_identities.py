@@ -85,6 +85,17 @@ def test_specialization_reduction_examples():
     assert verify_specialization_reduction(Partition(), 1, 0, "spo").passed
 
 
+def test_specialization_reduction_domain_messages():
+    # the length rule is the routes' guard, with the CLI's message; only
+    # lam_1 <= r is this identity's own
+    with pytest.raises(ValueError) as exc:
+        verify_specialization_reduction(Partition([1, 1]), 1, 1, "sp")
+    assert str(exc.value) == "partition (1, 1) is longer than n=1"
+    with pytest.raises(ValueError) as exc:
+        verify_specialization_reduction(Partition([2]), 1, 1, "spo")
+    assert str(exc.value) == "needs lam_1 <= r"
+
+
 def test_kernel_det_examples():
     assert verify_kernel_det(1, "q").passed
     assert verify_kernel_det(1, "p").passed
@@ -252,8 +263,8 @@ def test_run_suite_covers_the_registry():
 
 
 def test_run_check_turns_a_computation_error_into_a_report(monkeypatch):
-    real = characters.symplectic_denominator_factors
-    monkeypatch.setattr(characters, "symplectic_denominator_factors", lambda xs: (real(xs)[0] + 1,) + real(xs)[1:])
+    real = characters.symplectic_reduced_denominator
+    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: real(zs) + 1)
     (rep,) = run_check("symplectic_methods", {"lam": Partition([1]), "n": 2})
     assert rep.status == "error" and not rep.passed
     assert rep.params == {"lambda": "1", "n": 2}
