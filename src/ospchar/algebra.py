@@ -11,9 +11,10 @@ layers of a weighted degree chosen per divisor instead (see exact_div); an
 exact quotient is unique, so only the remainder an inexact division reports
 depends on that choice.
 
-The kernels, large products (_mul_packed), exact division and the
-substitution z -> u + 1/u (substitute_reciprocal_sums), work on packed
-keys: an exponent vector minus a per-operand offset, one field per
+The kernels, large products (_mul_packed), exact division, the cofactor
+determinant (det_cofactor) and the substitution z -> u + 1/u
+(substitute_reciprocal_sums), work on packed keys: an exponent vector minus
+a per-operand offset (per row, for a determinant), one field per
 variable, every field the same whole number of bytes wide, read as one
 big-endian integer.  Monomial multiplication is then one integer addition.
 A key packs and unpacks through bytes, and struct for fields of 2, 4 or 8
@@ -25,7 +26,10 @@ the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
 entry products and never divides, so sparse multivariate entries do not swell
 the way they do under fraction-free elimination; matrix sizes stay in the
 single digits throughout this package, so the exponential factor is small.
-Every library caller builds its rows already cleared of denominators.  Two
+It expands on packed keys from start to end: each entry packs once and the
+determinant unpacks once, so no entry-by-minor product builds an exponent
+tuple.  Every library caller builds its rows already cleared of
+denominators, with entries over one variable set.  Two
 more determinants have no library caller: Bareiss elimination (det_bareiss),
 the reference that the tests compare det_cofactor against, and det_rational,
 which clears a common denominator per row of a matrix of (numerator,
@@ -606,11 +610,17 @@ def substitute_reciprocal_sums(
 
 
 def _det_vars(rows, vars):
-    if rows:
-        return rows[0][0].vars
-    if vars is None:
-        raise AlgebraError("0x0 determinant needs an explicit variable set")
-    return vars
+    """The entries' variable set; an explicit ``vars`` must be the same set."""
+    if not rows:
+        if vars is None:
+            raise AlgebraError("0x0 determinant needs an explicit variable set")
+        return vars
+    vs = rows[0][0].vars
+    if vars is not None and vars != vs:
+        raise VariableMismatchError(
+            f"determinant entries use {vs.names}, not the given {vars.names}"
+        )
+    return vs
 
 
 def det_bareiss(
@@ -649,14 +659,28 @@ def det_bareiss(
     return -d if sign < 0 else d
 
 
-def det_cofactor(rows: Sequence[Sequence], vars: VariableSet | None = None):
+def det_cofactor(
+    rows: Sequence[Sequence[LaurentPolynomial]], vars: VariableSet | None = None
+) -> LaurentPolynomial:
     """Determinant by first-row expansion, memoized on column subsets.
 
     The only determinant the library calls: every route and identity check
     builds its rows cleared of denominators and calls it directly.  Each
     subset of columns is expanded once, so an n x n matrix costs O(2^n * n)
-    entry products and no division.  Works over any entry type supporting
-    +, -, * and is_zero(); the empty matrix has determinant 1.
+    entry products and no division; the empty matrix has determinant 1.
+    The entries are Laurent polynomials over one variable set, which an
+    explicit ``vars`` must equal; anything else raises
+    VariableMismatchError.
+
+    The expansion runs on packed keys (see _packer) with one field width
+    for the whole matrix, sized for the sum over the rows of each row's
+    exponent span.  Each entry is packed once, relative to its row's
+    minimum exponents, so a minor of rows r.. is keyed relative to the sum
+    of those rows' minima and every term of it lies in the box of their
+    summed spans: entry key + minor key is the product's key and no field
+    overflows, cancellation included.  Each product adds into the minor's
+    term map directly.  The result unpacks once, with the sum of all row
+    minima added back.
     """
     vs = _det_vars(rows, vars)
     n = len(rows)
@@ -664,21 +688,52 @@ def det_cofactor(rows: Sequence[Sequence], vars: VariableSet | None = None):
         return vs.one()
     if any(len(row) != n for row in rows):
         raise AlgebraError("matrix is not square")
-    zero = vs.zero()
-    memo: dict[tuple[int, ...], object] = {(): vs.one()}
+    if any(p.vars != vs for row in rows for p in row):
+        raise VariableMismatchError("determinant entries use different variables")
+    lows = []
+    spans = [0] * len(vs)
+    for row in rows:
+        exps = [e for p in row for e in p.terms]
+        if not exps:
+            return vs.zero()
+        cols = list(zip(*exps))
+        lo = tuple(map(min, cols))
+        lows.append(lo)
+        spans = list(map(add, spans, map(sub, map(max, cols), lo)))
+    fbytes = _field_bytes(max(spans, default=0).bit_length())
+    # entry (r, c) as its term pairs, for an even and for an odd position
+    packed = []
+    for row, lo in zip(rows, lows):
+        pack = _packer(fbytes, lo)
+        prow = []
+        for p in row:
+            even = [(pack(e), c) for e, c in p.terms.items()]
+            prow.append((even, [(k, -c) for k, c in even]))
+        packed.append(prow)
+    memo: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
-    def minor(r: int, cols: tuple[int, ...]):
+    def minor(r: int, cols: tuple[int, ...]) -> dict[int, int]:
         got = memo.get(cols)
         if got is not None:
             return got
-        row = rows[r]
-        acc = zero
+        row = packed[r]
+        acc: dict[int, int] = {}
+        get = acc.get
         for t, c in enumerate(cols):
-            entry = row[c]
-            if entry.is_zero():
+            a = row[c][t & 1]
+            if not a:
                 continue
-            term = entry * minor(r + 1, cols[:t] + cols[t + 1 :])
-            acc = acc - term if t & 1 else acc + term
+            b = minor(r + 1, cols[:t] + cols[t + 1 :]).items()
+            if not b:
+                continue
+            for k1, c1 in a:
+                for k2, c2 in b:
+                    k = k1 + k2
+                    nc = get(k, 0) + c1 * c2
+                    if nc:
+                        acc[k] = nc
+                    else:
+                        del acc[k]
         memo[cols] = acc
         return acc
 
@@ -686,7 +741,8 @@ def det_cofactor(rows: Sequence[Sequence], vars: VariableSet | None = None):
     # minor refers to itself through its closure; without this the cycle
     # would keep every memoized minor alive until the cyclic collector ran
     del minor
-    return det
+    unpack = _unpacker(fbytes, tuple(map(sum, zip(*lows))))
+    return LaurentPolynomial._raw(vs, {unpack(k): c for k, c in det.items()})
 
 
 def det_rational(

@@ -8,7 +8,7 @@ from operator import add, mul
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from ospchar import characters
+from ospchar import algebra, characters
 from ospchar.algebra import (
     AlgebraError,
     ExactDivisionError,
@@ -485,9 +485,13 @@ def test_substitution_rejects_what_it_cannot_map():
 
 
 def test_det_integers():
+    # no variables: every packed key has no fields, and a row still has terms
     vs = VariableSet([])
     rows = [[vs.const(1), vs.const(2)], [vs.const(3), vs.const(4)]]
     assert det_cofactor(rows, vs) == vs.const(-2)
+    rows = [[vs.const(c) for c in row] for row in ((2, 0, 1), (0, 3, 0), (4, 5, 6))]
+    assert det_cofactor(rows, vs) == vs.const(2 * 18 + 1 * -12)
+    assert det_cofactor([[vs.zero()]], vs) == vs.zero()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -501,6 +505,141 @@ def test_det_power_block():
     vs = VariableSet(["y1", "y2"])
     y1, y2 = vs.gens()
     assert det_cofactor([[y1, y2], [vs.one(), vs.one()]]) == y1 - y2
+
+
+def _reference_det_cofactor(rows, vs):
+    """The tuple-keyed expansion that det_cofactor replaced: first-row
+    cofactors memoized on column subsets, every product and sum through
+    LaurentPolynomial's own operators."""
+    n = len(rows)
+    memo = {(): vs.one()}
+
+    def minor(r, cols):
+        if cols not in memo:
+            acc = vs.zero()
+            for t, c in enumerate(cols):
+                if not rows[r][c].is_zero():
+                    term = rows[r][c] * minor(r + 1, cols[:t] + cols[t + 1 :])
+                    acc = acc - term if t & 1 else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(0, tuple(range(n)))
+
+
+def _sympy_det(rows, vs):
+    """det(rows) by sympy over ZZ[vs], each row first shifted by its minimum
+    exponents into a polynomial row."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.rings import ring
+
+    R, *_ = ring(",".join(vs.names), ZZ)
+    shift = (0,) * len(vs)
+    matrix = []
+    for row in rows:
+        exps = [e for p in row for e in p.terms]
+        lo = tuple(map(min, zip(*exps))) if exps else (0,) * len(vs)
+        shift = tuple(map(add, shift, lo))
+        matrix.append([R.from_dict({tuple(x - y for x, y in zip(e, lo)): c for e, c in p.terms.items()}) for p in row])
+    det = DomainMatrix(matrix, (len(rows), len(rows)), R.to_domain()).det()
+    return vs.poly({tuple(map(add, e, shift)): int(c) for e, c in dict(det).items()})
+
+
+VS0 = VariableSet([])
+VS1 = VariableSet(["x"])
+
+
+@st.composite
+def sparse_laurent_matrices(draw, max_size=6):
+    """Square matrices of size 0..max_size over 0, 1 or 3 variables: sparse
+    entries with negative exponents and zeros, sometimes an all-zero row,
+    and sometimes a lower row that is a monomial multiple of another, so
+    that every minor on both rows cancels to zero."""
+    vs = draw(st.sampled_from([VS0, VS1, VS3]))
+    size = draw(st.integers(0, max_size))
+    entry = poly_strategy(vs, max_terms=3, max_exp=3, max_coeff=5)
+    rows = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    if size >= 3 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(1, size - 1), min_size=2, max_size=2, unique=True))
+        unit = vs.poly({tuple(draw(st.integers(-2, 2)) for _ in range(len(vs))): draw(st.sampled_from([1, -1]))})
+        rows[j] = [p * unit for p in rows[i]]
+    if size and draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, size - 1))] = [vs.zero()] * size
+    return rows, vs
+
+
+@given(sparse_laurent_matrices())
+def test_det_matches_the_tuple_keyed_expansion(case):
+    rows, vs = case
+    assert det_cofactor(rows, vs) == _reference_det_cofactor(rows, vs)
+
+
+@settings(max_examples=25)
+@given(sparse_laurent_matrices())
+def test_det_agrees_with_sympy(case):
+    pytest.importorskip("sympy")
+    rows, vs = case
+    assert det_cofactor(rows, vs) == _sympy_det(rows, vs)
+
+
+def test_det_with_cancelling_minors_and_zero_rows():
+    x, y = VS2.gens()
+    top = [x + y, x ** -1, 2 * y ** 3, x * y - 1]
+    row = [y - 1, x ** 2, y ** -2, 3 * x]
+    zero = VS2.zero()
+    # rows 2 and 3 are monomial multiples of row 1: every minor on two of them is 0
+    scaled = [p * x * y ** -1 for p in row]
+    assert det_cofactor([top, row, scaled, [p * -x for p in row]], VS2) == zero
+    assert det_cofactor([top, row, [zero] * 4, scaled], VS2) == zero
+    # a partial cancellation: the last two rows' minors vanish on columns 0 and 1 only
+    rows = [top, [x + y, x ** -1, y, zero], [y, x, zero, x ** 2], [y, x, y ** 2, x]]
+    assert det_cofactor(rows, VS2) == _reference_det_cofactor(rows, VS2)
+
+
+@pytest.mark.parametrize(
+    "s, fbytes",
+    # each row spans 2s in x and the width is set by the three rows' sum, 6s;
+    # past one byte, a single row's span would fit the next narrower width
+    [(40, 1), (50, 2), (2 ** 14, 4), (2 ** 30, 8), (2 ** 62, 9), (2 ** 70, 10)],
+)
+def test_det_field_widths(monkeypatch, s, fbytes):
+    x, y = VS2.gens()
+    rows = [
+        [x ** s + y, 2 * x ** -s - y ** -1, x ** s * y],
+        [3 * x ** -s, x ** s - x ** -s * y, y - 1],
+        [x ** s * y ** 2 - 1, x ** -s, 5 * x ** s + x ** -s],
+    ]
+    widths = []
+    real = algebra._field_bytes
+
+    def record(bits):
+        widths.append(real(bits))
+        return widths[-1]
+
+    monkeypatch.setattr(algebra, "_field_bytes", record)
+    det = det_cofactor(rows, VS2)
+    assert widths == [fbytes]
+    assert det == _reference_det_cofactor(rows, VS2)
+    assert {e[0] for e in det.terms} >= {3 * s, -3 * s}
+
+
+def test_det_rejects_a_variable_set_other_than_the_entries():
+    a = VariableSet(["a"]).gen("a")
+    b = VariableSet(["b"]).gen("b")
+    for det in (det_cofactor, det_bareiss):
+        with pytest.raises(VariableMismatchError):
+            det([[a]], VariableSet(["b"]))
+        assert det([[a]], VariableSet(["a"])) == a
+    # mixed sets inside one matrix, with or without an explicit set
+    mixed = [[a, a], [b, a]]
+    for det in (det_cofactor, det_bareiss):
+        with pytest.raises(VariableMismatchError):
+            det(mixed)
+        with pytest.raises(VariableMismatchError):
+            det(mixed, a.vars)
+    with pytest.raises(VariableMismatchError):
+        det_cofactor([[a, a], [b.vars.zero(), a]])
 
 
 def matrix_strategy(size, vs=VS2):
