@@ -610,7 +610,12 @@ def substitute_reciprocal_sums(
 
 
 def _det_vars(rows, vars):
-    """The entries' variable set; an explicit ``vars`` must be the same set."""
+    """The entries' variable set; an explicit ``vars`` must be the same set.
+
+    Checks first that the matrix is square, before any entry is read.
+    """
+    if any(len(row) != len(rows) for row in rows):
+        raise AlgebraError("matrix is not square")
     if not rows:
         if vars is None:
             raise AlgebraError("0x0 determinant needs an explicit variable set")
@@ -637,8 +642,6 @@ def det_bareiss(
     if n == 0:
         return vs.one()
     m = [list(row) for row in rows]
-    if any(len(row) != n for row in m):
-        raise AlgebraError("matrix is not square")
     sign = 1
     prev = vs.one()
     for k in range(n - 1):
@@ -686,8 +689,6 @@ def det_cofactor(
     n = len(rows)
     if n == 0:
         return vs.one()
-    if any(len(row) != n for row in rows):
-        raise AlgebraError("matrix is not square")
     if any(p.vars != vs for row in rows for p in row):
         raise VariableMismatchError("determinant entries use different variables")
     lows = []
@@ -762,13 +763,13 @@ def det_rational(
     n = len(rows)
     if n == 0:
         raise AlgebraError("0x0 rational determinant needs no clearing; use det_cofactor")
+    if any(len(row) != n for row in rows):
+        raise AlgebraError("matrix is not square")
     vs = rows[0][0][0].vars
     one = vs.one()
     cleared: list[list[LaurentPolynomial]] = []
     denprod = one
     for row in rows:
-        if len(row) != n:
-            raise AlgebraError("matrix is not square")
         distinct: list[LaurentPolynomial] = []
         for num, den in row:
             if den.is_zero():

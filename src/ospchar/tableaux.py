@@ -12,11 +12,11 @@ Enumeration fills a Young diagram row-major by backtracking.  It reads the
 same letter table: every filling rule of the five families bounds a cell's
 code from below, by its row's cap and by its left and top neighbours.  It
 lists the tableaux for ``ospchar enumerate`` and is the oracle the tests
-hold the weight sums to on small shapes.  The listing streams each tableau
-as its display text (``[[1,1b],[2p]]``): it holds one filling and its rows'
-text, and a row is rebuilt and rendered again only when one of its cells was
-assigned since the previous tableau, so the cost per tableau follows what
-changed, not the size of the shape.
+hold the weight sums to on small shapes.  It streams each tableau as its
+display text (``[[1,1b],[2p]]``), built as the cells are assigned: it holds
+one filling and the text before each of its cells, so assigning a cell is one
+string concatenation and the cost per tableau follows what changed, not the
+size of the shape.
 
 Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
 place that says what each code shows as, weighs, and which strip it fills:
@@ -164,9 +164,13 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
 # -- the backtracking enumerator ----------------------------------------
 
 
-def grids(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The family's fillings of lam/mu, each as its rows of codes, by
+def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[str]:
+    """The family's tableaux of shape lam/mu, each as its display text, by
     row-major backtracking over the letter table.
+
+    The text lists the rows in brackets, their cells' tokens separated by
+    commas, with ``.`` for each cell of the inner shape: ``[[1,1b],[2p]]``
+    or ``[[.,1],[.]]``; the empty shape shows as ``[]``.
 
     Every filling rule is a lower bound on a cell's code, so a cell in row r
     takes the codes from the largest of
@@ -178,11 +182,17 @@ def grids(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Ite
     up to the last code.  For orthosymplectic tableaux the primed codes sit
     above the unprimed ones, so the unprimed cells form a Young diagram.
 
-    Consecutive fillings share the tuple of every row none of whose cells
-    was assigned in between (backtracking reassigns every cell after the one
-    it advances, so these are the rows above the shallowest change), and
-    the last cell runs through its codes in a tight loop.  Nothing is kept
-    across fillings beyond the current one.
+    The text grows with the filling.  Each cell has a separator fixed by
+    the shape: ``,`` within a row, and at a row start the closing of the
+    row before, any fully inner rows and the row's ``.`` cells.  ``pre[k]``
+    is the text of the cells before cell k, so assigning a cell appends its
+    separator and token in one concatenation, and each tableau is the last
+    cell's prefix, separator and token and the closing brackets.  The
+    prefixes hold O(cells**2) characters per shape, not per tableau (about
+    3.4 MB at 1,500 cells), and nothing is kept across tableaux beyond the
+    current filling.  A backtrack to cell k builds every prefix after it
+    again, so a long row that changes far back copies O(cells**2)
+    characters for one tableau.
 
     Raises ValueError when called, before any iteration, outside the domain.
     """
@@ -192,84 +202,61 @@ def grids(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Ite
     after_left = [k + letter.row_strict for k, letter in enumerate(letters)]
     after_top = [k + 1 - letter.row_strict for k, letter in enumerate(letters)]
     shape = lam.parts
-    first = [
-        next((k for k, letter in enumerate(letters) if letter.rows is None or r < letter.rows), end)
-        for r in range(len(shape))
-    ]
     starts = [mu.part(r + 1) for r in range(len(shape))]
     cells = [(r, c) for r, width in enumerate(shape) for c in range(starts[r], width)]
-    rows = [[None] * width for width in shape]  # cells of the inner shape stay None
+    inner = ["[" + ",".join("." * width) + "]" for width in shape]  # a row with no cells
+    if not cells:
+        return iter([f"[{','.join(inner)}]"])
+    index = {cell: k for k, cell in enumerate(cells)}
+    # Per cell: the first code its row admits, its left and top neighbours'
+    # indices (-1, a slot that stays 0, where the neighbour is inner or
+    # missing) and the text before its token.
+    lows, lefts, tops, seps = [], [], [], []
+    above = -1
+    for r, c in cells:
+        lows.append(next((k for k, letter in enumerate(letters) if letter.rows is None or r < letter.rows), end))
+        lefts.append(index.get((r, c - 1), -1))
+        tops.append(index.get((r - 1, c), -1))
+        if c > starts[r]:
+            seps.append(",")
+        else:
+            skipped = "".join(row + "," for row in inner[above + 1 : r])
+            seps.append(("[" if above < 0 else "],") + skipped + "[" + ".," * c)
+            above = r
+    closing = "]" + "".join("," + row for row in inner[above + 1 :]) + "]"
+    last = len(cells) - 1
+    after = [[sep + letter.token for letter in letters] for sep in seps]  # cell k's text with code v
+    finals = [letter.token + closing for letter in letters]
 
-    def lowest(k: int) -> int:
-        r, c = cells[k]
-        lo = first[r]
-        left = rows[r][c - 1] if c else None
-        if left is not None and after_left[left] > lo:
-            lo = after_left[left]
-        top = rows[r - 1][c] if r else None
-        if top is not None and after_top[top] > lo:
-            lo = after_top[top]
-        return lo
-
-    def fill():
-        if not cells:
-            yield tuple(() for _ in shape)
-            return
-        # The last cell ends its row; the rows below it are fully inner.
-        # The rows above it keep the tuples last yielded until one of their
-        # cells is assigned again.
-        last = len(cells) - 1
-        bottom = cells[last][0]
-        tail = tuple(() for _ in shape[bottom + 1 :])
-        prefix: tuple[tuple[int, ...], ...] = ()
-        stale = 0  # the shallowest row assigned since prefix was built
+    def listing():
+        # after_left and after_top of each assigned code, one slot per cell
+        # but the last; slot -1 (the last cell's) stays 0 for "no neighbour".
+        left_low = [0] * len(cells)
+        top_low = [0] * len(cells)
+        pre = [""] * len(cells)
         # One iterator of candidate codes per filled cell but the last, so
         # that a long shape needs no deep recursion.
         stack: list[Iterator[int]] = []
+        k = 0
         while True:
-            if len(stack) == last:
-                if stale < bottom:
-                    prefix = prefix[:stale] + tuple(tuple(rows[r][starts[r] :]) for r in range(stale, bottom))
-                    stale = bottom
-                head = tuple(rows[bottom][starts[bottom] : -1])
-                for v in range(lowest(last), end):
-                    yield prefix + (head + (v,),) + tail
+            lo = lows[k]
+            if left_low[lefts[k]] > lo:
+                lo = left_low[lefts[k]]
+            if top_low[tops[k]] > lo:
+                lo = top_low[tops[k]]
+            if k == last:
+                yield from map((pre[k] + seps[k]).__add__, finals[lo:])
             else:
-                stack.append(iter(range(lowest(len(stack)), end)))
+                stack.append(iter(range(lo, end)))
             while stack and (v := next(stack[-1], None)) is None:
                 stack.pop()
             if not stack:
                 return
-            r, c = cells[len(stack) - 1]
-            rows[r][c] = v
-            if r < stale:
-                stale = r
-
-    return fill()
-
-
-def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[str]:
-    """The fillings of grids, in its order, each as its display text.
-
-    The text lists the rows in brackets, their cells' tokens separated by
-    commas, with ``.`` for each cell of the inner shape: ``[[1,1b],[2p]]``
-    or ``[[.,1],[.]]``; the empty shape shows as ``[]``.  A row's text is
-    rendered again only when grids hands back a new row object for it, so
-    nothing but the current rows and their text is kept across fillings.
-    """
-    found = grids(family, lam, mu, n, m)  # raises here, not at the first tableau
-    token = [letter.token for letter in LETTERS[family](n, m)].__getitem__
-    dots = [(".",) * mu.part(r + 1) for r in range(lam.length)]
-
-    def listing():
-        codes: list[tuple[int, ...] | None] = [None] * lam.length
-        shown = [""] * lam.length
-        for grid in found:
-            for r, row in enumerate(grid):
-                if row is not codes[r]:
-                    codes[r] = row
-                    shown[r] = f"[{','.join(dots[r] + tuple(map(token, row)))}]"
-            yield f"[{','.join(shown)}]"
+            k = len(stack) - 1
+            left_low[k] = after_left[v]
+            top_low[k] = after_top[v]
+            k += 1
+            pre[k] = pre[k - 1] + after[k - 1][v]
 
     return listing()
 

@@ -736,6 +736,12 @@ def test_det_rational_rejects_bad_matrices():
         det_rational([])
     with pytest.raises(AlgebraError, match="not square"):
         det_rational([[(x, one), (one, one)]])
+    with pytest.raises(AlgebraError, match="not square"):
+        det_rational([[]])
+    for det in (det_cofactor, det_bareiss):
+        for rows in ([[]], [[], []], [[x, one]]):
+            with pytest.raises(AlgebraError, match="not square"):
+                det(rows, vs)
     with pytest.raises(AlgebraError, match="zero denominator"):
         det_rational([[(x, vs.zero())]])
 
