@@ -9,10 +9,13 @@ other report too, and then exit 3.  A usage error is a ValueError raised
 before any computation runs: a bad flag value, a partition that does not
 parse, a point outside the route's domain.  A ValueError raised later, by a
 ``compute`` route or at a ``suite`` grid point (each inside its domain), is
-internal.  ``verify`` is the exception: its point comes from the user and
-each check validates it in its own body, so any ValueError from the check
-is a usage error.  The ``ospchar`` command ends quietly, by
-SIGPIPE, when its reader closes the pipe early (``enumerate ... | head``).
+internal.  ``verify`` takes its point from the user, and each check
+validates it in its own body, so a ValueError from a check is a usage
+error.  The character-route agreements (the ``*_methods`` checks and
+``odd_ortho_specialization``) validate before any route runs, and a
+ValueError that a route raises afterwards is internal, an "error" report.
+The ``ospchar`` command ends quietly, by SIGPIPE, when its reader closes
+the pipe early (``enumerate ... | head``).
 Text output is canonical and byte-stable; JSON round-trips through the
 documented schema.
 """
@@ -21,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
+import operator
 import signal
 import sys
 from typing import Sequence
@@ -91,7 +96,8 @@ def _cmd_enumerate(args) -> int:
     if args.mu is not None and args.family != "schur":
         raise ValueError("--mu applies to the schur family only")
     mu = Partition.from_string(args.mu) if args.mu is not None else Partition()
-    sys.stdout.writelines(f"{t}\n" for t in family_tableaux(args.family, lam, args.n, args.m, mu))
+    listing = family_tableaux(args.family, lam, args.n, args.m, mu)
+    sys.stdout.writelines(map(operator.add, listing, itertools.repeat("\n")))
     return 0
 
 

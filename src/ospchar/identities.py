@@ -141,12 +141,21 @@ def _params(**params) -> dict:
     return {("lambda" if k == "lam" else k): (v.to_string() if k == "lam" else v) for k, v in params.items()}
 
 
+def _route_value(route, *args) -> Poly:
+    """route(*args) at a point already validated: a ValueError the route
+    raises is a formula defect, raised as a RuntimeError, as compute does."""
+    try:
+        return route(*args)
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from exc
+
+
 def _agreement(identity: str, params: dict, base: Poly, routes, *args) -> VerificationReport:
     """Compare the tableau sum ``base`` with each (method, route) of
     ``routes`` called on ``args``, in order; the first failure names its
     method in witness["method"]."""
     for method, route in routes:
-        report = compare(identity, params, base, route(*args))
+        report = compare(identity, params, base, _route_value(route, *args))
         if not report.passed:
             report.witness["method"] = method
             break
@@ -202,8 +211,8 @@ def verify_odd_ortho_specialization(lam: Partition, n: int) -> VerificationRepor
     (x_1, ..., x_{n-1}, 1/x_n) with single prime variable -1/x_n."""
     CharacterRequest("odd_symplectic", "okada", lam, n).validate()
     _, xs = standard_x(n)
-    lhs = odd_symplectic_det(lam, xs)
-    rhs = ortho_single_y(lam, xs[:-1] + [xs[-1].inverse()], -xs[-1].inverse())
+    lhs = _route_value(odd_symplectic_det, lam, xs)
+    rhs = _route_value(ortho_single_y, lam, xs[:-1] + [xs[-1].inverse()], -xs[-1].inverse())
     return compare("odd_ortho_specialization", _params(lam=lam, n=n), lhs, rhs)
 
 

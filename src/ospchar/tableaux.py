@@ -6,7 +6,9 @@ Berele-Regev 1987): the cells holding letters up to a given code form a
 Young diagram, so adding the letters in code order grows the shape by one
 strip per letter, horizontal for row-weak letters and vertical for the
 row-strict primed ones.  The cost follows the number of intermediate shapes,
-not the number of tableaux.
+not the number of tableaux.  Each partial weight is a packed integer in the
+algebra's key codec, so a strip adds one integer to every key it shifts, and
+integer order on the keys is the canonical term order.
 
 Enumeration fills a Young diagram row-major by backtracking.  It reads the
 same letter table: every filling rule of the five families bounds a cell's
@@ -16,7 +18,9 @@ hold the weight sums to on small shapes.  It streams each tableau as its
 display text (``[[1,1b],[2p]]``), built as the cells are assigned: it holds
 one filling and the text before each of its cells, so assigning a cell is one
 string concatenation and the cost per tableau follows what changed, not the
-size of the shape.
+size of the shape.  The last two cells are not backtracked: their text comes
+from a table of tail strings keyed on their lower bounds and bounded by the
+alphabet, so each tableau is one concatenation of a prefix and a tail.
 
 Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
 place that says what each code shows as, weighs, and which strip it fills:
@@ -39,7 +43,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from .algebra import LaurentPolynomial
+from .algebra import LaurentPolynomial, _field_bytes, _unpacker
 from .symfun import Partition, require_inside, require_length, standard_xy
 
 
@@ -131,34 +135,53 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
     exponent by sign * (strip size).  A layer maps each reachable shape to
     the weights summed over its fillings; shapes that can no longer grow to
     lam with the letters left are dropped.
+
+    A weight is a packed key in the algebra's codec: the total degree in the
+    top field, then one field per variable of ``standard_xy(n, m)``, each
+    biased by cells = |lam| - |mu|.  No partial weight has a degree or an
+    exponent outside [-cells, cells], so every field stays in [0, 2 * cells]
+    and a strip of s cells adds s * sign * (degree unit + variable unit) to
+    every key of its source.  Integer order on the keys is graded-lex order
+    on the weights, so the result unpacks in ``sorted_terms`` order.
     """
     _check_domain(family, lam, mu, n)
     letters = LETTERS[family](n, m)
     vs = standard_xy(n, m)[0]
+    width = len(vs)
     target = lam.parts
-    layer = {tuple(mu.part(r + 1) for r in range(len(target))): {(0,) * len(vs): 1}}
+    cells = lam.size - mu.size
+    fbytes = _field_bytes((2 * cells).bit_length())
+    units = [1 << 8 * fbytes * (width - 1 - v) for v in range(width)]
+    degree = 1 << 8 * fbytes * width
+    layer = {tuple(mu.part(r + 1) for r in range(len(target))): {cells * (degree + sum(units)): 1}}
     for k, letter in enumerate(letters):
         rest = letters[k + 1 :]
         flat = [x for x in rest if not x.row_strict]
         rows = max((x.rows or len(target) for x in flat), default=0)
         strict = len(rest) - len(flat)
-        i, sign = letter.var, letter.sign
-        nxt: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        step = letter.sign * (degree + units[letter.var])
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
         while layer:
             shape, terms = layer.popitem()
             before = sum(shape)
             for new in _strips(shape, target, letter):
                 if not _reachable(new, target, len(flat), rows, strict):
                     continue
-                out = nxt.setdefault(new, {})
-                d = sign * (sum(new) - before)
+                d = (sum(new) - before) * step
+                out = nxt.get(new)
+                if out is None:
+                    nxt[new] = {e + d: c for e, c in terms.items()}
+                    continue
+                get = out.get
                 for e, c in terms.items():
-                    if d:
-                        e = e[:i] + (e[i] + d,) + e[i + 1 :]
-                    out[e] = out.get(e, 0) + c
+                    e += d
+                    out[e] = get(e, 0) + c
         layer = nxt
-    # the keys are exponent tuples of vs's width and every count is positive
-    return LaurentPolynomial._raw(vs, layer.get(target, {}))
+    terms = layer.get(target, {})
+    unpack = _unpacker(fbytes, (-cells,) * width)
+    mask = degree - 1
+    # every count is positive, so the map is normalized as it stands
+    return LaurentPolynomial._raw(vs, {unpack(e & mask): terms[e] for e in sorted(terms, reverse=True)})
 
 
 # -- the backtracking enumerator ----------------------------------------
@@ -186,13 +209,20 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
     the shape: ``,`` within a row, and at a row start the closing of the
     row before, any fully inner rows and the row's ``.`` cells.  ``pre[k]``
     is the text of the cells before cell k, so assigning a cell appends its
-    separator and token in one concatenation, and each tableau is the last
-    cell's prefix, separator and token and the closing brackets.  The
-    prefixes hold O(cells**2) characters per shape, not per tableau (about
-    3.4 MB at 1,500 cells), and nothing is kept across tableaux beyond the
-    current filling.  A backtrack to cell k builds every prefix after it
-    again, so a long row that changes far back copies O(cells**2)
-    characters for one tableau.
+    separator and token in one concatenation.  The backtracking stops at
+    the next-to-last cell ``pen``: its codes from lo and the last cell's
+    codes from their bound make one run of tableaux, each ``pre[pen]`` plus
+    a tail string of the last two cells and the closing brackets.  The last
+    cell's bound is ``base``, from its row and any neighbour other than pen,
+    raised per code of pen when pen is its left or top neighbour; so the
+    tails of a run depend only on (lo, base), and each listing call builds
+    each such list once.  That table holds at most (codes + 1)**2 lists of
+    at most codes**2 strings, bounded by the alphabet, not by the number of
+    tableaux.  The prefixes hold O(cells**2) characters per shape, not per
+    tableau (about 3.4 MB at 1,500 cells), and nothing else is kept across
+    tableaux beyond the current filling.  A backtrack to cell k builds
+    every prefix after it again, so a long row that changes far back copies
+    O(cells**2) characters for one tableau.
 
     Raises ValueError when called, before any iteration, outside the domain.
     """
@@ -224,17 +254,39 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
             seps.append(("[" if above < 0 else "],") + skipped + "[" + ".," * c)
             above = r
     closing = "]" + "".join("," + row for row in inner[above + 1 :]) + "]"
-    last = len(cells) - 1
-    after = [[sep + letter.token for letter in letters] for sep in seps]  # cell k's text with code v
     finals = [letter.token + closing for letter in letters]
+    last = len(cells) - 1
+    if not last:
+        return map(seps[0].__add__, finals[lows[0] :])
+    pen = last - 1
+    after = [[sep + letter.token for letter in letters] for sep in seps]  # cell k's text with code v
+    mids = [text + seps[last] for text in after[pen]]
+    # What pen's code raises the last cell's bound to, when pen is its left
+    # or top neighbour.
+    if lefts[last] == pen:
+        raise_by = after_left
+    elif tops[last] == pen:
+        raise_by = after_top
+    else:
+        raise_by = [0] * end
+    tails: dict[tuple[int, int], list[str]] = {}
+
+    def tail(lo: int, base: int) -> list[str]:
+        strings = tails.get((lo, base))
+        if strings is None:
+            strings = tails[lo, base] = [
+                mids[v] + final for v in range(lo, end) for final in finals[max(base, raise_by[v]) :]
+            ]
+        return strings
 
     def listing():
-        # after_left and after_top of each assigned code, one slot per cell
-        # but the last; slot -1 (the last cell's) stays 0 for "no neighbour".
+        # after_left and after_top of each assigned code, one slot per cell;
+        # pen's slot and slot -1 (the last cell's) are never written and
+        # stay 0 for "no neighbour", so pen's own code never enters base.
         left_low = [0] * len(cells)
         top_low = [0] * len(cells)
         pre = [""] * len(cells)
-        # One iterator of candidate codes per filled cell but the last, so
+        # One iterator of candidate codes per filled cell before pen, so
         # that a long shape needs no deep recursion.
         stack: list[Iterator[int]] = []
         k = 0
@@ -244,8 +296,13 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
                 lo = left_low[lefts[k]]
             if top_low[tops[k]] > lo:
                 lo = top_low[tops[k]]
-            if k == last:
-                yield from map((pre[k] + seps[k]).__add__, finals[lo:])
+            if k == pen:
+                base = lows[last]
+                if left_low[lefts[last]] > base:
+                    base = left_low[lefts[last]]
+                if top_low[tops[last]] > base:
+                    base = top_low[tops[last]]
+                yield from map(pre[pen].__add__, tail(lo, base))
             else:
                 stack.append(iter(range(lo, end)))
             while stack and (v := next(stack[-1], None)) is None:

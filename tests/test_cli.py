@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ospchar
-from ospchar import characters, cli
+from ospchar import characters, cli, identities
 from ospchar.algebra import LaurentPolynomial
 from ospchar.characters import standard_xy
 from ospchar.cli import _build_parser, _emit, _verify_flags, main
@@ -151,6 +151,24 @@ def test_enumerate_output_is_pinned(capsys, case):
     code, out, _ = run(capsys, *argv, *(["--mu", mu] if mu else []))
     assert code == 0
     assert (len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == ENUMERATE_PINS[case]
+
+
+# (family, n, m, lambda, format) -> byte count and SHA-256 of `ospchar compute
+# --method tableau` at full scale: the strip engine's terms and their order.
+COMPUTE_PINS = {
+    ("orthosymplectic", 3, 3, "4,3,1", "json"): (153937, "a3e807af9b8f94d1b89b4858f5c7cb84e4ea227b815ab1735132bff8512ff562"),
+    ("orthosymplectic", 3, 3, "4,3,1", "text"): (116939, "692c4940db5f508db7d5201638ad9d7c69168dfead147e9f6c2d82a04c2b648e"),
+    ("symplectic", 4, 0, "4,3,2,1", "json"): (59539, "b14c7fd28098b5245348fb4d94303aa8c442ee0104b270742e487e40f839c69d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPUTE_PINS))
+def test_compute_output_is_pinned(capsys, case):
+    family, n, m, lam, fmt = case
+    argv = ["--family", family, "--method", "tableau", "--n", str(n), "--m", str(m), "--lambda", lam, "--format", fmt]
+    code, out, _ = run(capsys, "compute", *argv)
+    assert code == 0
+    assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == COMPUTE_PINS[case]
 
 
 def test_enumerate_rejects_counts_outside_the_domain(capsys):
@@ -458,6 +476,23 @@ def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as
         assert all(status == "pass" for identity, status in statuses if identity == "hook_methods")
         # one golden example breaks; the other three are still checked
         assert [status for identity, status in statuses if identity == "golden"] == ["error", "pass", "pass", "pass"]
+
+
+def test_verify_reports_a_route_value_error_as_internal(capsys, monkeypatch):
+    # The point is validated before any route runs, so a ValueError from a
+    # route is a formula defect: an "error" report and exit 3, not usage.
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(characters, "ortho_jt", broken)
+    monkeypatch.setattr(identities, "ortho_jt", broken)
+    code, out, err = run(capsys, "verify", "--identity", "ortho_methods", "--lambda", "1", "--n", "1", "--m", "1")
+    assert code == 3 and out.startswith("ERROR ortho_methods") and "RuntimeError: boom" in out
+    assert err == "ospchar: internal error: boom\n"
+    monkeypatch.setattr(identities, "ortho_single_y", broken)
+    code, out, err = run(capsys, "verify", "--identity", "odd_ortho_specialization", "--lambda", "1", "--n", "1")
+    assert code == 3 and out.startswith("ERROR odd_ortho_specialization")
+    assert err == "ospchar: internal error: boom\n"
 
 
 def test_verify_rejects_counts_outside_the_domain(capsys):

@@ -270,6 +270,98 @@ def test_strip_sums_keep_the_domain():
         ssyt_weight_sum(Partition([1]), Partition([2]), 2)
 
 
+def _reference_strip_sum(family, lam, mu, n, m=0):
+    """The strip engine on exponent tuples: each strip builds a new tuple
+    for every term it shifts.  The differential reference for the packed
+    engine, sharing its strips and its reachability test."""
+    tableaux._check_domain(family, lam, mu, n)
+    letters = tableaux.LETTERS[family](n, m)
+    vs = standard_xy(n, m)[0]
+    target = lam.parts
+    layer = {tuple(mu.part(r + 1) for r in range(len(target))): {(0,) * len(vs): 1}}
+    for k, letter in enumerate(letters):
+        rest = letters[k + 1 :]
+        flat = [x for x in rest if not x.row_strict]
+        rows = max((x.rows or len(target) for x in flat), default=0)
+        strict = len(rest) - len(flat)
+        i, sign = letter.var, letter.sign
+        nxt = {}
+        while layer:
+            shape, terms = layer.popitem()
+            before = sum(shape)
+            for new in tableaux._strips(shape, target, letter):
+                if not tableaux._reachable(new, target, len(flat), rows, strict):
+                    continue
+                out = nxt.setdefault(new, {})
+                d = sign * (sum(new) - before)
+                for e, c in terms.items():
+                    if d:
+                        e = e[:i] + (e[i] + d,) + e[i + 1 :]
+                    out[e] = out.get(e, 0) + c
+        layer = nxt
+    return vs.poly(layer.get(target, {}))
+
+
+def _same_strip_sum(family, lam, mu, n, m=0):
+    try:
+        want = _reference_strip_sum(family, lam, mu, n, m)
+    except ValueError:
+        with pytest.raises(ValueError):
+            tableaux._strip_sum(family, lam, mu, n, m)
+        return None
+    got = tableaux._strip_sum(family, lam, mu, n, m)
+    assert got.vars == want.vars and got.terms == want.terms, (family, lam, mu, n, m)
+    # the packed keys unpack in canonical order
+    assert list(got.terms) == [e for e, _ in got.sorted_terms()], (family, lam, mu, n, m)
+    return got
+
+
+@pytest.mark.parametrize("family", sorted(STRIP_FAMILIES))
+def test_packed_strip_sums_match_the_reference(family):
+    for n in (1, 2, 3):
+        for m in STRIP_FAMILIES[family][1]:
+            for lam in partitions_up_to(6):
+                _same_strip_sum(family, lam, Partition(), n, m)
+
+
+def test_packed_skew_strip_sums_match_the_reference():
+    for n in (1, 2, 3):
+        for lam in partitions_up_to(5):
+            for mu in partitions_up_to(5):
+                _same_strip_sum("ssyt", lam, mu, n)
+
+
+# The tableau benchmark's shapes: family -> (n, m, shapes), schur and hook
+# as the ssyt and super tableaux they sum.
+WORKLOAD_SHAPES = {
+    "ssyt": (6, 0, ((5, 4, 3, 2, 1), (6, 3, 1), (5, 3, 2), (6, 2, 1))),
+    "super": (3, 3, ((6, 2, 1, 1, 1), (5, 3, 2, 1), (6, 3, 1, 1), (6, 2, 2, 1), (7, 3, 1))),
+    "symplectic": (4, 0, ((4, 3, 2, 1), (4, 3, 1), (4, 2, 2), (5, 2))),
+    "odd_symplectic": (4, 0, ((5, 2, 1), (6, 2), (5, 3), (4, 3, 2, 1))),
+    "orthosymplectic": (3, 3, ((4, 3, 1), (6, 2), (4, 2, 1), (3, 3, 2), (3, 2, 1))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WORKLOAD_SHAPES))
+def test_packed_strip_sums_match_the_reference_at_workload_scale(family):
+    n, m, shapes = WORKLOAD_SHAPES[family]
+    for lam in shapes:
+        _same_strip_sum(family, Partition(lam), Partition(), n, m)
+
+
+@pytest.mark.parametrize("family", ["ssyt", "symplectic"])
+@pytest.mark.parametrize("size", [127, 128, 130])
+def test_packed_strip_sums_cross_field_widths(family, size):
+    # 2 * cells fills 8 bits at 127 cells and needs a second byte from 128 on;
+    # the symplectic exponents run down to -cells.
+    got = _same_strip_sum(family, Partition([size]), Partition(), 1)
+    vs, (x,) = standard_x(1)
+    if family == "ssyt":
+        assert got == x**size
+    elif size == 130:
+        assert got.terms == {(130 - 2 * k,): 1 for k in range(131)}
+
+
 @pytest.mark.parametrize("family", sorted(tableaux.LETTERS))
 def test_row_caps_never_fall_as_codes_rise(family):
     # The enumerator takes the codes a row admits as a suffix of the table,
@@ -412,6 +504,27 @@ def test_skew_listing_matches_rendering_from_scratch():
         for lam in partitions_up_to(5):
             for mu in partitions_up_to(5):
                 _same_listing("ssyt", lam, mu, n)
+
+
+# Shapes whose last two cells take every path of the listing's two-cell
+# tail: one cell; the next-to-last cell as the last one's top neighbour, as
+# its left neighbour, and as neither; inner cells and rows between them.
+TAIL_SHAPES = [(1,), (1, 1), (2, 1), (2, 1, 1)]
+SKEW_TAIL_SHAPES = [((2,), (1,)), ((3, 1), (2,)), ((2, 2), (2, 1)), ((3, 3), (3, 2)), ((2, 2), (1, 1))]
+
+
+@pytest.mark.parametrize("family", sorted(STRIP_FAMILIES))
+def test_two_cell_tail_edge_shapes(family):
+    for n in (1, 2, 3):
+        for m in STRIP_FAMILIES[family][1]:
+            for lam in TAIL_SHAPES:
+                _same_listing(family, Partition(lam), Partition(), n, m)
+
+
+def test_two_cell_tail_skew_edge_shapes():
+    for n in (1, 2, 3):
+        for lam, mu in SKEW_TAIL_SHAPES + [(lam, lam) for lam in TAIL_SHAPES]:
+            _same_listing("ssyt", Partition(lam), Partition(mu), n)
 
 
 def test_listing_streams():
