@@ -18,9 +18,11 @@ the acceptance tests verify against tableau enumeration):
   the expansion sum over symplectic times skew Schur
 * odd symplectic: quotient determinant with one distinguished variable
 
-The C_n-type routes (symplectic, the orthosymplectic determinants and sum,
-odd symplectic) compute in z_i = x_i + 1/x_i and map back at the end; see
-the comment that opens their section.
+The C_n-type routes (symplectic, all four orthosymplectic routes, odd
+symplectic) compute in z_i = x_i + 1/x_i and map back at the end; see the
+comment that opens their section.  The two bordered determinants (hook and
+orthosymplectic rational) apply divided differences in y to their m main
+columns, which takes the factor prod(y_i - y_j) out of their divisor.
 """
 
 from __future__ import annotations
@@ -88,6 +90,46 @@ def hook_schur_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Pol
     return skew_schur_jt(lam, Partition(), xs, _vs_of(xs, ys), ys=ys)
 
 
+def _bordered_sign(n: int, m: int, k: int) -> int:
+    """(-1)^(mn - n + k - 1) of a bordered determinant, times the
+    (-1)^(m(m-1)/2) that its divided differences in y bring."""
+    return -1 if (m * n - n + k - 1 + m * (m - 1) // 2) % 2 else 1
+
+
+def _divided_lower_border(lam: Partition, n: int, ys: Sequence[Poly], vs: VariableSet):
+    """lower(p, k): the lower border of a bordered determinant at p, for any
+    p with p'_1 <= lam'_1, after divided differences in y over its m main
+    columns.  Row i holds y_j^a, a = p'_i + m - n - i >= 0, in column j; the
+    divided difference of y^a over y_1..y_j is h_{a-j+1}(y_1..y_j), zero for
+    a negative index.  The k - 1 border columns hold zeros."""
+    m = len(ys)
+    top = lam.conjugate().part(1) + m - n - 1
+    hs = [complete_table(top, ys[: j + 1], vs) for j in range(m)]
+    zero = vs.zero()
+
+    def lower(p: Partition, k: int) -> list[list[Poly]]:
+        pc = p.conjugate()
+        rows = []
+        for i in range(1, m - n + k):
+            a = pc.part(i) + m - n - i
+            rows.append([hs[j][a - j] if a >= j else zero for j in range(m)] + [zero] * (k - 1))
+        return rows
+
+    return lower
+
+
+def _bordered_quotient(family: str, bordered, lam: Partition, divisor: Poly) -> Poly:
+    """sign * det(rows) / divisor for (rows, sign) = bordered(lam).  Then
+    the empty partition's sign * det(rows) is checked against the divisor,
+    after the division, so a divisor that leaves a remainder still reports
+    that remainder."""
+    rows, sign = bordered(lam)
+    quotient = exact_div(det_cofactor(rows, divisor.vars), divisor)
+    empty_rows, empty_sign = bordered(Partition())
+    _checked_denominator(family, empty_rows, empty_sign * divisor)
+    return sign * quotient
+
+
 def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     """Bordered determinant with Cauchy block 1/(x_i + y_j).
 
@@ -97,32 +139,35 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
     where D = prod(x_i - x_j) prod(y_i - y_j) / prod(x_i + y_j).
 
     Each main-block row is built scaled by its common denominator
-    prod_q(x_i + y_q), so every entry is a Laurent polynomial and the value
-    is the signed exact quotient of that determinant by the product form
-    prod(x_i - x_j) prod(y_i - y_j).
+    P_i = prod_q(x_i + y_q), so main column j holds P_i / (x_i + y_j).  The
+    route replaces main column j by the divided difference in y of main
+    columns 1..j over y_1..y_j.  That of 1/(x + y) is
+    (-1)^(j-1) / prod_{t<=j}(x + y_t), so column j becomes
+    (-1)^(j-1) prod_{t>j}(x_i + y_t), and the lower border is
+    _divided_lower_border's.  The transform is triangular and divides the
+    determinant by prod_{s<t}(y_t - y_s), so the value is the exact
+    quotient by prod(x_i - x_j) alone, with sign _bordered_sign, and it
+    holds at repeated y-letters.  Sign times the determinant of the rows at
+    the empty partition is checked against that divisor on every call.
     """
     n, m = len(xs), len(ys)
     require_hook(lam, n, m)
     vs = _vs_of(xs, ys)
-    k = k_index(lam, n, m)
-    size = m + k - 1
-    lamc = lam.conjugate()
-    rows: list[list[Poly]] = []
-    for i in range(n):
-        x = xs[i]
-        p = _prod(vs, (x + y for y in ys))
-        row = [_prod(vs, (x + ys[t] for t in range(m) if t != j)) for j in range(m)]
-        row += [x ** (lam.part(j) + n - m - j) * p for j in range(1, k)]
-        rows.append(row)
-    zero = vs.zero()
-    for i in range(1, m - n + k):
-        row = [ys[j] ** (lamc.part(i) + m - n - i) for j in range(m)]
-        row += [zero] * (k - 1)
-        rows.append(row)
-    assert len(rows) == size
-    dnum = _vandermonde(vs, xs) * _vandermonde(vs, ys)
-    sign = -1 if (m * n - n + k - 1) % 2 else 1
-    return sign * exact_div(det_cofactor(rows, vs), dnum)
+    main, full = [], []
+    for x in xs:
+        tail = [vs.one()]  # tail[s] = prod of (x + y) over the last s y-letters
+        for y in reversed(ys):
+            tail.append((x + y) * tail[-1])
+        main.append([-tail[m - 1 - j] if j % 2 else tail[m - 1 - j] for j in range(m)])
+        full.append(tail[m])
+    lower = _divided_lower_border(lam, n, ys, vs)
+
+    def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
+        k = k_index(p, n, m)
+        rows = [row + [x ** (p.part(j) + n - m - j) * f for j in range(1, k)] for row, x, f in zip(main, xs, full)]
+        return rows + lower(p, k), _bordered_sign(n, m, k)
+
+    return _bordered_quotient("hook", bordered, lam, _vandermonde(vs, xs))
 
 
 # -- C_n-type routes in z = x + 1/x -----------------------------------------------
@@ -137,7 +182,8 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
 # Vandermonde in the z_i, and maps the quotient back with z_i -> x_i + 1/x_i
 # (substitute_reciprocal_sums).  That map is a ring homomorphism for any unit
 # monomial x_i, so the routes still evaluate at points such as
-# (x_1, ..., 1/x_n) or (-x_1, x_2, ...).
+# (x_1, ..., 1/x_n) or (-x_1, x_2, ...).  ortho_jt has no divisor: every
+# J_r is already a polynomial in the z_i, built by jseries_table.
 
 
 def _denominator_factors(xs: Sequence[Poly], singles: int) -> tuple[Poly, Poly, Poly]:
@@ -251,13 +297,16 @@ def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
 def ortho_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     """det of the n x n matrix with first column J_{lam_i - i + 1} and
     j-th column J_{lam_i - i + j} + J_{lam_i - i - j + 2} for j >= 2,
-    J_r = sum_l h_l(X, 1/X) e_{r-l}(Y)."""
+    J_r = sum_l h_l(X, 1/X) e_{r-l}(Y).  Every J_r is invariant under
+    x_i -> 1/x_i, so the matrix is built and expanded over the z-letters
+    z_i = x_i + 1/x_i, and the determinant is mapped back once."""
     n = len(xs)
     require_length(lam, n)
     vs = _vs_of(xs, ys)
+    ext, zs, lift = _z_alphabet(vs, n)
     rmax = max(lam.part(1) + n - 1, 0)
-    jt = jseries_table(rmax, xs, ys, vs)
-    zero = vs.zero()
+    jt = jseries_table(rmax, zs, [lift(y) for y in ys], ext)
+    zero = ext.zero()
 
     def J(r: int) -> Poly:
         return jt[r] if r >= 0 else zero
@@ -268,7 +317,7 @@ def ortho_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
         row = [J(a + 1)]
         row += [J(a + j) + J(a - j + 2) for j in range(2, n + 1)]
         rows.append(row)
-    return det_cofactor(rows, vs)
+    return substitute_reciprocal_sums(det_cofactor(rows, ext), vs, xs)
 
 
 def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -286,37 +335,42 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     value is 0, as is the character.
 
     Cleared of its denominator, a main-block row holds f(x_i) - f(1/x_i)
-    with f(x) = x prod_{t != j}(x + y_t) = sum_r e_r(Y - y_j) x^(m-r), and
-    the border g(x_i) - g(1/x_i) with g(x) = x^e prod_q(x + y_q); each is
-    x_i - 1/x_i times sum_r c_r odd(r) in z_i.  The value is the signed
-    exact quotient of the reduced determinant by prod_{i<j}(y_i - y_j),
-    then by symplectic_reduced_denominator, with sign (-1)^(mn - n + k - 1).
+    with f(x) = x prod_{t != j}(x + y_t), and the border g(x_i) - g(1/x_i)
+    with g(x) = x^e prod_q(x + y_q).  As in hook_schur_det, the route
+    replaces main column j by the divided difference in y of main columns
+    1..j over y_1..y_j: f becomes (-1)^(j-1) x prod_{t>j}(x + y_t) =
+    (-1)^(j-1) sum_r e_r(y_{j+1}..y_m) x^(m-j+1-r), and the lower border is
+    _divided_lower_border's.  Each main row is then x_i - 1/x_i times a row
+    of sums c_r odd(r) in z_i.  The transform divides the determinant by
+    prod_{s<t}(y_t - y_s), so the value is the exact quotient of the reduced
+    determinant by symplectic_reduced_denominator alone, with sign
+    _bordered_sign, and it holds at repeated y-letters.  Sign times the
+    determinant of the reduced rows at the empty partition is checked
+    against that divisor on every call.
     """
     n, m = len(xs), len(ys)
     vs = _vs_of(xs, ys)
     ext, zs, lift = _z_alphabet(vs, n)
     ys = [lift(y) for y in ys]
-    k = k_index(lam, n, m)
-    lamc = lam.conjugate()
     zero = ext.zero()
-    e_all = complete_table(m, (), ext, ys=ys)
-    e_rest = [complete_table(m - 1, (), ext, ys=ys[:j] + ys[j + 1 :]) for j in range(m)]
-    rows: list[list[Poly]] = []
-    for odd in map(_reducer, zs):
-        row = [sum((c * odd(m - r) for r, c in enumerate(e_rest[j])), zero) for j in range(m)]
-        for j in range(1, k):
-            e = lam.part(j) + n - m - j + 1
-            row.append(sum((c * odd(e + m - r) for r, c in enumerate(e_all)), zero))
-        rows.append(row)
-    for i in range(1, m - n + k):
-        row = [ys[j] ** (lamc.part(i) + m - n - i) for j in range(m)]
-        row += [zero] * (k - 1)
-        rows.append(row)
-    assert len(rows) == m + k - 1
-    quotient = exact_div(det_cofactor(rows, ext), _vandermonde(ext, ys))
-    quotient = exact_div(quotient, symplectic_reduced_denominator(zs))
-    sign = -1 if (m * n - n + k - 1) % 2 else 1
-    return sign * substitute_reciprocal_sums(quotient, vs, xs)
+    # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
+    tails = [complete_table(m - t, (), ext, ys=ys[t:]) for t in range(m + 1)]
+    odds = [_reducer(z) for z in zs]
+
+    def combine(odd, es, top: int) -> Poly:
+        return sum((c * odd(top - r) for r, c in enumerate(es)), zero)
+
+    main = [[(-1) ** j * combine(odd, tails[j + 1], m - j) for j in range(m)] for odd in odds]
+    lower = _divided_lower_border(lam, n, ys, ext)
+
+    def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
+        k = k_index(p, n, m)
+        exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
+        rows = [row + [combine(odd, tails[0], e + m) for e in exps] for row, odd in zip(main, odds)]
+        return rows + lower(p, k), _bordered_sign(n, m, k)
+
+    quotient = _bordered_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(zs))
+    return substitute_reciprocal_sums(quotient, vs, xs)
 
 
 def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:

@@ -10,9 +10,8 @@ before any computation runs: a bad flag value, a partition that does not
 parse, a point outside the route's domain.  A ValueError raised later, by a
 ``compute`` route or at a ``suite`` grid point (each inside its domain), is
 internal.  ``verify`` takes its point from the user, and each check
-validates it in its own body, so a ValueError from a check is a usage
-error.  The character-route agreements (the ``*_methods`` checks and
-``odd_ortho_specialization``) validate before any route runs, and a
+validates it in its own body, so a ValueError from that validation is a
+usage error.  Every check validates before any route runs, and a
 ValueError that a route raises afterwards is internal, an "error" report.
 The ``ospchar`` command ends quietly, by SIGPIPE, when its reader closes
 the pipe early (``enumerate ... | head``).

@@ -243,7 +243,7 @@ def verify_supersymmetry(lam: Partition, n: int, m: int) -> VerificationReport:
     if n < 1 or m < 1:
         raise ValueError("needs n, m >= 1")
     vs, xs, ys, t = standard_xy(n, m, "t")
-    value = hook_schur_jt(lam, xs[:-1] + [t], ys[:-1] + [-t])
+    value = _route_value(hook_schur_jt, lam, xs[:-1] + [t], ys[:-1] + [-t])
     # t is the last variable: the t-free part keeps the terms without it
     t_free = vs.poly({e: c for e, c in value.terms.items() if not e[-1]})
     return compare("supersymmetry", _params(lam=lam, n=n, m=m), value, t_free)
@@ -373,8 +373,8 @@ def verify_specialization_reduction(
         if not vars_:
             return vs.one()
         if variant == "sp":
-            return symplectic_weyl(p, vars_)
-        return ortho_single_y(p, vars_, z)
+            return _route_value(symplectic_weyl, p, vars_)
+        return _route_value(ortho_single_y, p, vars_, z)
 
     cleared = char(lam, xs)
     for x in xs:
@@ -480,8 +480,8 @@ def verify_bkw_general(n: int, m: int, r: int) -> VerificationReport:
     vs, xs, ys, z = standard_xy(n, m, "z")
     lhs = vs.zero()
     for lam in box_partitions(n, r):
-        left = ortho_single_y(lam, xs, z)
-        right = ortho_single_y(lam.prepend(r, m - n), ys, z)
+        left = _route_value(ortho_single_y, lam, xs, z)
+        right = _route_value(ortho_single_y, lam.prepend(r, m - n), ys, z)
         lhs = lhs + z ** r * left * right
     rhs = vs.zero()
     skipped = 0
@@ -491,7 +491,7 @@ def verify_bkw_general(n: int, m: int, r: int) -> VerificationReport:
             skipped += 1
             continue
         nu = Partition((r,) * (j - 1) + (r - 1,) * tail)
-        rhs = rhs + z ** (r + tail) * symplectic_weyl(nu, xs + ys)
+        rhs = rhs + z ** (r + tail) * _route_value(symplectic_weyl, nu, xs + ys)
     note = None
     if skipped:
         note = f"r=0: skipped {skipped} right-side labels with a negative part"
@@ -509,10 +509,10 @@ def verify_bkw_original(n: int, m: int, r: int) -> VerificationReport:
     vs, xs, ys, z = standard_xy(n, m, "z")
     lhs = vs.zero()
     for lam in box_partitions(n + 1, r):
-        left = odd_symplectic_det(lam, xs + [z])
-        right = odd_symplectic_det(lam.prepend(r, m - n), ys + [z])
+        left = _route_value(odd_symplectic_det, lam, xs + [z])
+        right = _route_value(odd_symplectic_det, lam.prepend(r, m - n), ys + [z])
         lhs = lhs + z ** (-r) * left * right
-    rhs = symplectic_weyl(Partition((r,) * (m + n + 1)), xs + ys + [z])
+    rhs = _route_value(symplectic_weyl, Partition((r,) * (m + n + 1)), xs + ys + [z])
     return compare("bkw_original", params, lhs, rhs)
 
 

@@ -5,9 +5,10 @@ the supersymmetric complete functions H_r(X; Y), the t^r coefficients of
 prod_y (1 + y t) / prod_x (1 - x t), rather than enumerating monomials, so
 they stay polynomial-time in the degree.  h_r(X) = H_r(X; ), e_r(Y) =
 H_r(; Y), and the letters X, 1/X give the J_r = H_r(X, 1/X; Y) of the
-hyperoctahedral Jacobi-Trudi matrices.  A "letter" may be any Laurent
-polynomial, so the same tables evaluate at specialized points such as
-(x_1, ..., x_{n-1}, t) and (y_1, ..., -t).
+hyperoctahedral Jacobi-Trudi matrices, built in z = x + 1/x as one z-letter
+per pair x, 1/x.  A "letter" may be any Laurent polynomial, so the same
+tables evaluate at specialized points such as (x_1, ..., x_{n-1}, t) and
+(y_1, ..., -t).
 
 Each shape rule has its one guard here, with the CLI's message, and the
 alphabet x1..xn, y1..ym (plus extra letters) its one builder, standard_xy.
@@ -192,16 +193,19 @@ def complete_table(
     letters: Sequence[LaurentPolynomial],
     vars: VariableSet | None = None,
     *,
+    zs: Sequence[LaurentPolynomial] = (),
     ys: Sequence[LaurentPolynomial] = (),
 ) -> list[LaurentPolynomial]:
-    """[H_0, ..., H_rmax](X; Y) for X = letters: the t^r coefficients of
-    prod_y (1 + y t) / prod_x (1 - x t); empty for rmax < 0.
+    """[H_0, ..., H_rmax](X, Z; Y) for X = letters: the t^r coefficients of
+    prod_y (1 + y t) / (prod_x (1 - x t) prod_z (1 - z t + t^2)); empty for
+    rmax < 0.
 
     The package's one letter recurrence: each x-letter multiplies the series
-    by 1/(1 - x t), filling the table upward; each y-letter multiplies it by
-    1 + y t, filling it downward.
+    by 1/(1 - x t) and each z-letter by 1/(1 - z t + t^2), filling the table
+    upward; each y-letter multiplies it by 1 + y t, filling it downward.  A
+    z-letter stands for the pair x, 1/x with z = x + 1/x.
     """
-    vs = letters[0].vars if letters else (ys[0].vars if ys else vars)
+    vs = next((group[0].vars for group in (letters, zs, ys) if group), vars)
     if vs is None:
         raise AlgebraError("need at least one letter or an explicit variable set")
     if rmax < 0:
@@ -210,6 +214,10 @@ def complete_table(
     for x in letters:
         for s in range(1, rmax + 1):
             table[s] = table[s] + x * table[s - 1]
+    for z in zs:
+        below = vs.zero()  # table[s - 2], already multiplied
+        for s in range(1, rmax + 1):
+            below, table[s] = table[s - 1], table[s] + z * table[s - 1] - below
     for y in ys:
         for s in range(rmax, 0, -1):
             table[s] = table[s] + y * table[s - 1]
@@ -222,9 +230,11 @@ def super_complete(r: int, xs: Sequence[LaurentPolynomial], ys: Sequence[Laurent
     return table[r] if r >= 0 else table[0].vars.zero()
 
 
-def jseries_table(rmax: int, xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> list[LaurentPolynomial]:
-    """[J_0, ..., J_rmax] with J_r = H_r(X, 1/X; Y) = sum_l h_l(X, 1/X) e_{r-l}(Y)."""
-    return complete_table(rmax, list(xs) + [x.inverse() for x in xs], vars, ys=ys)
+def jseries_table(rmax: int, zs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial], vars: VariableSet | None = None) -> list[LaurentPolynomial]:
+    """[J_0, ..., J_rmax] with J_r = H_r(X, 1/X; Y) = sum_l h_l(X, 1/X) e_{r-l}(Y),
+    in the z-letters z_i = x_i + 1/x_i: h(X, 1/X) has generating function
+    prod_i 1/(1 - z_i t + t^2)."""
+    return complete_table(rmax, (), vars, zs=zs, ys=ys)
 
 
 def skew_schur_jt(

@@ -3,7 +3,7 @@
 import pytest
 
 from ospchar import characters
-from ospchar.algebra import VariableSet, det_cofactor, exact_div, substitute_reciprocal_sums
+from ospchar.algebra import ExactDivisionError, VariableSet, det_cofactor, exact_div, substitute_reciprocal_sums
 from ospchar.symfun import Partition, complete_table, k_index, partitions_of, partitions_up_to, skew_schur_jt, subpartitions
 from ospchar.characters import (
     CharacterRequest,
@@ -265,8 +265,8 @@ def test_reduced_denominators_are_the_product_forms_over_the_long_roots(n):
 #
 # The routes compute in z = x + 1/x.  What follows is the quotient they
 # replaced: the determinant of the matrix in the x_i themselves, divided by
-# prod_{i<j}(y_i - y_j) where the route has one, then by the root groups of the
-# C_n-type denominator in turn.  Every rewritten route is compared with it.
+# prod_{i<j}(y_i - y_j) where the matrix carries it, then by the root groups of
+# the C_n-type denominator in turn.  Every rewritten route is compared with it.
 
 
 def _over_root_groups(det, *groups):
@@ -445,8 +445,9 @@ ORTHO_STAGED_SHAPES = [lam.parts for size in (5, 6) for lam in partitions_of(siz
 
 @pytest.mark.parametrize("parts", ORTHO_STAGED_SHAPES, ids=lambda parts: ",".join(map(str, parts)))
 def test_staged_ortho_det_rational_matches_one_shot_division(monkeypatch, parts):
-    # the route divides in two stages, by prod(y_i - y_j) and then by the
-    # Vandermonde in z; the x-world determinant divides in one call
+    # the divided differences in y leave the route one division, by the
+    # Vandermonde in z; the x-world determinant divides by prod(y_i - y_j)
+    # and the symplectic denominator in one call
     lam = Partition(list(parts))
     vs, xs, ys = standard_xy(3, 3)
     divisions = []
@@ -460,10 +461,138 @@ def test_staged_ortho_det_rational_matches_one_shot_division(monkeypatch, parts)
         value = ortho_det_rational(lam, xs, ys)
     ext = divisions[0].vars
     assert ext.names[6:] == ("z1", "z2", "z3")
-    assert divisions == [_delta(ext, ext.gens()[3:6]), _delta(ext, ext.gens()[6:])]
+    assert divisions == [_delta(ext, ext.gens()[6:])]
     rows, sign = _rational_rows(lam, xs, ys)
     one_shot = _delta(vs, ys) * symplectic_denominator_product(xs)
     assert value == sign * exact_div(det_cofactor(rows, vs), one_shot)
+
+
+# -- the routes before divided differences in y and before z in ortho_jt -------------
+#
+# Both bordered determinants divided the determinant of the paper's matrix,
+# cleared of its denominators, by prod(y_i - y_j) too; ortho_jt built its J
+# table in the x-letters.  Each is the reference for the route it became.
+
+
+def _reference_hook_schur_det(lam, xs, ys):
+    n, m = len(xs), len(ys)
+    vs = (xs or ys)[0].vars
+    k = k_index(lam, n, m)
+    lamc = lam.conjugate()
+    rows = []
+    for x in xs:
+        p = _prod(vs, (x + y for y in ys))
+        row = [_prod(vs, (x + ys[t] for t in range(m) if t != j)) for j in range(m)]
+        row += [x ** (lam.part(j) + n - m - j) * p for j in range(1, k)]
+        rows.append(row)
+    for i in range(1, m - n + k):
+        rows.append([y ** (lamc.part(i) + m - n - i) for y in ys] + [vs.zero()] * (k - 1))
+    sign = -1 if (m * n - n + k - 1) % 2 else 1
+    return sign * exact_div(det_cofactor(rows, vs), _delta(vs, xs) * _delta(vs, ys))
+
+
+def _reference_ortho_det_rational(lam, xs, ys):
+    n, m = len(xs), len(ys)
+    vs = (xs or ys)[0].vars
+    ext, zs, lift = characters._z_alphabet(vs, n)
+    ys = [lift(y) for y in ys]
+    k = k_index(lam, n, m)
+    lamc = lam.conjugate()
+    zero = ext.zero()
+    e_all = complete_table(m, (), ext, ys=ys)
+    e_rest = [complete_table(m - 1, (), ext, ys=ys[:j] + ys[j + 1 :]) for j in range(m)]
+    rows = []
+    for odd in map(characters._reducer, zs):
+        row = [sum((c * odd(m - r) for r, c in enumerate(e_rest[j])), zero) for j in range(m)]
+        for j in range(1, k):
+            e = lam.part(j) + n - m - j + 1
+            row.append(sum((c * odd(e + m - r) for r, c in enumerate(e_all)), zero))
+        rows.append(row)
+    for i in range(1, m - n + k):
+        rows.append([y ** (lamc.part(i) + m - n - i) for y in ys] + [zero] * (k - 1))
+    quotient = exact_div(det_cofactor(rows, ext), _delta(ext, ys))
+    quotient = exact_div(quotient, symplectic_reduced_denominator(zs))
+    sign = -1 if (m * n - n + k - 1) % 2 else 1
+    return sign * substitute_reciprocal_sums(quotient, vs, xs)
+
+
+def _reference_ortho_jt(lam, xs, ys):
+    n = len(xs)
+    vs = xs[0].vars
+    jt = complete_table(max(lam.part(1) + n - 1, 0), xs + [x.inverse() for x in xs], vs, ys=ys)
+
+    def J(r):
+        return jt[r] if r >= 0 else vs.zero()
+
+    rows = [
+        [J(lam.part(i) - i + 1)] + [J(lam.part(i) - i + j) + J(lam.part(i) - i - j + 2) for j in range(2, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    return det_cofactor(rows, vs)
+
+
+# name -> (route, its reference), each called as f(lam, xs, ys)
+REFERENCES = {
+    "det": (ortho_det_rational, _reference_ortho_det_rational),
+    "hook": (hook_schur_det, _reference_hook_schur_det),
+    "jt": (ortho_jt, _reference_ortho_jt),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_routes_match_their_references(name):
+    # every hook shape of the desk grid (len(lam) <= n for jt), then one size up
+    route, reference = REFERENCES[name]
+    points = [
+        (n, m, lam)
+        for n in (1, 2, 3)
+        for m in (1, 2, 3)
+        for lam in partitions_up_to(6, max_length=n if name == "jt" else None)
+        if lam.part(n + 1) <= m
+    ]
+    points += [(4, 3, Partition([4, 3, 2, 1])), (4, 4, Partition([3, 2, 1]))]
+    for n, m, lam in points:
+        _, xs, ys = standard_xy(n, m)
+        assert route(lam, xs, ys) == reference(lam, xs, ys), (n, m, lam)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_routes_match_their_references_at_specialized_letters(name):
+    route, reference = REFERENCES[name]
+    for label, rows, xs, ys in _specialized_points():
+        for lam in partitions_up_to(4, max_length=rows):
+            assert route(lam, xs, ys) == reference(lam, xs, ys), (name, label, lam)
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 2)], ids=lambda parts: ",".join(map(str, parts)))
+def test_bordered_determinants_hold_at_repeated_y_letters(parts):
+    # prod(y_i - y_j) is 0 at Y = (t, t): the references divide by it, the
+    # routes do not
+    lam = Partition(list(parts))
+    vs, xs, _, t = standard_xy(2, 0, "t")
+    ys = [t, t]
+    value = ortho_det_rational(lam, xs, ys)
+    assert value == ortho_det_laurent(lam, xs, ys) and not value.is_zero()
+    value = hook_schur_det(lam, xs, ys)
+    assert value == hook_schur_jt(lam, xs, ys) and not value.is_zero()
+    for reference in (_reference_ortho_det_rational, _reference_hook_schur_det):
+        with pytest.raises(ExactDivisionError, match="division by the zero polynomial"):
+            reference(lam, xs, ys)
+
+
+@pytest.mark.parametrize(
+    "route, divisor, family",
+    [(ortho_det_rational, "symplectic_reduced_denominator", "orthosymplectic"), (hook_schur_det, "_vandermonde", "hook")],
+    ids=["orthosymplectic", "hook"],
+)
+def test_bordered_determinants_check_their_divisor_at_the_empty_partition(monkeypatch, route, divisor, family):
+    # the negated divisor divides exactly; only the check at the empty
+    # partition tells the wrong sign
+    real = getattr(characters, divisor)
+    monkeypatch.setattr(characters, divisor, lambda *args: -real(*args))
+    _, xs, ys = standard_xy(2, 2)
+    with pytest.raises(RuntimeError, match=f"^{family} denominator does not match its product form$"):
+        route(Partition([2, 1]), xs, ys)
 
 
 def test_ortho_sp_schur_sum_builds_its_denominator_groups_once(monkeypatch):

@@ -495,6 +495,28 @@ def test_verify_reports_a_route_value_error_as_internal(capsys, monkeypatch):
     assert err == "ospchar: internal error: boom\n"
 
 
+@pytest.mark.parametrize(
+    "identity, route, argv",
+    [
+        ("supersymmetry", "hook_schur_jt", ["--lambda", "1", "--n", "1", "--m", "1"]),
+        ("specialization_reduction", "ortho_single_y", ["--lambda", "1", "--n", "1", "--r", "1", "--variant", "spo"]),
+        ("bkw_general", "symplectic_weyl", ["--n", "1", "--m", "1", "--r", "1"]),
+        ("bkw_original", "odd_symplectic_det", ["--n", "1", "--m", "1", "--r", "1"]),
+    ],
+    ids=["supersymmetry", "specialization_reduction", "bkw_general", "bkw_original"],
+)
+def test_lemma_checks_report_a_route_value_error_as_internal(capsys, monkeypatch, identity, route, argv):
+    # the lemma-style checks call their routes at points they validated
+    # themselves, so a ValueError from a route is a defect too: exit 3
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(identities, route, broken)
+    code, out, err = run(capsys, "verify", "--identity", identity, *argv)
+    assert code == 3 and out.startswith(f"ERROR {identity}") and "RuntimeError: boom" in out
+    assert err == "ospchar: internal error: boom\n"
+
+
 def test_verify_rejects_counts_outside_the_domain(capsys):
     code, _, err = run(capsys, "verify", "--identity", "kernel_det", "--n", "0", "--variant", "p")
     assert code == 2 and "needs n >= 1" in err

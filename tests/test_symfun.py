@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ospchar.algebra import AlgebraError, VariableSet
+from ospchar import characters
+from ospchar.algebra import AlgebraError, VariableSet, substitute_reciprocal_sums
 from ospchar.symfun import (
     Partition,
     box_partitions,
@@ -206,6 +207,7 @@ def _reference_super_complete(r, xs, ys, vars=None):
 
 
 def _reference_jseries_table(rmax, xs, ys, vars=None):
+    """The J table in the x-letters themselves: h over X and 1/X, times e(Y)."""
     vs = xs[0].vars if xs else (ys[0].vars if ys else vars)
     if vs is None:
         raise AlgebraError("need at least one letter or an explicit variable set")
@@ -231,6 +233,13 @@ def _letter_lists():
     return vs, xs, ys
 
 
+def _in_z(vs, x, y):
+    """The z-letters standing for the pairs x_i, 1/x_i of ``x``, over vs and
+    one z-letter per x-letter; y lifted there; and the map back to vs."""
+    ext, zs, lift = characters._z_alphabet(vs, len(x))
+    return ext, zs, [lift(b) for b in y], lambda p: substitute_reciprocal_sums(p, vs, x)
+
+
 def test_letter_recurrence_matches_the_reference_generators():
     vs, xs, ys = _letter_lists()
     for rmax in range(-2, 7):
@@ -240,9 +249,23 @@ def test_letter_recurrence_matches_the_reference_generators():
         for x in xs:
             for y in ys:
                 assert super_complete(rmax, x, y, vs) == _reference_super_complete(rmax, x, y, vs)
-                assert jseries_table(rmax, x, y, vs) == _reference_jseries_table(rmax, x, y, vs)
                 want = [_reference_super_complete(r, x, y, vs) for r in range(rmax + 1)]
                 assert complete_table(rmax, x, vs, ys=y) == want
+
+
+def test_z_letters_match_the_x_world_j_table():
+    # one z-letter z = x + 1/x multiplies the series by 1/(1 - z t + t^2),
+    # as the pair x, 1/x does; the letters cover -t, inverses and repeats
+    vs, xs, ys = _letter_lists()
+    for rmax in range(-2, 7):
+        for x in xs:
+            for y in ys:
+                ext, zs, lifted, back = _in_z(vs, x, y)
+                got = [back(p) for p in jseries_table(rmax, zs, lifted, ext)]
+                assert got == _reference_jseries_table(rmax, x, y, vs), (rmax, x, y)
+                # z-letters next to x-letters: y's letters also taken as x-letters
+                mixed = complete_table(rmax, lifted, ext, zs=zs, ys=lifted)
+                assert [back(p) for p in mixed] == complete_table(rmax, y + x + [a.inverse() for a in x], vs, ys=y)
 
 
 def test_letter_recurrence_needs_a_variable_set():
@@ -265,11 +288,17 @@ def test_laurent_complete_examples():
 
 
 def test_jseries_examples():
+    # in the z-letter z = x + 1/x: h_1(x, 1/x) = z, h_2(x, 1/x) = z^2 - 1
+    vs, _, ys, z = standard_xy(0, 1, "z")
+    y = ys[0]
+    assert jseries_table(1, [z], ys) == [vs.one(), z + y]
+    assert jseries_table(2, [z], ys) == [vs.one(), z + y, z * z - 1 + z * y]
+    assert jseries_table(0, [z], ys) == [vs.one()]
+    assert jseries_table(-3, [z], ys) == []
+    # mapped back, J_1 = x + 1/x + y
     vs, xs, ys = standard_xy(1, 1)
-    x, y = xs[0], ys[0]
-    assert jseries_table(1, xs, ys) == [vs.one(), x + x.inverse() + y]
-    assert jseries_table(0, xs, ys) == [vs.one()]
-    assert jseries_table(-3, xs, ys) == []
+    ext, zs, lifted, back = _in_z(vs, xs, ys)
+    assert [back(p) for p in jseries_table(1, zs, lifted)] == [vs.one(), xs[0] + xs[0].inverse() + ys[0]]
 
 
 # -- the standard alphabet -------------------------------------------------------
