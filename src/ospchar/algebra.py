@@ -5,43 +5,50 @@ negative) to nonzero arbitrary-precision integer coefficients.  The inverse
 of a variable is represented by a negative exponent, never by an extra
 variable, so a unit monomial and its inverse share one variable set.
 
-Monomials are ordered graded-lexicographically on the exponent vector, and
-that order fixes only canonical serialization.  Exact division walks the
-layers of a weighted degree chosen per divisor instead (see exact_div); an
-exact quotient is unique, so only the remainder an inexact division reports
-depends on that choice.
+Every polynomial keys its terms on one integer per monomial.  Over n
+variables, with fields of fbytes bytes and B = 2^(8 * fbytes),
 
-The kernels, large products (_mul_packed), exact division, the cofactor
-determinant (det_cofactor) and the substitution z -> u + 1/u
-(substitute_reciprocal_sums), work on packed keys: an exponent vector minus
-a per-operand offset (per row, for a determinant), one field per
-variable, every field the same whole number of bytes wide, read as one
-big-endian integer.  Monomial multiplication is then one integer addition.
-A key packs and unpacks through bytes, and struct for fields of 2, 4 or 8
-bytes, in one pass per vector, and the offsets fold into packing and
-unpacking, so no shifted copy of an operand is made.
+    key(e) = sum(e) * B^n + e_1 * B^(n-1) + ... + e_n,
+
+the total degree on top and one signed (balanced) field per variable, each
+e_v in [-B/2, B/2).  Monomial multiplication is then integer addition,
+inversion is negation, and integer order on keys is graded-lexicographic
+order on exponent vectors, the canonical order of serialization.  Each
+polynomial carries its field width and a bound on the magnitude of its
+exponents: a product's bound is the sum of its operands', a sum's the
+larger, an exact quotient's the box its dividend and divisor leave.  The
+fields grow with the bound (1, 2, 4 or 8 bytes, then exact byte counts), and
+an operand is re-encoded only when an operation needs wider fields than it
+has.  Equality and hash do not depend on the width.
+
+Exponent tuples appear only at the edges: the constructor encodes them,
+tuple_terms and sorted_terms decode (to_text and the JSON form read
+sorted_terms), and exact_div reads each term's exponents once to place it
+in a layer of a weighted degree chosen per divisor.  An exact quotient is
+unique, so only the remainder an inexact division reports depends on that
+choice.
 
 Determinants: one algorithm serves every matrix, a cofactor expansion along
 the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
 entry products and never divides, so sparse multivariate entries do not swell
 the way they do under fraction-free elimination; matrix sizes stay in the
 single digits throughout this package, so the exponential factor is small.
-It expands on packed keys from start to end: each entry packs once and the
-determinant unpacks once, so no entry-by-minor product builds an exponent
-tuple.  Every library caller builds its rows already cleared of
-denominators, with entries over one variable set.  Two
-more determinants have no library caller: Bareiss elimination (det_bareiss),
-the reference that the tests compare det_cofactor against, and det_rational,
-which clears a common denominator per row of a matrix of (numerator,
-denominator) pairs and is the tests' reference for the rational-entry
-statements; the benchmark tracer wraps both by name.
+Every entry-by-minor product is one key addition into the minor's term map.
+Every library caller builds its rows already cleared of denominators, with
+entries over one variable set.  Two more determinants have no library
+caller: Bareiss elimination (det_bareiss), the reference that the tests
+compare det_cofactor against, and det_rational, which clears a common
+denominator per row of a matrix of (numerator, denominator) pairs and is the
+tests' reference for the rational-entry statements; the benchmark tracer
+wraps both by name.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -68,100 +75,77 @@ class ExactDivisionError(AlgebraError):
         self.remainder = remainder
 
 
-def _term_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (sum(exps), exps)
+# -- the key codec ------------------------------------------------------
 
 
-# -- packed exponent keys ----------------------------------------------
-#
-# Field v of a key holds e[v] - lo[v], most significant first.  Adding two
-# keys adds their exponent vectors as long as no field overflows; each
-# kernel sizes its fields so that none does.
-
-
-def _field_bytes(bits: int) -> int:
-    """Bytes per field for values of up to ``bits`` bits: 1, 2, 4, 8 or,
-    past 64 bits, the exact byte count."""
-    size = max(1, (bits + 7) // 8)
+def _width(bound: int) -> int:
+    """Bytes per field for exponents of magnitude at most ``bound``: 1, 2, 4,
+    8 or, past 64 bits, the exact byte count."""
+    size = (bound.bit_length() + 8) // 8
     if size <= 2 or size > 8:
         return size
     return 4 if size <= 4 else 8
 
 
-def _struct(width: int, fbytes: int) -> Struct:
-    return Struct(">" + {2: "H", 4: "I", 8: "Q"}[fbytes] * width)
-
-
-def _packer(fbytes: int, lo: tuple[int, ...]):
-    """pack(e): the key of the fields e - lo, each ``fbytes`` bytes wide."""
-    width = len(lo)
-    if fbytes == 1:
-        return lambda e: _from_bytes(bytes(map(sub, e, lo)), "big")
-    if fbytes <= 8:
-        spack = _struct(width, fbytes).pack
-        return lambda e: _from_bytes(spack(*map(sub, e, lo)), "big")
-    shifts = [8 * fbytes * (width - 1 - v) for v in range(width)]
-
-    def pack(e):
-        k = 0
-        for x, low, s in zip(e, lo, shifts):
-            k |= (x - low) << s
-        return k
-
-    return pack
-
-
-def _unpacker(fbytes: int, off: tuple[int, ...]):
-    """unpack(k): the exponent vector of key k's fields plus off."""
-    width = len(off)
-    size = width * fbytes
-    if fbytes == 1:
-        return lambda k: tuple(map(add, k.to_bytes(size, "big"), off))
-    if fbytes <= 8:
-        sunpack = _struct(width, fbytes).unpack
-        return lambda k: tuple(map(add, sunpack(k.to_bytes(size, "big")), off))
+@lru_cache(maxsize=None)
+def _codec(width: int, fbytes: int):
+    """(encode, decode) between the exponent vectors of ``width`` variables
+    and keys with fields of ``fbytes`` bytes.  Both pass through key + bias,
+    whose fields e_v + B/2 are nonnegative and carry into nothing: bytes for
+    one-byte fields, struct for 2, 4 or 8 bytes, shifts past that."""
     bits = 8 * fbytes
-    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    top = bits * width
     shifts = [bits * (width - 1 - v) for v in range(width)]
-    return lambda k: tuple(((k >> s) & mask) + o for s, o in zip(shifts, off))
+    bias = sum(half << s for s in shifts)
+    low = (1 << top) - 1
+    size = width * fbytes
+    up, down = (half,) * width, (-half,) * width
+    if fbytes > 8:
+        mask = (1 << bits) - 1
 
+        def encode(e):
+            return (sum(e) << top) + sum(x << s for x, s in zip(e, shifts))
 
-def _mul_packed(a: dict, b: dict) -> dict:
-    """Multiply two term maps through packed exponent keys.
+        def decode(k):
+            k += bias
+            return tuple(((k >> s) & mask) - half for s in shifts)
 
-    Every field is wide enough, in whole bytes, for the largest sum of both
-    operands' exponent ranges over the variables, so a monomial product is
-    one integer addition.  Each operand is packed relative to its own
-    per-variable minimum exponents, and the product unpacks with their sum
-    added back.  Used only above a size threshold, so each operand has more
-    than one term and hence at least one variable; result is a normalized
-    term map.
-    """
-    acols = list(zip(*a))
-    bcols = list(zip(*b))
-    amin = tuple(map(min, acols))
-    bmin = tuple(map(min, bcols))
-    span = max(
-        max(col_a) - lo_a + max(col_b) - lo_b
-        for col_a, lo_a, col_b, lo_b in zip(acols, amin, bcols, bmin)
+        return encode, decode
+    if fbytes == 1:
+        return (
+            lambda e: (sum(e) << top) + _from_bytes(bytes(map(add, e, up)), "big") - bias,
+            lambda k: tuple(map(add, ((k + bias) & low).to_bytes(size, "big"), down)),
+        )
+    form = Struct(">" + {2: "H", 4: "I", 8: "Q"}[fbytes] * width)
+    spack, sunpack = form.pack, form.unpack
+    return (
+        lambda e: (sum(e) << top) + _from_bytes(spack(*map(add, e, up)), "big") - bias,
+        lambda k: tuple(map(add, sunpack(((k + bias) & low).to_bytes(size, "big")), down)),
     )
-    fbytes = _field_bytes(span.bit_length())
-    pack_a = _packer(fbytes, amin)
-    pack_b = _packer(fbytes, bmin)
-    pa = {pack_a(e): c for e, c in a.items()}
-    out: dict[int, int] = {}
-    get = out.get
-    for e2, c2 in b.items():
-        k2 = pack_b(e2)
-        for k1, c1 in pa.items():
-            k = k1 + k2
-            nc = get(k, 0) + c1 * c2
-            if nc:
-                out[k] = nc
-            else:
-                del out[k]
-    unpack = _unpacker(fbytes, tuple(map(add, amin, bmin)))
-    return {unpack(k): c for k, c in out.items()}
+
+
+def _at(p: "LaurentPolynomial", fbytes: int) -> dict:
+    """p's term map with fields of ``fbytes`` bytes, re-encoded only if p's differ."""
+    if p.fbytes == fbytes:
+        return p.terms
+    width = len(p.vars)
+    encode, decode = _codec(width, fbytes)[0], _codec(width, p.fbytes)[1]
+    return {encode(decode(k)): c for k, c in p.terms.items()}
+
+
+def _common(p: "LaurentPolynomial", q: "LaurentPolynomial", bound: int = 0):
+    """(fbytes, p's terms, q's terms) in the narrowest fields that hold both
+    operands and exponents of magnitude ``bound``."""
+    fbytes = max(p.fbytes, q.fbytes, _width(bound))
+    return fbytes, _at(p, fbytes), _at(q, fbytes)
+
+
+def _integer(x) -> int:
+    try:
+        return index(x)
+    except TypeError:
+        raise AlgebraError(f"{x!r} is not an integer") from None
 
 
 class VariableSet:
@@ -195,7 +179,7 @@ class VariableSet:
             raise AlgebraError(f"unknown variable {name!r} in {self.names}") from None
 
     def zero(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._raw(self, {})
+        return LaurentPolynomial._raw(self, {}, 1, 0)
 
     def one(self) -> "LaurentPolynomial":
         return self.const(1)
@@ -203,12 +187,12 @@ class VariableSet:
     def const(self, c: int) -> "LaurentPolynomial":
         if c == 0:
             return self.zero()
-        return LaurentPolynomial._raw(self, {(0,) * len(self.names): int(c)})
+        return LaurentPolynomial._raw(self, {0: int(c)}, 1, 0)
 
     def gen(self, name: str) -> "LaurentPolynomial":
-        exps = [0] * len(self.names)
-        exps[self.index(name)] = 1
-        return LaurentPolynomial._raw(self, {tuple(exps): 1})
+        width = len(self.names)
+        key = (1 << 8 * width) + (1 << 8 * (width - 1 - self.index(name)))
+        return LaurentPolynomial._raw(self, {key: 1}, 1, 1)
 
     def gens(self) -> list["LaurentPolynomial"]:
         return [self.gen(n) for n in self.names]
@@ -220,36 +204,45 @@ class VariableSet:
 class LaurentPolynomial:
     """Immutable sparse Laurent polynomial with integer coefficients.
 
-    ``terms`` maps exponent tuples (one entry per variable, possibly
-    negative) to nonzero coefficients.  Instances are equal iff they have the
-    same variable set and identical term maps.
+    ``terms`` maps monomial keys (see the module docstring) to nonzero
+    coefficients, in fields of ``fbytes`` bytes that hold every exponent of
+    magnitude up to ``bound``.  The constructor takes a map from exponent
+    tuples (one integer per variable, possibly negative) to integer
+    coefficients; tuple_terms gives that map back.  Instances are equal iff
+    they have the same variable set and the same terms.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "fbytes", "bound")
 
     def __init__(self, vars: VariableSet, terms: dict):
         width = len(vars)
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_integer, exps))
             if len(exps) != width:
                 raise AlgebraError(
                     f"exponent vector {exps} has length {len(exps)}, expected {width}"
                 )
-            coeff = int(coeff)
+            coeff = _integer(coeff)
             if coeff:
                 clean[exps] = clean.get(exps, 0) + coeff
                 if not clean[exps]:
                     del clean[exps]
         self.vars = vars
-        self.terms = clean
+        self.bound = max((abs(x) for exps in clean for x in exps), default=0)
+        self.fbytes = _width(self.bound)
+        encode = _codec(width, self.fbytes)[0]
+        self.terms = {encode(exps): c for exps, c in clean.items()}
 
     @classmethod
-    def _raw(cls, vars: VariableSet, terms: dict) -> "LaurentPolynomial":
-        # Internal fast path: terms must already be normalized.
+    def _raw(cls, vars: VariableSet, terms: dict, fbytes: int, bound: int) -> "LaurentPolynomial":
+        # Internal fast path: terms must already be normalized keys in
+        # fields of fbytes bytes, every exponent of magnitude at most bound.
         self = object.__new__(cls)
         self.vars = vars
         self.terms = terms
+        self.fbytes = fbytes
+        self.bound = bound
         return self
 
     # -- predicates ---------------------------------------------------
@@ -258,7 +251,7 @@ class LaurentPolynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.vars): 1}
+        return self.terms == {0: 1}
 
     def is_unit_monomial(self) -> bool:
         """True for c*x^e with c = +-1, the units of the Laurent ring."""
@@ -284,10 +277,13 @@ class LaurentPolynomial:
             other = self.vars.const(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        if self.vars != other.vars or len(self.terms) != len(other.terms):
+            return False
+        _, a, b = _common(self, other)
+        return a == b
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.tuple_terms().items())))
 
     def __add__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -297,19 +293,20 @@ class LaurentPolynomial:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
+        fbytes, a, b = _common(self, other)
+        out = dict(a)
+        for k, c in b.items():
+            nc = out.get(k, 0) + c
             if nc:
-                out[e] = nc
+                out[k] = nc
             else:
-                del out[e]
-        return LaurentPolynomial._raw(self.vars, out)
+                del out[k]
+        return LaurentPolynomial._raw(self.vars, out, fbytes, max(self.bound, other.bound))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._raw(self.vars, {k: -c for k, c in self.terms.items()}, self.fbytes, self.bound)
 
     def __sub__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -317,14 +314,15 @@ class LaurentPolynomial:
             return NotImplemented
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) - c
+        fbytes, a, b = _common(self, other)
+        out = dict(a)
+        for k, c in b.items():
+            nc = out.get(k, 0) - c
             if nc:
-                out[e] = nc
+                out[k] = nc
             else:
-                del out[e]
-        return LaurentPolynomial._raw(self.vars, out)
+                del out[k]
+        return LaurentPolynomial._raw(self.vars, out, fbytes, max(self.bound, other.bound))
 
     def __rsub__(self, other) -> "LaurentPolynomial":
         return (-self) + other
@@ -333,34 +331,26 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
+        if not self.terms or not other.terms:
             return self.vars.zero()
+        bound = self.bound + other.bound
+        fbytes, a, b = _common(self, other, bound)
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
-            (e2, c2), = b.items()
-            if not any(e2):
-                return LaurentPolynomial._raw(
-                    self.vars, {e: c * c2 for e, c in a.items()}
-                )
-            return LaurentPolynomial._raw(
-                self.vars,
-                {tuple(map(add, e, e2)): c * c2 for e, c in a.items()},
-            )
-        if len(a) * len(b) > 256:
-            return LaurentPolynomial._raw(self.vars, _mul_packed(a, b))
-        out: dict[tuple[int, ...], int] = {}
+            (k2, c2), = b.items()
+            return LaurentPolynomial._raw(self.vars, {k + k2: c * c2 for k, c in a.items()}, fbytes, bound)
+        out: dict[int, int] = {}
         get = out.get
-        for e2, c2 in b.items():
-            for e1, c1 in a.items():
-                e = tuple(map(add, e1, e2))
-                nc = get(e, 0) + c1 * c2
+        for k2, c2 in b.items():
+            for k1, c1 in a.items():
+                k = k1 + k2
+                nc = get(k, 0) + c1 * c2
                 if nc:
-                    out[e] = nc
+                    out[k] = nc
                 else:
-                    del out[e]
-        return LaurentPolynomial._raw(self.vars, out)
+                    del out[k]
+        return LaurentPolynomial._raw(self.vars, out, fbytes, bound)
 
     __rmul__ = __mul__
 
@@ -368,10 +358,10 @@ class LaurentPolynomial:
         if n < 0:
             return self.inverse() ** (-n)
         if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            return LaurentPolynomial._raw(
-                self.vars, {tuple(x * n for x in e): c ** n}
-            )
+            bound = self.bound * n
+            fbytes = max(self.fbytes, _width(bound))
+            (k, c), = _at(self, fbytes).items()
+            return LaurentPolynomial._raw(self.vars, {k * n: c ** n}, fbytes, bound)
         result = self.vars.one()
         base = self
         while n:
@@ -385,20 +375,21 @@ class LaurentPolynomial:
         """Inverse of a unit monomial; anything else has no Laurent inverse."""
         if not self.is_unit_monomial():
             raise AlgebraError(f"not invertible in the Laurent ring: {self.to_text()}")
-        (e, c), = self.terms.items()
-        return LaurentPolynomial._raw(self.vars, {tuple(-x for x in e): c})
+        (k, c), = self.terms.items()
+        return LaurentPolynomial._raw(self.vars, {-k: c}, self.fbytes, self.bound)
 
-    def min_exponents(self) -> tuple[int, ...]:
-        """Per-variable minimum exponent over all terms (zero polynomial: all 0)."""
-        if not self.terms:
-            return (0,) * len(self.vars)
-        cols = zip(*self.terms)
-        return tuple(min(col) for col in cols)
+    # -- exponent tuples and serialization -----------------------------
 
-    # -- serialization ------------------------------------------------
+    def tuple_terms(self) -> dict[tuple[int, ...], int]:
+        """The term map keyed on exponent tuples."""
+        decode = _codec(len(self.vars), self.fbytes)[1]
+        return {decode(k): c for k, c in self.terms.items()}
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
+        """(exponent tuple, coefficient) pairs in decreasing monomial order."""
+        decode = _codec(len(self.vars), self.fbytes)[1]
+        terms = self.terms
+        return [(decode(k), terms[k]) for k in sorted(terms, reverse=True)]
 
     def to_text(self) -> str:
         """Canonical text form, terms in decreasing monomial order."""
@@ -441,16 +432,16 @@ class LaurentPolynomial:
 def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     """Quotient q with q*b == a, verified; raises ExactDivisionError otherwise.
 
-    Both operands are packed (see _packer) relative to their own per-variable
-    minimum exponents, amin and bmin, so every field is nonnegative; no
-    shifted copy of either operand is made.  Variable v weighs
-    (width - v)^K, for the smallest K >= 1 that gives the divisor b one
-    w-leading term btop.  Each w-degree layer of the dividend, from the top,
-    divided by btop is a layer of the quotient, and that layer times each
-    other term of b lands in one fixed lower layer.  The quotient's keys
-    unpack with amin - bmin added back: per-variable minimum exponents are
-    additive over products, so that offset is exact whenever the division
-    is.
+    Each term's exponents are read once.  Variable v weighs (width - v)^K,
+    for the smallest K >= 1 that gives the divisor b one w-leading term
+    btop.  Each w-degree layer of the dividend, from the top, divided by
+    btop is a layer of the quotient, and that layer times each other term
+    of b lands in one fixed lower layer.  Per-variable minimum and maximum
+    exponents add over products, so an exact quotient lies in the box
+    [amin - bmin, amax - bmax]; a remainder term whose quotient by btop
+    leaves that box, or whose coefficient btop's does not divide, ends the
+    walk.  Every term the walk makes then lies in a's box, so the keys stay
+    in fields wide enough for a's and b's spans and the quotient's box.
     """
     if a.vars != b.vars:
         raise VariableMismatchError("exact_div operands use different variables")
@@ -458,45 +449,47 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
         raise ExactDivisionError("division by the zero polynomial")
     if a.is_zero():
         return a.vars.zero()
-    amin = a.min_exponents()
-    bmin = b.min_exponents()
-
     width = len(a.vars)
+    aexps = list(map(_codec(width, a.fbytes)[1], a.terms))
+    bexps = list(map(_codec(width, b.fbytes)[1], b.terms))
+    acols, bcols = list(zip(*aexps)), list(zip(*bexps))
+    amin, amax = list(map(min, acols)), list(map(max, acols))
+    bmin, bmax = list(map(min, bcols)), list(map(max, bcols))
+    qmin, qmax = list(map(sub, amin, bmin)), list(map(sub, amax, bmax))
+    qbound = max(map(abs, qmin + qmax), default=0)
+    spans = list(map(sub, amax, amin)) + list(map(sub, bmax, bmin))
+    fbytes = max(a.fbytes, b.fbytes, _width(max(spans + [qbound])))
+    a_terms, b_terms = _at(a, fbytes), _at(b, fbytes)
+
     K = 1
     while True:
         weights = [(width - v) ** K for v in range(width)]
-        bdeg = {e: sum(map(mul, weights, e)) for e in b.terms}
-        dtop = max(bdeg.values())
-        if sum(d == dtop for d in bdeg.values()) == 1:
+        bdeg = [sum(map(mul, weights, e)) for e in bexps]
+        dtop = max(bdeg)
+        if bdeg.count(dtop) == 1:
             break
         K += 1
-    adeg = {e: sum(map(mul, weights, e)) for e in a.terms}
 
-    # Each field carries a guard bit on top: (k | guard) - btop keeps a
-    # field's guard bit iff that exponent of k is at least btop's.  Relative
-    # to amin and bmin every intermediate monomial has nonnegative exponents
-    # and a w-degree at most dmax, the larger top w-degree of the dividend
-    # and the divisor, each relative to its offset.  Every weight is at
-    # least 1, so dmax bounds each exponent and no field reaches its guard.
-    dmax = max(
-        max(adeg.values()) - sum(map(mul, weights, amin)),
-        dtop - sum(map(mul, weights, bmin)),
-        1,
-    )
-    fbytes = _field_bytes(dmax.bit_length() + 1)
-    guard = _from_bytes(bytes([0x80] + [0] * (fbytes - 1)) * width, "big")
-    pack_a = _packer(fbytes, amin)
-    pack_b = _packer(fbytes, bmin)
+    # With B/2 added to every field, a field of k - L keeps its top (guard)
+    # bit iff that exponent of k is at least L's, and one of U - k iff it is
+    # at most U's: every span and the quotient's box fit below B/2, so no
+    # field carries into the next.
+    bits = 8 * fbytes
+    shifts = [bits * (width - 1 - v) for v in range(width)]
+    guard = sum((1 << bits - 1) << s for s in shifts)
+    top = bexps[bdeg.index(dtop)]
+    lo = guard - sum((t + x) << s for t, x, s in zip(top, qmin, shifts))
+    hi = guard + sum((t + x) << s for t, x, s in zip(top, qmax, shifts))
 
     layers: dict[int, dict[int, int]] = {}
-    for e, c in a.terms.items():
-        layers.setdefault(adeg[e], {})[pack_a(e)] = c
+    for (k, c), e in zip(a_terms.items(), aexps):
+        layers.setdefault(sum(map(mul, weights, e)), {})[k] = c
     drops: dict[int, list[tuple[int, int]]] = {}
-    for e, d in bdeg.items():
+    for (k, c), d in zip(b_terms.items(), bdeg):
         if d == dtop:
-            btop, btop_c = pack_b(e), b.terms[e]
+            btop, btop_c = k, c
         else:
-            drops.setdefault(dtop - d, []).append((pack_b(e), b.terms[e]))
+            drops.setdefault(dtop - d, []).append((k, c))
     heap = [-d for d in layers]
     heapify(heap)
     q: dict[int, int] = {}
@@ -507,18 +500,15 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
             continue
         qlayer = {}
         for k, c in layer.items():
-            # the field test also ends the walk: no term below btop's layer passes it
-            if ((k | guard) - btop) & guard != guard or c % btop_c:
+            if (k + lo) & (hi - k) & guard != guard or c % btop_c:
                 layers[d] = layer
-                unpack = _unpacker(fbytes, amin)
-                witness = LaurentPolynomial(
-                    a.vars, {unpack(kk): cc for lay in layers.values() for kk, cc in lay.items()}
-                )
+                rest = {kk: cc for lay in layers.values() for kk, cc in lay.items()}
                 # the whole remainder can run to megabytes of text: name its size and head
-                head = LaurentPolynomial._raw(a.vars, dict(witness.sorted_terms()[:3])).to_text()
-                more = " + ..." if len(witness.terms) > 3 else ""
+                head = LaurentPolynomial._raw(a.vars, dict(sorted(rest.items(), reverse=True)[:3]), fbytes, a.bound)
+                more = " + ..." if len(rest) > 3 else ""
                 raise ExactDivisionError(
-                    f"inexact division, remainder of {len(witness.terms)} terms: {head}{more}", remainder=witness
+                    f"inexact division, remainder of {len(rest)} terms: {head.to_text()}{more}",
+                    remainder=LaurentPolynomial._raw(a.vars, rest, fbytes, a.bound),
                 )
             qlayer[k - btop] = c // btop_c
         q.update(qlayer)
@@ -538,8 +528,7 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
                         target[e] = nc
                     else:
                         del target[e]
-    unpack = _unpacker(fbytes, tuple(map(sub, amin, bmin)))
-    quot = LaurentPolynomial._raw(a.vars, {unpack(k): c for k, c in q.items()})
+    quot = LaurentPolynomial._raw(a.vars, q, fbytes, qbound)
     if quot * b != a:
         raise ExactDivisionError("division self-check failed", remainder=None)
     return quot
@@ -553,11 +542,12 @@ def substitute_reciprocal_sums(
     p's variables are ``vars`` followed by one letter per unit, each unit a
     unit monomial s*x^d of ``vars``, and p is a polynomial in those letters.
     The letters go one at a time, last first: z^k becomes
-    s^k * sum_j C(k, j) x^((k - 2j) d).  Keys are packed (see _packer) with
-    the letters in the lowest fields and every other field offset by its
-    minimum minus the farthest the substitution can move it, so a field
-    never leaves its range and moving a term by x^(k d) is adding one
-    integer to its key.
+    s^k * sum_j C(k, j) x^((k - 2j) d).  The letters hold the lowest fields
+    of p's keys, so the letter being replaced sits just above fields that
+    are already zero, and moving a term from z^k to x^((k - 2j) d) is adding
+    one integer to its key.  The fields are wide enough for the farthest
+    any exponent can move; once every letter is gone, dropping their fields
+    is one shift per key.
     """
     width, count = len(vars), len(units)
     if p.vars.names[:width] != vars.names or len(p.vars) != width + count:
@@ -566,33 +556,31 @@ def substitute_reciprocal_sums(
     for u in units:
         if u.vars != vars or not u.is_unit_monomial():
             raise AlgebraError(f"not a unit monomial of {vars.names}: {u.to_text()}")
-        moves.append(next(iter(u.terms.items())))
+        moves.append(next(iter(u.tuple_terms().items())))
     if not p.terms:
         return vars.zero()
-    cols = list(zip(*p.terms))
-    kmax = [max(col) for col in cols[width:]]
-    if any(min(col) < 0 for col in cols[width:]):
-        raise AlgebraError("a negative power of u + 1/u is not a Laurent polynomial")
-    reach = [sum(k * abs(d[v]) for k, (d, _) in zip(kmax, moves)) for v in range(width)]
-    lo = tuple(min(col) - r for col, r in zip(cols, reach))
-    span = max([max(col) + r - low for col, r, low in zip(cols, reach, lo)] + kmax + [1])
-    fbytes = _field_bytes(span.bit_length())
+    reach = max((sum(abs(d[v]) for d, _ in moves) for v in range(width)), default=0)
+    bound = p.bound * (1 + reach)
+    fbytes = max(p.fbytes, _width(bound))
+    terms = _at(p, fbytes)
     bits = 8 * fbytes
-    pack = _packer(fbytes, lo + (0,) * count)
-    terms = {pack(e): c for e, c in p.terms.items()}
-    mask = (1 << bits) - 1
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    top = bits * (width + count)
     for i in range(count - 1, -1, -1):
         shift = bits * (count - 1 - i)
         d, s = moves[i]
-        step = sum(dv << (bits * (count + width - 1 - v)) for v, dv in enumerate(d))
+        step = (sum(d) << top) + sum(x << bits * (width + count - 1 - v) for v, x in enumerate(d))
+        letter = (1 << top) + (1 << shift)
         spread: dict[int, list[tuple[int, int]]] = {}
         out: dict[int, int] = {}
         get = out.get
         for key, c in terms.items():
-            k = (key >> shift) & mask
+            k = (((key >> shift) + half) & mask) - half
             moved = spread.get(k)
             if moved is None:
-                moved = spread[k] = [((k - 2 * j) * step - (k << shift), comb(k, j) * s**k) for j in range(k + 1)]
+                if k < 0:
+                    raise AlgebraError("a negative power of u + 1/u is not a Laurent polynomial")
+                moved = spread[k] = [((k - 2 * j) * step - k * letter, comb(k, j) * s**k) for j in range(k + 1)]
             for off, b in moved:
                 kk = key + off
                 nc = get(kk, 0) + c * b
@@ -601,9 +589,8 @@ def substitute_reciprocal_sums(
                 else:
                     del out[kk]
         terms = out
-    unpack = _unpacker(fbytes, lo)
     drop = bits * count
-    return LaurentPolynomial._raw(vars, {unpack(k >> drop): c for k, c in terms.items()})
+    return LaurentPolynomial._raw(vars, {k >> drop: c for k, c in terms.items()}, fbytes, bound)
 
 
 # -- determinants -----------------------------------------------------
@@ -675,15 +662,11 @@ def det_cofactor(
     explicit ``vars`` must equal; anything else raises
     VariableMismatchError.
 
-    The expansion runs on packed keys (see _packer) with one field width
-    for the whole matrix, sized for the sum over the rows of each row's
-    exponent span.  Each entry is packed once, relative to its row's
-    minimum exponents, so a minor of rows r.. is keyed relative to the sum
-    of those rows' minima and every term of it lies in the box of their
-    summed spans: entry key + minor key is the product's key and no field
-    overflows, cancellation included.  Each product adds into the minor's
-    term map directly.  The result unpacks once, with the sum of all row
-    minima added back.
+    Every entry is brought to one field width, wide enough for the sum
+    over the rows of each row's largest exponent bound, which bounds every
+    term of every minor, cancellation included.  Entry key + minor key is
+    then the product's key, and each product adds into the minor's term map
+    directly.
     """
     vs = _det_vars(rows, vars)
     n = len(rows)
@@ -691,33 +674,25 @@ def det_cofactor(
         return vs.one()
     if any(p.vars != vs for row in rows for p in row):
         raise VariableMismatchError("determinant entries use different variables")
-    lows = []
-    spans = [0] * len(vs)
-    for row in rows:
-        exps = [e for p in row for e in p.terms]
-        if not exps:
-            return vs.zero()
-        cols = list(zip(*exps))
-        lo = tuple(map(min, cols))
-        lows.append(lo)
-        spans = list(map(add, spans, map(sub, map(max, cols), lo)))
-    fbytes = _field_bytes(max(spans, default=0).bit_length())
+    if any(not any(p.terms for p in row) for row in rows):
+        return vs.zero()
+    bound = sum(max(p.bound for p in row) for row in rows)
+    fbytes = max(_width(bound), *(p.fbytes for row in rows for p in row))
     # entry (r, c) as its term pairs, for an even and for an odd position
-    packed = []
-    for row, lo in zip(rows, lows):
-        pack = _packer(fbytes, lo)
+    entries = []
+    for row in rows:
         prow = []
         for p in row:
-            even = [(pack(e), c) for e, c in p.terms.items()]
+            even = list(_at(p, fbytes).items())
             prow.append((even, [(k, -c) for k, c in even]))
-        packed.append(prow)
+        entries.append(prow)
     memo: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
     def minor(r: int, cols: tuple[int, ...]) -> dict[int, int]:
         got = memo.get(cols)
         if got is not None:
             return got
-        row = packed[r]
+        row = entries[r]
         acc: dict[int, int] = {}
         get = acc.get
         for t, c in enumerate(cols):
@@ -742,8 +717,7 @@ def det_cofactor(
     # minor refers to itself through its closure; without this the cycle
     # would keep every memoized minor alive until the cyclic collector ran
     del minor
-    unpack = _unpacker(fbytes, tuple(map(sum, zip(*lows))))
-    return LaurentPolynomial._raw(vs, {unpack(k): c for k, c in det.items()})
+    return LaurentPolynomial._raw(vs, det, fbytes, bound)
 
 
 def det_rational(

@@ -230,10 +230,11 @@ def _z_alphabet(vs: VariableSet, count: int):
     while any(f"{prefix}{i}" in vs.names for i in range(1, count + 1)):
         prefix += "z"
     ext = VariableSet(vs.names + tuple(f"{prefix}{i}" for i in range(1, count + 1)))
-    pad = (0,) * count
 
     def lift(p: Poly) -> Poly:
-        return LaurentPolynomial._raw(ext, {e + pad: c for e, c in p.terms.items()})
+        # zero fields for the z-letters at the bottom of each key
+        shift = 8 * p.fbytes * count
+        return LaurentPolynomial._raw(ext, {k << shift: c for k, c in p.terms.items()}, p.fbytes, p.bound)
 
     return ext, [ext.gen(name) for name in ext.names[len(vs) :]], lift
 

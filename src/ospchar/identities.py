@@ -113,8 +113,8 @@ def first_difference(left: Poly, right: Poly) -> str | None:
     if left == right:
         return None
     mono = (left - right).sorted_terms()[0][0]
-    lc = left.terms.get(mono, 0)
-    rc = right.terms.get(mono, 0)
+    lc = left.tuple_terms().get(mono, 0)
+    rc = right.tuple_terms().get(mono, 0)
     body = left.vars.poly({mono: 1}).to_text()
     return f"{body}: {lc} vs {rc}"
 
@@ -245,7 +245,7 @@ def verify_supersymmetry(lam: Partition, n: int, m: int) -> VerificationReport:
     vs, xs, ys, t = standard_xy(n, m, "t")
     value = _route_value(hook_schur_jt, lam, xs[:-1] + [t], ys[:-1] + [-t])
     # t is the last variable: the t-free part keeps the terms without it
-    t_free = vs.poly({e: c for e, c in value.terms.items() if not e[-1]})
+    t_free = vs.poly({e: c for e, c in value.tuple_terms().items() if not e[-1]})
     return compare("supersymmetry", _params(lam=lam, n=n, m=m), value, t_free)
 
 
@@ -381,12 +381,12 @@ def verify_specialization_reduction(
         cleared = cleared * x ** r
     # the x-variables come first: the polynomial part drops every term with
     # a negative power of one of them
-    polynomial = vs.poly({e: c for e, c in cleared.terms.items() if min(e[:n]) >= 0})
+    polynomial = vs.poly({e: c for e, c in cleared.tuple_terms().items() if min(e[:n]) >= 0})
     report = compare("specialization_reduction", params, cleared, polynomial)
     if not report.passed:
         return report
     # x_1 = 0: keep the terms free of x_1
-    specialized = vs.poly({e: c for e, c in cleared.terms.items() if not e[0]})
+    specialized = vs.poly({e: c for e, c in cleared.tuple_terms().items() if not e[0]})
     if lam.part(1) == r:
         expected = char(lam.drop_first(), xs[1:])
         for x in xs[1:]:

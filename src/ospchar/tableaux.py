@@ -6,9 +6,9 @@ Berele-Regev 1987): the cells holding letters up to a given code form a
 Young diagram, so adding the letters in code order grows the shape by one
 strip per letter, horizontal for row-weak letters and vertical for the
 row-strict primed ones.  The cost follows the number of intermediate shapes,
-not the number of tableaux.  Each partial weight is a packed integer in the
-algebra's key codec, so a strip adds one integer to every key it shifts, and
-integer order on the keys is the canonical term order.
+not the number of tableaux.  Each partial weight is an integer key in the
+algebra's codec, so a strip adds one integer to every key it shifts, and the
+keys at the full shape are the result's terms as they stand.
 
 Enumeration fills a Young diagram row-major by backtracking.  It reads the
 same letter table: every filling rule of the five families bounds a cell's
@@ -16,11 +16,12 @@ code from below, by its row's cap and by its left and top neighbours.  It
 lists the tableaux for ``ospchar enumerate`` and is the oracle the tests
 hold the weight sums to on small shapes.  It streams each tableau as its
 display text (``[[1,1b],[2p]]``), built as the cells are assigned: it holds
-one filling and the text before each of its cells, so assigning a cell is one
-string concatenation and the cost per tableau follows what changed, not the
-size of the shape.  The last two cells are not backtracked: their text comes
-from a table of tail strings keyed on their lower bounds and bounded by the
-alphabet, so each tableau is one concatenation of a prefix and a tail.
+one filling and the text before each cell that can still change, each built
+from the last one still valid by one concatenation or one join, so the cost
+per tableau follows what changed, not the size of the shape.  The last two
+cells are not backtracked: their text comes from a table of tail strings
+keyed on their lower bounds and bounded by the alphabet, so each tableau is
+one concatenation of a prefix and a tail.
 
 Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
 place that says what each code shows as, weighs, and which strip it fills:
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from .algebra import LaurentPolynomial, _field_bytes, _unpacker
+from .algebra import LaurentPolynomial, _width
 from .symfun import Partition, require_inside, require_length, standard_xy
 
 
@@ -136,13 +137,12 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
     the weights summed over its fillings; shapes that can no longer grow to
     lam with the letters left are dropped.
 
-    A weight is a packed key in the algebra's codec: the total degree in the
-    top field, then one field per variable of ``standard_xy(n, m)``, each
-    biased by cells = |lam| - |mu|.  No partial weight has a degree or an
-    exponent outside [-cells, cells], so every field stays in [0, 2 * cells]
-    and a strip of s cells adds s * sign * (degree unit + variable unit) to
-    every key of its source.  Integer order on the keys is graded-lex order
-    on the weights, so the result unpacks in ``sorted_terms`` order.
+    A weight is a key in the algebra's codec: the total degree in the top
+    field, then one signed field per variable of ``standard_xy(n, m)``.  No
+    partial weight has a degree or an exponent outside [-cells, cells], for
+    cells = |lam| - |mu|, so the fields sized for that bound never carry and
+    a strip of s cells adds s * sign * (degree unit + variable unit) to every
+    key of its source.  The keys at lam are the result's terms as they stand.
     """
     _check_domain(family, lam, mu, n)
     letters = LETTERS[family](n, m)
@@ -150,10 +150,10 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
     width = len(vs)
     target = lam.parts
     cells = lam.size - mu.size
-    fbytes = _field_bytes((2 * cells).bit_length())
+    fbytes = _width(cells)
     units = [1 << 8 * fbytes * (width - 1 - v) for v in range(width)]
     degree = 1 << 8 * fbytes * width
-    layer = {tuple(mu.part(r + 1) for r in range(len(target))): {cells * (degree + sum(units)): 1}}
+    layer = {tuple(mu.part(r + 1) for r in range(len(target))): {0: 1}}
     for k, letter in enumerate(letters):
         rest = letters[k + 1 :]
         flat = [x for x in rest if not x.row_strict]
@@ -177,11 +177,8 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
                     e += d
                     out[e] = get(e, 0) + c
         layer = nxt
-    terms = layer.get(target, {})
-    unpack = _unpacker(fbytes, (-cells,) * width)
-    mask = degree - 1
     # every count is positive, so the map is normalized as it stands
-    return LaurentPolynomial._raw(vs, {unpack(e & mask): terms[e] for e in sorted(terms, reverse=True)})
+    return LaurentPolynomial._raw(vs, layer.get(target, {}), fbytes, cells)
 
 
 # -- the backtracking enumerator ----------------------------------------
@@ -207,22 +204,26 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
 
     The text grows with the filling.  Each cell has a separator fixed by
     the shape: ``,`` within a row, and at a row start the closing of the
-    row before, any fully inner rows and the row's ``.`` cells.  ``pre[k]``
-    is the text of the cells before cell k, so assigning a cell appends its
-    separator and token in one concatenation.  The backtracking stops at
-    the next-to-last cell ``pen``: its codes from lo and the last cell's
-    codes from their bound make one run of tableaux, each ``pre[pen]`` plus
-    a tail string of the last two cells and the closing brackets.  The last
-    cell's bound is ``base``, from its row and any neighbour other than pen,
-    raised per code of pen when pen is its left or top neighbour; so the
-    tails of a run depend only on (lo, base), and each listing call builds
-    each such list once.  That table holds at most (codes + 1)**2 lists of
-    at most codes**2 strings, bounded by the alphabet, not by the number of
-    tableaux.  The prefixes hold O(cells**2) characters per shape, not per
-    tableau (about 3.4 MB at 1,500 cells), and nothing else is kept across
-    tableaux beyond the current filling.  A backtrack to cell k builds
-    every prefix after it again, so a long row that changes far back copies
-    O(cells**2) characters for one tableau.
+    row before, any fully inner rows and the row's ``.`` cells.  ``texts[k]``
+    is cell k's separator and token.  ``pre[k]``, the text of the cells
+    before cell k, is built only when cell k takes a code with codes left
+    after it, since only such a cell is backtracked to.  It is built from the
+    last prefix still valid, ``pre[valid]``: one concatenation, or one join
+    over the cells in between.  The text before pen is built the same way
+    once per run, so a run after a one-cell backtrack costs one
+    concatenation, and a descent through cells with no codes left (a long
+    row of the last letter) copies the prefix once, not once per cell.  The
+    backtracking stops at the next-to-last cell ``pen``: its codes from lo
+    and the last cell's codes from their bound make one run of tableaux,
+    each the text before pen plus a tail string of the last two cells and
+    the closing brackets.  The last cell's bound is ``base``, from its row
+    and any neighbour other than pen, raised per code of pen when pen is its
+    left or top neighbour; so the tails of a run depend only on (lo, base),
+    and each listing call builds each such list once.  That table holds at
+    most (codes + 1)**2 lists of at most codes**2 strings, bounded by the
+    alphabet, not by the number of tableaux.  The prefixes hold O(cells**2)
+    characters per shape at most, not per tableau, and nothing else is kept
+    across tableaux beyond the current filling.
 
     Raises ValueError when called, before any iteration, outside the domain.
     """
@@ -280,12 +281,17 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
         return strings
 
     def listing():
+        final = end - 1
         # after_left and after_top of each assigned code, one slot per cell;
         # pen's slot and slot -1 (the last cell's) are never written and
         # stay 0 for "no neighbour", so pen's own code never enters base.
         left_low = [0] * len(cells)
         top_low = [0] * len(cells)
+        texts = [""] * len(cells)
+        # pre[valid] is the text before cell valid, and so is pre[k] for
+        # every earlier cell k that still has codes left
         pre = [""] * len(cells)
+        valid = 0
         # One iterator of candidate codes per filled cell before pen, so
         # that a long shape needs no deep recursion.
         stack: list[Iterator[int]] = []
@@ -302,7 +308,11 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
                     base = left_low[lefts[last]]
                 if top_low[tops[last]] > base:
                     base = top_low[tops[last]]
-                yield from map(pre[pen].__add__, tail(lo, base))
+                if valid == pen - 1:
+                    text = pre[valid] + texts[valid]
+                else:
+                    text = pre[valid] + "".join(texts[valid:pen])
+                yield from map(text.__add__, tail(lo, base))
             else:
                 stack.append(iter(range(lo, end)))
             while stack and (v := next(stack[-1], None)) is None:
@@ -312,8 +322,18 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
             k = len(stack) - 1
             left_low[k] = after_left[v]
             top_low[k] = after_top[v]
+            texts[k] = after[k][v]
+            if valid > k:
+                # a backtrack: cell k had codes left, so pre[k] was built
+                valid = k
+            elif v < final and valid < k:
+                # only a cell with codes left is backtracked to and needs its prefix again
+                if valid == k - 1:
+                    pre[k] = pre[valid] + texts[valid]
+                else:
+                    pre[k] = pre[valid] + "".join(texts[valid:k])
+                valid = k
             k += 1
-            pre[k] = pre[k - 1] + after[k - 1][v]
 
     return listing()
 

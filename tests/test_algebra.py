@@ -1,14 +1,20 @@
-"""Core exact-arithmetic behaviour: ring ops, division, determinants."""
+"""Core exact-arithmetic behaviour: ring ops, division, determinants.
+
+LaurentPolynomial keys its terms on integers.  TuplePoly, below, keeps them
+on exponent tuples and works term by term; the differential tests hold the
+two equal, with sympy as a third oracle, on operands whose exponents cross
+every field width.
+"""
 
 import json
 from heapq import heapify, heappop, heappush
 from itertools import product
-from operator import add, mul
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from ospchar import algebra, characters
+from ospchar import characters
 from ospchar.algebra import (
     AlgebraError,
     ExactDivisionError,
@@ -74,18 +80,18 @@ def test_mismatched_variable_sets_rejected():
 def test_no_zero_terms_stored():
     p = VS2.poly({(1, 0): 5})
     q = VS2.poly({(1, 0): -5, (0, 1): 2})
-    assert (p + q).terms == {(0, 1): 2}
+    assert (p + q).tuple_terms() == {(0, 1): 2}
 
 
 def test_large_product_matches_small_path():
-    # same multiplication through the packed and the naive code paths
+    # a product of 16 by 17 terms against the sum of its one-term products
     vs = VariableSet(["a", "b"])
     a, b = vs.gens()
     p = sum((a ** i * b ** -i + i * a ** -i for i in range(1, 9)), vs.zero())
     q = sum((b ** i - a ** i for i in range(1, 9)), vs.one())
     slow = vs.zero()
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+    for e1, c1 in p.tuple_terms().items():
+        for e2, c2 in q.tuple_terms().items():
             slow = slow + vs.poly({(e1[0] + e2[0], e1[1] + e2[1]): c1 * c2})
     assert p * q == slow
 
@@ -106,13 +112,252 @@ def test_subtraction_adds_the_negative(p, q):
     assert (p - p).is_zero()
 
 
+def test_constructor_rejects_what_is_not_an_integer():
+    vs = VariableSet(["x"])
+    # int() would read 2.7 * x^1.5 as 2*x
+    for terms in ({(1.5,): 2.7}, {(1.5,): 2}, {(1,): 2.7}, {(2.0,): 1}, {(1,): 2.0}, {("1",): 1}, {(1,): "2"}):
+        with pytest.raises(AlgebraError, match="is not an integer"):
+            vs.poly(terms)
+    with pytest.raises(AlgebraError, match="has length 2, expected 1"):
+        vs.poly({(1, 2): 1})
+    assert vs.poly({(1,): 2, (0,): 0}).to_text() == "2*x"
+
+
+# -- the tuple-keyed reference -----------------------------------------------
+
+
+class TuplePoly:
+    """A term map from exponent tuples to coefficients, every operation term
+    by term: the reference the integer-keyed class is held to."""
+
+    def __init__(self, vars, terms):
+        self.vars = vars
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, p):
+        return cls(p.vars, p.tuple_terms())
+
+    def _merge(self, other, sign):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + sign * c
+        return TuplePoly(self.vars, out)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def __neg__(self):
+        return TuplePoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return TuplePoly(self.vars, out)
+
+    def __eq__(self, other):
+        return self.vars == other.vars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.vars, frozenset(self.terms.items())))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+    def to_text(self):
+        pieces = []
+        for i, (exps, coeff) in enumerate(self.sorted_terms()):
+            factors = "*".join(f"{n}^{e}" if e != 1 else n for n, e in zip(self.vars.names, exps) if e)
+            mag = abs(coeff)
+            body = (factors if mag == 1 else f"{mag}*{factors}") if factors else str(mag)
+            if i == 0:
+                pieces.append("-" + body if coeff < 0 else body)
+            else:
+                pieces.append((" - " if coeff < 0 else " + ") + body)
+        return "".join(pieces) or "0"
+
+    def to_json_dict(self):
+        return {"vars": list(self.vars.names), "terms": [{"c": str(c), "e": list(e)} for e, c in self.sorted_terms()]}
+
+
+def _det_reference(rows, vs):
+    """det(rows) as a TuplePoly: first-row cofactors memoized on column subsets."""
+    rows = [[TuplePoly.of(p) for p in row] for row in rows]
+    memo = {(): TuplePoly(vs, {(0,) * len(vs): 1})}
+
+    def minor(r, cols):
+        if cols not in memo:
+            acc = TuplePoly(vs, {})
+            for t, c in enumerate(cols):
+                term = rows[r][c] * minor(r + 1, cols[:t] + cols[t + 1 :])
+                acc = acc - term if t & 1 else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(0, tuple(range(len(rows))))
+
+
+def _division_reference(a, b):
+    """exact_div's walk on TuplePoly operands: the same weights, layers, box
+    test and witness, every exponent a tuple."""
+    width = len(a.vars)
+    K = 1
+    while True:
+        weights = [(width - v) ** K for v in range(width)]
+        tops = [e for e in b.terms if sum(map(mul, weights, e)) == max(sum(map(mul, weights, f)) for f in b.terms)]
+        if len(tops) == 1:
+            break
+        K += 1
+    (btop,) = tops
+    acols, bcols = list(zip(*a.terms)), list(zip(*b.terms))
+    lo = [t + min(x) - min(y) for t, x, y in zip(btop, acols, bcols)]
+    hi = [t + max(x) - max(y) for t, x, y in zip(btop, acols, bcols)]
+    rem, q = dict(a.terms), {}
+    while rem:
+        d = max(sum(map(mul, weights, e)) for e in rem)
+        layer = [(e, c) for e, c in rem.items() if sum(map(mul, weights, e)) == d]
+        if any(c % b.terms[btop] or not all(map(lambda l, x, h: l <= x <= h, lo, e, hi)) for e, c in layer):
+            head = TuplePoly(a.vars, dict(TuplePoly(a.vars, rem).sorted_terms()[:3])).to_text()
+            more = " + ..." if len(rem) > 3 else ""
+            message = f"inexact division, remainder of {len(rem)} terms: {head}{more}"
+            raise ExactDivisionError(message, remainder=TuplePoly(a.vars, rem))
+        for e, c in layer:
+            qe = tuple(map(sub, e, btop))
+            q[qe] = c // b.terms[btop]
+            for be, bc in b.terms.items():
+                k = tuple(map(add, qe, be))
+                rem[k] = rem.get(k, 0) - q[qe] * bc
+                if not rem[k]:
+                    del rem[k]
+    return TuplePoly(a.vars, q)
+
+
+def _same_division(a, b):
+    """exact_div(a, b) against the tuple walk: the same quotient, or the same
+    message and remainder."""
+    try:
+        want = _division_reference(TuplePoly.of(a), TuplePoly.of(b))
+    except ExactDivisionError as err:
+        with pytest.raises(ExactDivisionError) as got:
+            exact_div(a, b)
+        assert str(got.value) == str(err)
+        assert TuplePoly.of(got.value.remainder) == err.remainder
+        return None
+    got = exact_div(a, b)
+    assert TuplePoly.of(got) == want
+    return got
+
+
+def _substitution_reference(p, vs, units):
+    """p's letters after vs's variables replaced by u + 1/u, on TuplePoly."""
+    width = len(vs)
+    out = TuplePoly(vs, {})
+    for e, c in p.tuple_terms().items():
+        term = TuplePoly(vs, {e[:width]: c})
+        for k, u in zip(e[width:], units):
+            ((d, s),) = u.tuple_terms().items()
+            pair = TuplePoly(vs, {d: s}) + TuplePoly(vs, {tuple(-x for x in d): s})
+            for _ in range(k):
+                term = term * pair
+        out = out + term
+    return out
+
+
+def _min_exponents(p):
+    cols = list(zip(*p.tuple_terms()))
+    return tuple(map(min, cols)) if cols else (0,) * len(p.vars)
+
+
+# Exponents on both sides of every field width: one signed byte holds
+# magnitudes up to 127, two bytes up to 2^15 - 1, four up to 2^31 - 1 and
+# eight up to 2^63 - 1; 2^70 takes nine.
+WIDE = [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63, 2**70]
+exponents = st.one_of(st.integers(-3, 3), st.sampled_from(WIDE).flatmap(lambda w: st.sampled_from([w, -w, -w - 1])))
+
+
+def boundary_polys(vs, max_terms=4):
+    term = st.tuples(st.tuples(*[exponents] * len(vs)), st.integers(-9, 9))
+    return st.lists(term, max_size=max_terms).map(lambda items: vs.poly({e: c for e, c in items if c}))
+
+
+@given(boundary_polys(VS3), boundary_polys(VS3))
+def test_ring_operations_match_the_tuple_keyed_reference(p, q):
+    P, Q = TuplePoly.of(p), TuplePoly.of(q)
+    assert (p == q) == (P == Q)
+    for got, want in ((p * q, P * Q), (q * p, P * Q), (p + q, P + Q), (p - q, P - Q), (-p, -P)):
+        assert TuplePoly.of(got) == want
+        assert got.sorted_terms() == want.sorted_terms()
+        assert got.to_text() == want.to_text()
+        assert got.to_json_dict() == want.to_json_dict()
+        # built afresh, the value takes the narrowest fields its exponents allow
+        fresh = got.vars.poly(want.terms)
+        assert fresh == got and hash(fresh) == hash(got)
+
+
+@settings(max_examples=50)
+@given(boundary_polys(VS3), boundary_polys(VS3))
+def test_products_and_sums_agree_with_sympy(p, q):
+    pytest.importorskip("sympy")
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    R, *_ = ring(",".join(VS3.names), ZZ)
+
+    def value(f, lo):
+        return R.from_dict({tuple(map(sub, e, lo)): c for e, c in f.tuple_terms().items()})
+
+    lo_p, lo_q = _min_exponents(p), _min_exponents(q)
+    assert value(p * q, tuple(map(add, lo_p, lo_q))) == value(p, lo_p) * value(q, lo_q)
+    lo = tuple(map(min, lo_p, lo_q))
+    assert value(p + q, lo) == value(p, lo) + value(q, lo)
+    assert value(p - q, lo) == value(p, lo) - value(q, lo)
+
+
+def test_equality_and_hash_ignore_the_field_width():
+    x, y = VS2.gens()
+    narrow = x + 3 * y
+    for big in (x**128, y ** -(2**15), x ** (2**31), x * y ** (2**70)):
+        # wide fields left behind by a cancelled term and by a cancelled factor
+        for p in (narrow + big - big, narrow * big * big.inverse()):
+            assert p.fbytes > narrow.fbytes
+            assert p == narrow and hash(p) == hash(narrow)
+            assert p.to_text() == "a + 3*b" and p.sorted_terms() == narrow.sorted_terms()
+            assert exact_div(p * big, big) == narrow == exact_div(narrow * big, big)
+            assert exact_div(p * (x - y), narrow) == x - y
+
+
+@given(boundary_polys(VS3, 3), boundary_polys(VS3, 3))
+def test_exact_division_matches_the_tuple_keyed_reference(q, b):
+    assume(not b.is_zero())
+    assert _same_division(q * b, b) == q
+
+
+@given(polys3, polys3, polys3, st.tuples(*[exponents] * 3), st.tuples(*[exponents] * 3))
+def test_inexact_division_matches_the_tuple_keyed_reference(a, b, r, shift_a, shift_b):
+    # small shapes keep the walk short; the monomial shifts move them across the field widths
+    assume(not b.is_zero())
+    _same_division((a * b + r) * VS3.poly({shift_a: 1}), b * VS3.poly({shift_b: 1}))
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(st.lists(boundary_polys(VS2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_matches_the_tuple_keyed_reference_across_field_widths(rows):
+    assert TuplePoly.of(det_cofactor(rows, VS2)) == _det_reference(rows, VS2)
+
+
 # -- packed multiplication -------------------------------------------------
 
 
 def _reference_mul_packed(a: dict, b: dict) -> dict:
-    """The earlier packed kernel: one bit field per variable, each as wide as
-    that variable's span, packed and unpacked a field at a time.  Kept as
-    the reference that the byte-aligned kernel behind * is compared against."""
+    """An earlier packed kernel on tuple-keyed term maps: one bit field per
+    variable, each as wide as that variable's span, packed and unpacked a
+    field at a time.  Kept as a reference for *."""
     width = len(next(iter(a)))
     if width == 0:
         ca = sum(a.values())
@@ -166,11 +411,10 @@ def _reference_mul_packed(a: dict, b: dict) -> dict:
 def wide_poly_strategy(vs, scale):
     """A few drawn terms times a fixed factor of 27 terms, over three
     variables of which only the middle one is wide: its exponents lie within
-    3 of -scale, 0 or scale, the others' within 4 of 0.  Two such operands
-    take the packed kernel; their product's span in the middle variable lies
-    in [4 * scale, 8 * scale + 12] and sizes every field, and the narrow
-    fields on either side of it show a field sized by the wrong variable.
-    The draws stay small, so a failing example shrinks quickly."""
+    3 of -scale, 0 or scale, the others' within 4 of 0.  The product's
+    middle exponents reach past 2 * scale and size every field, and the
+    narrow fields on either side of it show a field sized by the wrong
+    variable.  The draws stay small, so a failing example shrinks quickly."""
     scales = (1, scale, 1)
     cube = product((-1, 0, 1), repeat=3)
     dense = vs.poly({tuple(map(mul, t, scales)): i + 1 for i, t in enumerate(cube)})
@@ -181,8 +425,9 @@ def wide_poly_strategy(vs, scale):
     return st.lists(term, min_size=1, max_size=3).map(lambda items: vs.poly(dict(items)) * dense)
 
 
-# field widths of the packed product: 1 byte, 2 bytes, 3 bytes (packed as 4),
-# 6 bytes (packed as 8) and 9 bytes (past the struct formats)
+# field widths of the product, sized for exponents up to 4 * scale + 6: 1 byte,
+# 2 bytes, 3 bytes (held in 4), 6 bytes (held in 8) and 9 bytes (past the
+# struct formats); each operand's fields are narrower and widen first
 FIELD_SCALES = [2 ** 4, 2 ** 11, 2 ** 18, 2 ** 38, 2 ** 68]
 
 
@@ -192,8 +437,7 @@ FIELD_SCALES = [2 ** 4, 2 ** 11, 2 ** 18, 2 ** 38, 2 ** 68]
 @given(st.sampled_from(FIELD_SCALES).flatmap(lambda scale: st.tuples(*[wide_poly_strategy(VS3, scale)] * 2)))
 def test_packed_product_matches_the_bit_field_reference(operands):
     p, q = operands
-    assume(len(p.terms) * len(q.terms) > 256)
-    assert (p * q).terms == _reference_mul_packed(p.terms, q.terms)
+    assert (p * q).tuple_terms() == _reference_mul_packed(p.tuple_terms(), q.tuple_terms())
 
 
 def test_exponent_past_64_bits_through_product_and_division():
@@ -201,9 +445,8 @@ def test_exponent_past_64_bits_through_product_and_division():
     big = 2 ** 70
     q = sum((c * x ** (big - c) * y ** -c for c in range(1, 21)), x ** -big)
     b = sum((x ** c * y ** (big + c) for c in range(15)), x ** big * y ** -3)
-    assert len(q.terms) * len(b.terms) > 256
     a = q * b
-    assert a.terms == _reference_mul_packed(q.terms, b.terms)
+    assert a.tuple_terms() == _reference_mul_packed(q.tuple_terms(), b.tuple_terms())
     assert exact_div(a, b) == q == _reference_exact_div(a, b)
     assert exact_div(a, q) == b == _reference_exact_div(a, q)
 
@@ -214,18 +457,18 @@ def test_exponent_past_64_bits_through_product_and_division():
 def _shift(p: LaurentPolynomial, offsets) -> LaurentPolynomial:
     """p times the monomial with the given exponent vector."""
     offsets = tuple(offsets)
-    return LaurentPolynomial._raw(p.vars, {tuple(map(add, e, offsets)): c for e, c in p.terms.items()})
+    return p.vars.poly({tuple(map(add, e, offsets)): c for e, c in p.tuple_terms().items()})
 
 
 def _reference_exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     """The earlier exact_div: graded-lex long division with a heap of every
     pending term, kept as the reference that exact_div is compared against."""
-    amin = a.min_exponents()
-    bmin = b.min_exponents()
-    A = _shift(a, (-x for x in amin))
-    B = _shift(b, (-x for x in bmin))
+    amin = _min_exponents(a)
+    bmin = _min_exponents(b)
+    A = _shift(a, (-x for x in amin)).tuple_terms()
+    B = _shift(b, (-x for x in bmin)).tuple_terms()
     width = len(a.vars)
-    dmax = max(max(sum(e) for e in A.terms), max(sum(e) for e in B.terms), 1)
+    dmax = max(max(sum(e) for e in A), max(sum(e) for e in B), 1)
     w = dmax.bit_length()
     mask = (1 << w) - 1
     shifts = [(width - 1 - v) * w for v in range(width)]
@@ -239,8 +482,8 @@ def _reference_exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentP
     def unpack(k):
         return tuple((k >> s) & mask for s in shifts)
 
-    rem = {pack(e): c for e, c in A.terms.items()}
-    bpacked = sorted((pack(e), c) for e, c in B.terms.items())
+    rem = {pack(e): c for e, c in A.items()}
+    bpacked = sorted((pack(e), c) for e, c in B.items())
     btop, btop_c = bpacked[-1]
     heap = [-k for k in rem]
     heapify(heap)
@@ -265,7 +508,7 @@ def _reference_exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentP
             else:
                 del rem[e]
     offset = tuple(x - y for x, y in zip(amin, bmin))
-    return _shift(LaurentPolynomial._raw(a.vars, {unpack(k): c for k, c in q.items()}), offset)
+    return _shift(a.vars.poly({unpack(k): c for k, c in q.items()}), offset)
 
 
 def test_exact_div_examples():
@@ -315,11 +558,24 @@ def test_exact_div_tied_top_term_needs_a_higher_weight_power():
 
 @pytest.mark.parametrize("top_bits", [8, 16, 32, 64])
 def test_exact_div_keeps_a_guard_bit_above_a_full_field(top_bits):
-    # the dividend's exponent fills top_bits bits exactly, so its field must
-    # be wider than top_bits to hold the guard bit as well
+    # the dividend's exponent fills top_bits bits exactly, so its signed field
+    # is wider than top_bits, and so is each field of the box test
     x = VariableSet(["x1"]).gen("x1")
     half = 3 << (top_bits - 3)
     assert exact_div(x ** (2 * half) - 1, x ** half - 1) == x ** half + 1
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_exact_div_widens_when_a_span_passes_half_a_field(bits):
+    # every exponent fits a signed field of ``bits`` bits, but the dividend's
+    # y-exponents span more than half of one, so the box test needs wider fields
+    x, y = VS2.gens()
+    h = 3 << (bits - 3)
+    q = y**h + y**-h
+    a = q * (x + y)
+    assert a.fbytes == bits // 8
+    assert exact_div(a, x + y) == q
+    assert _same_division(a + y, x + y) is None
 
 
 @given(polys3, polys3)
@@ -419,16 +675,16 @@ def test_route_divisions_agree_with_sympy(monkeypatch, case):
     call, oracle = ROUTE_DIVISIONS[case]
     for a, b in _route_divisions(monkeypatch, call):
         R, *_ = ring(",".join(a.vars.names), ZZ)
-        amin, bmin = a.min_exponents(), b.min_exponents()
-        A = R.from_dict(_shift(a, (-x for x in amin)).terms)
-        B = R.from_dict(_shift(b, (-x for x in bmin)).terms)
+        amin, bmin = _min_exponents(a), _min_exponents(b)
+        A = R.from_dict(_shift(a, (-x for x in amin)).tuple_terms())
+        B = R.from_dict(_shift(b, (-x for x in bmin)).tuple_terms())
         if oracle == "cancel":
             quotient, denominator = A.cancel(B)
             assert denominator == 1
         else:
             quotient = A.exquo(B)
         q = _shift(exact_div(a, b), (y - x for x, y in zip(amin, bmin)))
-        assert R.from_dict(q.terms) == quotient
+        assert R.from_dict(q.tuple_terms()) == quotient
 
 
 # -- substituting z = u + 1/u -------------------------------------------------
@@ -438,7 +694,7 @@ def _naive_substitution(p, vs, units):
     """p's letters after vs's variables replaced by u + 1/u, term by term."""
     width = len(vs)
     out = vs.zero()
-    for e, c in p.terms.items():
+    for e, c in p.tuple_terms().items():
         term = vs.poly({e[:width]: c})
         for k, u in zip(e[width:], units):
             term = term * (u + u.inverse()) ** k
@@ -467,6 +723,20 @@ def test_substitution_with_wide_fields():
     p = a ** 200 * u ** 3 - b ** -150 * v ** 2 * u + 7 * u ** 40 + 1
     units = [-VS2.gen("a"), VS2.gen("b") ** -90]
     assert substitute_reciprocal_sums(p, VS2, units) == _naive_substitution(p, VS2, units)
+
+
+wide_units = st.tuples(st.sampled_from([1, -1]), st.tuples(exponents, exponents)).map(lambda t: VS2.poly({t[1]: t[0]}))
+wide_polys_in_z = st.lists(
+    st.tuples(st.tuples(exponents, exponents, st.integers(0, 3), st.integers(0, 3)), st.integers(-8, 8)),
+    max_size=4,
+).map(lambda items: VS2_UV.poly({e: c for e, c in items if c}))
+
+
+@settings(max_examples=50)
+@given(wide_polys_in_z, wide_units, wide_units)
+def test_substitution_matches_the_tuple_keyed_reference(p, u, v):
+    got = substitute_reciprocal_sums(p, VS2, [u, v])
+    assert TuplePoly.of(got) == _substitution_reference(p, VS2, [u, v])
 
 
 def test_substitution_rejects_what_it_cannot_map():
@@ -507,26 +777,6 @@ def test_det_power_block():
     assert det_cofactor([[y1, y2], [vs.one(), vs.one()]]) == y1 - y2
 
 
-def _reference_det_cofactor(rows, vs):
-    """The tuple-keyed expansion that det_cofactor replaced: first-row
-    cofactors memoized on column subsets, every product and sum through
-    LaurentPolynomial's own operators."""
-    n = len(rows)
-    memo = {(): vs.one()}
-
-    def minor(r, cols):
-        if cols not in memo:
-            acc = vs.zero()
-            for t, c in enumerate(cols):
-                if not rows[r][c].is_zero():
-                    term = rows[r][c] * minor(r + 1, cols[:t] + cols[t + 1 :])
-                    acc = acc - term if t & 1 else acc + term
-            memo[cols] = acc
-        return memo[cols]
-
-    return minor(0, tuple(range(n)))
-
-
 def _sympy_det(rows, vs):
     """det(rows) by sympy over ZZ[vs], each row first shifted by its minimum
     exponents into a polynomial row."""
@@ -538,10 +788,10 @@ def _sympy_det(rows, vs):
     shift = (0,) * len(vs)
     matrix = []
     for row in rows:
-        exps = [e for p in row for e in p.terms]
+        exps = [e for p in row for e in p.tuple_terms()]
         lo = tuple(map(min, zip(*exps))) if exps else (0,) * len(vs)
         shift = tuple(map(add, shift, lo))
-        matrix.append([R.from_dict({tuple(x - y for x, y in zip(e, lo)): c for e, c in p.terms.items()}) for p in row])
+        matrix.append([R.from_dict({tuple(x - y for x, y in zip(e, lo)): c for e, c in p.tuple_terms().items()}) for p in row])
     det = DomainMatrix(matrix, (len(rows), len(rows)), R.to_domain()).det()
     return vs.poly({tuple(map(add, e, shift)): int(c) for e, c in dict(det).items()})
 
@@ -572,7 +822,7 @@ def sparse_laurent_matrices(draw, max_size=6):
 @given(sparse_laurent_matrices())
 def test_det_matches_the_tuple_keyed_expansion(case):
     rows, vs = case
-    assert det_cofactor(rows, vs) == _reference_det_cofactor(rows, vs)
+    assert TuplePoly.of(det_cofactor(rows, vs)) == _det_reference(rows, vs)
 
 
 @settings(max_examples=25)
@@ -594,34 +844,27 @@ def test_det_with_cancelling_minors_and_zero_rows():
     assert det_cofactor([top, row, [zero] * 4, scaled], VS2) == zero
     # a partial cancellation: the last two rows' minors vanish on columns 0 and 1 only
     rows = [top, [x + y, x ** -1, y, zero], [y, x, zero, x ** 2], [y, x, y ** 2, x]]
-    assert det_cofactor(rows, VS2) == _reference_det_cofactor(rows, VS2)
+    assert TuplePoly.of(det_cofactor(rows, VS2)) == _det_reference(rows, VS2)
 
 
 @pytest.mark.parametrize(
     "s, fbytes",
-    # each row spans 2s in x and the width is set by the three rows' sum, 6s;
-    # past one byte, a single row's span would fit the next narrower width
+    # each row's exponents reach s in x and the width is set by the three
+    # rows' sum, 3s; past one byte, a single row's bound would fit the next
+    # narrower width
     [(40, 1), (50, 2), (2 ** 14, 4), (2 ** 30, 8), (2 ** 62, 9), (2 ** 70, 10)],
 )
-def test_det_field_widths(monkeypatch, s, fbytes):
+def test_det_field_widths(s, fbytes):
     x, y = VS2.gens()
     rows = [
         [x ** s + y, 2 * x ** -s - y ** -1, x ** s * y],
         [3 * x ** -s, x ** s - x ** -s * y, y - 1],
         [x ** s * y ** 2 - 1, x ** -s, 5 * x ** s + x ** -s],
     ]
-    widths = []
-    real = algebra._field_bytes
-
-    def record(bits):
-        widths.append(real(bits))
-        return widths[-1]
-
-    monkeypatch.setattr(algebra, "_field_bytes", record)
     det = det_cofactor(rows, VS2)
-    assert widths == [fbytes]
-    assert det == _reference_det_cofactor(rows, VS2)
-    assert {e[0] for e in det.terms} >= {3 * s, -3 * s}
+    assert det.fbytes == fbytes
+    assert TuplePoly.of(det) == _det_reference(rows, VS2)
+    assert {e[0] for e in det.tuple_terms()} >= {3 * s, -3 * s}
 
 
 def test_det_rejects_a_variable_set_other_than_the_entries():

@@ -171,6 +171,33 @@ def test_compute_output_is_pinned(capsys, case):
     assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == COMPUTE_PINS[case]
 
 
+# (family, method, n, m, format) -> (bytes, sha256) of compute at lambda =
+# (3,2,1): every closed_form family x route pair at its workload alphabet,
+# and the text form of the paper's determinant.  Taken from the tuple-keyed
+# polynomials, before the kernels moved to integer keys.
+CLOSED_FORM_PINS = {
+    ("schur", "jt", 5, 0, "json"): (3296, "a06c4df0a7a25ebe4c57b00ea787af9d7ba16f52663e731b9948fbcb577f481d"),
+    ("schur", "weyl", 5, 0, "json"): (3296, "a06c4df0a7a25ebe4c57b00ea787af9d7ba16f52663e731b9948fbcb577f481d"),
+    ("hook", "jt", 3, 3, "json"): (9040, "eeb49d5333058e2a5049e89e52e1ee465b6301f86c8dfb4e0be9a2fc86c64d18"),
+    ("hook", "det", 3, 3, "json"): (9040, "eeb49d5333058e2a5049e89e52e1ee465b6301f86c8dfb4e0be9a2fc86c64d18"),
+    ("symplectic", "weyl", 4, 0, "json"): (15542, "8b0a94aa947e853a6e8d5cc04e8b7e1939bf5bbb4d0a6647483e871f73a23b33"),
+    ("odd_symplectic", "okada", 4, 0, "json"): (9372, "f65d07b9a626c49781bd5ccd8f944915c30f844084b6a587b03db920a3d784e6"),
+    ("orthosymplectic", "jt", 3, 3, "json"): (49272, "0a23190ec51c59fb62ee93690cfb1d61497458afcd5a53d33a98e44b4daf3ad2"),
+    ("orthosymplectic", "det", 3, 3, "json"): (49272, "0a23190ec51c59fb62ee93690cfb1d61497458afcd5a53d33a98e44b4daf3ad2"),
+    ("orthosymplectic", "det", 3, 3, "text"): (33064, "3f27e29dca9fca53f0a81185af31fcf050f93fbad05f0523245082fbdace3731"),
+    ("orthosymplectic", "sp_schur_sum", 3, 3, "json"): (49272, "0a23190ec51c59fb62ee93690cfb1d61497458afcd5a53d33a98e44b4daf3ad2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_PINS), ids=lambda case: "-".join(map(str, case)))
+def test_closed_form_output_is_pinned(capsys, case):
+    family, method, n, m, fmt = case
+    argv = ["--family", family, "--method", method, "--n", str(n), "--m", str(m), "--lambda", "3,2,1", "--format", fmt]
+    code, out, _ = run(capsys, "compute", *argv)
+    assert code == 0
+    assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == CLOSED_FORM_PINS[case]
+
+
 def test_enumerate_rejects_counts_outside_the_domain(capsys):
     code, out, err = run(capsys, "enumerate", "--family", "hook", "--n", "1", "--m", "-1", "--lambda", "2")
     assert code == 2 and out == "" and "m must be nonnegative" in err

@@ -62,7 +62,7 @@ def _to_sympy(p, sympy):
     """p as a sympy expression, 1/x written as x**-1."""
     syms = [sympy.Symbol(name) for name in p.vars.names]
     return sympy.Add(
-        *[c * sympy.Mul(*[s ** e for s, e in zip(syms, exps)]) for exps, c in p.terms.items()]
+        *[c * sympy.Mul(*[s ** e for s, e in zip(syms, exps)]) for exps, c in p.tuple_terms().items()]
     )
 
 

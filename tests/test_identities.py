@@ -195,7 +195,7 @@ def test_corrupted_formula_is_detected():
     # flip the sign of one term of a correct value and compare
     base = tableaux.orthosymplectic_weight_sum(Partition([2]), 1, 2)
     mono = next(iter(base.sorted_terms()))[0]
-    corrupted = base - 2 * base.vars.poly({mono: base.terms[mono]})
+    corrupted = base - 2 * base.vars.poly({mono: base.tuple_terms()[mono]})
     rep = compare("corrupted_demo", {"lambda": "2", "n": 1, "m": 2}, base, corrupted)
     assert not rep.passed
     assert rep.witness["first_diff"]

@@ -344,7 +344,7 @@ def test_schur_symmetric_under_transposition(lam, swap):
         e[a], e[b] = e[b], e[a]
         return tuple(e)
 
-    assert vs.poly({swapped(e): c for e, c in s.terms.items()}) == s
+    assert vs.poly({swapped(e): c for e, c in s.tuple_terms().items()}) == s
 
 
 # -- the column threshold index ---------------------------------------------------
