@@ -22,11 +22,11 @@ an operand is re-encoded only when an operation needs wider fields than it
 has.  Equality and hash do not depend on the width.
 
 Exponent tuples appear only at the edges: the constructor encodes them,
-tuple_terms and sorted_terms decode (to_text and the JSON form read
-sorted_terms), and exact_div reads each term's exponents once to place it
-in a layer of a weighted degree chosen per divisor.  An exact quotient is
-unique, so only the remainder an inexact division reports depends on that
-choice.
+tuple_terms and sorted_terms decode (to_text reads sorted_terms, to_json
+decodes each key as it writes its term), and exact_div reads each term's
+exponents once to place it in a layer of a weighted degree chosen per
+divisor.  An exact quotient is unique, so only the remainder an inexact
+division reports depends on that choice.
 
 Determinants: one algorithm serves every matrix, a cofactor expansion along
 the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
@@ -45,6 +45,7 @@ wraps both by name.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb
@@ -412,13 +413,19 @@ class LaurentPolynomial:
                 pieces.append((" + " if coeff > 0 else " - ") + body)
         return "".join(pieces)
 
+    def to_json(self) -> str:
+        """The JSON form with no spaces, terms in decreasing monomial order:
+        ``{"vars":["x1"],"terms":[{"c":"2","e":[1]}]}``, each coefficient a
+        decimal string.  Every term is one fill of a format string for its
+        variable count, straight from its key."""
+        terms = self.terms
+        decode = _codec(len(self.vars), self.fbytes)[1]
+        form = '{"c":"%d","e":[' + ",".join(["%d"] * len(self.vars)) + "]}"
+        body = ",".join([form % ((terms[k],) + decode(k)) for k in sorted(terms, reverse=True)])
+        return '{"vars":' + json.dumps(self.vars.names, separators=(",", ":")) + ',"terms":[' + body + "]}"
+
     def to_json_dict(self) -> dict:
-        return {
-            "vars": list(self.vars.names),
-            "terms": [
-                {"c": str(c), "e": list(e)} for e, c in self.sorted_terms()
-            ],
-        }
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LaurentPolynomial":

@@ -573,8 +573,9 @@ def _check_counts(family: str, n: int, m: int) -> None:
 
 def family_tableaux(family: str, lam: Partition, n: int, m: int, mu: Partition) -> Iterator[str]:
     """The tableaux whose weights the family's tableau route sums, in
-    enumeration order, each as its display text; mu is an inner shape
-    (schur only).
+    enumeration order, as chunks of display text; mu is an inner shape
+    (schur only).  Each chunk is a run of whole lines, one tableau per line,
+    each ending in a newline.
 
     Raises ValueError when called, before any tableau is listed, outside
     the tableau route's domain, with the same message as

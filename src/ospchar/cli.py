@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import itertools
 import json
-import operator
 import signal
 import sys
 from typing import Sequence
@@ -84,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args) -> int:
     value = CharacterRequest(args.family, args.method, Partition.from_string(args.lam), args.n, args.m).compute()
     if args.format == "json":
-        print(json.dumps(value.to_json_dict(), separators=(",", ":")))
+        print(value.to_json())
     else:
         print(value.to_text())
     return 0
@@ -95,8 +93,7 @@ def _cmd_enumerate(args) -> int:
     if args.mu is not None and args.family != "schur":
         raise ValueError("--mu applies to the schur family only")
     mu = Partition.from_string(args.mu) if args.mu is not None else Partition()
-    listing = family_tableaux(args.family, lam, args.n, args.m, mu)
-    sys.stdout.writelines(map(operator.add, listing, itertools.repeat("\n")))
+    sys.stdout.writelines(family_tableaux(args.family, lam, args.n, args.m, mu))
     return 0
 
 

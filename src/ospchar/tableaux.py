@@ -14,14 +14,15 @@ Enumeration fills a Young diagram row-major by backtracking.  It reads the
 same letter table: every filling rule of the five families bounds a cell's
 code from below, by its row's cap and by its left and top neighbours.  It
 lists the tableaux for ``ospchar enumerate`` and is the oracle the tests
-hold the weight sums to on small shapes.  It streams each tableau as its
-display text (``[[1,1b],[2p]]``), built as the cells are assigned: it holds
-one filling and the text before each cell that can still change, each built
-from the last one still valid by one concatenation or one join, so the cost
-per tableau follows what changed, not the size of the shape.  The last two
-cells are not backtracked: their text comes from a table of tail strings
-keyed on their lower bounds and bounded by the alphabet, so each tableau is
-one concatenation of a prefix and a tail.
+hold the weight sums to on small shapes.  It streams the tableaux as their
+display text (``[[1,1b],[2p]]``), one line each, built as the cells are
+assigned: it holds one filling and the text before each cell that can still
+change, each built from the last one still valid by one concatenation or one
+join, so the cost per tableau follows what changed, not the size of the
+shape.  The last two cells are not backtracked: their text comes from a
+table of tail strings keyed on their lower bounds and bounded by the
+alphabet, and the tableaux that share every earlier cell come out as one
+chunk, a single join of their tails with the prefix.
 
 Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
 place that says what each code shows as, weighs, and which strip it fills:
@@ -185,10 +186,12 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
 
 
 def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[str]:
-    """The family's tableaux of shape lam/mu, each as its display text, by
+    """The family's tableaux of shape lam/mu as chunks of display text, by
     row-major backtracking over the letter table.
 
-    The text lists the rows in brackets, their cells' tokens separated by
+    Each chunk is a non-empty run of whole lines, one tableau per line, each
+    ending in a newline; joined, the chunks are the listing.  A tableau's
+    text lists the rows in brackets, their cells' tokens separated by
     commas, with ``.`` for each cell of the inner shape: ``[[1,1b],[2p]]``
     or ``[[.,1],[.]]``; the empty shape shows as ``[]``.
 
@@ -215,15 +218,17 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
     row of the last letter) copies the prefix once, not once per cell.  The
     backtracking stops at the next-to-last cell ``pen``: its codes from lo
     and the last cell's codes from their bound make one run of tableaux,
-    each the text before pen plus a tail string of the last two cells and
-    the closing brackets.  The last cell's bound is ``base``, from its row
-    and any neighbour other than pen, raised per code of pen when pen is its
-    left or top neighbour; so the tails of a run depend only on (lo, base),
-    and each listing call builds each such list once.  That table holds at
-    most (codes + 1)**2 lists of at most codes**2 strings, bounded by the
-    alphabet, not by the number of tableaux.  The prefixes hold O(cells**2)
-    characters per shape at most, not per tableau, and nothing else is kept
-    across tableaux beyond the current filling.
+    each the text before pen plus a tail string of the last two cells, the
+    closing brackets and the newline.  The last cell's bound is ``base``,
+    from its row and any neighbour other than pen, raised per code of pen
+    when pen is its left or top neighbour; so the tails of a run depend only
+    on (lo, base), and each listing call builds each such list once.  That
+    table holds at most (codes + 1)**2 lists of at most codes**2 strings,
+    bounded by the alphabet, not by the number of tableaux.  A run is one
+    chunk, the prefix joined with its tails, so no chunk holds more than
+    codes**2 lines; a run with no tails yields nothing.  The prefixes hold
+    O(cells**2) characters per shape at most, not per tableau, and nothing
+    else is kept across chunks beyond the current filling.
 
     Raises ValueError when called, before any iteration, outside the domain.
     """
@@ -237,7 +242,7 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
     cells = [(r, c) for r, width in enumerate(shape) for c in range(starts[r], width)]
     inner = ["[" + ",".join("." * width) + "]" for width in shape]  # a row with no cells
     if not cells:
-        return iter([f"[{','.join(inner)}]"])
+        return iter([f"[{','.join(inner)}]\n"])
     index = {cell: k for k, cell in enumerate(cells)}
     # Per cell: the first code its row admits, its left and top neighbours'
     # indices (-1, a slot that stays 0, where the neighbour is inner or
@@ -255,10 +260,11 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
             seps.append(("[" if above < 0 else "],") + skipped + "[" + ".," * c)
             above = r
     closing = "]" + "".join("," + row for row in inner[above + 1 :]) + "]"
-    finals = [letter.token + closing for letter in letters]
+    finals = [letter.token + closing + "\n" for letter in letters]
     last = len(cells) - 1
     if not last:
-        return map(seps[0].__add__, finals[lows[0] :])
+        run = finals[lows[0] :]
+        return iter([seps[0] + seps[0].join(run)] if run else [])
     pen = last - 1
     after = [[sep + letter.token for letter in letters] for sep in seps]  # cell k's text with code v
     mids = [text + seps[last] for text in after[pen]]
@@ -312,7 +318,9 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
                     text = pre[valid] + texts[valid]
                 else:
                     text = pre[valid] + "".join(texts[valid:pen])
-                yield from map(text.__add__, tail(lo, base))
+                run = tail(lo, base)
+                if run:
+                    yield text + text.join(run)
             else:
                 stack.append(iter(range(lo, end)))
             while stack and (v := next(stack[-1], None)) is None:
@@ -359,6 +367,10 @@ def ssyt_weight_sum(lam: Partition, mu: Partition, n: int) -> LaurentPolynomial:
 
 
 def ssyt_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[str]:
+    """The semistandard tableaux of lam/mu in letters 1..n, as chunks of text.
+
+    Each chunk is a run of whole lines, one tableau per line, each ending
+    in a newline (see _listing)."""
     return _listing("ssyt", lam, mu, n)
 
 
@@ -388,6 +400,10 @@ def super_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynomial:
 
 
 def super_tableaux(lam: Partition, n: int, m: int) -> Iterator[str]:
+    """The (n, m) supertableaux of shape lam, as chunks of text.
+
+    Each chunk is a run of whole lines, one tableau per line, each ending
+    in a newline (see _listing)."""
     return _listing("super", lam, Partition(), n, m)
 
 
@@ -416,6 +432,10 @@ def symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
 
 
 def symplectic_tableaux(lam: Partition, n: int) -> Iterator[str]:
+    """King's symplectic tableaux of shape lam over n barred pairs, as chunks of text.
+
+    Each chunk is a run of whole lines, one tableau per line, each ending
+    in a newline (see _listing)."""
     return _listing("symplectic", lam, Partition(), n)
 
 
@@ -429,6 +449,10 @@ def odd_symplectic_weight_sum(lam: Partition, n: int) -> LaurentPolynomial:
 
 
 def odd_symplectic_tableaux(lam: Partition, n: int) -> Iterator[str]:
+    """The odd symplectic tableaux of shape lam for letters 1..n, as chunks of text.
+
+    Each chunk is a run of whole lines, one tableau per line, each ending
+    in a newline (see _listing)."""
     return _listing("odd_symplectic", lam, Partition(), n)
 
 
@@ -476,6 +500,10 @@ def orthosymplectic_weight_sum(lam: Partition, n: int, m: int) -> LaurentPolynom
 
 
 def orthosymplectic_tableaux(lam: Partition, n: int, m: int) -> Iterator[str]:
+    """The (n, m) orthosymplectic tableaux of shape lam, as chunks of text.
+
+    Each chunk is a run of whole lines, one tableau per line, each ending
+    in a newline (see _listing)."""
     return _listing("orthosymplectic", lam, Partition(), n, m)
 
 

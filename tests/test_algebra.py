@@ -281,9 +281,13 @@ WIDE = [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63, 2**70]
 exponents = st.one_of(st.integers(-3, 3), st.sampled_from(WIDE).flatmap(lambda w: st.sampled_from([w, -w, -w - 1])))
 
 
+def boundary_terms(vs, max_terms=4, coefficients=st.integers(-9, 9)):
+    term = st.tuples(st.tuples(*[exponents] * len(vs)), coefficients)
+    return st.lists(term, max_size=max_terms).map(lambda items: {e: c for e, c in items if c})
+
+
 def boundary_polys(vs, max_terms=4):
-    term = st.tuples(st.tuples(*[exponents] * len(vs)), st.integers(-9, 9))
-    return st.lists(term, max_size=max_terms).map(lambda items: vs.poly({e: c for e, c in items if c}))
+    return boundary_terms(vs, max_terms).map(vs.poly)
 
 
 @given(boundary_polys(VS3), boundary_polys(VS3))
@@ -1010,6 +1014,46 @@ def test_json_round_trip():
     q = LaurentPolynomial.from_json_dict(json.loads(blob))
     assert q == p
     assert json.dumps(q.to_json_dict(), separators=(",", ":")) == blob
+
+
+# Coefficients of every sign, past 64 bits too.
+WIDE_COEFFICIENTS = st.one_of(st.integers(-9, 9), st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**70) - 3]))
+
+
+def _same_json(vs, terms):
+    """to_json of the polynomial against the dict the format is defined by,
+    built term by term from the exponent tuples it was made from, and back."""
+    p = vs.poly(terms)
+    want = json.dumps(TuplePoly(vs, terms).to_json_dict(), separators=(",", ":"))
+    assert p.to_json() == want
+    assert LaurentPolynomial.from_json_dict(json.loads(p.to_json())) == p
+
+
+json_cases = st.sampled_from([VS0, VS1, VS3]).flatmap(
+    lambda vs: st.tuples(st.just(vs), boundary_terms(vs, 5, WIDE_COEFFICIENTS))
+)
+
+
+@given(json_cases)
+def test_to_json_matches_the_dict_reference(case):
+    _same_json(*case)
+
+
+def test_to_json_edges():
+    # the zero polynomial, constants, no variables, and one polynomial per
+    # field width: 1, 2, 4 and 8 bytes, then exact bytes past 2**63
+    for vs in (VS0, VS1, VS3):
+        _same_json(vs, {})
+        _same_json(vs, {(0,) * len(vs): -5})
+        _same_json(vs, {(0,) * len(vs): 2**64 + 1})
+    widths = set()
+    for bound in (3, 2**7, 2**15, 2**31, 2**63, 2**70):
+        terms = {(bound, -bound, 0): -(2**64), (-1, 0, 2): 7, (0, 0, 0): -1}
+        widths.add(VS3.poly(terms).fbytes)
+        _same_json(VS3, terms)
+    assert widths == {1, 2, 4, 8, 9}
+    assert VS3.zero().to_json() == '{"vars":["a","b","c"],"terms":[]}'
+    assert VS1.poly({(-2,): -3}).to_json() == '{"vars":["x"],"terms":[{"c":"-3","e":[-2]}]}'
 
 
 def test_hash_consistent_with_equality():

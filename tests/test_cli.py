@@ -141,6 +141,9 @@ ENUMERATE_PINS = {
     # full scale: many fillings share their upper rows
     ("symplectic", 4, 0, "4,3,2,1", None): (65536, "57c763727c4b8e7ae0580e1bd34975cce27bc174225cd990916cd4a1dcc140f8"),
     ("orthosymplectic", 3, 3, "4,3,1", None): (57519, "028fea82020e8cf4cd011d7305d1663db44603192eceb1436ca3458ee76456ef"),
+    # runs of the last two cells with no tableaux: a top neighbour holding
+    # the last code leaves the last cell none
+    ("odd_symplectic", 4, 0, "6,2", None): (11550, "dc47d4fd256495e5522189d0a40e00486bd2513f5416e28466b4785ebd7f0c10"),
 }
 
 

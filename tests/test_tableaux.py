@@ -26,6 +26,20 @@ from ospchar.tableaux import (
 )
 
 
+def _chunks(listing):
+    """A listing's chunks, each held to the contract: a non-empty run of
+    whole lines, each ending in a newline."""
+    chunks = list(listing)
+    assert all(chunk.endswith("\n") for chunk in chunks), chunks
+    return chunks
+
+
+def _lines(listing):
+    """A listing's tableaux, one per line: the one place the tests read
+    tableaux one by one."""
+    return "".join(_chunks(listing)).split("\n")[:-1]
+
+
 def _grids(family, lam, mu, n, m=0):
     """The listed tableaux of lam/mu read back as rows of codes, in order:
     each token maps to its code through the letter table, and the ``.``
@@ -38,7 +52,7 @@ def _grids(family, lam, mu, n, m=0):
         rows = [row.split(",") for row in line[2:-2].split("],[")]
         return tuple(tuple(map(code.__getitem__, row[row.count(".") :])) for row in rows)
 
-    return [read(line) for line in tableaux._listing(family, lam, mu, n, m)]
+    return [read(line) for line in _lines(tableaux._listing(family, lam, mu, n, m))]
 
 
 # -- printed example values ---------------------------------------------------
@@ -482,7 +496,8 @@ def _same_listing(family, lam, mu, n, m=0):
         with pytest.raises(ValueError):
             tableaux._listing(family, lam, mu, n, m)
         return
-    assert list(tableaux._listing(family, lam, mu, n, m)) == want, (family, lam, mu, n, m)
+    got = "".join(_chunks(tableaux._listing(family, lam, mu, n, m)))
+    assert got == "".join(line + "\n" for line in want), (family, lam, mu, n, m)
 
 
 @pytest.mark.parametrize("family", sorted(STRIP_FAMILIES))
@@ -526,16 +541,19 @@ def test_two_cell_tail_skew_edge_shapes():
 
 
 def test_listing_streams():
-    # 142,506 tableaux in all; a listing that kept what it had listed, or
-    # memoized rows across fillings, would grow with the count.
+    # 142,506 tableaux in all, in chunks of at most codes**2 = 36 lines; a
+    # listing that kept what it had listed, or memoized rows across
+    # fillings, would grow with the count.
     tracemalloc.start()
     try:
-        listing = itertools.islice(tableaux.ssyt_tableaux(Partition([25]), Partition(), 6), 50_000)
-        kinds = collections.Counter(map(type, listing))
+        sizes = collections.Counter(
+            chunk.count("\n") for chunk in tableaux.ssyt_tableaux(Partition([25]), Partition(), 6)
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kinds == {str: 50_000}
+    assert sum(size * count for size, count in sizes.items()) == 142_506
+    assert max(sizes) <= 36
     assert peak < 8 * 2**20
 
 
@@ -606,15 +624,15 @@ def test_super_vanishing_criterion():
 
 
 def test_display_tokens():
-    ts = [str(t) for t in symplectic_tableaux(Partition([1]), 1)]
+    ts = _lines(symplectic_tableaux(Partition([1]), 1))
     assert ts == ["[[1]]", "[[1b]]"]
-    odd = [str(t) for t in odd_symplectic_tableaux(Partition([1]), 2)]
+    odd = _lines(odd_symplectic_tableaux(Partition([1]), 2))
     assert odd == ["[[1]]", "[[1b]]", "[[2]]"]
-    ortho = [str(t) for t in tableaux.orthosymplectic_tableaux(Partition([1]), 1, 1)]
+    ortho = _lines(tableaux.orthosymplectic_tableaux(Partition([1]), 1, 1))
     assert ortho == ["[[1]]", "[[1b]]", "[[1p]]"]
-    skew = [str(t) for t in tableaux.ssyt_tableaux(Partition([2]), Partition([1]), 1)]
+    skew = _lines(tableaux.ssyt_tableaux(Partition([2]), Partition([1]), 1))
     assert skew == ["[[.,1]]"]
     # a skew shape with no cells has exactly one (empty) filling
-    empty = [str(t) for t in tableaux.ssyt_tableaux(Partition([2, 1]), Partition([2, 1]), 1)]
+    empty = _lines(tableaux.ssyt_tableaux(Partition([2, 1]), Partition([2, 1]), 1))
     assert empty == ["[[.,.],[.]]"]
     assert ssyt_weight_sum(Partition([2, 1]), Partition([2, 1]), 1).is_one()
