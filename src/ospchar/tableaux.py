@@ -12,9 +12,13 @@ keys at the full shape are the result's terms as they stand.
 
 Enumeration fills a Young diagram row-major by backtracking.  It reads the
 same letter table: every filling rule of the five families bounds a cell's
-code from below, by its row's cap and by its left and top neighbours.  It
-lists the tableaux for ``ospchar enumerate`` and is the oracle the tests
-hold the weight sums to on small shapes.  It streams the tableaux as their
+code from below, by its row's cap and by its left and top neighbours, and
+so each cell has a ceiling, the largest code it takes in any tableau, read
+off its right and lower neighbours' ceilings once per shape.  Every code
+between a cell's bound and its ceiling leads to a tableau, so the
+backtracking never enters a filling it cannot finish.  It lists the
+tableaux for ``ospchar enumerate`` and is the oracle the tests hold the
+weight sums to on small shapes.  It streams the tableaux as their
 display text (``[[1,1b],[2p]]``), one line each, built as the cells are
 assigned: it holds one filling and the text before each cell that can still
 change, each built from the last one still valid by one concatenation or one
@@ -185,6 +189,36 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
 # -- the backtracking enumerator ----------------------------------------
 
 
+def _ceilings(after_left: list[int], after_top: list[int], cells: list[tuple[int, int]], lows: list[int]) -> list[int]:
+    """The largest code each cell of a row-major cell list takes in any tableau.
+
+    Cells go in reverse row-major order, each from the last code down while
+    a code raises its right neighbour's or its lower neighbour's bound past
+    that neighbour's ceiling.  The bounds never fall as codes rise, so when
+    every ceiling is at least its cell's first code ``lows[k]``, the
+    ceilings themselves fill a tableau, and so does any valid row-major
+    prefix at or under them completed with the ceilings: every code from a
+    cell's lower bound to its ceiling leads to a tableau.  When the shape
+    has no tableaux some ceiling is below its cell's first code; no ceiling
+    goes lower than one below it.
+    """
+    end = len(after_left)
+    index = {cell: k for k, cell in enumerate(cells)}
+    # slot -1 stands for a missing neighbour: no code's bound exceeds end
+    ceil = [end] * (len(cells) + 1)
+    for k in reversed(range(len(cells))):
+        r, c = cells[k]
+        right = ceil[index.get((r, c + 1), -1)]
+        below = ceil[index.get((r + 1, c), -1)]
+        h = end - 1
+        while h >= lows[k] and after_left[h] > right:
+            h -= 1
+        while h >= lows[k] and after_top[h] > below:
+            h -= 1
+        ceil[k] = h
+    return ceil[:-1]
+
+
 def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> Iterator[str]:
     """The family's tableaux of shape lam/mu as chunks of display text, by
     row-major backtracking over the letter table.
@@ -202,33 +236,37 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
     * left, or left + 1 if the left neighbour is row-strict,
     * top + 1, or top if the top neighbour is row-strict (primed letters
       are weak down columns),
-    up to the last code.  For orthosymplectic tableaux the primed codes sit
-    above the unprimed ones, so the unprimed cells form a Young diagram.
+    up to its ceiling (see _ceilings), the largest code it takes in any
+    tableau.  Every code in that range leads to a tableau, so no branch
+    dies; a shape with a ceiling below its cell's first code has no
+    tableaux and lists nothing.  For orthosymplectic tableaux the primed
+    codes sit above the unprimed ones, so the unprimed cells form a Young
+    diagram.
 
     The text grows with the filling.  Each cell has a separator fixed by
     the shape: ``,`` within a row, and at a row start the closing of the
     row before, any fully inner rows and the row's ``.`` cells.  ``texts[k]``
     is cell k's separator and token.  ``pre[k]``, the text of the cells
-    before cell k, is built only when cell k takes a code with codes left
-    after it, since only such a cell is backtracked to.  It is built from the
+    before cell k, is built only when cell k takes a code below its
+    ceiling, since only such a cell is backtracked to.  It is built from the
     last prefix still valid, ``pre[valid]``: one concatenation, or one join
     over the cells in between.  The text before pen is built the same way
     once per run, so a run after a one-cell backtrack costs one
-    concatenation, and a descent through cells with no codes left (a long
+    concatenation, and a descent through cells at their ceilings (a long
     row of the last letter) copies the prefix once, not once per cell.  The
     backtracking stops at the next-to-last cell ``pen``: its codes from lo
-    and the last cell's codes from their bound make one run of tableaux,
-    each the text before pen plus a tail string of the last two cells, the
-    closing brackets and the newline.  The last cell's bound is ``base``,
-    from its row and any neighbour other than pen, raised per code of pen
-    when pen is its left or top neighbour; so the tails of a run depend only
-    on (lo, base), and each listing call builds each such list once.  That
-    table holds at most (codes + 1)**2 lists of at most codes**2 strings,
-    bounded by the alphabet, not by the number of tableaux.  A run is one
-    chunk, the prefix joined with its tails, so no chunk holds more than
-    codes**2 lines; a run with no tails yields nothing.  The prefixes hold
-    O(cells**2) characters per shape at most, not per tableau, and nothing
-    else is kept across chunks beyond the current filling.
+    to its ceiling and the last cell's codes from their bound make one run
+    of tableaux, each the text before pen plus a tail string of the last two
+    cells, the closing brackets and the newline.  The last cell's bound is
+    ``base``, from its row and any neighbour other than pen, raised per code
+    of pen when pen is its left or top neighbour; so the tails of a run
+    depend only on (lo, base), and each listing call builds each such list
+    once.  That table holds at most (codes + 1)**2 lists of at most
+    codes**2 strings, bounded by the alphabet, not by the number of
+    tableaux.  A run is one chunk, the prefix joined with its tails, so no
+    chunk holds more than codes**2 lines, and no run is empty.  The prefixes
+    hold O(cells**2) characters per shape at most, not per tableau, and
+    nothing else is kept across chunks beyond the current filling.
 
     Raises ValueError when called, before any iteration, outside the domain.
     """
@@ -259,12 +297,14 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
             skipped = "".join(row + "," for row in inner[above + 1 : r])
             seps.append(("[" if above < 0 else "],") + skipped + "[" + ".," * c)
             above = r
+    ceil = _ceilings(after_left, after_top, cells, lows)
+    if any(h < low for h, low in zip(ceil, lows)):
+        return iter([])
     closing = "]" + "".join("," + row for row in inner[above + 1 :]) + "]"
     finals = [letter.token + closing + "\n" for letter in letters]
     last = len(cells) - 1
     if not last:
-        run = finals[lows[0] :]
-        return iter([seps[0] + seps[0].join(run)] if run else [])
+        return iter([seps[0] + seps[0].join(finals[lows[0] :])])
     pen = last - 1
     after = [[sep + letter.token for letter in letters] for sep in seps]  # cell k's text with code v
     mids = [text + seps[last] for text in after[pen]]
@@ -282,12 +322,11 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
         strings = tails.get((lo, base))
         if strings is None:
             strings = tails[lo, base] = [
-                mids[v] + final for v in range(lo, end) for final in finals[max(base, raise_by[v]) :]
+                mids[v] + final for v in range(lo, ceil[pen] + 1) for final in finals[max(base, raise_by[v]) :]
             ]
         return strings
 
     def listing():
-        final = end - 1
         # after_left and after_top of each assigned code, one slot per cell;
         # pen's slot and slot -1 (the last cell's) are never written and
         # stay 0 for "no neighbour", so pen's own code never enters base.
@@ -318,11 +357,9 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
                     text = pre[valid] + texts[valid]
                 else:
                     text = pre[valid] + "".join(texts[valid:pen])
-                run = tail(lo, base)
-                if run:
-                    yield text + text.join(run)
+                yield text + text.join(tail(lo, base))
             else:
-                stack.append(iter(range(lo, end)))
+                stack.append(iter(range(lo, ceil[k] + 1)))
             while stack and (v := next(stack[-1], None)) is None:
                 stack.pop()
             if not stack:
@@ -334,7 +371,7 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
             if valid > k:
                 # a backtrack: cell k had codes left, so pre[k] was built
                 valid = k
-            elif v < final and valid < k:
+            elif v < ceil[k] and valid < k:
                 # only a cell with codes left is backtracked to and needs its prefix again
                 if valid == k - 1:
                     pre[k] = pre[valid] + texts[valid]

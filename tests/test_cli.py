@@ -141,9 +141,11 @@ ENUMERATE_PINS = {
     # full scale: many fillings share their upper rows
     ("symplectic", 4, 0, "4,3,2,1", None): (65536, "57c763727c4b8e7ae0580e1bd34975cce27bc174225cd990916cd4a1dcc140f8"),
     ("orthosymplectic", 3, 3, "4,3,1", None): (57519, "028fea82020e8cf4cd011d7305d1663db44603192eceb1436ca3458ee76456ef"),
-    # runs of the last two cells with no tableaux: a top neighbour holding
-    # the last code leaves the last cell none
+    # the cells over the second row stop one code short of the last: a top
+    # neighbour holding the last code would leave the cell below it none
     ("odd_symplectic", 4, 0, "6,2", None): (11550, "dc47d4fd256495e5522189d0a40e00486bd2513f5416e28466b4785ebd7f0c10"),
+    # four rows at n = 4: each cell above the last row stops below the last code
+    ("symplectic", 4, 0, "4,4,4,4", None): (26026, "7627a64f50efc64068f3ad46ed8c14cc76491b128f32be3382050d8bbdcdc40d"),
 }
 
 
@@ -154,6 +156,13 @@ def test_enumerate_output_is_pinned(capsys, case):
     code, out, _ = run(capsys, *argv, *(["--mu", mu] if mu else []))
     assert code == 0
     assert (len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == ENUMERATE_PINS[case]
+
+
+def test_enumerate_prints_nothing_for_a_shape_without_tableaux(capsys):
+    # The fourth row admits only the primed letter 1p, at most once per row,
+    # and has two cells; the ceilings say so before any cell is tried.
+    argv = ["enumerate", "--family", "orthosymplectic", "--n", "3", "--m", "1", "--lambda", "8,8,8,2,2"]
+    assert run(capsys, *argv) == (0, "", "")
 
 
 # (family, n, m, lambda, format) -> byte count and SHA-256 of `ospchar compute

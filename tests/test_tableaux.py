@@ -384,6 +384,24 @@ def test_row_caps_never_fall_as_codes_rise(family):
             assert caps == sorted(caps), (n, m)
 
 
+def _neighbour_bounds(letters):
+    """The first code a cell may take after a left and after a top
+    neighbour holding code k, as the two lists (after_left, after_top)."""
+    after_left = [k + letter.row_strict for k, letter in enumerate(letters)]
+    after_top = [k + 1 - letter.row_strict for k, letter in enumerate(letters)]
+    return after_left, after_top
+
+
+@pytest.mark.parametrize("family", sorted(tableaux.LETTERS))
+def test_neighbour_bounds_never_fall_as_codes_rise(family):
+    # The enumerator's ceilings rest on this: a cell's code at or under its
+    # ceiling raises no neighbour's bound past the neighbour's ceiling.
+    for n in range(1, 5):
+        for m in range(4):
+            for bounds in _neighbour_bounds(tableaux.LETTERS[family](n, m)):
+                assert bounds == sorted(bounds), (n, m)
+
+
 def _reference_grids(family, lam, mu, n, m=0):
     """The fillings of lam/mu as rows of codes, from a plain backtracker
     over the letter table that builds no text: every cell assigned one by
@@ -517,6 +535,60 @@ def test_skew_listing_matches_rendering_from_scratch():
         for lam in partitions_up_to(5):
             for mu in partitions_up_to(5):
                 _same_listing("ssyt", lam, mu, n)
+
+
+def _same_ceilings(family, lam, mu, n, m=0):
+    """The enumerator's ceilings against the reference fillings: each is
+    the largest code a filling puts in its cell, and some ceiling is below
+    its cell's first code exactly when there is no filling."""
+    try:
+        grids = list(_reference_grids(family, lam, mu, n, m))
+    except ValueError:
+        return
+    letters = tableaux.LETTERS[family](n, m)
+    starts = [mu.part(r + 1) for r in range(lam.length)]
+    cells = [(r, c) for r, width in enumerate(lam.parts) for c in range(starts[r], width)]
+    lows = [next((k for k, x in enumerate(letters) if x.rows is None or r < x.rows), len(letters)) for r, _ in cells]
+    ceilings = tableaux._ceilings(*_neighbour_bounds(letters), cells, lows)
+    assert any(h < low for h, low in zip(ceilings, lows)) == (not grids), (family, lam, mu, n, m)
+    if grids:
+        largest = [max(grid[r][c - starts[r]] for grid in grids) for r, c in cells]
+        assert ceilings == largest, (family, lam, mu, n, m)
+    # every run of the last two cells lists at least one tableau
+    assert all(chunk.count("\n") for chunk in tableaux._listing(family, lam, mu, n, m))
+
+
+@pytest.mark.parametrize("family", sorted(STRIP_FAMILIES))
+def test_ceilings_are_tight(family):
+    for n in (1, 2, 3):
+        for m in STRIP_FAMILIES[family][1]:
+            for lam in partitions_up_to(6):
+                _same_ceilings(family, lam, Partition(), n, m)
+
+
+def test_skew_ceilings_are_tight():
+    for n in (1, 2, 3):
+        for lam in partitions_up_to(5):
+            for mu in partitions_up_to(5):
+                _same_ceilings("ssyt", lam, mu, n)
+
+
+# Shapes past the size-6 grid where the ceilings bind: four rows at n = 4,
+# whose upper cells are bounded by the cells under them, and shapes with no
+# tableaux at all (a row past the King caps, a primed row of two cells, a
+# column longer than the alphabet under a long row).
+BINDING_SHAPES = [
+    ("symplectic", (3, 3, 3, 3), 4, 0),
+    ("odd_symplectic", (3, 3, 3, 3), 4, 0),
+    ("symplectic", (2, 2, 2, 2, 2), 4, 0),
+    ("orthosymplectic", (4, 4, 2, 2), 2, 1),
+    ("ssyt", (20, 1, 1, 1, 1, 1, 1), 6, 0),
+]
+
+
+@pytest.mark.parametrize("family, lam, n, m", BINDING_SHAPES)
+def test_listing_matches_the_reference_where_ceilings_bind(family, lam, n, m):
+    _same_listing(family, Partition(lam), Partition(), n, m)
 
 
 # Shapes whose last two cells take every path of the listing's two-cell
