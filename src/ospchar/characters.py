@@ -18,11 +18,21 @@ the acceptance tests verify against tableau enumeration):
   the expansion sum over symplectic times skew Schur
 * odd symplectic: quotient determinant with one distinguished variable
 
-The C_n-type routes (symplectic, all four orthosymplectic routes, odd
-symplectic) compute in z_i = x_i + 1/x_i and map back at the end; see the
-comment that opens their section.  The two bordered determinants (hook and
-orthosymplectic rational) apply divided differences in y to their m main
-columns, which takes the factor prod(y_i - y_j) out of their divisor.
+The seven C_n-type routes (symplectic_weyl, ortho_jt, ortho_det_rational,
+ortho_det_laurent, ortho_single_y, ortho_sp_schur_sum, odd_symplectic_det)
+compute in z_i = x_i + 1/x_i and map back at the end; see the comment that
+opens their section.  The two bordered determinants with a Cauchy-type block
+(hook and orthosymplectic rational) apply divided differences in y to their
+m main columns, which takes the factor prod(y_i - y_j) out of their divisor.
+
+Every route that divides by a product-form denominator (hook_schur_det and
+the C_n-type routes but ortho_jt, which divides by nothing) checks it one
+way, in _checked_quotient: divide first, then check the divisor against
+sign times the determinant of the route's matrix at the empty partition,
+where the character is 1.  A wrong divisor either leaves a remainder, which
+the inexact division reports, or divides exactly and fails the check with a
+RuntimeError naming the family.  ortho_sp_schur_sum makes the same check
+once per call, after its divisions.
 """
 
 from __future__ import annotations
@@ -118,16 +128,23 @@ def _divided_lower_border(lam: Partition, n: int, ys: Sequence[Poly], vs: Variab
     return lower
 
 
-def _bordered_quotient(family: str, bordered, lam: Partition, divisor: Poly) -> Poly:
-    """sign * det(rows) / divisor for (rows, sign) = bordered(lam).  Then
-    the empty partition's sign * det(rows) is checked against the divisor,
-    after the division, so a divisor that leaves a remainder still reports
-    that remainder."""
-    rows, sign = bordered(lam)
-    quotient = exact_div(det_cofactor(rows, divisor.vars), divisor)
-    empty_rows, empty_sign = bordered(Partition())
-    _checked_denominator(family, empty_rows, empty_sign * divisor)
-    return sign * quotient
+def _check_divisor(family: str, rows, divisor: Poly) -> None:
+    """Raise a RuntimeError naming the family unless sign * det(matrix) is
+    the divisor for (matrix, sign) = rows(empty partition), where every
+    character is 1."""
+    matrix, sign = rows(Partition())
+    if sign * det_cofactor(matrix, divisor.vars) != divisor:
+        raise RuntimeError(f"{family} denominator does not match its product form")
+
+
+def _checked_quotient(family: str, rows, lam: Partition, divisor: Poly) -> Poly:
+    """sign * det(matrix) / divisor for (matrix, sign) = rows(lam), with the
+    divisor checked by _check_divisor after the division, so a divisor that
+    leaves a remainder still reports that remainder."""
+    matrix, sign = rows(lam)
+    quotient = exact_div(det_cofactor(matrix, divisor.vars), divisor)
+    _check_divisor(family, rows, divisor)
+    return -quotient if sign < 0 else quotient
 
 
 def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -167,7 +184,7 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
         rows = [row + [x ** (p.part(j) + n - m - j) * f for j in range(1, k)] for row, x, f in zip(main, xs, full)]
         return rows + lower(p, k), _bordered_sign(n, m, k)
 
-    return _bordered_quotient("hook", bordered, lam, _vandermonde(vs, xs))
+    return _checked_quotient("hook", bordered, lam, _vandermonde(vs, xs))
 
 
 # -- C_n-type routes in z = x + 1/x -----------------------------------------------
@@ -178,43 +195,19 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
 # odd(a + 1) = z odd(a) - odd(a - 1).  The symplectic denominator is
 # prod(x_i - 1/x_i) * prod_{i<j}(z_i - z_j), so its long-root factors cancel
 # from every quotient.  Each route builds its reduced rows over the caller's
-# variables plus one z-letter per x-letter, divides their determinant by a
-# Vandermonde in the z_i, and maps the quotient back with z_i -> x_i + 1/x_i
-# (substitute_reciprocal_sums).  That map is a ring homomorphism for any unit
-# monomial x_i, so the routes still evaluate at points such as
-# (x_1, ..., 1/x_n) or (-x_1, x_2, ...).  ortho_jt has no divisor: every
-# J_r is already a polynomial in the z_i, built by jseries_table.
-
-
-def _denominator_factors(xs: Sequence[Poly], singles: int) -> tuple[Poly, Poly, Poly]:
-    """The three root groups of a C_n-type denominator:
-    prod_{i<=singles}(x_i - 1/x_i) (roots 2e_i), prod_{i<j}(1 - 1/(x_i x_j))
-    (roots e_i + e_j) and the Vandermonde prod_{i<j}(x_i - x_j) (roots
-    e_i - e_j).  The last two multiply to prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j),
-    since x_i + 1/x_i - x_j - 1/x_j = (x_i - x_j)(1 - 1/(x_i x_j))."""
-    vs = _vs_of(xs)
-    n = len(xs)
-    one = vs.one()
-    inv = [x.inverse() for x in xs]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return (
-        _prod(vs, (xs[i] - inv[i] for i in range(singles))),
-        _prod(vs, (one - inv[i] * inv[j] for i, j in pairs)),
-        _prod(vs, (xs[i] - xs[j] for i, j in pairs)),
-    )
-
-
-def symplectic_denominator_factors(xs: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
-    """The three root groups of the symplectic denominator: the singles
-    prod(x_i - 1/x_i), prod_{i<j}(1 - 1/(x_i x_j)) and the Vandermonde
-    prod_{i<j}(x_i - x_j)."""
-    return _denominator_factors(xs, len(xs))
+# variables plus one z-letter per x-letter, takes the checked quotient of
+# their determinant by a Vandermonde in the z_i, and maps it back with
+# z_i -> x_i + 1/x_i (substitute_reciprocal_sums).  That map is a ring
+# homomorphism for any unit monomial x_i, so the routes still evaluate at
+# points such as (x_1, ..., 1/x_n) or (-x_1, x_2, ...).  ortho_jt has no
+# divisor: every J_r is already a polynomial in the z_i, built by
+# jseries_table.
 
 
 def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
-    """prod(x_i - 1/x_i) * prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j), as the
-    product of the three root groups of symplectic_denominator_factors."""
-    return _prod(_vs_of(xs), symplectic_denominator_factors(xs))
+    """prod(x_i - 1/x_i) * prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j)."""
+    vs = _vs_of(xs)
+    return _prod(vs, (x - x.inverse() for x in xs)) * _vandermonde(vs, [x + x.inverse() for x in xs])
 
 
 def symplectic_reduced_denominator(zs: Sequence[Poly]) -> Poly:
@@ -254,15 +247,6 @@ def _reducer(z: Poly):
     return odd
 
 
-def _checked_denominator(family: str, empty_rows: list[list[Poly]], divisor: Poly) -> Poly:
-    """The divisor, once the determinant of the reduced rows at the empty
-    partition is checked against it; a mismatch is a RuntimeError naming the
-    family."""
-    if det_cofactor(empty_rows, divisor.vars) != divisor:
-        raise RuntimeError(f"{family} denominator does not match its product form")
-    return divisor
-
-
 def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
     """Rows x_i^a - x_i^-a with a = lam_j + n - j + 1.
 
@@ -273,23 +257,24 @@ def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
     return [[x ** a - x ** (-a) for a in exps] for x in xs]
 
 
-def _symplectic_rows(lam: Partition, odds) -> list[list[Poly]]:
-    """symplectic_matrix(lam, xs) with row i divided by x_i - 1/x_i."""
+def _symplectic_rows(odds):
+    """rows(lam) for _checked_quotient: symplectic_matrix(lam, xs) with row
+    i divided by x_i - 1/x_i, and sign 1."""
     n = len(odds)
-    return [[odd(lam.part(j) + n - j + 1) for j in range(1, n + 1)] for odd in odds]
+    return lambda lam: ([[odd(lam.part(j) + n - j + 1) for j in range(1, n + 1)] for odd in odds], 1)
 
 
 def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """Weyl quotient det(x_i^a - x_i^-a) / det(x_i^b - x_i^-b), with
-    a = lam_j + n - j + 1 and b = n - j + 1, in z = x + 1/x: the reduced
-    rows' determinant over symplectic_reduced_denominator, which is checked
-    on every call against the reduced rows at the empty partition."""
+    a = lam_j + n - j + 1 and b = n - j + 1, in z = x + 1/x: the checked
+    quotient of the reduced rows' determinant by
+    symplectic_reduced_denominator."""
     require_length(lam, len(xs))
     vs = _vs_of(xs)
-    ext, zs, _ = _z_alphabet(vs, len(xs))
-    odds = [_reducer(z) for z in zs]
-    delta = _checked_denominator("symplectic", _symplectic_rows(Partition(), odds), symplectic_reduced_denominator(zs))
-    return substitute_reciprocal_sums(exact_div(det_cofactor(_symplectic_rows(lam, odds), ext), delta), vs, xs)
+    _, zs, _ = _z_alphabet(vs, len(xs))
+    rows = _symplectic_rows([_reducer(z) for z in zs])
+    quotient = _checked_quotient("symplectic", rows, lam, symplectic_reduced_denominator(zs))
+    return substitute_reciprocal_sums(quotient, vs, xs)
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -370,7 +355,7 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
         rows = [row + [combine(odd, tails[0], e + m) for e in exps] for row, odd in zip(main, odds)]
         return rows + lower(p, k), _bordered_sign(n, m, k)
 
-    quotient = _bordered_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(zs))
+    quotient = _checked_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(zs))
     return substitute_reciprocal_sums(quotient, vs, xs)
 
 
@@ -379,96 +364,91 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
 
     Main block (-1)^(m-j) (x_i^j - x_i^-j); border columns
     x_i^e prod(x_i + y_q) - x_i^-e prod(1/x_i + y_q), e = lam_j + n - m - j + 1;
-    lower border h_{lam'_i - n - i + j}(Y); divided by the symplectic
-    denominator product with sign (-1)^(mn - n + k - 1).  Like
+    lower border h_{lam'_i - n - i + j}(Y); sign (-1)^(mn - n + k - 1) times
+    its determinant over the symplectic denominator product.  Like
     ortho_det_rational, valid on the (n, m)-hook and 0 outside it; with Y
     empty it has only the border columns, symplectic_matrix(lam, xs) when
     len(lam) <= n.
 
     Row i of the main block and border is x_i - 1/x_i times a row in z_i:
     (-1)^(m-j) odd(j), and sum_r e_r(Y) odd(e + m - r) from
-    prod_q(x + y_q) = sum_r e_r(Y) x^(m-r).  The value is the signed exact
-    quotient of that determinant by symplectic_reduced_denominator.
+    prod_q(x + y_q) = sum_r e_r(Y) x^(m-r).  The value is the signed
+    checked quotient of that determinant by symplectic_reduced_denominator.
     """
     n, m = len(xs), len(ys)
     vs = _vs_of(xs, ys)
     ext, zs, lift = _z_alphabet(vs, n)
     ys = [lift(y) for y in ys]
-    k = k_index(lam, n, m)
-    lamc = lam.conjugate()
     zero = ext.zero()
     e_all = complete_table(m, (), ext, ys=ys)
-    rows: list[list[Poly]] = []
-    for odd in map(_reducer, zs):
-        row = [-odd(j) if (m - j) % 2 else odd(j) for j in range(1, m + 1)]
-        for j in range(1, k):
-            e = lam.part(j) + n - m - j + 1
-            row.append(sum((c * odd(e + m - r) for r, c in enumerate(e_all)), zero))
-        rows.append(row)
-    hy = complete_table(lamc.part(1) - n - 1 + m, ys, ext)
-    for i in range(1, m - n + k):
-        a = lamc.part(i) - n - i
-        row = [hy[a + j] if a + j >= 0 else zero for j in range(1, m + 1)]
-        row += [zero] * (k - 1)
-        rows.append(row)
-    assert len(rows) == m + k - 1
-    quotient = exact_div(det_cofactor(rows, ext), symplectic_reduced_denominator(zs))
-    sign = -1 if (m * n - n + k - 1) % 2 else 1
-    return sign * substitute_reciprocal_sums(quotient, vs, xs)
+    hy = complete_table(lam.conjugate().part(1) - n - 1 + m, ys, ext)
+    odds = [_reducer(z) for z in zs]
+    main = [[-odd(j) if (m - j) % 2 else odd(j) for j in range(1, m + 1)] for odd in odds]
+
+    def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
+        k = k_index(p, n, m)
+        pc = p.conjugate()
+        exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
+        rows = [
+            row + [sum((c * odd(e + m - r) for r, c in enumerate(e_all)), zero) for e in exps]
+            for row, odd in zip(main, odds)
+        ]
+        for i in range(1, m - n + k):
+            a = pc.part(i) - n - i
+            rows.append([hy[a + j] if a + j >= 0 else zero for j in range(1, m + 1)] + [zero] * (k - 1))
+        return rows, -1 if (m * n - n + k - 1) % 2 else 1
+
+    quotient = _checked_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(zs))
+    return substitute_reciprocal_sums(quotient, vs, xs)
 
 
 def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
     """One-prime-variable case: det(x_i^(a+1) - x_i^-(a+1) + y (x_i^a - x_i^-a))
     over the symplectic denominator product, a = lam_j + n - j.  In z:
-    rows odd(a + 1) + y odd(a) over symplectic_reduced_denominator, checked
-    on every call against the same rows at the empty partition."""
+    the checked quotient of rows odd(a + 1) + y odd(a) by
+    symplectic_reduced_denominator."""
     n = len(xs)
     require_length(lam, n)
     vs = _vs_of(xs)
-    ext, zs, lift = _z_alphabet(vs, n)
+    _, zs, lift = _z_alphabet(vs, n)
     y = lift(y)
     odds = [_reducer(z) for z in zs]
 
-    def rows(p: Partition) -> list[list[Poly]]:
+    def rows(p: Partition) -> tuple[list[list[Poly]], int]:
         exps = [p.part(j) + n - j for j in range(1, n + 1)]
-        return [[odd(a + 1) + y * odd(a) for a in exps] for odd in odds]
+        return [[odd(a + 1) + y * odd(a) for a in exps] for odd in odds], 1
 
-    delta = _checked_denominator("symplectic", rows(Partition()), symplectic_reduced_denominator(zs))
-    return substitute_reciprocal_sums(exact_div(det_cofactor(rows(lam), ext), delta), vs, xs)
+    quotient = _checked_quotient("symplectic", rows, lam, symplectic_reduced_denominator(zs))
+    return substitute_reciprocal_sums(quotient, vs, xs)
 
 
 def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y), summed in z and
     mapped back once; every sp_mu is symplectic_weyl's reduced quotient by
-    the same divisor, checked once per call."""
+    the same divisor, which _check_divisor checks once per call, after the
+    divisions."""
     n = len(xs)
     vs = _vs_of(xs, ys)
     ext, zs, lift = _z_alphabet(vs, n)
     ys = [lift(y) for y in ys]
-    odds = [_reducer(z) for z in zs]
-    delta = _checked_denominator("symplectic", _symplectic_rows(Partition(), odds), symplectic_reduced_denominator(zs))
+    rows = _symplectic_rows([_reducer(z) for z in zs])
+    delta = symplectic_reduced_denominator(zs)
     lamc = lam.conjugate()
     total = ext.zero()
     for mu in subpartitions(lam, max_length=n):
-        sp = exact_div(det_cofactor(_symplectic_rows(mu, odds), ext), delta)
+        sp = exact_div(det_cofactor(rows(mu)[0], ext), delta)
         total = total + sp * skew_schur_jt(lamc, mu.conjugate(), ys, vars=ext)
+    _check_divisor("symplectic", rows, delta)
     return substitute_reciprocal_sums(total, vs, xs)
 
 
 # -- odd symplectic ---------------------------------------------------------
 
 
-def odd_denominator_factors(xs: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
-    """The three root groups of the odd symplectic denominator: the singles
-    prod_{i<n}(x_i - 1/x_i), prod_{i<j<=n}(1 - 1/(x_i x_j)) and the
-    Vandermonde prod_{i<j<=n}(x_i - x_j)."""
-    return _denominator_factors(xs, len(xs) - 1)
-
-
 def odd_denominator_product(xs: Sequence[Poly]) -> Poly:
-    """prod_{i<n}(x_i - 1/x_i) * prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j), as
-    the product of the three root groups of odd_denominator_factors."""
-    return _prod(_vs_of(xs), odd_denominator_factors(xs))
+    """prod_{i<n}(x_i - 1/x_i) * prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j)."""
+    vs = _vs_of(xs)
+    return _prod(vs, (x - x.inverse() for x in xs[:-1])) * _vandermonde(vs, [x + x.inverse() for x in xs])
 
 
 def odd_reduced_denominator(zs: Sequence[Poly], y: Poly) -> Poly:
@@ -499,28 +479,24 @@ def odd_symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]
     return rows
 
 
-def _odd_rows(lam: Partition, odds, y: Poly) -> list[list[Poly]]:
-    """odd_symplectic_matrix(lam, xs) with row i < n divided by x_i - 1/x_i."""
-    n = len(odds) + 1
-    yb = y.inverse()
-    exps = [lam.part(j) + n - j for j in range(1, n + 1)]
-    rows = [[odd(a + 1) - yb * odd(a) for a in exps] for odd in odds]
-    rows.append([y ** a for a in exps])
-    return rows
-
-
 def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """Quotient det A_lam / det A_empty of odd_symplectic_matrix, in z for
-    x_1..x_{n-1}: the reduced rows' determinant over
-    odd_reduced_denominator, which is checked on every call against the
-    reduced rows at the empty partition."""
-    require_length(lam, len(xs))
+    x_1..x_{n-1}: the checked quotient of the reduced rows' determinant,
+    row i < n of A_lam divided by x_i - 1/x_i, by odd_reduced_denominator."""
+    n = len(xs)
+    require_length(lam, n)
     vs = _vs_of(xs)
-    ext, zs, lift = _z_alphabet(vs, len(xs) - 1)
+    _, zs, lift = _z_alphabet(vs, n - 1)
     y = lift(xs[-1])
+    yb = y.inverse()
     odds = [_reducer(z) for z in zs]
-    divisor = _checked_denominator("odd symplectic", _odd_rows(Partition(), odds, y), odd_reduced_denominator(zs, y))
-    return substitute_reciprocal_sums(exact_div(det_cofactor(_odd_rows(lam, odds, y), ext), divisor), vs, xs[:-1])
+
+    def rows(p: Partition) -> tuple[list[list[Poly]], int]:
+        exps = [p.part(j) + n - j for j in range(1, n + 1)]
+        return [[odd(a + 1) - yb * odd(a) for a in exps] for odd in odds] + [[y ** a for a in exps]], 1
+
+    quotient = _checked_quotient("odd symplectic", rows, lam, odd_reduced_denominator(zs, y))
+    return substitute_reciprocal_sums(quotient, vs, xs[:-1])
 
 
 # -- request dispatch --------------------------------------------------------

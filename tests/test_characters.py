@@ -9,7 +9,6 @@ from ospchar.characters import (
     CharacterRequest,
     hook_schur_det,
     hook_schur_jt,
-    odd_denominator_factors,
     odd_denominator_product,
     odd_reduced_denominator,
     odd_symplectic_det,
@@ -22,7 +21,6 @@ from ospchar.characters import (
     schur_bialternant,
     standard_x,
     standard_xy,
-    symplectic_denominator_factors,
     symplectic_denominator_product,
     symplectic_matrix,
     symplectic_reduced_denominator,
@@ -226,17 +224,42 @@ def test_odd_symplectic_det_examples():
 # -- the C_n-type denominators ---------------------------------------------------------
 
 
+def _prod(vs, factors):
+    out = vs.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def root_groups(xs, singles):
+    """The three root groups of a C_n-type denominator, as reference code:
+    prod_{i<=singles}(x_i - 1/x_i) (roots 2e_i), prod_{i<j}(1 - 1/(x_i x_j))
+    (roots e_i + e_j) and the Vandermonde prod_{i<j}(x_i - x_j) (roots
+    e_i - e_j).  The last two multiply to prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j),
+    since x_i + 1/x_i - x_j - 1/x_j = (x_i - x_j)(1 - 1/(x_i x_j))."""
+    vs = xs[0].vars
+    n = len(xs)
+    one = vs.one()
+    inv = [x.inverse() for x in xs]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return (
+        _prod(vs, (xs[i] - inv[i] for i in range(singles))),
+        _prod(vs, (one - inv[i] * inv[j] for i, j in pairs)),
+        _prod(vs, (xs[i] - xs[j] for i, j in pairs)),
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_denominator_factor_groups_multiply_to_the_product_form(n):
     vs, xs = standard_x(n)
     one = vs.one()
     empty = Partition()
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for factors, product, matrix, singles in (
-        (symplectic_denominator_factors, symplectic_denominator_product, symplectic_matrix, n),
-        (odd_denominator_factors, odd_denominator_product, odd_symplectic_matrix, n - 1),
+    for product, matrix, singles in (
+        (symplectic_denominator_product, symplectic_matrix, n),
+        (odd_denominator_product, odd_symplectic_matrix, n - 1),
     ):
-        long_roots, plus_roots, minus_roots = factors(xs)
+        long_roots, plus_roots, minus_roots = root_groups(xs, singles)
         expected_long = one
         for x in xs[:singles]:
             expected_long = expected_long * (x - x.inverse())
@@ -255,10 +278,10 @@ def test_reduced_denominators_are_the_product_forms_over_the_long_roots(n):
     vs, xs = standard_x(n)
     _, zs, _ = characters._z_alphabet(vs, n)
     sp = substitute_reciprocal_sums(symplectic_reduced_denominator(zs), vs, xs)
-    assert sp * symplectic_denominator_factors(xs)[0] == symplectic_denominator_product(xs)
+    assert sp * root_groups(xs, n)[0] == symplectic_denominator_product(xs)
     _, zs, lift = characters._z_alphabet(vs, n - 1)
     odd = substitute_reciprocal_sums(odd_reduced_denominator(zs, lift(xs[-1])), vs, xs[:-1])
-    assert odd * odd_denominator_factors(xs)[0] == odd_denominator_product(xs)
+    assert odd * root_groups(xs, n - 1)[0] == odd_denominator_product(xs)
 
 
 # -- the x-world reference ---------------------------------------------------------
@@ -277,26 +300,19 @@ def _over_root_groups(det, *groups):
 
 def x_world_weyl(lam, xs):
     vs = xs[0].vars
-    return _over_root_groups(det_cofactor(symplectic_matrix(lam, xs), vs), *symplectic_denominator_factors(xs))
+    return _over_root_groups(det_cofactor(symplectic_matrix(lam, xs), vs), *root_groups(xs, len(xs)))
 
 
 def x_world_okada(lam, xs):
     vs = xs[0].vars
-    return _over_root_groups(det_cofactor(odd_symplectic_matrix(lam, xs), vs), *odd_denominator_factors(xs))
+    return _over_root_groups(det_cofactor(odd_symplectic_matrix(lam, xs), vs), *root_groups(xs, len(xs) - 1))
 
 
 def x_world_single_y(lam, xs, y):
     n = len(xs)
     exps = [lam.part(j) + n - j for j in range(1, n + 1)]
     rows = [[x ** (a + 1) - x ** (-a - 1) + y * (x ** a - x ** (-a)) for a in exps] for x in xs]
-    return _over_root_groups(det_cofactor(rows, xs[0].vars), *symplectic_denominator_factors(xs))
-
-
-def _prod(vs, factors):
-    out = vs.one()
-    for f in factors:
-        out = out * f
-    return out
+    return _over_root_groups(det_cofactor(rows, xs[0].vars), *root_groups(xs, len(xs)))
 
 
 def _bordered(lam, xs, ys, main_block, lower_border):
@@ -338,7 +354,7 @@ def _rational_rows(lam, xs, ys):
 def x_world_det_rational(lam, xs, ys):
     vs = xs[0].vars
     rows, sign = _rational_rows(lam, xs, ys)
-    return sign * _over_root_groups(det_cofactor(rows, vs), _delta(vs, ys), *symplectic_denominator_factors(xs))
+    return sign * _over_root_groups(det_cofactor(rows, vs), _delta(vs, ys), *root_groups(xs, len(xs)))
 
 
 def x_world_det_laurent(lam, xs, ys):
@@ -356,7 +372,7 @@ def x_world_det_laurent(lam, xs, ys):
         return [hy[a + j] if a + j >= 0 else vs.zero() for j in range(1, m + 1)]
 
     rows, sign = _bordered(lam, xs, ys, main_block, lower_border)
-    return sign * _over_root_groups(det_cofactor(rows, vs), *symplectic_denominator_factors(xs))
+    return sign * _over_root_groups(det_cofactor(rows, vs), *root_groups(xs, len(xs)))
 
 
 def x_world_sp_schur_sum(lam, xs, ys):
@@ -582,12 +598,21 @@ def test_bordered_determinants_hold_at_repeated_y_letters(parts):
 
 @pytest.mark.parametrize(
     "route, divisor, family",
-    [(ortho_det_rational, "symplectic_reduced_denominator", "orthosymplectic"), (hook_schur_det, "_vandermonde", "hook")],
-    ids=["orthosymplectic", "hook"],
+    [
+        (ortho_det_rational, "symplectic_reduced_denominator", "orthosymplectic"),
+        (hook_schur_det, "_vandermonde", "hook"),
+        (lambda lam, xs, ys: symplectic_weyl(lam, xs), "symplectic_reduced_denominator", "symplectic"),
+        (lambda lam, xs, ys: ortho_single_y(lam, xs, ys[0]), "symplectic_reduced_denominator", "symplectic"),
+        (ortho_sp_schur_sum, "symplectic_reduced_denominator", "symplectic"),
+        (lambda lam, xs, ys: odd_symplectic_det(lam, xs), "odd_reduced_denominator", "odd symplectic"),
+        (ortho_det_laurent, "symplectic_reduced_denominator", "orthosymplectic"),
+    ],
+    ids=["orthosymplectic", "hook", "weyl", "single_y", "sp_schur_sum", "okada", "det_laurent"],
 )
 def test_bordered_determinants_check_their_divisor_at_the_empty_partition(monkeypatch, route, divisor, family):
     # the negated divisor divides exactly; only the check at the empty
-    # partition tells the wrong sign
+    # partition tells the wrong sign.  Every route that divides by a
+    # product-form denominator makes that check.
     real = getattr(characters, divisor)
     monkeypatch.setattr(characters, divisor, lambda *args: -real(*args))
     _, xs, ys = standard_xy(2, 2)

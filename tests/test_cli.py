@@ -418,7 +418,9 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
         "--n", "2", "--m", "1", "--lambda", "2,1",
     )
     assert code == 3 and err.startswith("ospchar: internal error:")
-    # the Weyl quotient checks its divisor against its own rows at the empty partition
+    # the Weyl quotient checks its divisor against its own rows at the empty
+    # partition: a negated divisor divides exactly, and only that check tells
+    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: -real(zs))
     code, _, err = run(capsys, "compute", "--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1")
     assert code == 3 and "denominator does not match its product form" in err
     # a ValueError a route raises past compute's own domain check is a defect
@@ -450,36 +452,32 @@ def test_formula_defect_message_stays_short(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "divisor, argv, message",
+    "divisor, argv",
     [
-        (
-            "symplectic_reduced_denominator",
-            ["--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1"],
-            "denominator does not match its product form",
-        ),
+        ("symplectic_reduced_denominator", ["--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1"]),
         (
             "symplectic_reduced_denominator",
             ["--family", "orthosymplectic", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"],
-            "inexact division",
         ),
         (
             "symplectic_reduced_denominator",
             ["--family", "orthosymplectic", "--method", "sp_schur_sum", "--n", "2", "--m", "1", "--lambda", "2,1"],
-            "denominator does not match its product form",
         ),
-        (
-            "odd_reduced_denominator",
-            ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"],
-            "denominator does not match its product form",
-        ),
+        ("odd_reduced_denominator", ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"]),
     ],
     ids=["weyl", "det", "sp_schur_sum", "okada"],
 )
-def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, divisor, argv, message):
-    # the reduced denominator is the one factor group the route divides by
+def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, divisor, argv):
+    # the reduced denominator is the one factor group the route divides by.
+    # Every route divides before it checks the divisor at the empty
+    # partition: off by a constant or by the first z-letter, the division
+    # leaves a remainder; negated, it divides exactly and the check tells.
     real = getattr(characters, divisor)
-    # off by a constant, and off by the first z-letter
-    for broken in (lambda *args: real(*args) + 1, lambda zs, *rest: real(zs, *rest) + zs[0]):
+    for broken, message in (
+        (lambda *args: real(*args) + 1, "inexact division"),
+        (lambda zs, *rest: real(zs, *rest) + zs[0], "inexact division"),
+        (lambda *args: -real(*args), "denominator does not match its product form"),
+    ):
         with monkeypatch.context() as patch:
             patch.setattr(characters, divisor, broken)
             code, out, err = run(capsys, "compute", *argv)

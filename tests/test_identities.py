@@ -264,7 +264,9 @@ def test_run_suite_covers_the_registry():
 
 def test_run_check_turns_a_computation_error_into_a_report(monkeypatch):
     real = characters.symplectic_reduced_denominator
-    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: real(zs) + 1)
+    # negated, the divisor divides exactly; the check at the empty partition
+    # raises the RuntimeError
+    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: -real(zs))
     (rep,) = run_check("symplectic_methods", {"lam": Partition([1]), "n": 2})
     assert rep.status == "error" and not rep.passed
     assert rep.params == {"lambda": "1", "n": 2}
