@@ -20,7 +20,9 @@ the acceptance tests verify against tableau enumeration):
 
 The seven C_n-type routes (symplectic_weyl, ortho_jt, ortho_det_rational,
 ortho_det_laurent, ortho_single_y, ortho_sp_schur_sum, odd_symplectic_det)
-compute in z_i = x_i + 1/x_i and map back at the end; see the comment that
+compute in z_i = x_i + 1/x_i and map back at the end.  Each builds one
+z-world per call, a _ZWorld over its own letters that holds the z-letters,
+the lifted y-letters, the odd tables and the map back; see the comment that
 opens their section.  The two bordered determinants with a Cauchy-type block
 (hook and orthosymplectic rational) apply divided differences in y to their
 m main columns, which takes the factor prod(y_i - y_j) out of their divisor.
@@ -194,14 +196,15 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
 # x^a - x^-a = (x - 1/x) odd(a), with odd(0) = 0, odd(1) = 1 and
 # odd(a + 1) = z odd(a) - odd(a - 1).  The symplectic denominator is
 # prod(x_i - 1/x_i) * prod_{i<j}(z_i - z_j), so its long-root factors cancel
-# from every quotient.  Each route builds its reduced rows over the caller's
-# variables plus one z-letter per x-letter, takes the checked quotient of
-# their determinant by a Vandermonde in the z_i, and maps it back with
-# z_i -> x_i + 1/x_i (substitute_reciprocal_sums).  That map is a ring
-# homomorphism for any unit monomial x_i, so the routes still evaluate at
-# points such as (x_1, ..., 1/x_n) or (-x_1, x_2, ...).  ortho_jt has no
-# divisor: every J_r is already a polynomial in the z_i, built by
-# jseries_table.
+# from every quotient.  Each route builds one _ZWorld per call: the caller's
+# variables plus one z-letter per x-letter, its y-letters lifted there and
+# one odd table per z-letter.  It builds its reduced rows in that world,
+# takes the checked quotient of their determinant by a Vandermonde in the
+# z_i, and maps it back with the world's back, z_i -> x_i + 1/x_i.  That map
+# is a ring homomorphism for any unit monomial x_i, so the routes still
+# evaluate at points such as (x_1, ..., 1/x_n) or (-x_1, x_2, ...).
+# ortho_jt has no divisor: every J_r is already a polynomial in the z_i,
+# built by jseries_table.
 
 
 def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
@@ -214,22 +217,6 @@ def symplectic_reduced_denominator(zs: Sequence[Poly]) -> Poly:
     """prod_{i<j}(z_i - z_j): the symplectic denominator over
     prod(x_i - 1/x_i), at z_i = x_i + 1/x_i."""
     return _vandermonde(_vs_of(zs), zs)
-
-
-def _z_alphabet(vs: VariableSet, count: int):
-    """vs followed by ``count`` z-letters named apart from vs's: the new
-    variable set, its z-letters and the map of vs's polynomials into it."""
-    prefix = "z"
-    while any(f"{prefix}{i}" in vs.names for i in range(1, count + 1)):
-        prefix += "z"
-    ext = VariableSet(vs.names + tuple(f"{prefix}{i}" for i in range(1, count + 1)))
-
-    def lift(p: Poly) -> Poly:
-        # zero fields for the z-letters at the bottom of each key
-        shift = 8 * p.fbytes * count
-        return LaurentPolynomial._raw(ext, {k << shift: c for k, c in p.terms.items()}, p.fbytes, p.bound)
-
-    return ext, [ext.gen(name) for name in ext.names[len(vs) :]], lift
 
 
 def _reducer(z: Poly):
@@ -245,6 +232,34 @@ def _reducer(z: Poly):
         return -table[b] if a < 0 else table[b]
 
     return odd
+
+
+class _ZWorld:
+    """The z-world of one call over the letters xs and ys, which share one
+    variable set: that set followed by one z-letter z_i = x_i + 1/x_i per
+    x-letter, named apart from its names.  ext is the extended set, zs the
+    z-letters, ys the y-letters lifted into ext with zero z-exponents, odds
+    one _reducer per z-letter, and back(p) maps a polynomial in ext to the
+    caller's variables by z_i -> x_i + 1/x_i."""
+
+    def __init__(self, xs: Sequence[Poly], ys: Sequence[Poly]):
+        vs = _vs_of(xs, ys)
+        count = len(xs)
+        prefix = "z"
+        while any(f"{prefix}{i}" in vs.names for i in range(1, count + 1)):
+            prefix += "z"
+        self.ext = ext = VariableSet(vs.names + tuple(f"{prefix}{i}" for i in range(1, count + 1)))
+        self.zs = [ext.gen(name) for name in ext.names[len(vs) :]]
+        # zero fields for the z-letters at the bottom of each key
+        self.ys = [
+            LaurentPolynomial._raw(ext, {k << 8 * y.fbytes * count: c for k, c in y.terms.items()}, y.fbytes, y.bound)
+            for y in ys
+        ]
+        self.odds = [_reducer(z) for z in self.zs]
+        self._vs, self._xs = vs, xs
+
+    def back(self, p: Poly) -> Poly:
+        return substitute_reciprocal_sums(p, self._vs, self._xs)
 
 
 def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
@@ -270,11 +285,8 @@ def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
     quotient of the reduced rows' determinant by
     symplectic_reduced_denominator."""
     require_length(lam, len(xs))
-    vs = _vs_of(xs)
-    _, zs, _ = _z_alphabet(vs, len(xs))
-    rows = _symplectic_rows([_reducer(z) for z in zs])
-    quotient = _checked_quotient("symplectic", rows, lam, symplectic_reduced_denominator(zs))
-    return substitute_reciprocal_sums(quotient, vs, xs)
+    w = _ZWorld(xs, ())
+    return w.back(_checked_quotient("symplectic", _symplectic_rows(w.odds), lam, symplectic_reduced_denominator(w.zs)))
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -288,11 +300,9 @@ def ortho_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     z_i = x_i + 1/x_i, and the determinant is mapped back once."""
     n = len(xs)
     require_length(lam, n)
-    vs = _vs_of(xs, ys)
-    ext, zs, lift = _z_alphabet(vs, n)
-    rmax = max(lam.part(1) + n - 1, 0)
-    jt = jseries_table(rmax, zs, [lift(y) for y in ys], ext)
-    zero = ext.zero()
+    w = _ZWorld(xs, ys)
+    jt = jseries_table(max(lam.part(1) + n - 1, 0), w.zs, w.ys, w.ext)
+    zero = w.ext.zero()
 
     def J(r: int) -> Poly:
         return jt[r] if r >= 0 else zero
@@ -303,7 +313,7 @@ def ortho_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
         row = [J(a + 1)]
         row += [J(a + j) + J(a - j + 2) for j in range(2, n + 1)]
         rows.append(row)
-    return substitute_reciprocal_sums(det_cofactor(rows, ext), vs, xs)
+    return w.back(det_cofactor(rows, w.ext))
 
 
 def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -335,28 +345,24 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     against that divisor on every call.
     """
     n, m = len(xs), len(ys)
-    vs = _vs_of(xs, ys)
-    ext, zs, lift = _z_alphabet(vs, n)
-    ys = [lift(y) for y in ys]
-    zero = ext.zero()
+    w = _ZWorld(xs, ys)
+    zero = w.ext.zero()
     # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
-    tails = [complete_table(m - t, (), ext, ys=ys[t:]) for t in range(m + 1)]
-    odds = [_reducer(z) for z in zs]
+    tails = [complete_table(m - t, (), w.ext, ys=w.ys[t:]) for t in range(m + 1)]
 
     def combine(odd, es, top: int) -> Poly:
         return sum((c * odd(top - r) for r, c in enumerate(es)), zero)
 
-    main = [[(-1) ** j * combine(odd, tails[j + 1], m - j) for j in range(m)] for odd in odds]
-    lower = _divided_lower_border(lam, n, ys, ext)
+    main = [[(-1) ** j * combine(odd, tails[j + 1], m - j) for j in range(m)] for odd in w.odds]
+    lower = _divided_lower_border(lam, n, w.ys, w.ext)
 
     def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
         k = k_index(p, n, m)
         exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
-        rows = [row + [combine(odd, tails[0], e + m) for e in exps] for row, odd in zip(main, odds)]
+        rows = [row + [combine(odd, tails[0], e + m) for e in exps] for row, odd in zip(main, w.odds)]
         return rows + lower(p, k), _bordered_sign(n, m, k)
 
-    quotient = _checked_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(zs))
-    return substitute_reciprocal_sums(quotient, vs, xs)
+    return w.back(_checked_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(w.zs)))
 
 
 def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -376,14 +382,11 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
     checked quotient of that determinant by symplectic_reduced_denominator.
     """
     n, m = len(xs), len(ys)
-    vs = _vs_of(xs, ys)
-    ext, zs, lift = _z_alphabet(vs, n)
-    ys = [lift(y) for y in ys]
-    zero = ext.zero()
-    e_all = complete_table(m, (), ext, ys=ys)
-    hy = complete_table(lam.conjugate().part(1) - n - 1 + m, ys, ext)
-    odds = [_reducer(z) for z in zs]
-    main = [[-odd(j) if (m - j) % 2 else odd(j) for j in range(1, m + 1)] for odd in odds]
+    w = _ZWorld(xs, ys)
+    zero = w.ext.zero()
+    e_all = complete_table(m, (), w.ext, ys=w.ys)
+    hy = complete_table(lam.conjugate().part(1) - n - 1 + m, w.ys, w.ext)
+    main = [[-odd(j) if (m - j) % 2 else odd(j) for j in range(1, m + 1)] for odd in w.odds]
 
     def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
         k = k_index(p, n, m)
@@ -391,15 +394,14 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
         exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
         rows = [
             row + [sum((c * odd(e + m - r) for r, c in enumerate(e_all)), zero) for e in exps]
-            for row, odd in zip(main, odds)
+            for row, odd in zip(main, w.odds)
         ]
         for i in range(1, m - n + k):
             a = pc.part(i) - n - i
             rows.append([hy[a + j] if a + j >= 0 else zero for j in range(1, m + 1)] + [zero] * (k - 1))
         return rows, -1 if (m * n - n + k - 1) % 2 else 1
 
-    quotient = _checked_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(zs))
-    return substitute_reciprocal_sums(quotient, vs, xs)
+    return w.back(_checked_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(w.zs)))
 
 
 def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
@@ -409,17 +411,14 @@ def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
     symplectic_reduced_denominator."""
     n = len(xs)
     require_length(lam, n)
-    vs = _vs_of(xs)
-    _, zs, lift = _z_alphabet(vs, n)
-    y = lift(y)
-    odds = [_reducer(z) for z in zs]
+    w = _ZWorld(xs, [y])
+    (y,) = w.ys
 
     def rows(p: Partition) -> tuple[list[list[Poly]], int]:
         exps = [p.part(j) + n - j for j in range(1, n + 1)]
-        return [[odd(a + 1) + y * odd(a) for a in exps] for odd in odds], 1
+        return [[odd(a + 1) + y * odd(a) for a in exps] for odd in w.odds], 1
 
-    quotient = _checked_quotient("symplectic", rows, lam, symplectic_reduced_denominator(zs))
-    return substitute_reciprocal_sums(quotient, vs, xs)
+    return w.back(_checked_quotient("symplectic", rows, lam, symplectic_reduced_denominator(w.zs)))
 
 
 def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -427,19 +426,16 @@ def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     mapped back once; every sp_mu is symplectic_weyl's reduced quotient by
     the same divisor, which _check_divisor checks once per call, after the
     divisions."""
-    n = len(xs)
-    vs = _vs_of(xs, ys)
-    ext, zs, lift = _z_alphabet(vs, n)
-    ys = [lift(y) for y in ys]
-    rows = _symplectic_rows([_reducer(z) for z in zs])
-    delta = symplectic_reduced_denominator(zs)
+    w = _ZWorld(xs, ys)
+    rows = _symplectic_rows(w.odds)
+    delta = symplectic_reduced_denominator(w.zs)
     lamc = lam.conjugate()
-    total = ext.zero()
-    for mu in subpartitions(lam, max_length=n):
-        sp = exact_div(det_cofactor(rows(mu)[0], ext), delta)
-        total = total + sp * skew_schur_jt(lamc, mu.conjugate(), ys, vars=ext)
+    total = w.ext.zero()
+    for mu in subpartitions(lam, max_length=len(xs)):
+        sp = exact_div(det_cofactor(rows(mu)[0], w.ext), delta)
+        total = total + sp * skew_schur_jt(lamc, mu.conjugate(), w.ys, vars=w.ext)
     _check_divisor("symplectic", rows, delta)
-    return substitute_reciprocal_sums(total, vs, xs)
+    return w.back(total)
 
 
 # -- odd symplectic ---------------------------------------------------------
@@ -485,18 +481,15 @@ def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
     row i < n of A_lam divided by x_i - 1/x_i, by odd_reduced_denominator."""
     n = len(xs)
     require_length(lam, n)
-    vs = _vs_of(xs)
-    _, zs, lift = _z_alphabet(vs, n - 1)
-    y = lift(xs[-1])
+    w = _ZWorld(xs[:-1], xs[-1:])
+    (y,) = w.ys
     yb = y.inverse()
-    odds = [_reducer(z) for z in zs]
 
     def rows(p: Partition) -> tuple[list[list[Poly]], int]:
         exps = [p.part(j) + n - j for j in range(1, n + 1)]
-        return [[odd(a + 1) - yb * odd(a) for a in exps] for odd in odds] + [[y ** a for a in exps]], 1
+        return [[odd(a + 1) - yb * odd(a) for a in exps] for odd in w.odds] + [[y ** a for a in exps]], 1
 
-    quotient = _checked_quotient("odd symplectic", rows, lam, odd_reduced_denominator(zs, y))
-    return substitute_reciprocal_sums(quotient, vs, xs[:-1])
+    return w.back(_checked_quotient("odd symplectic", rows, lam, odd_reduced_denominator(w.zs, y)))
 
 
 # -- request dispatch --------------------------------------------------------
@@ -533,6 +526,15 @@ _LISTINGS = {
     "orthosymplectic": lambda lam, mu, n, m: tableaux.orthosymplectic_tableaux(lam, n, m),
     "odd_symplectic": lambda lam, mu, n, m: tableaux.odd_symplectic_tableaux(lam, n),
 }
+
+
+def _route_value(route, *args) -> Poly:
+    """route(*args) at a point already validated: a ValueError the route
+    raises is a formula defect, raised as a RuntimeError."""
+    try:
+        return route(*args)
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from exc
 
 
 def _check_counts(family: str, n: int, m: int) -> None:
@@ -593,7 +595,4 @@ class CharacterRequest:
         route's domain raises ValueError before the route runs; a ValueError
         the route raises afterwards is a formula defect, a RuntimeError."""
         self.validate()
-        try:
-            return _ROUTES[(self.family, self.method)](self.lam, self.n, self.m)
-        except ValueError as exc:
-            raise RuntimeError(str(exc)) from exc
+        return _route_value(_ROUTES[(self.family, self.method)], self.lam, self.n, self.m)

@@ -45,6 +45,7 @@ from .symfun import (
 from .characters import (
     CharacterRequest,
     _prod,
+    _route_value,
     hook_schur_det,
     hook_schur_jt,
     odd_denominator_product,
@@ -139,15 +140,6 @@ def _params(**params) -> dict:
     """Report parameters in the given order, with the partition ``lam`` shown
     as its text under "lambda"."""
     return {("lambda" if k == "lam" else k): (v.to_string() if k == "lam" else v) for k, v in params.items()}
-
-
-def _route_value(route, *args) -> Poly:
-    """route(*args) at a point already validated: a ValueError the route
-    raises is a formula defect, raised as a RuntimeError, as compute does."""
-    try:
-        return route(*args)
-    except ValueError as exc:
-        raise RuntimeError(str(exc)) from exc
 
 
 def _agreement(identity: str, params: dict, base: Poly, routes, *args) -> VerificationReport:

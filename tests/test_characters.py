@@ -3,7 +3,7 @@
 import pytest
 
 from ospchar import characters
-from ospchar.algebra import ExactDivisionError, VariableSet, det_cofactor, exact_div, substitute_reciprocal_sums
+from ospchar.algebra import ExactDivisionError, VariableSet, det_cofactor, exact_div
 from ospchar.symfun import Partition, complete_table, k_index, partitions_of, partitions_up_to, skew_schur_jt, subpartitions
 from ospchar.characters import (
     CharacterRequest,
@@ -276,11 +276,11 @@ def test_reduced_denominators_are_the_product_forms_over_the_long_roots(n):
     # at z_i = x_i + 1/x_i the routes' divisors times the long-root group
     # prod(x_i - 1/x_i) are the C_n-type denominators
     vs, xs = standard_x(n)
-    _, zs, _ = characters._z_alphabet(vs, n)
-    sp = substitute_reciprocal_sums(symplectic_reduced_denominator(zs), vs, xs)
+    world = characters._ZWorld(xs, ())
+    sp = world.back(symplectic_reduced_denominator(world.zs))
     assert sp * root_groups(xs, n)[0] == symplectic_denominator_product(xs)
-    _, zs, lift = characters._z_alphabet(vs, n - 1)
-    odd = substitute_reciprocal_sums(odd_reduced_denominator(zs, lift(xs[-1])), vs, xs[:-1])
+    world = characters._ZWorld(xs[:-1], xs[-1:])
+    odd = world.back(odd_reduced_denominator(world.zs, world.ys[0]))
     assert odd * root_groups(xs, n - 1)[0] == odd_denominator_product(xs)
 
 
@@ -447,6 +447,42 @@ def test_routes_in_z_match_the_x_world_quotient_at_specialized_letters(name):
     assert labels == {"inverted", "negated", "joined", "z-named"}
 
 
+def test_z_world_lifts_the_caller_letters_and_maps_them_back():
+    labels = set()
+    for label, rows, xs, ys in _specialized_points():
+        vs = xs[0].vars
+        # the routes' worlds: one z-letter per x-letter, and Okada's, whose
+        # one lifted letter is its last x-letter
+        for x, y in ((xs, ys), (xs[:-1], xs[-1:])):
+            world = characters._ZWorld(x, y)
+            width = len(vs)
+            assert world.ext.names[:width] == vs.names
+            names = world.ext.names[width:]
+            prefix = "zz" if label == "z-named" else "z"
+            assert names == tuple(f"{prefix}{i}" for i in range(1, len(x) + 1))
+            assert world.zs == [world.ext.gen(name) for name in names]
+            for lifted in world.ys:
+                assert all(not any(exps[width:]) for exps in lifted.tuple_terms())
+            # back of a lifted caller polynomial gives it back
+            lifted = (sum(world.ys, world.ext.one()) ** 2) * world.ys[0].inverse() - 3
+            assert world.back(lifted) == (sum(y, vs.one()) ** 2) * y[0].inverse() - 3
+            # z_i goes back to x_i + 1/x_i, and odd(a) to (x^a - x^-a) / (x - 1/x)
+            for a, z, odd in zip(x, world.zs, world.odds):
+                assert world.back(z) == a + a.inverse()
+                for e in range(-3, 5):
+                    assert world.back(odd(e)) * (a - a.inverse()) == a ** e - a ** (-e)
+        labels.add(label)
+    assert labels == {"inverted", "negated", "joined", "z-named"}
+
+
+def test_okada_world_at_n_1_has_no_z_letters():
+    vs, xs = standard_x(1)
+    world = characters._ZWorld(xs[:-1], xs[-1:])
+    assert world.ext == vs and world.zs == [] and world.odds == [] and world.ys == xs
+    p = (xs[0] + 2) ** 3 * xs[0].inverse()
+    assert world.back(p) == p
+
+
 @pytest.mark.parametrize("name", ["okada", "weyl"])
 def test_weyl_type_quotients_match_the_x_world_quotient_one_size_up(name):
     route, reference = X_WORLD[name]
@@ -509,16 +545,15 @@ def _reference_hook_schur_det(lam, xs, ys):
 
 def _reference_ortho_det_rational(lam, xs, ys):
     n, m = len(xs), len(ys)
-    vs = (xs or ys)[0].vars
-    ext, zs, lift = characters._z_alphabet(vs, n)
-    ys = [lift(y) for y in ys]
+    world = characters._ZWorld(xs, ys)
+    ext, ys = world.ext, world.ys
     k = k_index(lam, n, m)
     lamc = lam.conjugate()
     zero = ext.zero()
     e_all = complete_table(m, (), ext, ys=ys)
     e_rest = [complete_table(m - 1, (), ext, ys=ys[:j] + ys[j + 1 :]) for j in range(m)]
     rows = []
-    for odd in map(characters._reducer, zs):
+    for odd in world.odds:
         row = [sum((c * odd(m - r) for r, c in enumerate(e_rest[j])), zero) for j in range(m)]
         for j in range(1, k):
             e = lam.part(j) + n - m - j + 1
@@ -527,9 +562,9 @@ def _reference_ortho_det_rational(lam, xs, ys):
     for i in range(1, m - n + k):
         rows.append([y ** (lamc.part(i) + m - n - i) for y in ys] + [zero] * (k - 1))
     quotient = exact_div(det_cofactor(rows, ext), _delta(ext, ys))
-    quotient = exact_div(quotient, symplectic_reduced_denominator(zs))
+    quotient = exact_div(quotient, symplectic_reduced_denominator(world.zs))
     sign = -1 if (m * n - n + k - 1) % 2 else 1
-    return sign * substitute_reciprocal_sums(quotient, vs, xs)
+    return sign * world.back(quotient)
 
 
 def _reference_ortho_jt(lam, xs, ys):

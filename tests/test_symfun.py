@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ospchar import characters
-from ospchar.algebra import AlgebraError, VariableSet, substitute_reciprocal_sums
+from ospchar.algebra import AlgebraError, VariableSet
 from ospchar.symfun import (
     Partition,
     box_partitions,
@@ -234,10 +234,13 @@ def _letter_lists():
 
 
 def _in_z(vs, x, y):
-    """The z-letters standing for the pairs x_i, 1/x_i of ``x``, over vs and
-    one z-letter per x-letter; y lifted there; and the map back to vs."""
-    ext, zs, lift = characters._z_alphabet(vs, len(x))
-    return ext, zs, [lift(b) for b in y], lambda p: substitute_reciprocal_sums(p, vs, x)
+    """The z-world of x and y over vs: its variable set, the z-letters
+    standing for the pairs x_i, 1/x_i of ``x``, y lifted there, and the map
+    back to vs.  With no letter to take vs from, that world is vs itself."""
+    if not x and not y:
+        return vs, [], [], lambda p: p
+    world = characters._ZWorld(x, y)
+    return world.ext, world.zs, world.ys, world.back
 
 
 def test_letter_recurrence_matches_the_reference_generators():
