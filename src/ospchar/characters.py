@@ -20,21 +20,20 @@ the acceptance tests verify against tableau enumeration):
 
 The seven C_n-type routes (symplectic_weyl, ortho_jt, ortho_det_rational,
 ortho_det_laurent, ortho_single_y, ortho_sp_schur_sum, odd_symplectic_det)
-compute in z_i = x_i + 1/x_i and map back at the end.  Each builds one
-z-world per call, a _ZWorld over its own letters that holds the z-letters,
-the lifted y-letters, the odd tables and the map back; see the comment that
-opens their section.  The two bordered determinants with a Cauchy-type block
-(hook and orthosymplectic rational) apply divided differences in y to their
-m main columns, which takes the factor prod(y_i - y_j) out of their divisor.
+compute in z_i = x_i + 1/x_i, in a _ZWorld over their own letters, and map
+back at the end.  All but ortho_jt take their Vandermonde in z out by
+divided differences in z over their n main rows; no division (see the
+comment that opens their section).  The two bordered determinants with a
+Cauchy-type block (hook and orthosymplectic rational) apply divided
+differences in y to their m main columns, which takes prod(y_i - y_j) out.
 
-Every route that divides by a product-form denominator (hook_schur_det and
-the C_n-type routes but ortho_jt, which divides by nothing) checks it one
-way, in _checked_quotient: divide first, then check the divisor against
-sign times the determinant of the route's matrix at the empty partition,
-where the character is 1.  A wrong divisor either leaves a remainder, which
-the inexact division reports, or divides exactly and fails the check with a
-RuntimeError naming the family.  ortho_sp_schur_sum makes the same check
-once per call, after its divisions.
+hook_schur_det is the one route that divides by a product-form
+denominator, in _checked_quotient: it divides first, so a wrong divisor
+leaves a remainder that the inexact division reports.  Every route with
+such a denominator checks sign times the determinant of its matrix at the
+empty partition, where the character is 1, against it (against 1 for the
+C_n-type routes, whose divided differences take it out), and raises a
+RuntimeError naming the family when they differ.
 """
 
 from __future__ import annotations
@@ -192,19 +191,17 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
 # -- C_n-type routes in z = x + 1/x -----------------------------------------------
 #
 # Every main row of a C_n-type matrix is odd under x_i -> 1/x_i, so it is
-# (x_i - 1/x_i) times a row of polynomials in z_i = x_i + 1/x_i:
-# x^a - x^-a = (x - 1/x) odd(a), with odd(0) = 0, odd(1) = 1 and
-# odd(a + 1) = z odd(a) - odd(a - 1).  The symplectic denominator is
-# prod(x_i - 1/x_i) * prod_{i<j}(z_i - z_j), so its long-root factors cancel
-# from every quotient.  Each route builds one _ZWorld per call: the caller's
-# variables plus one z-letter per x-letter, its y-letters lifted there and
-# one odd table per z-letter.  It builds its reduced rows in that world,
-# takes the checked quotient of their determinant by a Vandermonde in the
-# z_i, and maps it back with the world's back, z_i -> x_i + 1/x_i.  That map
-# is a ring homomorphism for any unit monomial x_i, so the routes still
-# evaluate at points such as (x_1, ..., 1/x_n) or (-x_1, x_2, ...).
-# ortho_jt has no divisor: every J_r is already a polynomial in the z_i,
-# built by jseries_table.
+# (x_i - 1/x_i) times g_c(z_i), z_i = x_i + 1/x_i, for polynomials g_c that
+# are the same in every row, sums of odd(a) = (x^a - x^-a) / (x - 1/x).  The
+# symplectic denominator is prod(x_i - 1/x_i) * prod_{i<j}(z_i - z_j), so
+# what is left to divide by is a Vandermonde in z.  Divided differences in
+# z take it out with no division: row i becomes (-1)^(i-1) g_c[z_1..z_i],
+# read from _divided_odds, and the determinant *is* the quotient, checked
+# at the empty partition by _checked_det.  Each route builds its rows in one
+# _ZWorld per call and maps the value back by z_i -> x_i + 1/x_i, a ring
+# homomorphism for any unit monomial x_i, so the routes still evaluate at
+# points such as (x_1, ..., 1/x_n) or (-x_1, x_2, ...).  ortho_jt needs no
+# divided difference: every J_r is already a polynomial in the z_i.
 
 
 def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
@@ -213,34 +210,39 @@ def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
     return _prod(vs, (x - x.inverse() for x in xs)) * _vandermonde(vs, [x + x.inverse() for x in xs])
 
 
-def symplectic_reduced_denominator(zs: Sequence[Poly]) -> Poly:
-    """prod_{i<j}(z_i - z_j): the symplectic denominator over
-    prod(x_i - 1/x_i), at z_i = x_i + 1/x_i."""
-    return _vandermonde(_vs_of(zs), zs)
+def _divided_odds(letters: Sequence[Poly], top: int, vs: VariableSet) -> list[list[Poly]]:
+    """The row tables over letters l_1..l_n in vs, each l = x + 1/x for a
+    pair x, 1/x: odds[i - 1][a], 0 <= a <= top, is (-1)^(i-1) times the
+    divided difference of odd(a) over l_1..l_i.  As sum_a odd(a) t^(a-1) =
+    1/(1 - l t + t^2), that is h_(a-i) of the pairs behind l_1..l_i (zero
+    for a < i), which complete_table gives.  Rows sum_a c_a odd(a) at l_i,
+    the same c_a in every row, have prod_{i<j}(l_i - l_j) times the
+    determinant that the same rows read from these tables have."""
+    zero = vs.zero()
+    odds = []
+    for i in range(1, len(letters) + 1):
+        h = complete_table(top - i, (), vs, zs=letters[:i])
+        odds.append([zero] * i + (h if i % 2 else [-c for c in h]))
+    return odds
 
 
-def _reducer(z: Poly):
-    """odd(a) = (x^a - x^-a) / (x - 1/x) as a polynomial in z = x + 1/x:
-    odd(0) = 0, odd(1) = 1, odd(a + 1) = z odd(a) - odd(a - 1) and
-    odd(-a) = -odd(a).  The table grows as far as it is asked."""
-    table = [z.vars.zero(), z.vars.one()]
-
-    def odd(a: int) -> Poly:
-        b = abs(a)
-        while len(table) <= b:
-            table.append(z * table[-1] - table[-2])
-        return -table[b] if a < 0 else table[b]
-
-    return odd
+def _checked_det(family: str, rows, lam: Partition, vs: VariableSet) -> Poly:
+    """sign * det(matrix) for (matrix, sign) = rows(lam) over vs, with no
+    division, after _check_divisor has checked the rows against 1."""
+    _check_divisor(family, rows, vs.one())
+    matrix, sign = rows(lam)
+    det = det_cofactor(matrix, vs)
+    return -det if sign < 0 else det
 
 
 class _ZWorld:
     """The z-world of one call over the letters xs and ys, which share one
     variable set: that set followed by one z-letter z_i = x_i + 1/x_i per
     x-letter, named apart from its names.  ext is the extended set, zs the
-    z-letters, ys the y-letters lifted into ext with zero z-exponents, odds
-    one _reducer per z-letter, and back(p) maps a polynomial in ext to the
-    caller's variables by z_i -> x_i + 1/x_i."""
+    z-letters, ys the y-letters lifted into ext with zero z-exponents, and
+    back(p) maps a polynomial in ext to the caller's variables by
+    z_i -> x_i + 1/x_i.  Rows come from divided differences in z over zs
+    (_divided_odds); no division."""
 
     def __init__(self, xs: Sequence[Poly], ys: Sequence[Poly]):
         vs = _vs_of(xs, ys)
@@ -255,7 +257,6 @@ class _ZWorld:
             LaurentPolynomial._raw(ext, {k << 8 * y.fbytes * count: c for k, c in y.terms.items()}, y.fbytes, y.bound)
             for y in ys
         ]
-        self.odds = [_reducer(z) for z in self.zs]
         self._vs, self._xs = vs, xs
 
     def back(self, p: Poly) -> Poly:
@@ -273,20 +274,21 @@ def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
 
 
 def _symplectic_rows(odds):
-    """rows(lam) for _checked_quotient: symplectic_matrix(lam, xs) with row
-    i divided by x_i - 1/x_i, and sign 1."""
+    """rows(lam) for _checked_det: symplectic_matrix(lam, xs) with row i
+    divided by x_i - 1/x_i and read from the row tables odds, and sign 1."""
     n = len(odds)
-    return lambda lam: ([[odd(lam.part(j) + n - j + 1) for j in range(1, n + 1)] for odd in odds], 1)
+    return lambda lam: ([[odd[lam.part(j) + n - j + 1] for j in range(1, n + 1)] for odd in odds], 1)
 
 
 def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """Weyl quotient det(x_i^a - x_i^-a) / det(x_i^b - x_i^-b), with
-    a = lam_j + n - j + 1 and b = n - j + 1, in z = x + 1/x: the checked
-    quotient of the reduced rows' determinant by
-    symplectic_reduced_denominator."""
-    require_length(lam, len(xs))
+    a = lam_j + n - j + 1 and b = n - j + 1, in z = x + 1/x by divided
+    differences in z; no division."""
+    n = len(xs)
+    require_length(lam, n)
     w = _ZWorld(xs, ())
-    return w.back(_checked_quotient("symplectic", _symplectic_rows(w.odds), lam, symplectic_reduced_denominator(w.zs)))
+    rows = _symplectic_rows(_divided_odds(w.zs, lam.part(1) + n, w.ext))
+    return w.back(_checked_det("symplectic", rows, lam, w.ext))
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -336,33 +338,31 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     replaces main column j by the divided difference in y of main columns
     1..j over y_1..y_j: f becomes (-1)^(j-1) x prod_{t>j}(x + y_t) =
     (-1)^(j-1) sum_r e_r(y_{j+1}..y_m) x^(m-j+1-r), and the lower border is
-    _divided_lower_border's.  Each main row is then x_i - 1/x_i times a row
-    of sums c_r odd(r) in z_i.  The transform divides the determinant by
-    prod_{s<t}(y_t - y_s), so the value is the exact quotient of the reduced
-    determinant by symplectic_reduced_denominator alone, with sign
-    _bordered_sign, and it holds at repeated y-letters.  Sign times the
-    determinant of the reduced rows at the empty partition is checked
-    against that divisor on every call.
+    _divided_lower_border's.  Each main row is x_i - 1/x_i times sums
+    c_r odd(r) in z_i, read from _divided_odds: divided differences in z.
+    So the determinant, with sign _bordered_sign, is the character with no
+    division, checked at the empty partition, and holds at repeated y-letters.
     """
     n, m = len(xs), len(ys)
     w = _ZWorld(xs, ys)
     zero = w.ext.zero()
     # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
     tails = [complete_table(m - t, (), w.ext, ys=w.ys[t:]) for t in range(m + 1)]
+    odds = _divided_odds(w.zs, max(lam.part(1) + n, m), w.ext)
 
     def combine(odd, es, top: int) -> Poly:
-        return sum((c * odd(top - r) for r, c in enumerate(es)), zero)
+        return sum((c * odd[top - r] for r, c in enumerate(es)), zero)
 
-    main = [[(-1) ** j * combine(odd, tails[j + 1], m - j) for j in range(m)] for odd in w.odds]
+    main = [[(-1) ** j * combine(odd, tails[j + 1], m - j) for j in range(m)] for odd in odds]
     lower = _divided_lower_border(lam, n, w.ys, w.ext)
 
     def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
         k = k_index(p, n, m)
         exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
-        rows = [row + [combine(odd, tails[0], e + m) for e in exps] for row, odd in zip(main, w.odds)]
+        rows = [row + [combine(odd, tails[0], e + m) for e in exps] for row, odd in zip(main, odds)]
         return rows + lower(p, k), _bordered_sign(n, m, k)
 
-    return w.back(_checked_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(w.zs)))
+    return w.back(_checked_det("orthosymplectic", bordered, lam, w.ext))
 
 
 def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -378,63 +378,64 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
 
     Row i of the main block and border is x_i - 1/x_i times a row in z_i:
     (-1)^(m-j) odd(j), and sum_r e_r(Y) odd(e + m - r) from
-    prod_q(x + y_q) = sum_r e_r(Y) x^(m-r).  The value is the signed
-    checked quotient of that determinant by symplectic_reduced_denominator.
+    prod_q(x + y_q) = sum_r e_r(Y) x^(m-r).  Read from _divided_odds, those
+    rows are divided differences in z, so the signed determinant is the
+    character with no division, checked at the empty partition.
     """
     n, m = len(xs), len(ys)
     w = _ZWorld(xs, ys)
     zero = w.ext.zero()
     e_all = complete_table(m, (), w.ext, ys=w.ys)
     hy = complete_table(lam.conjugate().part(1) - n - 1 + m, w.ys, w.ext)
-    main = [[-odd(j) if (m - j) % 2 else odd(j) for j in range(1, m + 1)] for odd in w.odds]
+    odds = _divided_odds(w.zs, max(lam.part(1) + n, m), w.ext)
+    main = [[-odd[j] if (m - j) % 2 else odd[j] for j in range(1, m + 1)] for odd in odds]
 
     def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
         k = k_index(p, n, m)
         pc = p.conjugate()
         exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
         rows = [
-            row + [sum((c * odd(e + m - r) for r, c in enumerate(e_all)), zero) for e in exps]
-            for row, odd in zip(main, w.odds)
+            row + [sum((c * odd[e + m - r] for r, c in enumerate(e_all)), zero) for e in exps]
+            for row, odd in zip(main, odds)
         ]
         for i in range(1, m - n + k):
             a = pc.part(i) - n - i
             rows.append([hy[a + j] if a + j >= 0 else zero for j in range(1, m + 1)] + [zero] * (k - 1))
         return rows, -1 if (m * n - n + k - 1) % 2 else 1
 
-    return w.back(_checked_quotient("orthosymplectic", bordered, lam, symplectic_reduced_denominator(w.zs)))
+    return w.back(_checked_det("orthosymplectic", bordered, lam, w.ext))
 
 
 def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
     """One-prime-variable case: det(x_i^(a+1) - x_i^-(a+1) + y (x_i^a - x_i^-a))
-    over the symplectic denominator product, a = lam_j + n - j.  In z:
-    the checked quotient of rows odd(a + 1) + y odd(a) by
-    symplectic_reduced_denominator."""
+    over the symplectic denominator product, a = lam_j + n - j.  In z, by
+    divided differences: the checked determinant of the rows
+    odd(a + 1) + y odd(a) read from _divided_odds; no division."""
     n = len(xs)
     require_length(lam, n)
     w = _ZWorld(xs, [y])
     (y,) = w.ys
+    odds = _divided_odds(w.zs, lam.part(1) + n, w.ext)
 
     def rows(p: Partition) -> tuple[list[list[Poly]], int]:
         exps = [p.part(j) + n - j for j in range(1, n + 1)]
-        return [[odd(a + 1) + y * odd(a) for a in exps] for odd in w.odds], 1
+        return [[odd[a + 1] + y * odd[a] for a in exps] for odd in odds], 1
 
-    return w.back(_checked_quotient("symplectic", rows, lam, symplectic_reduced_denominator(w.zs)))
+    return w.back(_checked_det("symplectic", rows, lam, w.ext))
 
 
 def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y), summed in z and
-    mapped back once; every sp_mu is symplectic_weyl's reduced quotient by
-    the same divisor, which _check_divisor checks once per call, after the
-    divisions."""
+    mapped back once; each sp_mu is the determinant of symplectic_weyl's
+    rows, divided differences in z (no division), checked once per call."""
+    n = len(xs)
     w = _ZWorld(xs, ys)
-    rows = _symplectic_rows(w.odds)
-    delta = symplectic_reduced_denominator(w.zs)
+    rows = _symplectic_rows(_divided_odds(w.zs, lam.part(1) + n, w.ext))
+    _check_divisor("symplectic", rows, w.ext.one())
     lamc = lam.conjugate()
     total = w.ext.zero()
-    for mu in subpartitions(lam, max_length=len(xs)):
-        sp = exact_div(det_cofactor(rows(mu)[0], w.ext), delta)
-        total = total + sp * skew_schur_jt(lamc, mu.conjugate(), w.ys, vars=w.ext)
-    _check_divisor("symplectic", rows, delta)
+    for mu in subpartitions(lam, max_length=n):
+        total = total + det_cofactor(rows(mu)[0], w.ext) * skew_schur_jt(lamc, mu.conjugate(), w.ys, vars=w.ext)
     return w.back(total)
 
 
@@ -445,13 +446,6 @@ def odd_denominator_product(xs: Sequence[Poly]) -> Poly:
     """prod_{i<n}(x_i - 1/x_i) * prod_{i<j<=n}(x_i + 1/x_i - x_j - 1/x_j)."""
     vs = _vs_of(xs)
     return _prod(vs, (x - x.inverse() for x in xs[:-1])) * _vandermonde(vs, [x + x.inverse() for x in xs])
-
-
-def odd_reduced_denominator(zs: Sequence[Poly], y: Poly) -> Poly:
-    """prod_{i<j<n}(z_i - z_j) * prod_{i<n}(z_i - y - 1/y): the odd
-    symplectic denominator over prod_{i<n}(x_i - 1/x_i), at
-    z_i = x_i + 1/x_i and y = x_n."""
-    return _vandermonde(y.vars, list(zs) + [y + y.inverse()])
 
 
 def odd_symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
@@ -476,20 +470,22 @@ def odd_symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]
 
 
 def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
-    """Quotient det A_lam / det A_empty of odd_symplectic_matrix, in z for
-    x_1..x_{n-1}: the checked quotient of the reduced rows' determinant,
-    row i < n of A_lam divided by x_i - 1/x_i, by odd_reduced_denominator."""
+    """Quotient det A_lam / det A_empty of odd_symplectic_matrix, by divided
+    differences in z; no division.  Row i < n of A_lam is x_i - 1/x_i times
+    g(z_i), g = odd(a + 1) - (1/y) odd(a), and row n is y^a = g(y + 1/y), so
+    _divided_odds over the letters z_1..z_{n-1}, y + 1/y gives every row."""
     n = len(xs)
     require_length(lam, n)
     w = _ZWorld(xs[:-1], xs[-1:])
     (y,) = w.ys
     yb = y.inverse()
+    odds = _divided_odds(w.zs + [y + yb], lam.part(1) + n, w.ext)
 
     def rows(p: Partition) -> tuple[list[list[Poly]], int]:
         exps = [p.part(j) + n - j for j in range(1, n + 1)]
-        return [[odd(a + 1) - yb * odd(a) for a in exps] for odd in w.odds] + [[y ** a for a in exps]], 1
+        return [[odd[a + 1] - yb * odd[a] for a in exps] for odd in odds], 1
 
-    return w.back(_checked_quotient("odd symplectic", rows, lam, odd_reduced_denominator(w.zs, y)))
+    return w.back(_checked_det("odd symplectic", rows, lam, w.ext))
 
 
 # -- request dispatch --------------------------------------------------------

@@ -16,6 +16,7 @@ alphabet x1..xn, y1..ym (plus extra letters) its one builder, standard_xy.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraError, LaurentPolynomial, VariableSet, det_cofactor
@@ -25,13 +26,19 @@ class Partition:
     """Weakly decreasing tuple of nonnegative integers, trailing zeros trimmed.
 
     Parts beyond the length read as zero; ``part(j)`` is 1-based to match the
-    usual indexing of character formulas.
+    usual indexing of character formulas.  A part that is not an integer
+    (2.7, "3") is a ValueError, not truncated or parsed.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = [int(p) for p in parts]
+        ps = []
+        for p in parts:
+            try:
+                ps.append(index(p))
+            except TypeError:
+                raise ValueError(f"part {p!r} is not an integer") from None
         while ps and ps[-1] == 0:
             ps.pop()
         for a, b in zip(ps, ps[1:]):

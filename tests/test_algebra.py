@@ -30,6 +30,8 @@ from ospchar.algebra import (
 from ospchar.characters import standard_x, standard_xy
 from ospchar.symfun import Partition
 
+import test_characters  # the test-side references that still divide
+
 VS2 = VariableSet(["a", "b"])
 VS3 = VariableSet(["a", "b", "c"])
 
@@ -609,48 +611,62 @@ def test_exact_div_rejects_a_non_multiple(a, b, r):
     assert exact_div(dividend - remainder, b) * b == dividend - remainder
 
 
-def _route_divisions(monkeypatch, call):
+def _route_divisions(monkeypatch, call, module=characters):
+    """The (dividend, divisor) pairs of every exact_div that ``call`` makes
+    through ``module``'s name for it."""
     seen = []
-    real = characters.exact_div
+    real = module.exact_div
 
     def record(a, b):
         seen.append((a, b))
         return real(a, b)
 
     with monkeypatch.context() as patch:
-        patch.setattr(characters, "exact_div", record)
+        patch.setattr(module, "exact_div", record)
         call()
     assert seen, "the route made no division"
     return seen
 
 
-# case -> (route call, sympy oracle).  sympy's cancel takes minutes on the
-# orthosymplectic division (a gcd over 6 variables), so that case uses its
-# exact quotient instead.
+# case -> (route call, sympy oracle), or (reference call, sympy oracle,
+# module whose exact_div the reference calls).  The C_n-type routes divide by
+# nothing: they take the Vandermonde in z out by divided differences, so
+# their cases keep every dividend through the test-side references that
+# still divide, at the same shapes: the x-world quotients, and the two
+# orthosymplectic determinants before their divided differences in z (the
+# Laurent one's x-world divisions at n = 4 take sympy about 40 s).  sympy's
+# cancel takes minutes on the orthosymplectic divisions (a gcd over 6 or
+# more variables), so those cases use the exact quotient instead.
 ROUTE_DIVISIONS = {
     "symplectic_weyl n=4 lambda=5,1": (
-        lambda: characters.symplectic_weyl(Partition([5, 1]), standard_x(4)[1]),
+        lambda: test_characters.x_world_weyl(Partition([5, 1]), standard_x(4)[1]),
         "cancel",
+        test_characters,
     ),
     "odd_symplectic_det n=4 lambda=5,1": (
-        lambda: characters.odd_symplectic_det(Partition([5, 1]), standard_x(4)[1]),
+        lambda: test_characters.x_world_okada(Partition([5, 1]), standard_x(4)[1]),
         "cancel",
+        test_characters,
     ),
     "ortho_det_rational n=m=3 lambda=3,2,1": (
-        lambda: characters.ortho_det_rational(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
+        lambda: test_characters._reference_ortho_det_rational(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
         "exquo",
+        test_characters,
     ),
     "ortho_det_laurent n=4 m=3 lambda=3,2,1": (
-        lambda: characters.ortho_det_laurent(Partition([3, 2, 1]), *standard_xy(4, 3)[1:]),
+        lambda: test_characters._reference_ortho_det_laurent(Partition([3, 2, 1]), *standard_xy(4, 3)[1:]),
         "exquo",
+        test_characters,
     ),
     "ortho_single_y n=3 lambda=4,2": (
-        lambda: characters.ortho_single_y(Partition([4, 2]), *standard_xy(3, 1)[1:2], standard_xy(3, 1)[2][0]),
+        lambda: test_characters.x_world_single_y(Partition([4, 2]), *standard_xy(3, 1)[1:2], standard_xy(3, 1)[2][0]),
         "cancel",
+        test_characters,
     ),
     "ortho_sp_schur_sum n=3 m=2 lambda=3,2,1": (
-        lambda: characters.ortho_sp_schur_sum(Partition([3, 2, 1]), *standard_xy(3, 2)[1:]),
+        lambda: test_characters.x_world_sp_schur_sum(Partition([3, 2, 1]), *standard_xy(3, 2)[1:]),
         "cancel",
+        test_characters,
     ),
     "hook_schur_det n=m=3 lambda=3,2,1": (
         lambda: characters.hook_schur_det(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
@@ -665,8 +681,8 @@ ROUTE_DIVISIONS = {
 
 @pytest.mark.parametrize("case", sorted(ROUTE_DIVISIONS))
 def test_route_divisions_match_the_reference(monkeypatch, case):
-    call, _ = ROUTE_DIVISIONS[case]
-    for a, b in _route_divisions(monkeypatch, call):
+    call, _, *module = ROUTE_DIVISIONS[case]
+    for a, b in _route_divisions(monkeypatch, call, *module):
         assert exact_div(a, b) == _reference_exact_div(a, b)
 
 
@@ -676,8 +692,8 @@ def test_route_divisions_agree_with_sympy(monkeypatch, case):
     from sympy import ZZ
     from sympy.polys.rings import ring
 
-    call, oracle = ROUTE_DIVISIONS[case]
-    for a, b in _route_divisions(monkeypatch, call):
+    call, oracle, *module = ROUTE_DIVISIONS[case]
+    for a, b in _route_divisions(monkeypatch, call, *module):
         R, *_ = ring(",".join(a.vars.names), ZZ)
         amin, bmin = _min_exponents(a), _min_exponents(b)
         A = R.from_dict(_shift(a, (-x for x in amin)).tuple_terms())

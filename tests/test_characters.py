@@ -10,7 +10,6 @@ from ospchar.characters import (
     hook_schur_det,
     hook_schur_jt,
     odd_denominator_product,
-    odd_reduced_denominator,
     odd_symplectic_det,
     odd_symplectic_matrix,
     ortho_det_laurent,
@@ -23,7 +22,6 @@ from ospchar.characters import (
     standard_xy,
     symplectic_denominator_product,
     symplectic_matrix,
-    symplectic_reduced_denominator,
     symplectic_weyl,
 )
 from ospchar import tableaux
@@ -273,14 +271,17 @@ def test_denominator_factor_groups_multiply_to_the_product_form(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_reduced_denominators_are_the_product_forms_over_the_long_roots(n):
-    # at z_i = x_i + 1/x_i the routes' divisors times the long-root group
-    # prod(x_i - 1/x_i) are the C_n-type denominators
+    # the Vandermonde in the routes' letters, which their divided differences
+    # in z take out, times the long-root group prod(x_i - 1/x_i) is the
+    # C_n-type denominator at z_i = x_i + 1/x_i; Okada's last letter is
+    # x_n + 1/x_n
     vs, xs = standard_x(n)
     world = characters._ZWorld(xs, ())
-    sp = world.back(symplectic_reduced_denominator(world.zs))
+    sp = world.back(_delta(world.ext, world.zs))
     assert sp * root_groups(xs, n)[0] == symplectic_denominator_product(xs)
     world = characters._ZWorld(xs[:-1], xs[-1:])
-    odd = world.back(odd_reduced_denominator(world.zs, world.ys[0]))
+    (y,) = world.ys
+    odd = world.back(_delta(world.ext, world.zs + [y + y.inverse()]))
     assert odd * root_groups(xs, n - 1)[0] == odd_denominator_product(xs)
 
 
@@ -466,11 +467,9 @@ def test_z_world_lifts_the_caller_letters_and_maps_them_back():
             # back of a lifted caller polynomial gives it back
             lifted = (sum(world.ys, world.ext.one()) ** 2) * world.ys[0].inverse() - 3
             assert world.back(lifted) == (sum(y, vs.one()) ** 2) * y[0].inverse() - 3
-            # z_i goes back to x_i + 1/x_i, and odd(a) to (x^a - x^-a) / (x - 1/x)
-            for a, z, odd in zip(x, world.zs, world.odds):
+            # z_i goes back to x_i + 1/x_i
+            for a, z in zip(x, world.zs):
                 assert world.back(z) == a + a.inverse()
-                for e in range(-3, 5):
-                    assert world.back(odd(e)) * (a - a.inverse()) == a ** e - a ** (-e)
         labels.add(label)
     assert labels == {"inverted", "negated", "joined", "z-named"}
 
@@ -478,9 +477,69 @@ def test_z_world_lifts_the_caller_letters_and_maps_them_back():
 def test_okada_world_at_n_1_has_no_z_letters():
     vs, xs = standard_x(1)
     world = characters._ZWorld(xs[:-1], xs[-1:])
-    assert world.ext == vs and world.zs == [] and world.odds == [] and world.ys == xs
+    assert world.ext == vs and world.zs == [] and world.ys == xs
     p = (xs[0] + 2) ** 3 * xs[0].inverse()
     assert world.back(p) == p
+
+
+REAL_DIVIDED_ODDS = characters._divided_odds
+
+
+def negating_row(i):
+    """characters._divided_odds with row i's table negated: a defect that
+    flips the sign of every determinant read from it, at lam and at the
+    empty partition alike.  Negating any row but the first is the defect of
+    a lost (-1)^(i-1)."""
+
+    def broken(*args):
+        odds = REAL_DIVIDED_ODDS(*args)
+        odds[i] = [-c for c in odds[i]]
+        return odds
+
+    return broken
+
+
+def _row_table_worlds():
+    """(label, world, letters, units): each z-world a route builds, the
+    letters its rows are divided over, and the caller's units x_i behind
+    them.  Okada's last letter is y + 1/y for its lifted y = x_n, so its
+    units are all of xs, n = 1 included."""
+    points = [(label, xs, ys) for label, _, xs, ys in _specialized_points()]
+    points.append(("n = 1", standard_x(1)[1], []))
+    for label, xs, ys in points:
+        if ys:
+            world = characters._ZWorld(xs, ys)
+            yield label, world, world.zs, xs
+        world = characters._ZWorld(xs[:-1], xs[-1:])
+        (y,) = world.ys
+        yield f"{label}, okada", world, world.zs + [y + y.inverse()], xs
+
+
+def test_row_tables_are_signed_complete_functions_of_the_leading_pairs():
+    # row i's table holds odd(a)'s divided difference over l_1..l_i, signed
+    # (-1)^(i-1): back to the caller's units that is h_{a-i} of the pairs
+    # x_1, 1/x_1, ..., x_i, 1/x_i, built here from the x-letter branch
+    top = 6
+    labels = set()
+    for label, world, letters, units in _row_table_worlds():
+        vs = units[0].vars
+        odds = characters._divided_odds(letters, top, world.ext)
+        assert len(odds) == len(units)
+        for i, odd in enumerate(odds, 1):
+            pairs = [u for x in units[:i] for u in (x, x.inverse())]
+            h = complete_table(top, pairs, vs)
+            for a in range(top + 1):
+                want = (h[a - i] if i % 2 else -h[a - i]) if a >= i else vs.zero()
+                assert world.back(odd[a]) == want, (label, i, a)
+        labels.add(label)
+    points = ("inverted", "negated", "joined", "z-named")
+    assert labels == {*points, *(f"{label}, okada" for label in points + ("n = 1",))}
+    # one letter: the table is odd(a) itself, (x^a - x^-a) / (x - 1/x)
+    vs, (x,) = standard_x(1)
+    world = characters._ZWorld([x], ())
+    (odd,) = characters._divided_odds(world.zs, top, world.ext)
+    for a in range(top + 1):
+        assert world.back(odd[a]) * (x - x.inverse()) == x ** a - x ** (-a)
 
 
 @pytest.mark.parametrize("name", ["okada", "weyl"])
@@ -497,33 +556,42 @@ ORTHO_STAGED_SHAPES = [lam.parts for size in (5, 6) for lam in partitions_of(siz
 
 @pytest.mark.parametrize("parts", ORTHO_STAGED_SHAPES, ids=lambda parts: ",".join(map(str, parts)))
 def test_staged_ortho_det_rational_matches_one_shot_division(monkeypatch, parts):
-    # the divided differences in y leave the route one division, by the
-    # Vandermonde in z; the x-world determinant divides by prod(y_i - y_j)
-    # and the symplectic denominator in one call
+    # the divided differences in y and in z leave the route no division: its
+    # rows are read from one set of row tables over the z-letters.  The
+    # x-world determinant divides by prod(y_i - y_j) and the symplectic
+    # denominator in one call
     lam = Partition(list(parts))
     vs, xs, ys = standard_xy(3, 3)
-    divisions = []
+    divisions, tables = [], []
 
     def recording(a, b):
         divisions.append(b)
         return exact_div(a, b)
 
+    def recording_tables(letters, *args):
+        tables.append(letters)
+        return REAL_DIVIDED_ODDS(letters, *args)
+
     with monkeypatch.context() as patch:
         patch.setattr(characters, "exact_div", recording)
+        patch.setattr(characters, "_divided_odds", recording_tables)
         value = ortho_det_rational(lam, xs, ys)
-    ext = divisions[0].vars
+    assert divisions == [] and len(tables) == 1
+    ext = tables[0][0].vars
     assert ext.names[6:] == ("z1", "z2", "z3")
-    assert divisions == [_delta(ext, ext.gens()[6:])]
+    assert tables[0] == ext.gens()[6:]
     rows, sign = _rational_rows(lam, xs, ys)
     one_shot = _delta(vs, ys) * symplectic_denominator_product(xs)
     assert value == sign * exact_div(det_cofactor(rows, vs), one_shot)
 
 
-# -- the routes before divided differences in y and before z in ortho_jt -------------
+# -- the routes before divided differences and before z in ortho_jt ----------------
 #
 # Both bordered determinants divided the determinant of the paper's matrix,
-# cleared of its denominators, by prod(y_i - y_j) too; ortho_jt built its J
-# table in the x-letters.  Each is the reference for the route it became.
+# cleared of its denominators, by prod(y_i - y_j) too; both orthosymplectic
+# ones divided by the Vandermonde in z before their divided differences in
+# z; ortho_jt built its J table in the x-letters.  Each is the reference for
+# the route it became.
 
 
 def _reference_hook_schur_det(lam, xs, ys):
@@ -543,6 +611,21 @@ def _reference_hook_schur_det(lam, xs, ys):
     return sign * exact_div(det_cofactor(rows, vs), _delta(vs, xs) * _delta(vs, ys))
 
 
+def _odd_reducer(z):
+    """odd(a) = (x^a - x^-a) / (x - 1/x) as a polynomial in z = x + 1/x:
+    odd(0) = 0, odd(1) = 1, odd(a + 1) = z odd(a) - odd(a - 1) and
+    odd(-a) = -odd(a), by the recurrence the routes used before their
+    divided differences in z."""
+    table = [z.vars.zero(), z.vars.one()]
+
+    def odd(a):
+        while len(table) <= abs(a):
+            table.append(z * table[-1] - table[-2])
+        return -table[-a] if a < 0 else table[a]
+
+    return odd
+
+
 def _reference_ortho_det_rational(lam, xs, ys):
     n, m = len(xs), len(ys)
     world = characters._ZWorld(xs, ys)
@@ -553,7 +636,7 @@ def _reference_ortho_det_rational(lam, xs, ys):
     e_all = complete_table(m, (), ext, ys=ys)
     e_rest = [complete_table(m - 1, (), ext, ys=ys[:j] + ys[j + 1 :]) for j in range(m)]
     rows = []
-    for odd in world.odds:
+    for odd in map(_odd_reducer, world.zs):
         row = [sum((c * odd(m - r) for r, c in enumerate(e_rest[j])), zero) for j in range(m)]
         for j in range(1, k):
             e = lam.part(j) + n - m - j + 1
@@ -562,7 +645,31 @@ def _reference_ortho_det_rational(lam, xs, ys):
     for i in range(1, m - n + k):
         rows.append([y ** (lamc.part(i) + m - n - i) for y in ys] + [zero] * (k - 1))
     quotient = exact_div(det_cofactor(rows, ext), _delta(ext, ys))
-    quotient = exact_div(quotient, symplectic_reduced_denominator(world.zs))
+    quotient = exact_div(quotient, _delta(ext, world.zs))
+    sign = -1 if (m * n - n + k - 1) % 2 else 1
+    return sign * world.back(quotient)
+
+
+def _reference_ortho_det_laurent(lam, xs, ys):
+    n, m = len(xs), len(ys)
+    world = characters._ZWorld(xs, ys)
+    ext, ys = world.ext, world.ys
+    k = k_index(lam, n, m)
+    lamc = lam.conjugate()
+    zero = ext.zero()
+    e_all = complete_table(m, (), ext, ys=ys)
+    hy = complete_table(max(lamc.part(1) - n - 1 + m, 0), ys, ext)
+    rows = []
+    for odd in map(_odd_reducer, world.zs):
+        row = [-odd(j) if (m - j) % 2 else odd(j) for j in range(1, m + 1)]
+        for j in range(1, k):
+            e = lam.part(j) + n - m - j + 1
+            row.append(sum((c * odd(e + m - r) for r, c in enumerate(e_all)), zero))
+        rows.append(row)
+    for i in range(1, m - n + k):
+        a = lamc.part(i) - n - i
+        rows.append([hy[a + j] if a + j >= 0 else zero for j in range(1, m + 1)] + [zero] * (k - 1))
+    quotient = exact_div(det_cofactor(rows, ext), _delta(ext, world.zs))
     sign = -1 if (m * n - n + k - 1) % 2 else 1
     return sign * world.back(quotient)
 
@@ -585,6 +692,7 @@ def _reference_ortho_jt(lam, xs, ys):
 # name -> (route, its reference), each called as f(lam, xs, ys)
 REFERENCES = {
     "det": (ortho_det_rational, _reference_ortho_det_rational),
+    "det_equiv": (ortho_det_laurent, _reference_ortho_det_laurent),
     "hook": (hook_schur_det, _reference_hook_schur_det),
     "jt": (ortho_jt, _reference_ortho_jt),
 }
@@ -632,41 +740,46 @@ def test_bordered_determinants_hold_at_repeated_y_letters(parts):
 
 
 @pytest.mark.parametrize(
-    "route, divisor, family",
+    "route, target, family",
     [
-        (ortho_det_rational, "symplectic_reduced_denominator", "orthosymplectic"),
+        (ortho_det_rational, "_divided_odds", "orthosymplectic"),
         (hook_schur_det, "_vandermonde", "hook"),
-        (lambda lam, xs, ys: symplectic_weyl(lam, xs), "symplectic_reduced_denominator", "symplectic"),
-        (lambda lam, xs, ys: ortho_single_y(lam, xs, ys[0]), "symplectic_reduced_denominator", "symplectic"),
-        (ortho_sp_schur_sum, "symplectic_reduced_denominator", "symplectic"),
-        (lambda lam, xs, ys: odd_symplectic_det(lam, xs), "odd_reduced_denominator", "odd symplectic"),
-        (ortho_det_laurent, "symplectic_reduced_denominator", "orthosymplectic"),
+        (lambda lam, xs, ys: symplectic_weyl(lam, xs), "_divided_odds", "symplectic"),
+        (lambda lam, xs, ys: ortho_single_y(lam, xs, ys[0]), "_divided_odds", "symplectic"),
+        (ortho_sp_schur_sum, "_divided_odds", "symplectic"),
+        (lambda lam, xs, ys: odd_symplectic_det(lam, xs), "_divided_odds", "odd symplectic"),
+        (ortho_det_laurent, "_divided_odds", "orthosymplectic"),
     ],
     ids=["orthosymplectic", "hook", "weyl", "single_y", "sp_schur_sum", "okada", "det_laurent"],
 )
-def test_bordered_determinants_check_their_divisor_at_the_empty_partition(monkeypatch, route, divisor, family):
-    # the negated divisor divides exactly; only the check at the empty
-    # partition tells the wrong sign.  Every route that divides by a
-    # product-form denominator makes that check.
-    real = getattr(characters, divisor)
-    monkeypatch.setattr(characters, divisor, lambda *args: -real(*args))
+def test_bordered_determinants_check_their_divisor_at_the_empty_partition(monkeypatch, route, target, family):
+    # hook's negated divisor divides exactly, and a negated row table keeps
+    # the other routes' determinants polynomial; only the check at the empty
+    # partition tells the wrong sign.  Every route with a product-form
+    # denominator, divided by or taken out by divided differences in z, makes
+    # that check.
+    if target == "_vandermonde":
+        real = characters._vandermonde
+        monkeypatch.setattr(characters, target, lambda *args: -real(*args))
+    else:
+        monkeypatch.setattr(characters, target, negating_row(0))
     _, xs, ys = standard_xy(2, 2)
     with pytest.raises(RuntimeError, match=f"^{family} denominator does not match its product form$"):
         route(Partition([2, 1]), xs, ys)
 
 
 def test_ortho_sp_schur_sum_builds_its_denominator_groups_once(monkeypatch):
-    # every mu's symplectic quotient divides by the divisor checked once per call
+    # every mu's symplectic determinant reads the same row tables, built and
+    # checked once per call
     calls = []
-    real = characters.symplectic_reduced_denominator
 
-    def counting(zs):
-        calls.append(len(zs))
-        return real(zs)
+    def counting(letters, *args):
+        calls.append(len(letters))
+        return REAL_DIVIDED_ODDS(letters, *args)
 
     lam = Partition([3, 2, 1])
     vs, xs, ys = standard_xy(3, 2)
-    monkeypatch.setattr(characters, "symplectic_reduced_denominator", counting)
+    monkeypatch.setattr(characters, "_divided_odds", counting)
     value = ortho_sp_schur_sum(lam, xs, ys)
     assert calls == [3]
     assert value == tableaux.orthosymplectic_weight_sum(lam, 3, 2)

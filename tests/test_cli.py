@@ -19,6 +19,8 @@ from ospchar.characters import standard_xy
 from ospchar.cli import _build_parser, _emit, _verify_flags, main
 from ospchar.identities import IDENTITIES, VerificationReport
 
+from test_characters import negating_row
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -409,20 +411,27 @@ def test_suite_json_is_pinned(capsys):
 
 
 def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
-    real = characters.symplectic_reduced_denominator
-    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: real(zs) + 1)
-    code, _, err = run(capsys, "verify", "--identity", "ortho_methods", "--n", "2", "--m", "1", "--lambda", "2,1")
+    # hook_schur_det divides by the Vandermonde in x: off by one, it leaves
+    # a remainder
+    real = characters._vandermonde
+    monkeypatch.setattr(characters, "_vandermonde", lambda vs, letters: real(vs, letters) + 1)
+    code, _, err = run(capsys, "verify", "--identity", "hook_methods", "--n", "2", "--m", "1", "--lambda", "2,1")
     assert code == 3 and err.startswith("ospchar: internal error: inexact division")
+    code, _, err = run(capsys, "compute", "--family", "hook", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1")
+    assert code == 3 and err.startswith("ospchar: internal error:")
+    # the C_n-type routes divide by nothing; they check their rows at the
+    # empty partition, where a negated row table shows, and only that check
+    # tells
+    monkeypatch.undo()
+    monkeypatch.setattr(characters, "_divided_odds", negating_row(0))
+    code, _, err = run(capsys, "compute", "--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1")
+    assert code == 3 and "denominator does not match its product form" in err
     code, _, err = run(
         capsys, "compute", "--family", "orthosymplectic", "--method", "det",
         "--n", "2", "--m", "1", "--lambda", "2,1",
     )
     assert code == 3 and err.startswith("ospchar: internal error:")
-    # the Weyl quotient checks its divisor against its own rows at the empty
-    # partition: a negated divisor divides exactly, and only that check tells
-    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: -real(zs))
-    code, _, err = run(capsys, "compute", "--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1")
-    assert code == 3 and "denominator does not match its product form" in err
+    assert "denominator does not match its product form" in err
     # a ValueError a route raises past compute's own domain check is a defect
     monkeypatch.undo()
     monkeypatch.setattr(characters, "skew_schur_jt", nested_domain_check)
@@ -441,10 +450,10 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
 
 def test_formula_defect_message_stays_short(capsys, monkeypatch):
     # the remainder has thousands of terms; the message names only the first few
-    real = characters.symplectic_reduced_denominator
-    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: real(zs) + zs[0])
+    real = characters._vandermonde
+    monkeypatch.setattr(characters, "_vandermonde", lambda vs, letters: real(vs, letters) + letters[0])
     code, _, err = run(
-        capsys, "compute", "--family", "orthosymplectic", "--method", "det",
+        capsys, "compute", "--family", "hook", "--method", "det",
         "--n", "3", "--m", "3", "--lambda", "3,2,1",
     )
     assert code == 3 and err.startswith("ospchar: internal error: inexact division, remainder of ")
@@ -452,34 +461,40 @@ def test_formula_defect_message_stays_short(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "divisor, argv",
+    "target, argv",
     [
-        ("symplectic_reduced_denominator", ["--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1"]),
+        ("_divided_odds", ["--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1"]),
+        ("_divided_odds", ["--family", "orthosymplectic", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"]),
         (
-            "symplectic_reduced_denominator",
-            ["--family", "orthosymplectic", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"],
-        ),
-        (
-            "symplectic_reduced_denominator",
+            "_divided_odds",
             ["--family", "orthosymplectic", "--method", "sp_schur_sum", "--n", "2", "--m", "1", "--lambda", "2,1"],
         ),
-        ("odd_reduced_denominator", ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"]),
+        ("_divided_odds", ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"]),
+        ("_vandermonde", ["--family", "hook", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"]),
     ],
-    ids=["weyl", "det", "sp_schur_sum", "okada"],
+    ids=["weyl", "det", "sp_schur_sum", "okada", "hook"],
 )
-def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, divisor, argv):
-    # the reduced denominator is the one factor group the route divides by.
-    # Every route divides before it checks the divisor at the empty
-    # partition: off by a constant or by the first z-letter, the division
-    # leaves a remainder; negated, it divides exactly and the check tells.
-    real = getattr(characters, divisor)
-    for broken, message in (
-        (lambda *args: real(*args) + 1, "inexact division"),
-        (lambda zs, *rest: real(zs, *rest) + zs[0], "inexact division"),
-        (lambda *args: -real(*args), "denominator does not match its product form"),
-    ):
+def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, target, argv):
+    # The reduced denominator is the one factor group left.  The C_n-type
+    # routes take it out by divided differences in z: a negated row table,
+    # first or last (a lost sign), keeps every determinant polynomial, and
+    # the check at the empty partition tells.  hook_schur_det divides by it
+    # before that check: off by a constant or by the first letter, the
+    # division leaves a remainder; negated, it divides exactly and the
+    # check tells.
+    mismatch = "denominator does not match its product form"
+    real = characters._vandermonde
+    defects = {
+        "_divided_odds": ((negating_row(0), mismatch), (negating_row(-1), mismatch)),
+        "_vandermonde": (
+            (lambda vs, letters: real(vs, letters) + 1, "inexact division"),
+            (lambda vs, letters: real(vs, letters) + letters[0], "inexact division"),
+            (lambda *args: -real(*args), mismatch),
+        ),
+    }
+    for broken, message in defects[target]:
         with monkeypatch.context() as patch:
-            patch.setattr(characters, divisor, broken)
+            patch.setattr(characters, target, broken)
             code, out, err = run(capsys, "compute", *argv)
         assert code == 3 and not out, broken
         assert err.startswith("ospchar: internal error:") and message in err, broken
@@ -492,13 +507,12 @@ def nested_domain_check(*args, **kwargs):
 
 @pytest.mark.parametrize("as_json", [False, True])
 def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as_json):
-    real = characters.symplectic_reduced_denominator
     argv = ["suite", "--max-n", "1", "--max-m", "1", "--max-weight", "1"] + (["--json"] if as_json else [])
     # a wrong value, and a ValueError from inside the routes: every grid
     # point is in its identity's domain, so neither is a usage error
-    for broken in (lambda zs: real(zs) + 1, nested_domain_check):
+    for broken in (negating_row(0), nested_domain_check):
         with monkeypatch.context() as patch:
-            patch.setattr(characters, "symplectic_reduced_denominator", broken)
+            patch.setattr(characters, "_divided_odds", broken)
             code, out, err = run(capsys, *argv)
         assert code == 3 and err.startswith("ospchar: internal error:"), broken
         if as_json:
@@ -511,8 +525,9 @@ def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as
         assert len(statuses) == 36  # as many as a clean run
         assert ("ortho_methods", "error") in statuses
         assert all(status == "pass" for identity, status in statuses if identity == "hook_methods")
-        # one golden example breaks; the other three are still checked
-        assert [status for identity, status in statuses if identity == "golden"] == ["error", "pass", "pass", "pass"]
+        # the two golden examples that read row tables (orthosymplectic det
+        # and Okada) break; the other two are still checked
+        assert [status for identity, status in statuses if identity == "golden"] == ["error", "pass", "pass", "error"]
 
 
 def test_verify_reports_a_route_value_error_as_internal(capsys, monkeypatch):

@@ -35,6 +35,8 @@ from ospchar.identities import (
 )
 from ospchar import tableaux
 
+from test_characters import negating_row
+
 
 def test_supersymmetry_examples():
     assert verify_supersymmetry(Partition([2, 1]), 2, 1).passed
@@ -263,10 +265,9 @@ def test_run_suite_covers_the_registry():
 
 
 def test_run_check_turns_a_computation_error_into_a_report(monkeypatch):
-    real = characters.symplectic_reduced_denominator
-    # negated, the divisor divides exactly; the check at the empty partition
-    # raises the RuntimeError
-    monkeypatch.setattr(characters, "symplectic_reduced_denominator", lambda zs: -real(zs))
+    # a negated row table keeps the determinant polynomial; the check at the
+    # empty partition raises the RuntimeError
+    monkeypatch.setattr(characters, "_divided_odds", negating_row(0))
     (rep,) = run_check("symplectic_methods", {"lam": Partition([1]), "n": 2})
     assert rep.status == "error" and not rep.passed
     assert rep.params == {"lambda": "1", "n": 2}

@@ -55,6 +55,15 @@ def test_partition_validation():
         Partition([-1])
 
 
+@pytest.mark.parametrize("parts", [[2.7, 1], [2.0, 1], ["3"], [3, "2"], [None]], ids=repr)
+def test_partition_rejects_parts_that_are_not_integers(parts):
+    # a float is not truncated to the partition it would round to, and a
+    # string is not parsed: only from_string parses text
+    with pytest.raises(ValueError, match=r"^part .* is not an integer$"):
+        Partition(parts)
+    assert Partition([True, 1]) == Partition([1, 1])  # operator.index takes integer types
+
+
 def test_partition_parsing():
     assert Partition.from_string("3,2,2") == Partition([3, 2, 2])
     assert Partition.from_string("") == Partition()
