@@ -22,18 +22,17 @@ The seven C_n-type routes (symplectic_weyl, ortho_jt, ortho_det_rational,
 ortho_det_laurent, ortho_single_y, ortho_sp_schur_sum, odd_symplectic_det)
 compute in z_i = x_i + 1/x_i, in a _ZWorld over their own letters, and map
 back at the end.  All but ortho_jt take their Vandermonde in z out by
-divided differences in z over their n main rows; no division (see the
-comment that opens their section).  The two bordered determinants with a
-Cauchy-type block (hook and orthosymplectic rational) apply divided
-differences in y to their m main columns, which takes prod(y_i - y_j) out.
+divided differences in z over their n main rows (see the comment that
+opens their section).  schur_bialternant and hook_schur_det take
+prod(x_i - x_j) out the same way, by divided differences in x over their
+n main rows.  The two bordered determinants with a Cauchy-type block (hook
+and orthosymplectic rational) also apply divided differences in y to their
+m main columns, which takes prod(y_i - y_j) out.
 
-hook_schur_det is the one route that divides by a product-form
-denominator, in _checked_quotient: it divides first, so a wrong divisor
-leaves a remainder that the inexact division reports.  Every route with
-such a denominator checks sign times the determinant of its matrix at the
-empty partition, where the character is 1, against it (against 1 for the
-C_n-type routes, whose divided differences take it out), and raises a
-RuntimeError naming the family when they differ.
+No route divides.  Each determinant *is* the character, and every route
+with a product-form denominator checks sign times the determinant of its
+matrix at the empty partition, where the character is 1, against 1 in
+_checked_det, and raises a RuntimeError naming the family when they differ.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import LaurentPolynomial, VariableSet, det_cofactor, exact_div, substitute_reciprocal_sums
+from .algebra import LaurentPolynomial, VariableSet, det_cofactor, substitute_reciprocal_sums
 from .symfun import (
     Partition,
     complete_table,
@@ -80,17 +79,88 @@ def _vandermonde(vs: VariableSet, letters: Sequence[Poly]) -> Poly:
     return _prod(vs, (letters[i] - letters[j] for i in range(n) for j in range(i + 1, n)))
 
 
+# -- divided differences and the check at the empty partition ---------------
+#
+# A route whose main row i is f_c(l_i), the same polynomials f_c in every
+# row, reads row i from a table of (-1)^(i-1) times the divided differences
+# over l_1..l_i: in x (_divided_powers) or in z = x + 1/x (_divided_odds).
+# Its determinant is then its quotient by prod_{i<j}(l_i - l_j), with no
+# division, and holds at repeated letters.
+
+
+def _check_divisor(family: str, rows, vs: VariableSet) -> None:
+    """Raise a RuntimeError naming the family unless sign * det(matrix) is 1
+    for (matrix, sign) = rows(empty partition) over vs: every character is 1
+    there, and a route's rows are its matrix with the product-form
+    denominator taken out."""
+    matrix, sign = rows(Partition())
+    if sign * det_cofactor(matrix, vs) != vs.one():
+        raise RuntimeError(f"{family} denominator does not match its product form")
+
+
+def _checked_det(family: str, rows, lam: Partition, vs: VariableSet) -> Poly:
+    """sign * det(matrix) for (matrix, sign) = rows(lam) over vs, with no
+    division, after _check_divisor has checked the rows."""
+    _check_divisor(family, rows, vs)
+    matrix, sign = rows(lam)
+    det = det_cofactor(matrix, vs)
+    return -det if sign < 0 else det
+
+
+def _divided_powers(xs: Sequence[Poly], top: int, vs: VariableSet) -> list[list[Poly]]:
+    """The row tables over the letters x_1..x_n in vs: powers[i - 1][d],
+    0 <= d <= top, is (-1)^(i-1) times the divided difference of x^d over
+    x_1..x_i, which is h_(d-i+1)(x_1..x_i) (zero for d < i - 1) and
+    complete_table gives.  Rows sum_d c_d x_i^d, the same c_d in every row,
+    have prod_{i<j}(x_i - x_j) times the determinant that the same rows read
+    from these tables have.  top must be at least n - 1."""
+    zero = vs.zero()
+    powers = []
+    for i in range(1, len(xs) + 1):
+        h = complete_table(top - i + 1, xs[:i], vs)
+        powers.append([zero] * (i - 1) + (h if i % 2 else [-c for c in h]))
+    return powers
+
+
+def _divided_odds(letters: Sequence[Poly], top: int, vs: VariableSet) -> list[list[Poly]]:
+    """The row tables over letters l_1..l_n in vs, each l = x + 1/x for a
+    pair x, 1/x: odds[i - 1][a], 0 <= a <= top, is (-1)^(i-1) times the
+    divided difference of odd(a) over l_1..l_i.  As sum_a odd(a) t^(a-1) =
+    1/(1 - l t + t^2), that is h_(a-i) of the pairs behind l_1..l_i (zero
+    for a < i), which complete_table gives.  Rows sum_a c_a odd(a) at l_i,
+    the same c_a in every row, have prod_{i<j}(l_i - l_j) times the
+    determinant that the same rows read from these tables have."""
+    zero = vs.zero()
+    odds = []
+    for i in range(1, len(letters) + 1):
+        h = complete_table(top - i, (), vs, zs=letters[:i])
+        odds.append([zero] * i + (h if i % 2 else [-c for c in h]))
+    return odds
+
+
+def _combine(table: Sequence[Poly], es: Sequence[Poly], top: int) -> Poly:
+    """sum_r es[r] * table[top - r]: the entry of a row sum_r es[r] f(top - r),
+    read from the row's table of f."""
+    return sum((c * table[top - r] for r, c in enumerate(es)), es[0].vars.zero())
+
+
 # -- general linear -----------------------------------------------------
 
 
 def schur_bialternant(lam: Partition, xs: Sequence[Poly]) -> Poly:
-    """det(x_i^(lam_j + n - j)) / det(x_i^(n - j))."""
+    """det(x_i^(lam_j + n - j)) / det(x_i^(n - j)), by divided differences
+    in x; no division.  Row i, read from _divided_powers, holds
+    (-1)^(i-1) h_(lam_j + n - j - i + 1)(x_1..x_i) in column j, so its
+    determinant is the quotient, checked at the empty partition."""
     n = len(xs)
     require_length(lam, n)
     vs = _vs_of(xs)
-    num = [[xs[i] ** (lam.part(j) + n - j) for j in range(1, n + 1)] for i in range(n)]
-    den = [[xs[i] ** (n - j) for j in range(1, n + 1)] for i in range(n)]
-    return exact_div(det_cofactor(num, vs), det_cofactor(den, vs))
+    powers = _divided_powers(xs, lam.part(1) + n - 1, vs)
+
+    def rows(p: Partition) -> tuple[list[list[Poly]], int]:
+        return [[row[p.part(j) + n - j] for j in range(1, n + 1)] for row in powers], 1
+
+    return _checked_det("schur", rows, lam, vs)
 
 
 # -- hook (general linear superalgebra) ----------------------------------
@@ -129,25 +199,6 @@ def _divided_lower_border(lam: Partition, n: int, ys: Sequence[Poly], vs: Variab
     return lower
 
 
-def _check_divisor(family: str, rows, divisor: Poly) -> None:
-    """Raise a RuntimeError naming the family unless sign * det(matrix) is
-    the divisor for (matrix, sign) = rows(empty partition), where every
-    character is 1."""
-    matrix, sign = rows(Partition())
-    if sign * det_cofactor(matrix, divisor.vars) != divisor:
-        raise RuntimeError(f"{family} denominator does not match its product form")
-
-
-def _checked_quotient(family: str, rows, lam: Partition, divisor: Poly) -> Poly:
-    """sign * det(matrix) / divisor for (matrix, sign) = rows(lam), with the
-    divisor checked by _check_divisor after the division, so a divisor that
-    leaves a remainder still reports that remainder."""
-    matrix, sign = rows(lam)
-    quotient = exact_div(det_cofactor(matrix, divisor.vars), divisor)
-    _check_divisor(family, rows, divisor)
-    return -quotient if sign < 0 else quotient
-
-
 def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     """Bordered determinant with Cauchy block 1/(x_i + y_j).
 
@@ -161,31 +212,31 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
     route replaces main column j by the divided difference in y of main
     columns 1..j over y_1..y_j.  That of 1/(x + y) is
     (-1)^(j-1) / prod_{t<=j}(x + y_t), so column j becomes
-    (-1)^(j-1) prod_{t>j}(x_i + y_t), and the lower border is
-    _divided_lower_border's.  The transform is triangular and divides the
-    determinant by prod_{s<t}(y_t - y_s), so the value is the exact
-    quotient by prod(x_i - x_j) alone, with sign _bordered_sign, and it
-    holds at repeated y-letters.  Sign times the determinant of the rows at
-    the empty partition is checked against that divisor on every call.
+    (-1)^(j-1) prod_{t>j}(x_i + y_t) = (-1)^(j-1) sum_r e_r(y_{j+1}..y_m)
+    x_i^(m-j-r), and the lower border is _divided_lower_border's.  The
+    border columns hold x_i^a P_i = sum_r e_r(Y) x_i^(a+m-r).  Both are
+    polynomials in x_i, the same in every main row, so the rows are read
+    from _divided_powers: divided differences in x.  The two transforms
+    take prod(y_i - y_j) and prod(x_i - x_j) out, so the determinant, with
+    sign _bordered_sign, is the character with no division, checked at the
+    empty partition, and it holds at repeated x- and y-letters.
     """
     n, m = len(xs), len(ys)
     require_hook(lam, n, m)
     vs = _vs_of(xs, ys)
-    main, full = [], []
-    for x in xs:
-        tail = [vs.one()]  # tail[s] = prod of (x + y) over the last s y-letters
-        for y in reversed(ys):
-            tail.append((x + y) * tail[-1])
-        main.append([-tail[m - 1 - j] if j % 2 else tail[m - 1 - j] for j in range(m)])
-        full.append(tail[m])
+    # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
+    tails = [complete_table(m - t, (), vs, ys=ys[t:]) for t in range(m + 1)]
+    powers = _divided_powers(xs, max(lam.part(1) + n - 1, m - 1), vs)
+    main = [[(-1) ** j * _combine(row, tails[j + 1], m - 1 - j) for j in range(m)] for row in powers]
     lower = _divided_lower_border(lam, n, ys, vs)
 
     def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
         k = k_index(p, n, m)
-        rows = [row + [x ** (p.part(j) + n - m - j) * f for j in range(1, k)] for row, x, f in zip(main, xs, full)]
+        exps = [p.part(j) + n - m - j for j in range(1, k)]
+        rows = [head + [_combine(row, tails[0], a + m) for a in exps] for head, row in zip(main, powers)]
         return rows + lower(p, k), _bordered_sign(n, m, k)
 
-    return _checked_quotient("hook", bordered, lam, _vandermonde(vs, xs))
+    return _checked_det("hook", bordered, lam, vs)
 
 
 # -- C_n-type routes in z = x + 1/x -----------------------------------------------
@@ -208,31 +259,6 @@ def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
     """prod(x_i - 1/x_i) * prod_{i<j}(x_i + 1/x_i - x_j - 1/x_j)."""
     vs = _vs_of(xs)
     return _prod(vs, (x - x.inverse() for x in xs)) * _vandermonde(vs, [x + x.inverse() for x in xs])
-
-
-def _divided_odds(letters: Sequence[Poly], top: int, vs: VariableSet) -> list[list[Poly]]:
-    """The row tables over letters l_1..l_n in vs, each l = x + 1/x for a
-    pair x, 1/x: odds[i - 1][a], 0 <= a <= top, is (-1)^(i-1) times the
-    divided difference of odd(a) over l_1..l_i.  As sum_a odd(a) t^(a-1) =
-    1/(1 - l t + t^2), that is h_(a-i) of the pairs behind l_1..l_i (zero
-    for a < i), which complete_table gives.  Rows sum_a c_a odd(a) at l_i,
-    the same c_a in every row, have prod_{i<j}(l_i - l_j) times the
-    determinant that the same rows read from these tables have."""
-    zero = vs.zero()
-    odds = []
-    for i in range(1, len(letters) + 1):
-        h = complete_table(top - i, (), vs, zs=letters[:i])
-        odds.append([zero] * i + (h if i % 2 else [-c for c in h]))
-    return odds
-
-
-def _checked_det(family: str, rows, lam: Partition, vs: VariableSet) -> Poly:
-    """sign * det(matrix) for (matrix, sign) = rows(lam) over vs, with no
-    division, after _check_divisor has checked the rows against 1."""
-    _check_divisor(family, rows, vs.one())
-    matrix, sign = rows(lam)
-    det = det_cofactor(matrix, vs)
-    return -det if sign < 0 else det
 
 
 class _ZWorld:
@@ -345,21 +371,16 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     """
     n, m = len(xs), len(ys)
     w = _ZWorld(xs, ys)
-    zero = w.ext.zero()
     # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
     tails = [complete_table(m - t, (), w.ext, ys=w.ys[t:]) for t in range(m + 1)]
     odds = _divided_odds(w.zs, max(lam.part(1) + n, m), w.ext)
-
-    def combine(odd, es, top: int) -> Poly:
-        return sum((c * odd[top - r] for r, c in enumerate(es)), zero)
-
-    main = [[(-1) ** j * combine(odd, tails[j + 1], m - j) for j in range(m)] for odd in odds]
+    main = [[(-1) ** j * _combine(odd, tails[j + 1], m - j) for j in range(m)] for odd in odds]
     lower = _divided_lower_border(lam, n, w.ys, w.ext)
 
     def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
         k = k_index(p, n, m)
         exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
-        rows = [row + [combine(odd, tails[0], e + m) for e in exps] for row, odd in zip(main, odds)]
+        rows = [row + [_combine(odd, tails[0], e + m) for e in exps] for row, odd in zip(main, odds)]
         return rows + lower(p, k), _bordered_sign(n, m, k)
 
     return w.back(_checked_det("orthosymplectic", bordered, lam, w.ext))
@@ -431,7 +452,7 @@ def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     n = len(xs)
     w = _ZWorld(xs, ys)
     rows = _symplectic_rows(_divided_odds(w.zs, lam.part(1) + n, w.ext))
-    _check_divisor("symplectic", rows, w.ext.one())
+    _check_divisor("symplectic", rows, w.ext)
     lamc = lam.conjugate()
     total = w.ext.zero()
     for mu in subpartitions(lam, max_length=n):

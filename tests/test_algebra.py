@@ -14,7 +14,6 @@ from operator import add, mul, sub
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from ospchar import characters
 from ospchar.algebra import (
     AlgebraError,
     ExactDivisionError,
@@ -611,69 +610,63 @@ def test_exact_div_rejects_a_non_multiple(a, b, r):
     assert exact_div(dividend - remainder, b) * b == dividend - remainder
 
 
-def _route_divisions(monkeypatch, call, module=characters):
+def _route_divisions(monkeypatch, call):
     """The (dividend, divisor) pairs of every exact_div that ``call`` makes
-    through ``module``'s name for it."""
+    through test_characters' name for it."""
     seen = []
-    real = module.exact_div
+    real = test_characters.exact_div
 
     def record(a, b):
         seen.append((a, b))
         return real(a, b)
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "exact_div", record)
+        patch.setattr(test_characters, "exact_div", record)
         call()
-    assert seen, "the route made no division"
+    assert seen, "the reference made no division"
     return seen
 
 
-# case -> (route call, sympy oracle), or (reference call, sympy oracle,
-# module whose exact_div the reference calls).  The C_n-type routes divide by
-# nothing: they take the Vandermonde in z out by divided differences, so
-# their cases keep every dividend through the test-side references that
-# still divide, at the same shapes: the x-world quotients, and the two
-# orthosymplectic determinants before their divided differences in z (the
-# Laurent one's x-world divisions at n = 4 take sympy about 40 s).  sympy's
-# cancel takes minutes on the orthosymplectic divisions (a gcd over 6 or
-# more variables), so those cases use the exact quotient instead.
+# case -> (reference call, sympy oracle).  No route divides: each takes its
+# Vandermonde in x or in z out by divided differences, so the cases keep
+# every dividend through the test-side references that still divide, at the
+# same shapes: the x-world quotients, the two orthosymplectic determinants
+# before their divided differences in z (the Laurent one's x-world divisions
+# at n = 4 take sympy about 40 s), and the hook determinant and the Schur
+# bialternant before their divided differences in x.  sympy's cancel takes
+# minutes on the orthosymplectic divisions (a gcd over 6 or more variables),
+# so those cases use the exact quotient instead.
 ROUTE_DIVISIONS = {
     "symplectic_weyl n=4 lambda=5,1": (
         lambda: test_characters.x_world_weyl(Partition([5, 1]), standard_x(4)[1]),
         "cancel",
-        test_characters,
     ),
     "odd_symplectic_det n=4 lambda=5,1": (
         lambda: test_characters.x_world_okada(Partition([5, 1]), standard_x(4)[1]),
         "cancel",
-        test_characters,
     ),
     "ortho_det_rational n=m=3 lambda=3,2,1": (
         lambda: test_characters._reference_ortho_det_rational(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
         "exquo",
-        test_characters,
     ),
     "ortho_det_laurent n=4 m=3 lambda=3,2,1": (
         lambda: test_characters._reference_ortho_det_laurent(Partition([3, 2, 1]), *standard_xy(4, 3)[1:]),
         "exquo",
-        test_characters,
     ),
     "ortho_single_y n=3 lambda=4,2": (
         lambda: test_characters.x_world_single_y(Partition([4, 2]), *standard_xy(3, 1)[1:2], standard_xy(3, 1)[2][0]),
         "cancel",
-        test_characters,
     ),
     "ortho_sp_schur_sum n=3 m=2 lambda=3,2,1": (
         lambda: test_characters.x_world_sp_schur_sum(Partition([3, 2, 1]), *standard_xy(3, 2)[1:]),
         "cancel",
-        test_characters,
     ),
     "hook_schur_det n=m=3 lambda=3,2,1": (
-        lambda: characters.hook_schur_det(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
+        lambda: test_characters._reference_hook_schur_det(Partition([3, 2, 1]), *standard_xy(3, 3)[1:]),
         "cancel",
     ),
     "schur_bialternant n=5 lambda=3,2,1": (
-        lambda: characters.schur_bialternant(Partition([3, 2, 1]), standard_x(5)[1]),
+        lambda: test_characters._reference_schur_bialternant(Partition([3, 2, 1]), standard_x(5)[1]),
         "cancel",
     ),
 }
@@ -681,8 +674,8 @@ ROUTE_DIVISIONS = {
 
 @pytest.mark.parametrize("case", sorted(ROUTE_DIVISIONS))
 def test_route_divisions_match_the_reference(monkeypatch, case):
-    call, _, *module = ROUTE_DIVISIONS[case]
-    for a, b in _route_divisions(monkeypatch, call, *module):
+    call, _ = ROUTE_DIVISIONS[case]
+    for a, b in _route_divisions(monkeypatch, call):
         assert exact_div(a, b) == _reference_exact_div(a, b)
 
 
@@ -692,8 +685,8 @@ def test_route_divisions_agree_with_sympy(monkeypatch, case):
     from sympy import ZZ
     from sympy.polys.rings import ring
 
-    call, oracle, *module = ROUTE_DIVISIONS[case]
-    for a, b in _route_divisions(monkeypatch, call, *module):
+    call, oracle = ROUTE_DIVISIONS[case]
+    for a, b in _route_divisions(monkeypatch, call):
         R, *_ = ring(",".join(a.vars.names), ZZ)
         amin, bmin = _min_exponents(a), _min_exponents(b)
         A = R.from_dict(_shift(a, (-x for x in amin)).tuple_terms())

@@ -482,19 +482,21 @@ def test_okada_world_at_n_1_has_no_z_letters():
     assert world.back(p) == p
 
 
-REAL_DIVIDED_ODDS = characters._divided_odds
+# the row-table builders of the divided differences in z and in x, unpatched
+REAL_TABLES = {name: getattr(characters, name) for name in ("_divided_odds", "_divided_powers")}
+REAL_DIVIDED_ODDS = REAL_TABLES["_divided_odds"]
 
 
-def negating_row(i):
-    """characters._divided_odds with row i's table negated: a defect that
-    flips the sign of every determinant read from it, at lam and at the
-    empty partition alike.  Negating any row but the first is the defect of
-    a lost (-1)^(i-1)."""
+def negating_row(i, target="_divided_odds"):
+    """The row-table builder characters.<target> with row i's table negated:
+    a defect that flips the sign of every determinant read from it, at lam
+    and at the empty partition alike.  Negating any row but the first is the
+    defect of a lost (-1)^(i-1)."""
 
     def broken(*args):
-        odds = REAL_DIVIDED_ODDS(*args)
-        odds[i] = [-c for c in odds[i]]
-        return odds
+        tables = REAL_TABLES[target](*args)
+        tables[i] = [-c for c in tables[i]]
+        return tables
 
     return broken
 
@@ -542,6 +544,27 @@ def test_row_tables_are_signed_complete_functions_of_the_leading_pairs():
         assert world.back(odd[a]) * (x - x.inverse()) == x ** a - x ** (-a)
 
 
+def test_power_tables_are_signed_divided_differences():
+    # row i's table holds x^d's divided difference over x_1..x_i, signed
+    # (-1)^(i-1), against the recurrence f[x_1..x_i] =
+    # (f[x_2..x_i] - f[x_1..x_(i-1)]) / (x_i - x_1) with f[x] = f(x)
+    vs, xs = standard_x(4)
+    top = 6
+
+    def divided(letters, d):
+        if len(letters) == 1:
+            return letters[0] ** d
+        return exact_div(divided(letters[1:], d) - divided(letters[:-1], d), letters[-1] - letters[0])
+
+    powers = characters._divided_powers(xs, top, vs)
+    assert len(powers) == len(xs)
+    for i, row in enumerate(powers, 1):
+        assert len(row) == top + 1
+        for d in range(top + 1):
+            want = divided(xs[:i], d)
+            assert row[d] == (want if i % 2 else -want), (i, d)
+
+
 @pytest.mark.parametrize("name", ["okada", "weyl"])
 def test_weyl_type_quotients_match_the_x_world_quotient_one_size_up(name):
     route, reference = X_WORLD[name]
@@ -556,27 +579,23 @@ ORTHO_STAGED_SHAPES = [lam.parts for size in (5, 6) for lam in partitions_of(siz
 
 @pytest.mark.parametrize("parts", ORTHO_STAGED_SHAPES, ids=lambda parts: ",".join(map(str, parts)))
 def test_staged_ortho_det_rational_matches_one_shot_division(monkeypatch, parts):
-    # the divided differences in y and in z leave the route no division: its
-    # rows are read from one set of row tables over the z-letters.  The
-    # x-world determinant divides by prod(y_i - y_j) and the symplectic
-    # denominator in one call
+    # the divided differences in y and in z leave the route no division (no
+    # route divides: characters has no exact_div to call): its rows are read
+    # from one set of row tables over the z-letters.  The x-world
+    # determinant divides by prod(y_i - y_j) and the symplectic denominator
+    # in one call
     lam = Partition(list(parts))
     vs, xs, ys = standard_xy(3, 3)
-    divisions, tables = [], []
-
-    def recording(a, b):
-        divisions.append(b)
-        return exact_div(a, b)
+    tables = []
 
     def recording_tables(letters, *args):
         tables.append(letters)
         return REAL_DIVIDED_ODDS(letters, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(characters, "exact_div", recording)
         patch.setattr(characters, "_divided_odds", recording_tables)
         value = ortho_det_rational(lam, xs, ys)
-    assert divisions == [] and len(tables) == 1
+    assert not hasattr(characters, "exact_div") and len(tables) == 1
     ext = tables[0][0].vars
     assert ext.names[6:] == ("z1", "z2", "z3")
     assert tables[0] == ext.gens()[6:]
@@ -587,11 +606,20 @@ def test_staged_ortho_det_rational_matches_one_shot_division(monkeypatch, parts)
 
 # -- the routes before divided differences and before z in ortho_jt ----------------
 #
-# Both bordered determinants divided the determinant of the paper's matrix,
-# cleared of its denominators, by prod(y_i - y_j) too; both orthosymplectic
-# ones divided by the Vandermonde in z before their divided differences in
-# z; ortho_jt built its J table in the x-letters.  Each is the reference for
-# the route it became.
+# The Schur bialternant divided by prod(x_i - x_j); the hook determinant
+# divided the determinant of its matrix, cleared of its denominators, by
+# prod(x_i - x_j) prod(y_i - y_j), and the rational orthosymplectic one by
+# prod(y_i - y_j); both orthosymplectic ones divided by the Vandermonde in z
+# before their divided differences in z; ortho_jt built its J table in the
+# x-letters.  Each is the reference for the route it became.
+
+
+def _reference_schur_bialternant(lam, xs):
+    n = len(xs)
+    vs = xs[0].vars
+    num = [[x ** (lam.part(j) + n - j) for j in range(1, n + 1)] for x in xs]
+    den = [[x ** (n - j) for j in range(1, n + 1)] for x in xs]
+    return exact_div(det_cofactor(num, vs), det_cofactor(den, vs))
 
 
 def _reference_hook_schur_det(lam, xs, ys):
@@ -723,6 +751,43 @@ def test_routes_match_their_references_at_specialized_letters(name):
             assert route(lam, xs, ys) == reference(lam, xs, ys), (name, label, lam)
 
 
+def test_schur_bialternant_matches_its_reference_and_the_tableau_sum():
+    # the suite has no Schur identity, so this sweep and the next are the
+    # route's full checks
+    for n in range(1, 7):
+        _, xs = standard_x(n)
+        for lam in partitions_up_to(6, max_length=n):
+            value = schur_bialternant(lam, xs)
+            assert value == _reference_schur_bialternant(lam, xs), (n, lam)
+            assert value == tableaux.ssyt_weight_sum(lam, Partition(), n), (n, lam)
+
+
+def test_schur_bialternant_matches_its_reference_at_specialized_letters():
+    labels = set()
+    for label, rows, xs, ys in _specialized_points():
+        for lam in partitions_up_to(4, max_length=len(xs)):
+            assert schur_bialternant(lam, xs) == _reference_schur_bialternant(lam, xs), (label, lam)
+        labels.add(label)
+    assert labels == {"inverted", "negated", "joined", "z-named"}
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 2)], ids=lambda parts: ",".join(map(str, parts)))
+def test_routes_hold_at_repeated_x_letters(parts):
+    # prod(x_i - x_j) is 0 at X = (t, t) and at X = (t, t, t): the references
+    # divide by it, the routes do not
+    lam = Partition(list(parts))
+    vs, _, ys, t = standard_xy(0, 2, "t")
+    xs = [t, t]
+    value = hook_schur_det(lam, xs, ys)
+    assert value == hook_schur_jt(lam, xs, ys) and not value.is_zero()
+    value = schur_bialternant(lam, xs + [t])
+    assert value == skew_schur_jt(lam, Partition(), xs + [t]) and not value.is_zero()
+    with pytest.raises(ExactDivisionError, match="division by the zero polynomial"):
+        _reference_hook_schur_det(lam, xs, ys)
+    with pytest.raises(ExactDivisionError, match="division by the zero polynomial"):
+        _reference_schur_bialternant(lam, xs + [t])
+
+
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 2)], ids=lambda parts: ",".join(map(str, parts)))
 def test_bordered_determinants_hold_at_repeated_y_letters(parts):
     # prod(y_i - y_j) is 0 at Y = (t, t): the references divide by it, the
@@ -743,26 +808,22 @@ def test_bordered_determinants_hold_at_repeated_y_letters(parts):
     "route, target, family",
     [
         (ortho_det_rational, "_divided_odds", "orthosymplectic"),
-        (hook_schur_det, "_vandermonde", "hook"),
+        (hook_schur_det, "_divided_powers", "hook"),
         (lambda lam, xs, ys: symplectic_weyl(lam, xs), "_divided_odds", "symplectic"),
         (lambda lam, xs, ys: ortho_single_y(lam, xs, ys[0]), "_divided_odds", "symplectic"),
         (ortho_sp_schur_sum, "_divided_odds", "symplectic"),
         (lambda lam, xs, ys: odd_symplectic_det(lam, xs), "_divided_odds", "odd symplectic"),
         (ortho_det_laurent, "_divided_odds", "orthosymplectic"),
+        (lambda lam, xs, ys: schur_bialternant(lam, xs), "_divided_powers", "schur"),
     ],
-    ids=["orthosymplectic", "hook", "weyl", "single_y", "sp_schur_sum", "okada", "det_laurent"],
+    ids=["orthosymplectic", "hook", "weyl", "single_y", "sp_schur_sum", "okada", "det_laurent", "schur"],
 )
 def test_bordered_determinants_check_their_divisor_at_the_empty_partition(monkeypatch, route, target, family):
-    # hook's negated divisor divides exactly, and a negated row table keeps
-    # the other routes' determinants polynomial; only the check at the empty
-    # partition tells the wrong sign.  Every route with a product-form
-    # denominator, divided by or taken out by divided differences in z, makes
-    # that check.
-    if target == "_vandermonde":
-        real = characters._vandermonde
-        monkeypatch.setattr(characters, target, lambda *args: -real(*args))
-    else:
-        monkeypatch.setattr(characters, target, negating_row(0))
+    # a negated row table keeps every determinant polynomial; only the check
+    # at the empty partition tells the wrong sign.  Every route with a
+    # product-form denominator, taken out by divided differences in x or z,
+    # makes that check.
+    monkeypatch.setattr(characters, target, negating_row(0, target))
     _, xs, ys = standard_xy(2, 2)
     with pytest.raises(RuntimeError, match=f"^{family} denominator does not match its product form$"):
         route(Partition([2, 1]), xs, ys)

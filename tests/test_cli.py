@@ -19,6 +19,7 @@ from ospchar.characters import standard_xy
 from ospchar.cli import _build_parser, _emit, _verify_flags, main
 from ospchar.identities import IDENTITIES, VerificationReport
 
+import test_characters
 from test_characters import negating_row
 
 
@@ -411,17 +412,17 @@ def test_suite_json_is_pinned(capsys):
 
 
 def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
-    # hook_schur_det divides by the Vandermonde in x: off by one, it leaves
-    # a remainder
-    real = characters._vandermonde
-    monkeypatch.setattr(characters, "_vandermonde", lambda vs, letters: real(vs, letters) + 1)
+    # no route divides; each checks its rows at the empty partition, where a
+    # negated row table shows, and only that check tells: hook_schur_det
+    # reads its rows from divided differences in x
+    monkeypatch.setattr(characters, "_divided_powers", negating_row(-1, "_divided_powers"))
     code, _, err = run(capsys, "verify", "--identity", "hook_methods", "--n", "2", "--m", "1", "--lambda", "2,1")
-    assert code == 3 and err.startswith("ospchar: internal error: inexact division")
+    assert code == 3
+    assert err == "ospchar: internal error: hook denominator does not match its product form\n"
     code, _, err = run(capsys, "compute", "--family", "hook", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1")
-    assert code == 3 and err.startswith("ospchar: internal error:")
-    # the C_n-type routes divide by nothing; they check their rows at the
-    # empty partition, where a negated row table shows, and only that check
-    # tells
+    assert code == 3
+    assert err == "ospchar: internal error: hook denominator does not match its product form\n"
+    # the C_n-type routes read theirs from divided differences in z
     monkeypatch.undo()
     monkeypatch.setattr(characters, "_divided_odds", negating_row(0))
     code, _, err = run(capsys, "compute", "--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1")
@@ -449,9 +450,12 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_formula_defect_message_stays_short(capsys, monkeypatch):
-    # the remainder has thousands of terms; the message names only the first few
-    real = characters._vandermonde
-    monkeypatch.setattr(characters, "_vandermonde", lambda vs, letters: real(vs, letters) + letters[0])
+    # no route divides, so the hook route here is its dividing reference
+    # under a divisor off by its first letter: the remainder has thousands of
+    # terms; the message names only the first few
+    real = test_characters._delta
+    monkeypatch.setattr(test_characters, "_delta", lambda vs, letters: real(vs, letters) + letters[0])
+    monkeypatch.setattr(characters, "hook_schur_det", test_characters._reference_hook_schur_det)
     code, _, err = run(
         capsys, "compute", "--family", "hook", "--method", "det",
         "--n", "3", "--m", "3", "--lambda", "3,2,1",
@@ -470,34 +474,23 @@ def test_formula_defect_message_stays_short(capsys, monkeypatch):
             ["--family", "orthosymplectic", "--method", "sp_schur_sum", "--n", "2", "--m", "1", "--lambda", "2,1"],
         ),
         ("_divided_odds", ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"]),
-        ("_vandermonde", ["--family", "hook", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"]),
+        ("_divided_powers", ["--family", "hook", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"]),
+        ("_divided_powers", ["--family", "schur", "--method", "weyl", "--n", "2", "--lambda", "2,1"]),
     ],
-    ids=["weyl", "det", "sp_schur_sum", "okada", "hook"],
+    ids=["weyl", "det", "sp_schur_sum", "okada", "hook", "schur"],
 )
 def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, target, argv):
-    # The reduced denominator is the one factor group left.  The C_n-type
-    # routes take it out by divided differences in z: a negated row table,
-    # first or last (a lost sign), keeps every determinant polynomial, and
-    # the check at the empty partition tells.  hook_schur_det divides by it
-    # before that check: off by a constant or by the first letter, the
-    # division leaves a remainder; negated, it divides exactly and the
-    # check tells.
+    # The Vandermonde, in z or in x, is the one factor group left, and every
+    # route takes it out by divided differences: a negated row table, first
+    # or last (a lost sign), keeps every determinant polynomial, and the
+    # check at the empty partition tells.
     mismatch = "denominator does not match its product form"
-    real = characters._vandermonde
-    defects = {
-        "_divided_odds": ((negating_row(0), mismatch), (negating_row(-1), mismatch)),
-        "_vandermonde": (
-            (lambda vs, letters: real(vs, letters) + 1, "inexact division"),
-            (lambda vs, letters: real(vs, letters) + letters[0], "inexact division"),
-            (lambda *args: -real(*args), mismatch),
-        ),
-    }
-    for broken, message in defects[target]:
+    for broken in (negating_row(0, target), negating_row(-1, target)):
         with monkeypatch.context() as patch:
             patch.setattr(characters, target, broken)
             code, out, err = run(capsys, "compute", *argv)
         assert code == 3 and not out, broken
-        assert err.startswith("ospchar: internal error:") and message in err, broken
+        assert err.startswith("ospchar: internal error:") and mismatch in err, broken
 
 
 def nested_domain_check(*args, **kwargs):
