@@ -186,9 +186,10 @@ class VariableSet:
         return self.const(1)
 
     def const(self, c: int) -> "LaurentPolynomial":
+        c = _integer(c)
         if c == 0:
             return self.zero()
-        return LaurentPolynomial._raw(self, {0: int(c)}, 1, 0)
+        return LaurentPolynomial._raw(self, {0: c}, 1, 0)
 
     def gen(self, name: str) -> "LaurentPolynomial":
         width = len(self.names)
@@ -356,6 +357,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
+        n = _integer(n)
         if n < 0:
             return self.inverse() ** (-n)
         if len(self.terms) == 1:

@@ -25,9 +25,15 @@ back at the end.  All but ortho_jt take their Vandermonde in z out by
 divided differences in z over their n main rows (see the comment that
 opens their section).  schur_bialternant and hook_schur_det take
 prod(x_i - x_j) out the same way, by divided differences in x over their
-n main rows.  The two bordered determinants with a Cauchy-type block (hook
-and orthosymplectic rational) also apply divided differences in y to their
-m main columns, which takes prod(y_i - y_j) out.
+n main rows.
+
+One builder, _bordered_cauchy, computes four routes: the two bordered
+determinants with a Cauchy-type block, hook_schur_det in x and
+ortho_det_rational in z, and, with no y-letters, their bialternants
+schur_bialternant in x and symplectic_weyl in z.  It also applies divided
+differences in y to the m main columns, which takes prod(y_i - y_j) out.
+ortho_det_laurent, ortho_sp_schur_sum, ortho_single_y and
+odd_symplectic_det build their own rows.
 
 No route divides.  Each determinant *is* the character, and every route
 with a product-form denominator checks sign times the determinant of its
@@ -140,27 +146,84 @@ def _divided_odds(letters: Sequence[Poly], top: int, vs: VariableSet) -> list[li
 
 def _combine(table: Sequence[Poly], es: Sequence[Poly], top: int) -> Poly:
     """sum_r es[r] * table[top - r]: the entry of a row sum_r es[r] f(top - r),
-    read from the row's table of f."""
-    return sum((c * table[top - r] for r, c in enumerate(es)), es[0].vars.zero())
+    read from the row's table of f.  es is a table of e_r, so es[0] is 1."""
+    return sum((c * table[top - r] for r, c in enumerate(es[1:], 1)), table[top])
+
+
+# -- the bordered Cauchy determinant ------------------------------------------
+
+
+def _bordered_cauchy(
+    family: str, lam: Partition, divided, letters: Sequence[Poly], ys: Sequence[Poly], vs: VariableSet, s: int
+) -> Poly:
+    """The bordered Cauchy determinant at lam over the main letters l_1..l_n
+    and y_1..y_m in vs, read from the row tables divided(letters, top, vs):
+    in x (s = 0, _divided_powers) it is Moens-Van der Jeugt's for gl(m|n),
+    in z = x + 1/x (s = 1, _divided_odds) the orthosymplectic one.  Checked
+    at the empty partition under the family's name in _checked_det; no
+    division.
+
+    The block matrix has the n x m Cauchy-type block, k - 1 border columns,
+    m - n + k - 1 lower border rows y_j^(lam'_i + m - n - i) and a zero
+    block, k = k_index(lam, n, m); the character is (-1)^(mn - n + k - 1)
+    times its determinant over its product-form denominator.  Each main
+    row i is built scaled by its common denominator P_i = prod_q(x_i + y_q)
+    (times prod_q(1/x_i + y_q) for s = 1).  Main column j then holds
+    f(x_i) with f(x) = x^s prod_{t != j}(x + y_t), and border column j holds
+    g(x_i) with g(x) = x^e prod_q(x + y_q), e = lam_j + n - m - j + s; for
+    s = 1 each entry is f(x_i) - f(1/x_i), that is x_i - 1/x_i, a factor of
+    the denominator, times f read with odd(a) = (x^a - x^-a) / (x - 1/x)
+    for x^a at z_i.
+
+    Main column j is replaced by the divided difference in y of main
+    columns 1..j over y_1..y_j.  That of 1/(x + y) is
+    (-1)^(j-1) / prod_{t<=j}(x + y_t), so f becomes (-1)^(j-1) x^s
+    prod_{t>j}(x + y_t) = (-1)^(j-1) sum_r e_r(y_{j+1}..y_m) x^(m-j+s-r);
+    the lower border's y_j^a becomes the divided difference of y^a over
+    y_1..y_j, h_{a-j+1}(y_1..y_j), zero for a negative index; the k - 1
+    border columns of the lower border hold zeros; and the sign gains
+    (-1)^(m(m-1)/2).  Every main row is now a sum of x^a (or odd(a) in z),
+    the same in every row, so the rows are read from the row tables:
+    divided differences over the main letters.  The two transforms take
+    prod(y_i - y_j) and the Vandermonde in the main letters out, so the
+    determinant is the character with no division, and it holds at
+    repeated letters.
+
+    With no y-letters there is no Cauchy block and no lower border, k - 1
+    is n, and the matrix is the bialternant: x_i^(lam_j + n - j) for s = 0,
+    the Schur character, and x_i^a - x_i^-a, a = lam_j + n - j + 1, for
+    s = 1, the symplectic one (symplectic_matrix).
+    """
+    n, m = len(letters), len(ys)
+    # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
+    tails = [complete_table(m - t, (), vs, ys=ys[t:]) for t in range(m + 1)]
+    tables = divided(letters, max(lam.part(1) + n - 1, m - 1) + s, vs)
+    main = [[(-1) ** j * _combine(row, tails[j + 1], m - 1 - j + s) for j in range(m)] for row in tables]
+    # hs[j][d] = h_d(y_1..y_(j+1)), for the lower border at lam and below
+    hs = [complete_table(lam.conjugate().part(1) + m - n - 1, ys[: j + 1], vs) for j in range(m)]
+    zero = vs.zero()
+
+    def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
+        k = k_index(p, n, m)
+        pc = p.conjugate()
+        exps = [p.part(j) + n - m - j + s for j in range(1, k)]
+        rows = [head + [_combine(row, tails[0], e + m) for e in exps] for head, row in zip(main, tables)]
+        for i in range(1, m - n + k):
+            a = pc.part(i) + m - n - i
+            rows.append([hs[j][a - j] if a >= j else zero for j in range(m)] + [zero] * (k - 1))
+        return rows, -1 if (m * n - n + k - 1 + m * (m - 1) // 2) % 2 else 1
+
+    return _checked_det(family, bordered, lam, vs)
 
 
 # -- general linear -----------------------------------------------------
 
 
 def schur_bialternant(lam: Partition, xs: Sequence[Poly]) -> Poly:
-    """det(x_i^(lam_j + n - j)) / det(x_i^(n - j)), by divided differences
-    in x; no division.  Row i, read from _divided_powers, holds
-    (-1)^(i-1) h_(lam_j + n - j - i + 1)(x_1..x_i) in column j, so its
-    determinant is the quotient, checked at the empty partition."""
-    n = len(xs)
-    require_length(lam, n)
-    vs = _vs_of(xs)
-    powers = _divided_powers(xs, lam.part(1) + n - 1, vs)
-
-    def rows(p: Partition) -> tuple[list[list[Poly]], int]:
-        return [[row[p.part(j) + n - j] for j in range(1, n + 1)] for row in powers], 1
-
-    return _checked_det("schur", rows, lam, vs)
+    """det(x_i^(lam_j + n - j)) / det(x_i^(n - j)): _bordered_cauchy with no
+    y-letters, by divided differences in x; no division."""
+    require_length(lam, len(xs))
+    return _bordered_cauchy("schur", lam, _divided_powers, xs, (), _vs_of(xs), 0)
 
 
 # -- hook (general linear superalgebra) ----------------------------------
@@ -171,72 +234,14 @@ def hook_schur_jt(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Pol
     return skew_schur_jt(lam, Partition(), xs, _vs_of(xs, ys), ys=ys)
 
 
-def _bordered_sign(n: int, m: int, k: int) -> int:
-    """(-1)^(mn - n + k - 1) of a bordered determinant, times the
-    (-1)^(m(m-1)/2) that its divided differences in y bring."""
-    return -1 if (m * n - n + k - 1 + m * (m - 1) // 2) % 2 else 1
-
-
-def _divided_lower_border(lam: Partition, n: int, ys: Sequence[Poly], vs: VariableSet):
-    """lower(p, k): the lower border of a bordered determinant at p, for any
-    p with p'_1 <= lam'_1, after divided differences in y over its m main
-    columns.  Row i holds y_j^a, a = p'_i + m - n - i >= 0, in column j; the
-    divided difference of y^a over y_1..y_j is h_{a-j+1}(y_1..y_j), zero for
-    a negative index.  The k - 1 border columns hold zeros."""
-    m = len(ys)
-    top = lam.conjugate().part(1) + m - n - 1
-    hs = [complete_table(top, ys[: j + 1], vs) for j in range(m)]
-    zero = vs.zero()
-
-    def lower(p: Partition, k: int) -> list[list[Poly]]:
-        pc = p.conjugate()
-        rows = []
-        for i in range(1, m - n + k):
-            a = pc.part(i) + m - n - i
-            rows.append([hs[j][a - j] if a >= j else zero for j in range(m)] + [zero] * (k - 1))
-        return rows
-
-    return lower
-
-
 def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
-    """Bordered determinant with Cauchy block 1/(x_i + y_j).
-
-    Valid for lam_{n+1} <= m.  The block matrix has the n x m Cauchy block,
-    k - 1 columns of x-powers, m - n + k - 1 rows of y-powers and a zero
-    block; the result is (-1)^(mn - n + k - 1) / D times its determinant,
-    where D = prod(x_i - x_j) prod(y_i - y_j) / prod(x_i + y_j).
-
-    Each main-block row is built scaled by its common denominator
-    P_i = prod_q(x_i + y_q), so main column j holds P_i / (x_i + y_j).  The
-    route replaces main column j by the divided difference in y of main
-    columns 1..j over y_1..y_j.  That of 1/(x + y) is
-    (-1)^(j-1) / prod_{t<=j}(x + y_t), so column j becomes
-    (-1)^(j-1) prod_{t>j}(x_i + y_t) = (-1)^(j-1) sum_r e_r(y_{j+1}..y_m)
-    x_i^(m-j-r), and the lower border is _divided_lower_border's.  The
-    border columns hold x_i^a P_i = sum_r e_r(Y) x_i^(a+m-r).  Both are
-    polynomials in x_i, the same in every main row, so the rows are read
-    from _divided_powers: divided differences in x.  The two transforms
-    take prod(y_i - y_j) and prod(x_i - x_j) out, so the determinant, with
-    sign _bordered_sign, is the character with no division, checked at the
-    empty partition, and it holds at repeated x- and y-letters.
-    """
-    n, m = len(xs), len(ys)
-    require_hook(lam, n, m)
-    vs = _vs_of(xs, ys)
-    # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
-    tails = [complete_table(m - t, (), vs, ys=ys[t:]) for t in range(m + 1)]
-    powers = _divided_powers(xs, max(lam.part(1) + n - 1, m - 1), vs)
-    main = [[(-1) ** j * _combine(row, tails[j + 1], m - 1 - j) for j in range(m)] for row in powers]
-    lower = _divided_lower_border(lam, n, ys, vs)
-
-    def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
-        k = k_index(p, n, m)
-        exps = [p.part(j) + n - m - j for j in range(1, k)]
-        rows = [head + [_combine(row, tails[0], a + m) for a in exps] for head, row in zip(main, powers)]
-        return rows + lower(p, k), _bordered_sign(n, m, k)
-
-    return _checked_det("hook", bordered, lam, vs)
+    """Bordered determinant with Cauchy block 1/(x_i + y_j), valid for
+    lam_{n+1} <= m: (-1)^(mn - n + k - 1) / D times its determinant, where
+    D = prod(x_i - x_j) prod(y_i - y_j) / prod(x_i + y_j).  _bordered_cauchy
+    in x computes it, by divided differences in x and in y; no division,
+    and it holds at repeated x- and y-letters."""
+    require_hook(lam, len(xs), len(ys))
+    return _bordered_cauchy("hook", lam, _divided_powers, xs, ys, _vs_of(xs, ys), 0)
 
 
 # -- C_n-type routes in z = x + 1/x -----------------------------------------------
@@ -299,22 +304,13 @@ def symplectic_matrix(lam: Partition, xs: Sequence[Poly]) -> list[list[Poly]]:
     return [[x ** a - x ** (-a) for a in exps] for x in xs]
 
 
-def _symplectic_rows(odds):
-    """rows(lam) for _checked_det: symplectic_matrix(lam, xs) with row i
-    divided by x_i - 1/x_i and read from the row tables odds, and sign 1."""
-    n = len(odds)
-    return lambda lam: ([[odd[lam.part(j) + n - j + 1] for j in range(1, n + 1)] for odd in odds], 1)
-
-
 def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """Weyl quotient det(x_i^a - x_i^-a) / det(x_i^b - x_i^-b), with
-    a = lam_j + n - j + 1 and b = n - j + 1, in z = x + 1/x by divided
-    differences in z; no division."""
-    n = len(xs)
-    require_length(lam, n)
+    a = lam_j + n - j + 1 and b = n - j + 1: _bordered_cauchy with no
+    y-letters, in z = x + 1/x by divided differences in z; no division."""
+    require_length(lam, len(xs))
     w = _ZWorld(xs, ())
-    rows = _symplectic_rows(_divided_odds(w.zs, lam.part(1) + n, w.ext))
-    return w.back(_checked_det("symplectic", rows, lam, w.ext))
+    return w.back(_bordered_cauchy("symplectic", lam, _divided_odds, w.zs, (), w.ext, 1))
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -358,32 +354,11 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     k - 1 > n border columns are nonzero only in the n main rows, so the
     value is 0, as is the character.
 
-    Cleared of its denominator, a main-block row holds f(x_i) - f(1/x_i)
-    with f(x) = x prod_{t != j}(x + y_t), and the border g(x_i) - g(1/x_i)
-    with g(x) = x^e prod_q(x + y_q).  As in hook_schur_det, the route
-    replaces main column j by the divided difference in y of main columns
-    1..j over y_1..y_j: f becomes (-1)^(j-1) x prod_{t>j}(x + y_t) =
-    (-1)^(j-1) sum_r e_r(y_{j+1}..y_m) x^(m-j+1-r), and the lower border is
-    _divided_lower_border's.  Each main row is x_i - 1/x_i times sums
-    c_r odd(r) in z_i, read from _divided_odds: divided differences in z.
-    So the determinant, with sign _bordered_sign, is the character with no
-    division, checked at the empty partition, and holds at repeated y-letters.
+    _bordered_cauchy in z = x + 1/x computes it, by divided differences in
+    z and in y; no division, and it holds at repeated y-letters.
     """
-    n, m = len(xs), len(ys)
     w = _ZWorld(xs, ys)
-    # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
-    tails = [complete_table(m - t, (), w.ext, ys=w.ys[t:]) for t in range(m + 1)]
-    odds = _divided_odds(w.zs, max(lam.part(1) + n, m), w.ext)
-    main = [[(-1) ** j * _combine(odd, tails[j + 1], m - j) for j in range(m)] for odd in odds]
-    lower = _divided_lower_border(lam, n, w.ys, w.ext)
-
-    def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
-        k = k_index(p, n, m)
-        exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
-        rows = [row + [_combine(odd, tails[0], e + m) for e in exps] for row, odd in zip(main, odds)]
-        return rows + lower(p, k), _bordered_sign(n, m, k)
-
-    return w.back(_checked_det("orthosymplectic", bordered, lam, w.ext))
+    return w.back(_bordered_cauchy("orthosymplectic", lam, _divided_odds, w.zs, w.ys, w.ext, 1))
 
 
 def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -447,11 +422,16 @@ def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
 
 def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y), summed in z and
-    mapped back once; each sp_mu is the determinant of symplectic_weyl's
-    rows, divided differences in z (no division), checked once per call."""
+    mapped back once; each sp_mu is the determinant of the rows
+    odd(mu_j + n - j + 1) read from _divided_odds, divided differences in z
+    (no division), checked once per call."""
     n = len(xs)
     w = _ZWorld(xs, ys)
-    rows = _symplectic_rows(_divided_odds(w.zs, lam.part(1) + n, w.ext))
+    odds = _divided_odds(w.zs, lam.part(1) + n, w.ext)
+
+    def rows(p: Partition) -> tuple[list[list[Poly]], int]:
+        return [[odd[p.part(j) + n - j + 1] for j in range(1, n + 1)] for odd in odds], 1
+
     _check_divisor("symplectic", rows, w.ext)
     lamc = lam.conjugate()
     total = w.ext.zero()

@@ -124,6 +124,21 @@ def test_constructor_rejects_what_is_not_an_integer():
     assert vs.poly({(1,): 2, (0,): 0}).to_text() == "2*x"
 
 
+def test_constants_and_powers_reject_what_is_not_an_integer():
+    # int() would store const(0.5) as a zero coefficient, printed "-0" and
+    # unequal to zero, and read const(2.5) as 2 and const("3") as 3
+    vs = VariableSet(["x"])
+    x = vs.gen("x")
+    for c in (0.5, 2.5, -0.5, 2.0, "3"):
+        with pytest.raises(AlgebraError, match="is not an integer"):
+            vs.const(c)
+    for e in (2.5, 2.0, "2"):
+        with pytest.raises(AlgebraError, match="is not an integer"):
+            x ** e
+    assert vs.const(0).is_zero() and vs.const(-3).to_text() == "-3"
+    assert (x ** -2).to_text() == "x^-2" and ((x + 1) ** 2).to_text() == "x^2 + 2*x + 1"
+
+
 # -- the tuple-keyed reference -----------------------------------------------
 
 

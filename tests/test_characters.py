@@ -786,6 +786,15 @@ def test_routes_hold_at_repeated_x_letters(parts):
         _reference_hook_schur_det(lam, xs, ys)
     with pytest.raises(ExactDivisionError, match="division by the zero polynomial"):
         _reference_schur_bialternant(lam, xs + [t])
+    # z_1 = z_2 at X = (t, t) and at X = (t, 1/t), padded with t to the
+    # shape's length: the z-routes against ortho_jt, which makes no division
+    n = max(lam.length, 2)
+    for xs in ([t] * n, [t, t.inverse()] + [t] * (n - 2)):
+        value = symplectic_weyl(lam, xs)
+        assert value == ortho_jt(lam, xs, []) and not value.is_zero(), xs
+        value = ortho_det_rational(lam, xs, ys)
+        assert value == ortho_jt(lam, xs, ys) and not value.is_zero(), xs
+        assert ortho_det_laurent(lam, xs, ys) == value == ortho_sp_schur_sum(lam, xs, ys), xs
 
 
 @pytest.mark.parametrize("parts", [(2, 1), (3, 1, 1), (2, 2, 2)], ids=lambda parts: ",".join(map(str, parts)))

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -344,6 +345,28 @@ def test_exit_codes_through_the_module_entry_point():
     assert (code, out) == (2, "") and err.startswith("ospchar: ")
     code, out, err = ospchar_cli("verify", "--identity", "golden")
     assert (code, err) == (0, "") and len(out.splitlines()) == 4
+
+
+def test_ci_size_suite_catches_a_bordered_cauchy_mutant(tmp_path):
+    # every border column of _bordered_cauchy takes lam_1 in place of lam_j:
+    # the check at the empty partition still passes, so only the tableau
+    # sums can catch it, and symplectic_methods must, since the symplectic
+    # Weyl and Schur routes read that line too.  The mutant runs from a copy
+    # of the package; the line must occur once, so the test breaks loudly
+    # when the code moves
+    line = "        exps = [p.part(j) + n - m - j + s for j in range(1, k)]\n"
+    mutant = "        exps = [p.part(1) + n - m - j + s for j in range(1, k)]\n"
+    copy = tmp_path / "src" / "ospchar"
+    shutil.copytree(Path(ospchar.__file__).resolve().parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (copy / "characters.py").read_text()
+    assert text.count(line) == 1
+    (copy / "characters.py").write_text(text.replace(line, mutant))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    argv = [sys.executable, "-m", "ospchar", "suite", "--max-n", "2", "--max-m", "2", "--max-weight", "3", "--json"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (1, 3), proc.stderr
+    reports = json.loads(proc.stdout)
+    assert any(r["identity"] == "symplectic_methods" and r["status"] != "pass" for r in reports)
 
 
 def test_verify_single_identity(capsys):
