@@ -155,6 +155,8 @@ class VariableSet:
     __slots__ = ("names", "_index")
 
     def __init__(self, names: Iterable[str]):
+        if isinstance(names, str):
+            raise AlgebraError(f"variable names must be a sequence of names, not the string {names!r}")
         names = tuple(str(n) for n in names)
         if len(set(names)) != len(names):
             raise AlgebraError(f"duplicate variable names in {names!r}")

@@ -25,7 +25,8 @@ back at the end.  All but ortho_jt take their Vandermonde in z out by
 divided differences in z over their n main rows (see the comment that
 opens their section).  schur_bialternant and hook_schur_det take
 prod(x_i - x_j) out the same way, by divided differences in x over their
-n main rows.
+n main rows.  One builder, _divided, makes the row tables of both: in x
+(s = 0) and in z (s = 1).
 
 One builder, _bordered_cauchy, computes four routes: the two bordered
 determinants with a Cauchy-type block, hook_schur_det in x and
@@ -33,7 +34,7 @@ ortho_det_rational in z, and, with no y-letters, their bialternants
 schur_bialternant in x and symplectic_weyl in z.  It also applies divided
 differences in y to the m main columns, which takes prod(y_i - y_j) out.
 ortho_det_laurent, ortho_sp_schur_sum, ortho_single_y and
-odd_symplectic_det build their own rows.
+odd_symplectic_det build their own rows from _divided's tables in z.
 
 No route divides.  Each determinant *is* the character, and every route
 with a product-form denominator checks sign times the determinant of its
@@ -89,7 +90,7 @@ def _vandermonde(vs: VariableSet, letters: Sequence[Poly]) -> Poly:
 #
 # A route whose main row i is f_c(l_i), the same polynomials f_c in every
 # row, reads row i from a table of (-1)^(i-1) times the divided differences
-# over l_1..l_i: in x (_divided_powers) or in z = x + 1/x (_divided_odds).
+# over l_1..l_i, built by _divided: in x (s = 0) or in z = x + 1/x (s = 1).
 # Its determinant is then its quotient by prod_{i<j}(l_i - l_j), with no
 # division, and holds at repeated letters.
 
@@ -113,35 +114,23 @@ def _checked_det(family: str, rows, lam: Partition, vs: VariableSet) -> Poly:
     return -det if sign < 0 else det
 
 
-def _divided_powers(xs: Sequence[Poly], top: int, vs: VariableSet) -> list[list[Poly]]:
-    """The row tables over the letters x_1..x_n in vs: powers[i - 1][d],
-    0 <= d <= top, is (-1)^(i-1) times the divided difference of x^d over
-    x_1..x_i, which is h_(d-i+1)(x_1..x_i) (zero for d < i - 1) and
-    complete_table gives.  Rows sum_d c_d x_i^d, the same c_d in every row,
-    have prod_{i<j}(x_i - x_j) times the determinant that the same rows read
-    from these tables have.  top must be at least n - 1."""
-    zero = vs.zero()
-    powers = []
-    for i in range(1, len(xs) + 1):
-        h = complete_table(top - i + 1, xs[:i], vs)
-        powers.append([zero] * (i - 1) + (h if i % 2 else [-c for c in h]))
-    return powers
-
-
-def _divided_odds(letters: Sequence[Poly], top: int, vs: VariableSet) -> list[list[Poly]]:
-    """The row tables over letters l_1..l_n in vs, each l = x + 1/x for a
-    pair x, 1/x: odds[i - 1][a], 0 <= a <= top, is (-1)^(i-1) times the
-    divided difference of odd(a) over l_1..l_i.  As sum_a odd(a) t^(a-1) =
-    1/(1 - l t + t^2), that is h_(a-i) of the pairs behind l_1..l_i (zero
-    for a < i), which complete_table gives.  Rows sum_a c_a odd(a) at l_i,
-    the same c_a in every row, have prod_{i<j}(l_i - l_j) times the
-    determinant that the same rows read from these tables have."""
-    zero = vs.zero()
-    odds = []
+def _divided(letters: Sequence[Poly], top: int, s: int) -> list[list[Poly]]:
+    """The row tables over the main letters l_1..l_n: tables[i - 1][d],
+    0 <= d <= top, is (-1)^(i-1) times the divided difference over
+    l_1..l_i of f_d, which is h_(d-i+1-s) of l_1..l_i (zero for
+    d < i - 1 + s), from complete_table.  In x (s = 0) f_d is x^d and the h
+    are of the letters; in z (s = 1) each l = x + 1/x stands for a pair x,
+    1/x, f_d is odd(d) = (x^d - x^-d) / (x - 1/x), and, as
+    sum_d odd(d) t^(d-1) = 1/(1 - l t + t^2), the h are of the pairs.
+    Rows sum_d c_d f_d(l_i), the same c_d in every row, have
+    prod_{i<j}(l_i - l_j) times the determinant that the same rows read from
+    these tables have."""
+    tables = []
     for i in range(1, len(letters) + 1):
-        h = complete_table(top - i, (), vs, zs=letters[:i])
-        odds.append([zero] * i + (h if i % 2 else [-c for c in h]))
-    return odds
+        rmax, head = top - i + 1 - s, letters[:i]
+        h = complete_table(rmax, (), zs=head) if s else complete_table(rmax, head)
+        tables.append([letters[0].vars.zero()] * (i - 1 + s) + (h if i % 2 else [-c for c in h]))
+    return tables
 
 
 def _combine(table: Sequence[Poly], es: Sequence[Poly], top: int) -> Poly:
@@ -153,15 +142,12 @@ def _combine(table: Sequence[Poly], es: Sequence[Poly], top: int) -> Poly:
 # -- the bordered Cauchy determinant ------------------------------------------
 
 
-def _bordered_cauchy(
-    family: str, lam: Partition, divided, letters: Sequence[Poly], ys: Sequence[Poly], vs: VariableSet, s: int
-) -> Poly:
+def _bordered_cauchy(family: str, lam: Partition, letters: Sequence[Poly], ys: Sequence[Poly], s: int) -> Poly:
     """The bordered Cauchy determinant at lam over the main letters l_1..l_n
-    and y_1..y_m in vs, read from the row tables divided(letters, top, vs):
-    in x (s = 0, _divided_powers) it is Moens-Van der Jeugt's for gl(m|n),
-    in z = x + 1/x (s = 1, _divided_odds) the orthosymplectic one.  Checked
-    at the empty partition under the family's name in _checked_det; no
-    division.
+    and y_1..y_m, read from the row tables _divided(letters, top, s): in x
+    (s = 0) it is Moens-Van der Jeugt's for gl(m|n), in z = x + 1/x (s = 1)
+    the orthosymplectic one.  Checked at the empty partition under the
+    family's name in _checked_det; no division.
 
     The block matrix has the n x m Cauchy-type block, k - 1 border columns,
     m - n + k - 1 lower border rows y_j^(lam'_i + m - n - i) and a zero
@@ -195,9 +181,10 @@ def _bordered_cauchy(
     s = 1, the symplectic one (symplectic_matrix).
     """
     n, m = len(letters), len(ys)
+    vs = _vs_of(letters, ys)
     # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
     tails = [complete_table(m - t, (), vs, ys=ys[t:]) for t in range(m + 1)]
-    tables = divided(letters, max(lam.part(1) + n - 1, m - 1) + s, vs)
+    tables = _divided(letters, max(lam.part(1) + n - 1, m - 1) + s, s)
     main = [[(-1) ** j * _combine(row, tails[j + 1], m - 1 - j + s) for j in range(m)] for row in tables]
     # hs[j][d] = h_d(y_1..y_(j+1)), for the lower border at lam and below
     hs = [complete_table(lam.conjugate().part(1) + m - n - 1, ys[: j + 1], vs) for j in range(m)]
@@ -223,7 +210,7 @@ def schur_bialternant(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """det(x_i^(lam_j + n - j)) / det(x_i^(n - j)): _bordered_cauchy with no
     y-letters, by divided differences in x; no division."""
     require_length(lam, len(xs))
-    return _bordered_cauchy("schur", lam, _divided_powers, xs, (), _vs_of(xs), 0)
+    return _bordered_cauchy("schur", lam, xs, (), 0)
 
 
 # -- hook (general linear superalgebra) ----------------------------------
@@ -241,7 +228,7 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
     in x computes it, by divided differences in x and in y; no division,
     and it holds at repeated x- and y-letters."""
     require_hook(lam, len(xs), len(ys))
-    return _bordered_cauchy("hook", lam, _divided_powers, xs, ys, _vs_of(xs, ys), 0)
+    return _bordered_cauchy("hook", lam, xs, ys, 0)
 
 
 # -- C_n-type routes in z = x + 1/x -----------------------------------------------
@@ -252,12 +239,13 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
 # symplectic denominator is prod(x_i - 1/x_i) * prod_{i<j}(z_i - z_j), so
 # what is left to divide by is a Vandermonde in z.  Divided differences in
 # z take it out with no division: row i becomes (-1)^(i-1) g_c[z_1..z_i],
-# read from _divided_odds, and the determinant *is* the quotient, checked
-# at the empty partition by _checked_det.  Each route builds its rows in one
-# _ZWorld per call and maps the value back by z_i -> x_i + 1/x_i, a ring
-# homomorphism for any unit monomial x_i, so the routes still evaluate at
-# points such as (x_1, ..., 1/x_n) or (-x_1, x_2, ...).  ortho_jt needs no
-# divided difference: every J_r is already a polynomial in the z_i.
+# read from _divided with s = 1, and the determinant *is* the quotient,
+# checked at the empty partition by _checked_det.  Each route builds its
+# rows in one _ZWorld per call and maps the value back by
+# z_i -> x_i + 1/x_i, a ring homomorphism for any unit monomial x_i, so the
+# routes still evaluate at points such as (x_1, ..., 1/x_n) or
+# (-x_1, x_2, ...).  ortho_jt needs no divided difference: every J_r is
+# already a polynomial in the z_i.
 
 
 def symplectic_denominator_product(xs: Sequence[Poly]) -> Poly:
@@ -273,7 +261,7 @@ class _ZWorld:
     z-letters, ys the y-letters lifted into ext with zero z-exponents, and
     back(p) maps a polynomial in ext to the caller's variables by
     z_i -> x_i + 1/x_i.  Rows come from divided differences in z over zs
-    (_divided_odds); no division."""
+    (_divided with s = 1); no division."""
 
     def __init__(self, xs: Sequence[Poly], ys: Sequence[Poly]):
         vs = _vs_of(xs, ys)
@@ -310,7 +298,7 @@ def symplectic_weyl(lam: Partition, xs: Sequence[Poly]) -> Poly:
     y-letters, in z = x + 1/x by divided differences in z; no division."""
     require_length(lam, len(xs))
     w = _ZWorld(xs, ())
-    return w.back(_bordered_cauchy("symplectic", lam, _divided_odds, w.zs, (), w.ext, 1))
+    return w.back(_bordered_cauchy("symplectic", lam, w.zs, (), 1))
 
 
 # -- orthosymplectic -------------------------------------------------------
@@ -358,7 +346,7 @@ def ortho_det_rational(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     z and in y; no division, and it holds at repeated y-letters.
     """
     w = _ZWorld(xs, ys)
-    return w.back(_bordered_cauchy("orthosymplectic", lam, _divided_odds, w.zs, w.ys, w.ext, 1))
+    return w.back(_bordered_cauchy("orthosymplectic", lam, w.zs, w.ys, 1))
 
 
 def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
@@ -374,7 +362,7 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
 
     Row i of the main block and border is x_i - 1/x_i times a row in z_i:
     (-1)^(m-j) odd(j), and sum_r e_r(Y) odd(e + m - r) from
-    prod_q(x + y_q) = sum_r e_r(Y) x^(m-r).  Read from _divided_odds, those
+    prod_q(x + y_q) = sum_r e_r(Y) x^(m-r).  Read from _divided in z, those
     rows are divided differences in z, so the signed determinant is the
     character with no division, checked at the empty partition.
     """
@@ -383,7 +371,7 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
     zero = w.ext.zero()
     e_all = complete_table(m, (), w.ext, ys=w.ys)
     hy = complete_table(lam.conjugate().part(1) - n - 1 + m, w.ys, w.ext)
-    odds = _divided_odds(w.zs, max(lam.part(1) + n, m), w.ext)
+    odds = _divided(w.zs, max(lam.part(1) + n, m), 1)
     main = [[-odd[j] if (m - j) % 2 else odd[j] for j in range(1, m + 1)] for odd in odds]
 
     def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
@@ -406,12 +394,12 @@ def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
     """One-prime-variable case: det(x_i^(a+1) - x_i^-(a+1) + y (x_i^a - x_i^-a))
     over the symplectic denominator product, a = lam_j + n - j.  In z, by
     divided differences: the checked determinant of the rows
-    odd(a + 1) + y odd(a) read from _divided_odds; no division."""
+    odd(a + 1) + y odd(a) read from _divided in z; no division."""
     n = len(xs)
     require_length(lam, n)
     w = _ZWorld(xs, [y])
     (y,) = w.ys
-    odds = _divided_odds(w.zs, lam.part(1) + n, w.ext)
+    odds = _divided(w.zs, lam.part(1) + n, 1)
 
     def rows(p: Partition) -> tuple[list[list[Poly]], int]:
         exps = [p.part(j) + n - j for j in range(1, n + 1)]
@@ -423,11 +411,11 @@ def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
 def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y), summed in z and
     mapped back once; each sp_mu is the determinant of the rows
-    odd(mu_j + n - j + 1) read from _divided_odds, divided differences in z
+    odd(mu_j + n - j + 1) read from _divided, divided differences in z
     (no division), checked once per call."""
     n = len(xs)
     w = _ZWorld(xs, ys)
-    odds = _divided_odds(w.zs, lam.part(1) + n, w.ext)
+    odds = _divided(w.zs, lam.part(1) + n, 1)
 
     def rows(p: Partition) -> tuple[list[list[Poly]], int]:
         return [[odd[p.part(j) + n - j + 1] for j in range(1, n + 1)] for odd in odds], 1
@@ -474,13 +462,13 @@ def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
     """Quotient det A_lam / det A_empty of odd_symplectic_matrix, by divided
     differences in z; no division.  Row i < n of A_lam is x_i - 1/x_i times
     g(z_i), g = odd(a + 1) - (1/y) odd(a), and row n is y^a = g(y + 1/y), so
-    _divided_odds over the letters z_1..z_{n-1}, y + 1/y gives every row."""
+    _divided in z over the letters z_1..z_{n-1}, y + 1/y gives every row."""
     n = len(xs)
     require_length(lam, n)
     w = _ZWorld(xs[:-1], xs[-1:])
     (y,) = w.ys
     yb = y.inverse()
-    odds = _divided_odds(w.zs + [y + yb], lam.part(1) + n, w.ext)
+    odds = _divided(w.zs + [y + yb], lam.part(1) + n, 1)
 
     def rows(p: Partition) -> tuple[list[list[Poly]], int]:
         exps = [p.part(j) + n - j for j in range(1, n + 1)]

@@ -78,6 +78,16 @@ def test_mismatched_variable_sets_rejected():
         p + q
 
 
+def test_variable_set_rejects_a_single_string():
+    # a string is an iterable of its characters: "x1" would name x and 1
+    for names in ("x1", "xy", ""):
+        with pytest.raises(AlgebraError, match="not the string"):
+            VariableSet(names)
+    with pytest.raises(AlgebraError, match="not the string"):
+        LaurentPolynomial.from_json_dict({"vars": "xy", "terms": [{"e": [1, 0], "c": "1"}]})
+    assert VariableSet(("x1",)).names == ("x1",) and VariableSet(iter(["x", "y"])).names == ("x", "y")
+
+
 def test_no_zero_terms_stored():
     p = VS2.poly({(1, 0): 5})
     q = VS2.poly({(1, 0): -5, (0, 1): 2})

@@ -179,6 +179,19 @@ def test_ortho_single_y_examples():
     assert ortho_single_y(lam, xs2, ys2[0]) == ortho_det_rational(lam, xs2, ys2)
 
 
+def test_ortho_single_y_matches_the_tableau_sum():
+    # the one-prime route against the orthosymplectic tableau sum at m = 1:
+    # every lam with len(lam) <= n, |lam| <= 6 for n <= 3 and |lam| <= 5 at
+    # n = 4, 64 points
+    points = 0
+    for n, size in ((1, 6), (2, 6), (3, 6), (4, 5)):
+        vs, xs, (y,) = standard_xy(n, 1)
+        for lam in partitions_up_to(size, max_length=n):
+            assert ortho_single_y(lam, xs, y) == tableaux.orthosymplectic_weight_sum(lam, n, 1), (n, lam)
+            points += 1
+    assert points == 64
+
+
 def test_ortho_det_long_shapes_with_one_prime():
     # below row n every row has one cell, and it carries the prime
     vs, xs, ys = standard_xy(1, 1)
@@ -482,20 +495,21 @@ def test_okada_world_at_n_1_has_no_z_letters():
     assert world.back(p) == p
 
 
-# the row-table builders of the divided differences in z and in x, unpatched
-REAL_TABLES = {name: getattr(characters, name) for name in ("_divided_odds", "_divided_powers")}
-REAL_DIVIDED_ODDS = REAL_TABLES["_divided_odds"]
+# the row-table builder of the divided differences in x (s = 0) and in z
+# (s = 1), unpatched
+REAL_DIVIDED = characters._divided
 
 
-def negating_row(i, target="_divided_odds"):
-    """The row-table builder characters.<target> with row i's table negated:
-    a defect that flips the sign of every determinant read from it, at lam
-    and at the empty partition alike.  Negating any row but the first is the
-    defect of a lost (-1)^(i-1)."""
+def negating_row(i, s=1):
+    """The row-table builder characters._divided with row i's table negated
+    on its calls at s, in z by default: a defect that flips the sign of
+    every determinant read from it, at lam and at the empty partition alike.
+    Negating any row but the first is the defect of a lost (-1)^(i-1)."""
 
-    def broken(*args):
-        tables = REAL_TABLES[target](*args)
-        tables[i] = [-c for c in tables[i]]
+    def broken(letters, top, at):
+        tables = REAL_DIVIDED(letters, top, at)
+        if at == s:
+            tables[i] = [-c for c in tables[i]]
         return tables
 
     return broken
@@ -525,7 +539,7 @@ def test_row_tables_are_signed_complete_functions_of_the_leading_pairs():
     labels = set()
     for label, world, letters, units in _row_table_worlds():
         vs = units[0].vars
-        odds = characters._divided_odds(letters, top, world.ext)
+        odds = characters._divided(letters, top, 1)
         assert len(odds) == len(units)
         for i, odd in enumerate(odds, 1):
             pairs = [u for x in units[:i] for u in (x, x.inverse())]
@@ -539,7 +553,7 @@ def test_row_tables_are_signed_complete_functions_of_the_leading_pairs():
     # one letter: the table is odd(a) itself, (x^a - x^-a) / (x - 1/x)
     vs, (x,) = standard_x(1)
     world = characters._ZWorld([x], ())
-    (odd,) = characters._divided_odds(world.zs, top, world.ext)
+    (odd,) = characters._divided(world.zs, top, 1)
     for a in range(top + 1):
         assert world.back(odd[a]) * (x - x.inverse()) == x ** a - x ** (-a)
 
@@ -548,7 +562,7 @@ def test_power_tables_are_signed_divided_differences():
     # row i's table holds x^d's divided difference over x_1..x_i, signed
     # (-1)^(i-1), against the recurrence f[x_1..x_i] =
     # (f[x_2..x_i] - f[x_1..x_(i-1)]) / (x_i - x_1) with f[x] = f(x)
-    vs, xs = standard_x(4)
+    _, xs = standard_x(4)
     top = 6
 
     def divided(letters, d):
@@ -556,7 +570,7 @@ def test_power_tables_are_signed_divided_differences():
             return letters[0] ** d
         return exact_div(divided(letters[1:], d) - divided(letters[:-1], d), letters[-1] - letters[0])
 
-    powers = characters._divided_powers(xs, top, vs)
+    powers = characters._divided(xs, top, 0)
     assert len(powers) == len(xs)
     for i, row in enumerate(powers, 1):
         assert len(row) == top + 1
@@ -588,12 +602,12 @@ def test_staged_ortho_det_rational_matches_one_shot_division(monkeypatch, parts)
     vs, xs, ys = standard_xy(3, 3)
     tables = []
 
-    def recording_tables(letters, *args):
+    def recording_tables(letters, top, s):
         tables.append(letters)
-        return REAL_DIVIDED_ODDS(letters, *args)
+        return REAL_DIVIDED(letters, top, s)
 
     with monkeypatch.context() as patch:
-        patch.setattr(characters, "_divided_odds", recording_tables)
+        patch.setattr(characters, "_divided", recording_tables)
         value = ortho_det_rational(lam, xs, ys)
     assert not hasattr(characters, "exact_div") and len(tables) == 1
     ext = tables[0][0].vars
@@ -814,25 +828,25 @@ def test_bordered_determinants_hold_at_repeated_y_letters(parts):
 
 
 @pytest.mark.parametrize(
-    "route, target, family",
+    "route, s, family",
     [
-        (ortho_det_rational, "_divided_odds", "orthosymplectic"),
-        (hook_schur_det, "_divided_powers", "hook"),
-        (lambda lam, xs, ys: symplectic_weyl(lam, xs), "_divided_odds", "symplectic"),
-        (lambda lam, xs, ys: ortho_single_y(lam, xs, ys[0]), "_divided_odds", "symplectic"),
-        (ortho_sp_schur_sum, "_divided_odds", "symplectic"),
-        (lambda lam, xs, ys: odd_symplectic_det(lam, xs), "_divided_odds", "odd symplectic"),
-        (ortho_det_laurent, "_divided_odds", "orthosymplectic"),
-        (lambda lam, xs, ys: schur_bialternant(lam, xs), "_divided_powers", "schur"),
+        (ortho_det_rational, 1, "orthosymplectic"),
+        (hook_schur_det, 0, "hook"),
+        (lambda lam, xs, ys: symplectic_weyl(lam, xs), 1, "symplectic"),
+        (lambda lam, xs, ys: ortho_single_y(lam, xs, ys[0]), 1, "symplectic"),
+        (ortho_sp_schur_sum, 1, "symplectic"),
+        (lambda lam, xs, ys: odd_symplectic_det(lam, xs), 1, "odd symplectic"),
+        (ortho_det_laurent, 1, "orthosymplectic"),
+        (lambda lam, xs, ys: schur_bialternant(lam, xs), 0, "schur"),
     ],
     ids=["orthosymplectic", "hook", "weyl", "single_y", "sp_schur_sum", "okada", "det_laurent", "schur"],
 )
-def test_bordered_determinants_check_their_divisor_at_the_empty_partition(monkeypatch, route, target, family):
+def test_bordered_determinants_check_their_divisor_at_the_empty_partition(monkeypatch, route, s, family):
     # a negated row table keeps every determinant polynomial; only the check
     # at the empty partition tells the wrong sign.  Every route with a
     # product-form denominator, taken out by divided differences in x or z,
     # makes that check.
-    monkeypatch.setattr(characters, target, negating_row(0, target))
+    monkeypatch.setattr(characters, "_divided", negating_row(0, s))
     _, xs, ys = standard_xy(2, 2)
     with pytest.raises(RuntimeError, match=f"^{family} denominator does not match its product form$"):
         route(Partition([2, 1]), xs, ys)
@@ -843,13 +857,13 @@ def test_ortho_sp_schur_sum_builds_its_denominator_groups_once(monkeypatch):
     # checked once per call
     calls = []
 
-    def counting(letters, *args):
+    def counting(letters, top, s):
         calls.append(len(letters))
-        return REAL_DIVIDED_ODDS(letters, *args)
+        return REAL_DIVIDED(letters, top, s)
 
     lam = Partition([3, 2, 1])
     vs, xs, ys = standard_xy(3, 2)
-    monkeypatch.setattr(characters, "_divided_odds", counting)
+    monkeypatch.setattr(characters, "_divided", counting)
     value = ortho_sp_schur_sum(lam, xs, ys)
     assert calls == [3]
     assert value == tableaux.orthosymplectic_weight_sum(lam, 3, 2)

@@ -347,15 +347,32 @@ def test_exit_codes_through_the_module_entry_point():
     assert (code, err) == (0, "") and len(out.splitlines()) == 4
 
 
-def test_ci_size_suite_catches_a_bordered_cauchy_mutant(tmp_path):
+# standing mutants of characters.py: (line, mutant, identities that must
+# report a non-pass)
+STANDING_MUTANTS = {
     # every border column of _bordered_cauchy takes lam_1 in place of lam_j:
     # the check at the empty partition still passes, so only the tableau
     # sums can catch it, and symplectic_methods must, since the symplectic
-    # Weyl and Schur routes read that line too.  The mutant runs from a copy
-    # of the package; the line must occur once, so the test breaks loudly
-    # when the code moves
-    line = "        exps = [p.part(j) + n - m - j + s for j in range(1, k)]\n"
-    mutant = "        exps = [p.part(1) + n - m - j + s for j in range(1, k)]\n"
+    # Weyl and Schur routes read that line too
+    "border_exponent": (
+        "        exps = [p.part(j) + n - m - j + s for j in range(1, k)]\n",
+        "        exps = [p.part(1) + n - m - j + s for j in range(1, k)]\n",
+        ["symplectic_methods"],
+    ),
+    # one more leading zero per row of _divided shifts every h index by one,
+    # in x (hook_methods) and in z (symplectic_methods) alike
+    "divided_h_index": (
+        "        tables.append([letters[0].vars.zero()] * (i - 1 + s) + (h if i % 2 else [-c for c in h]))\n",
+        "        tables.append([letters[0].vars.zero()] * (i + s) + (h if i % 2 else [-c for c in h]))\n",
+        ["hook_methods", "symplectic_methods"],
+    ),
+}
+
+
+@pytest.mark.parametrize("line, mutant, caught_by", STANDING_MUTANTS.values(), ids=STANDING_MUTANTS)
+def test_ci_size_suite_catches_a_bordered_cauchy_mutant(tmp_path, line, mutant, caught_by):
+    # The mutant runs from a copy of the package; the line must occur once,
+    # so the test breaks loudly when the code moves
     copy = tmp_path / "src" / "ospchar"
     shutil.copytree(Path(ospchar.__file__).resolve().parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
     text = (copy / "characters.py").read_text()
@@ -366,7 +383,8 @@ def test_ci_size_suite_catches_a_bordered_cauchy_mutant(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode in (1, 3), proc.stderr
     reports = json.loads(proc.stdout)
-    assert any(r["identity"] == "symplectic_methods" and r["status"] != "pass" for r in reports)
+    for identity in caught_by:
+        assert any(r["identity"] == identity and r["status"] != "pass" for r in reports), identity
 
 
 def test_verify_single_identity(capsys):
@@ -438,7 +456,7 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
     # no route divides; each checks its rows at the empty partition, where a
     # negated row table shows, and only that check tells: hook_schur_det
     # reads its rows from divided differences in x
-    monkeypatch.setattr(characters, "_divided_powers", negating_row(-1, "_divided_powers"))
+    monkeypatch.setattr(characters, "_divided", negating_row(-1, 0))
     code, _, err = run(capsys, "verify", "--identity", "hook_methods", "--n", "2", "--m", "1", "--lambda", "2,1")
     assert code == 3
     assert err == "ospchar: internal error: hook denominator does not match its product form\n"
@@ -447,7 +465,7 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
     assert err == "ospchar: internal error: hook denominator does not match its product form\n"
     # the C_n-type routes read theirs from divided differences in z
     monkeypatch.undo()
-    monkeypatch.setattr(characters, "_divided_odds", negating_row(0))
+    monkeypatch.setattr(characters, "_divided", negating_row(0))
     code, _, err = run(capsys, "compute", "--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1")
     assert code == 3 and "denominator does not match its product form" in err
     code, _, err = run(
@@ -488,29 +506,26 @@ def test_formula_defect_message_stays_short(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "target, argv",
+    "s, argv",
     [
-        ("_divided_odds", ["--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1"]),
-        ("_divided_odds", ["--family", "orthosymplectic", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"]),
-        (
-            "_divided_odds",
-            ["--family", "orthosymplectic", "--method", "sp_schur_sum", "--n", "2", "--m", "1", "--lambda", "2,1"],
-        ),
-        ("_divided_odds", ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"]),
-        ("_divided_powers", ["--family", "hook", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"]),
-        ("_divided_powers", ["--family", "schur", "--method", "weyl", "--n", "2", "--lambda", "2,1"]),
+        (1, ["--family", "symplectic", "--method", "weyl", "--n", "2", "--lambda", "1"]),
+        (1, ["--family", "orthosymplectic", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"]),
+        (1, ["--family", "orthosymplectic", "--method", "sp_schur_sum", "--n", "2", "--m", "1", "--lambda", "2,1"]),
+        (1, ["--family", "odd_symplectic", "--method", "okada", "--n", "2", "--lambda", "1"]),
+        (0, ["--family", "hook", "--method", "det", "--n", "2", "--m", "1", "--lambda", "2,1"]),
+        (0, ["--family", "schur", "--method", "weyl", "--n", "2", "--lambda", "2,1"]),
     ],
     ids=["weyl", "det", "sp_schur_sum", "okada", "hook", "schur"],
 )
-def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, target, argv):
+def test_defect_in_a_denominator_factor_group_is_an_internal_error(capsys, monkeypatch, s, argv):
     # The Vandermonde, in z or in x, is the one factor group left, and every
     # route takes it out by divided differences: a negated row table, first
     # or last (a lost sign), keeps every determinant polynomial, and the
     # check at the empty partition tells.
     mismatch = "denominator does not match its product form"
-    for broken in (negating_row(0, target), negating_row(-1, target)):
+    for broken in (negating_row(0, s), negating_row(-1, s)):
         with monkeypatch.context() as patch:
-            patch.setattr(characters, target, broken)
+            patch.setattr(characters, "_divided", broken)
             code, out, err = run(capsys, "compute", *argv)
         assert code == 3 and not out, broken
         assert err.startswith("ospchar: internal error:") and mismatch in err, broken
@@ -524,11 +539,16 @@ def nested_domain_check(*args, **kwargs):
 @pytest.mark.parametrize("as_json", [False, True])
 def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as_json):
     argv = ["suite", "--max-n", "1", "--max-m", "1", "--max-weight", "1"] + (["--json"] if as_json else [])
-    # a wrong value, and a ValueError from inside the routes: every grid
-    # point is in its identity's domain, so neither is a usage error
-    for broken in (negating_row(0), nested_domain_check):
+    # a wrong value, and a ValueError from inside the routes, both in the
+    # row tables in z only: every grid point is in its identity's domain, so
+    # neither is a usage error
+
+    def domain_check_in_z(letters, top, s):
+        return nested_domain_check() if s else test_characters.REAL_DIVIDED(letters, top, s)
+
+    for broken in (negating_row(0), domain_check_in_z):
         with monkeypatch.context() as patch:
-            patch.setattr(characters, "_divided_odds", broken)
+            patch.setattr(characters, "_divided", broken)
             code, out, err = run(capsys, *argv)
         assert code == 3 and err.startswith("ospchar: internal error:"), broken
         if as_json:

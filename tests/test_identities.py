@@ -267,7 +267,7 @@ def test_run_suite_covers_the_registry():
 def test_run_check_turns_a_computation_error_into_a_report(monkeypatch):
     # a negated row table keeps the determinant polynomial; the check at the
     # empty partition raises the RuntimeError
-    monkeypatch.setattr(characters, "_divided_odds", negating_row(0))
+    monkeypatch.setattr(characters, "_divided", negating_row(0))
     (rep,) = run_check("symplectic_methods", {"lam": Partition([1]), "n": 2})
     assert rep.status == "error" and not rep.passed
     assert rep.params == {"lambda": "1", "n": 2}
