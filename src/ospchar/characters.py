@@ -25,14 +25,16 @@ back at the end.  All but ortho_jt take their Vandermonde in z out by
 divided differences in z over their n main rows (see the comment that
 opens their section).  schur_bialternant and hook_schur_det take
 prod(x_i - x_j) out the same way, by divided differences in x over their
-n main rows.  One builder, _divided, makes the row tables of both: in x
+n main rows.  One builder, _divided, makes the tables of divided
+differences in every alphabet, with one sign convention: in x or y
 (s = 0) and in z (s = 1).
 
 One builder, _bordered_cauchy, computes four routes: the two bordered
 determinants with a Cauchy-type block, hook_schur_det in x and
 ortho_det_rational in z, and, with no y-letters, their bialternants
-schur_bialternant in x and symplectic_weyl in z.  It also applies divided
-differences in y to the m main columns, which takes prod(y_i - y_j) out.
+schur_bialternant in x and symplectic_weyl in z.  It also takes
+prod(y_i - y_j) out by divided differences in y over its m main columns,
+with its lower border read from _divided's tables in y.
 ortho_det_laurent, ortho_sp_schur_sum, ortho_single_y and
 odd_symplectic_det build their own rows from _divided's tables in z.
 
@@ -90,7 +92,8 @@ def _vandermonde(vs: VariableSet, letters: Sequence[Poly]) -> Poly:
 #
 # A route whose main row i is f_c(l_i), the same polynomials f_c in every
 # row, reads row i from a table of (-1)^(i-1) times the divided differences
-# over l_1..l_i, built by _divided: in x (s = 0) or in z = x + 1/x (s = 1).
+# over l_1..l_i, built by _divided: in x or y (s = 0) or in z = x + 1/x
+# (s = 1).  _bordered_cauchy treats its y-columns the same way.
 # Its determinant is then its quotient by prod_{i<j}(l_i - l_j), with no
 # division, and holds at repeated letters.
 
@@ -115,16 +118,17 @@ def _checked_det(family: str, rows, lam: Partition, vs: VariableSet) -> Poly:
 
 
 def _divided(letters: Sequence[Poly], top: int, s: int) -> list[list[Poly]]:
-    """The row tables over the main letters l_1..l_n: tables[i - 1][d],
-    0 <= d <= top, is (-1)^(i-1) times the divided difference over
-    l_1..l_i of f_d, which is h_(d-i+1-s) of l_1..l_i (zero for
-    d < i - 1 + s), from complete_table.  In x (s = 0) f_d is x^d and the h
-    are of the letters; in z (s = 1) each l = x + 1/x stands for a pair x,
-    1/x, f_d is odd(d) = (x^d - x^-d) / (x - 1/x), and, as
+    """The tables of divided differences over the letters l_1..l_n, the main
+    letters in x or z, or the y-letters: tables[i - 1][d], 0 <= d <= top, is
+    (-1)^(i-1) times the divided difference over l_1..l_i of f_d, which is
+    h_(d-i+1-s) of l_1..l_i (zero for d < i - 1 + s), from complete_table.
+    In x or y (s = 0) f_d is l^d and the h are of the letters; in z
+    (s = 1) each l = x + 1/x stands for a pair x, 1/x, f_d is
+    odd(d) = (x^d - x^-d) / (x - 1/x), and, as
     sum_d odd(d) t^(d-1) = 1/(1 - l t + t^2), the h are of the pairs.
-    Rows sum_d c_d f_d(l_i), the same c_d in every row, have
-    prod_{i<j}(l_i - l_j) times the determinant that the same rows read from
-    these tables have."""
+    Rows (or columns) sum_d c_d f_d(l_i), the same c_d in every one, have
+    prod_{i<j}(l_i - l_j) times the determinant that the same rows read
+    from these tables have."""
     tables = []
     for i in range(1, len(letters) + 1):
         rmax, head = top - i + 1 - s, letters[:i]
@@ -161,19 +165,19 @@ def _bordered_cauchy(family: str, lam: Partition, letters: Sequence[Poly], ys: S
     the denominator, times f read with odd(a) = (x^a - x^-a) / (x - 1/x)
     for x^a at z_i.
 
-    Main column j is replaced by the divided difference in y of main
-    columns 1..j over y_1..y_j.  That of 1/(x + y) is
-    (-1)^(j-1) / prod_{t<=j}(x + y_t), so f becomes (-1)^(j-1) x^s
-    prod_{t>j}(x + y_t) = (-1)^(j-1) sum_r e_r(y_{j+1}..y_m) x^(m-j+s-r);
-    the lower border's y_j^a becomes the divided difference of y^a over
-    y_1..y_j, h_{a-j+1}(y_1..y_j), zero for a negative index; the k - 1
-    border columns of the lower border hold zeros; and the sign gains
-    (-1)^(m(m-1)/2).  Every main row is now a sum of x^a (or odd(a) in z),
-    the same in every row, so the rows are read from the row tables:
-    divided differences over the main letters.  The two transforms take
-    prod(y_i - y_j) and the Vandermonde in the main letters out, so the
-    determinant is the character with no division, and it holds at
-    repeated letters.
+    Column j is replaced by (-1)^(j-1) times the divided difference in y
+    of columns 1..j over y_1..y_j, _divided's convention, which divides
+    the determinant by prod_{i<j}(y_i - y_j) and keeps the sign.  The
+    divided difference of 1/(x + y) is (-1)^(j-1) / prod_{t<=j}(x + y_t),
+    so f becomes x^s prod_{t>j}(x + y_t) = sum_r e_r(y_{j+1}..y_m)
+    x^(m-j+s-r); the lower border's y_j^a becomes
+    _divided(ys, top, 0)[j - 1][a], zero for a < 0; the k - 1 border
+    columns of the lower border hold zeros.  Every main row is now a sum of
+    x^a (or odd(a) in z), the same in every row, so the rows are read from
+    the row tables: divided differences over the main letters.  The two
+    transforms take prod(y_i - y_j) and the Vandermonde in the main letters
+    out, so the determinant is the character with no division, and it
+    holds at repeated letters.
 
     With no y-letters there is no Cauchy block and no lower border, k - 1
     is n, and the matrix is the bialternant: x_i^(lam_j + n - j) for s = 0,
@@ -185,9 +189,9 @@ def _bordered_cauchy(family: str, lam: Partition, letters: Sequence[Poly], ys: S
     # tails[t] = [e_0, ..., e_{m-t}](y_{t+1}..y_m); tails[0] is e(Y)
     tails = [complete_table(m - t, (), vs, ys=ys[t:]) for t in range(m + 1)]
     tables = _divided(letters, max(lam.part(1) + n - 1, m - 1) + s, s)
-    main = [[(-1) ** j * _combine(row, tails[j + 1], m - 1 - j + s) for j in range(m)] for row in tables]
-    # hs[j][d] = h_d(y_1..y_(j+1)), for the lower border at lam and below
-    hs = [complete_table(lam.conjugate().part(1) + m - n - 1, ys[: j + 1], vs) for j in range(m)]
+    main = [[_combine(row, tails[j + 1], m - 1 - j + s) for j in range(m)] for row in tables]
+    # the lower border's tables in y, at lam and below
+    ydiv = _divided(ys, lam.conjugate().part(1) + m - n - 1, 0)
     zero = vs.zero()
 
     def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
@@ -197,8 +201,8 @@ def _bordered_cauchy(family: str, lam: Partition, letters: Sequence[Poly], ys: S
         rows = [head + [_combine(row, tails[0], e + m) for e in exps] for head, row in zip(main, tables)]
         for i in range(1, m - n + k):
             a = pc.part(i) + m - n - i
-            rows.append([hs[j][a - j] if a >= j else zero for j in range(m)] + [zero] * (k - 1))
-        return rows, -1 if (m * n - n + k - 1 + m * (m - 1) // 2) % 2 else 1
+            rows.append([ydiv[j][a] if a >= 0 else zero for j in range(m)] + [zero] * (k - 1))
+        return rows, -1 if (m * n - n + k - 1) % 2 else 1
 
     return _checked_det(family, bordered, lam, vs)
 
@@ -271,11 +275,7 @@ class _ZWorld:
             prefix += "z"
         self.ext = ext = VariableSet(vs.names + tuple(f"{prefix}{i}" for i in range(1, count + 1)))
         self.zs = [ext.gen(name) for name in ext.names[len(vs) :]]
-        # zero fields for the z-letters at the bottom of each key
-        self.ys = [
-            LaurentPolynomial._raw(ext, {k << 8 * y.fbytes * count: c for k, c in y.terms.items()}, y.fbytes, y.bound)
-            for y in ys
-        ]
+        self.ys = [ext.poly({e + (0,) * count: c for e, c in y.tuple_terms().items()}) for y in ys]
         self._vs, self._xs = vs, xs
 
     def back(self, p: Poly) -> Poly:
@@ -378,10 +378,7 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
         k = k_index(p, n, m)
         pc = p.conjugate()
         exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
-        rows = [
-            row + [sum((c * odd[e + m - r] for r, c in enumerate(e_all)), zero) for e in exps]
-            for row, odd in zip(main, odds)
-        ]
+        rows = [row + [_combine(odd, e_all, e + m) for e in exps] for row, odd in zip(main, odds)]
         for i in range(1, m - n + k):
             a = pc.part(i) - n - i
             rows.append([hy[a + j] if a + j >= 0 else zero for j in range(1, m + 1)] + [zero] * (k - 1))

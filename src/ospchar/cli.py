@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success (or all checks passing), 1 when a verification
 fails, 2 on usage errors, 3 on internal errors: a computation broke an
-arithmetic contract or failed a built-in consistency check, such as a
-route's check at the empty partition, which points at a defect in a
-formula, not at the input.
+arithmetic contract, failed a built-in consistency check, such as a
+route's check at the empty partition, or read a table past its end (an
+IndexError), which points at a defect in a formula, not at the input.
 ``verify`` and ``suite`` print such a check as an "error" report, print every
 other report too, and then exit 3.  A usage error is a ValueError raised
 before any computation runs: a bad flag value, a partition that does not

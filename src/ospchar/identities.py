@@ -98,10 +98,11 @@ class VerificationReport:
 
 
 # A check that raises one of these has hit a formula defect (a broken
-# arithmetic contract or a failed consistency check); it is reported as an
-# "error".  A ValueError is a point outside the check's domain, which only a
-# caller-chosen point can be: run_check raises it, run_suite reports it.
-COMPUTATION_ERRORS = (AlgebraError, RuntimeError)
+# arithmetic contract, a failed consistency check, or a table read past its
+# end); it is reported as an "error".  A ValueError is a point outside the
+# check's domain, which only a caller-chosen point can be: run_check raises
+# it, run_suite reports it.
+COMPUTATION_ERRORS = (AlgebraError, RuntimeError, IndexError)
 
 
 def _error_report(identity: str, params: dict, exc: Exception) -> VerificationReport:

@@ -502,13 +502,15 @@ REAL_DIVIDED = characters._divided
 
 def negating_row(i, s=1):
     """The row-table builder characters._divided with row i's table negated
-    on its calls at s, in z by default: a defect that flips the sign of
-    every determinant read from it, at lam and at the empty partition alike.
-    Negating any row but the first is the defect of a lost (-1)^(i-1)."""
+    on its calls at s over the main letters, in z by default: a defect that
+    flips the sign of every determinant read from it, at lam and at the
+    empty partition alike.  The tables over the y-letters, which are built
+    at s = 0 too, are left alone.  Negating any row but the first is the
+    defect of a lost (-1)^(i-1)."""
 
     def broken(letters, top, at):
         tables = REAL_DIVIDED(letters, top, at)
-        if at == s:
+        if at == s and letters and not letters[0].to_text().startswith("y"):
             tables[i] = [-c for c in tables[i]]
         return tables
 
@@ -594,25 +596,25 @@ ORTHO_STAGED_SHAPES = [lam.parts for size in (5, 6) for lam in partitions_of(siz
 @pytest.mark.parametrize("parts", ORTHO_STAGED_SHAPES, ids=lambda parts: ",".join(map(str, parts)))
 def test_staged_ortho_det_rational_matches_one_shot_division(monkeypatch, parts):
     # the divided differences in y and in z leave the route no division (no
-    # route divides: characters has no exact_div to call): its rows are read
-    # from one set of row tables over the z-letters.  The x-world
-    # determinant divides by prod(y_i - y_j) and the symplectic denominator
-    # in one call
+    # route divides: characters has no exact_div to call): its main rows are
+    # read from row tables over the z-letters and its lower border from
+    # tables over the lifted y-letters.  The x-world determinant divides by
+    # prod(y_i - y_j) and the symplectic denominator in one call
     lam = Partition(list(parts))
     vs, xs, ys = standard_xy(3, 3)
     tables = []
 
     def recording_tables(letters, top, s):
-        tables.append(letters)
+        tables.append((letters, s))
         return REAL_DIVIDED(letters, top, s)
 
     with monkeypatch.context() as patch:
         patch.setattr(characters, "_divided", recording_tables)
         value = ortho_det_rational(lam, xs, ys)
-    assert not hasattr(characters, "exact_div") and len(tables) == 1
-    ext = tables[0][0].vars
+    assert not hasattr(characters, "exact_div") and len(tables) == 2
+    ext = tables[0][0][0].vars
     assert ext.names[6:] == ("z1", "z2", "z3")
-    assert tables[0] == ext.gens()[6:]
+    assert tables == [(ext.gens()[6:], 1), (ext.gens()[3:6], 0)]
     rows, sign = _rational_rows(lam, xs, ys)
     one_shot = _delta(vs, ys) * symplectic_denominator_product(xs)
     assert value == sign * exact_div(det_cofactor(rows, vs), one_shot)

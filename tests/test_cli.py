@@ -347,14 +347,15 @@ def test_exit_codes_through_the_module_entry_point():
     assert (code, err) == (0, "") and len(out.splitlines()) == 4
 
 
-# standing mutants of characters.py: (line, mutant, identities that must
-# report a non-pass)
+# standing mutants: (file, line, mutant, identities that must report a
+# non-pass)
 STANDING_MUTANTS = {
     # every border column of _bordered_cauchy takes lam_1 in place of lam_j:
     # the check at the empty partition still passes, so only the tableau
     # sums can catch it, and symplectic_methods must, since the symplectic
     # Weyl and Schur routes read that line too
     "border_exponent": (
+        "characters.py",
         "        exps = [p.part(j) + n - m - j + s for j in range(1, k)]\n",
         "        exps = [p.part(1) + n - m - j + s for j in range(1, k)]\n",
         ["symplectic_methods"],
@@ -362,22 +363,48 @@ STANDING_MUTANTS = {
     # one more leading zero per row of _divided shifts every h index by one,
     # in x (hook_methods) and in z (symplectic_methods) alike
     "divided_h_index": (
+        "characters.py",
         "        tables.append([letters[0].vars.zero()] * (i - 1 + s) + (h if i % 2 else [-c for c in h]))\n",
         "        tables.append([letters[0].vars.zero()] * (i + s) + (h if i % 2 else [-c for c in h]))\n",
         ["hook_methods", "symplectic_methods"],
     ),
+    # the lower border of _bordered_cauchy reads its y-tables one index up,
+    # past their end at some points: an IndexError, which is an "error"
+    # report, never a crashed sweep
+    "lower_border_index": (
+        "characters.py",
+        "            a = pc.part(i) + m - n - i\n",
+        "            a = pc.part(i) + m - n - i + 1\n",
+        ["hook_methods", "ortho_methods"],
+    ),
+    # complete_table's x-letter recurrence with the wrong sign: every h of
+    # x- or y-letters, which the hook routes and every lower border read
+    "complete_x_sign": (
+        "symfun.py",
+        "            table[s] = table[s] + x * table[s - 1]\n",
+        "            table[s] = table[s] - x * table[s - 1]\n",
+        ["hook_methods", "ortho_methods"],
+    ),
+    # complete_table's z-letter recurrence adds the term two below: every
+    # row table in z
+    "complete_z_below": (
+        "symfun.py",
+        "            below, table[s] = table[s - 1], table[s] + z * table[s - 1] - below\n",
+        "            below, table[s] = table[s - 1], table[s] + z * table[s - 1] + below\n",
+        ["symplectic_methods", "odd_methods"],
+    ),
 }
 
 
-@pytest.mark.parametrize("line, mutant, caught_by", STANDING_MUTANTS.values(), ids=STANDING_MUTANTS)
-def test_ci_size_suite_catches_a_bordered_cauchy_mutant(tmp_path, line, mutant, caught_by):
+@pytest.mark.parametrize("module, line, mutant, caught_by", STANDING_MUTANTS.values(), ids=STANDING_MUTANTS)
+def test_ci_size_suite_catches_a_bordered_cauchy_mutant(tmp_path, module, line, mutant, caught_by):
     # The mutant runs from a copy of the package; the line must occur once,
     # so the test breaks loudly when the code moves
     copy = tmp_path / "src" / "ospchar"
     shutil.copytree(Path(ospchar.__file__).resolve().parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    text = (copy / "characters.py").read_text()
+    text = (copy / module).read_text()
     assert text.count(line) == 1
-    (copy / "characters.py").write_text(text.replace(line, mutant))
+    (copy / module).write_text(text.replace(line, mutant))
     env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
     argv = [sys.executable, "-m", "ospchar", "suite", "--max-n", "2", "--max-m", "2", "--max-weight", "3", "--json"]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
@@ -539,14 +566,19 @@ def nested_domain_check(*args, **kwargs):
 @pytest.mark.parametrize("as_json", [False, True])
 def test_suite_reports_every_check_past_a_formula_defect(capsys, monkeypatch, as_json):
     argv = ["suite", "--max-n", "1", "--max-m", "1", "--max-weight", "1"] + (["--json"] if as_json else [])
-    # a wrong value, and a ValueError from inside the routes, both in the
-    # row tables in z only: every grid point is in its identity's domain, so
-    # neither is a usage error
+    # a wrong value, a ValueError from inside the routes, and a table read
+    # past its end, all in the row tables in z only: every grid point is in
+    # its identity's domain, so none is a usage error, and none crashes the
+    # sweep
 
     def domain_check_in_z(letters, top, s):
         return nested_domain_check() if s else test_characters.REAL_DIVIDED(letters, top, s)
 
-    for broken in (negating_row(0), domain_check_in_z):
+    def short_tables_in_z(letters, top, s):
+        tables = test_characters.REAL_DIVIDED(letters, top, s)
+        return [table[:-1] for table in tables] if s else tables
+
+    for broken in (negating_row(0), domain_check_in_z, short_tables_in_z):
         with monkeypatch.context() as patch:
             patch.setattr(characters, "_divided", broken)
             code, out, err = run(capsys, *argv)
