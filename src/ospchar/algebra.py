@@ -17,8 +17,8 @@ order on exponent vectors, the canonical order of serialization.  Each
 polynomial carries its field width and a bound on the magnitude of its
 exponents: a product's bound is the sum of its operands', a sum's the
 larger, an exact quotient's the box its dividend and divisor leave.  The
-fields grow with the bound (1, 2, 4 or 8 bytes, then exact byte counts), and
-an operand is re-encoded only when an operation needs wider fields than it
+fields grow with the bound, to the exact byte count it needs, and an
+operand is re-encoded only when an operation needs wider fields than it
 has.  Equality and hash do not depend on the width.
 
 Exponent tuples appear only at the edges: the constructor encodes them,
@@ -50,7 +50,6 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb
 from operator import add, index, mul, sub
-from struct import Struct
 from typing import Iterable, Sequence
 
 _from_bytes = int.from_bytes
@@ -80,12 +79,9 @@ class ExactDivisionError(AlgebraError):
 
 
 def _width(bound: int) -> int:
-    """Bytes per field for exponents of magnitude at most ``bound``: 1, 2, 4,
-    8 or, past 64 bits, the exact byte count."""
-    size = (bound.bit_length() + 8) // 8
-    if size <= 2 or size > 8:
-        return size
-    return 4 if size <= 4 else 8
+    """Bytes per field for exponents of magnitude at most ``bound``, the
+    exact byte count."""
+    return (bound.bit_length() + 8) // 8
 
 
 @lru_cache(maxsize=None)
@@ -93,37 +89,29 @@ def _codec(width: int, fbytes: int):
     """(encode, decode) between the exponent vectors of ``width`` variables
     and keys with fields of ``fbytes`` bytes.  Both pass through key + bias,
     whose fields e_v + B/2 are nonnegative and carry into nothing: bytes for
-    one-byte fields, struct for 2, 4 or 8 bytes, shifts past that."""
+    one-byte fields, shifts for wider ones."""
     bits = 8 * fbytes
     half = 1 << (bits - 1)
     top = bits * width
     shifts = [bits * (width - 1 - v) for v in range(width)]
     bias = sum(half << s for s in shifts)
-    low = (1 << top) - 1
-    size = width * fbytes
-    up, down = (half,) * width, (-half,) * width
-    if fbytes > 8:
-        mask = (1 << bits) - 1
-
-        def encode(e):
-            return (sum(e) << top) + sum(x << s for x, s in zip(e, shifts))
-
-        def decode(k):
-            k += bias
-            return tuple(((k >> s) & mask) - half for s in shifts)
-
-        return encode, decode
     if fbytes == 1:
+        low = (1 << top) - 1
+        up, down = (half,) * width, (-half,) * width
         return (
             lambda e: (sum(e) << top) + _from_bytes(bytes(map(add, e, up)), "big") - bias,
-            lambda k: tuple(map(add, ((k + bias) & low).to_bytes(size, "big"), down)),
+            lambda k: tuple(map(add, ((k + bias) & low).to_bytes(width, "big"), down)),
         )
-    form = Struct(">" + {2: "H", 4: "I", 8: "Q"}[fbytes] * width)
-    spack, sunpack = form.pack, form.unpack
-    return (
-        lambda e: (sum(e) << top) + _from_bytes(spack(*map(add, e, up)), "big") - bias,
-        lambda k: tuple(map(add, sunpack(((k + bias) & low).to_bytes(size, "big")), down)),
-    )
+    mask = (1 << bits) - 1
+
+    def encode(e):
+        return (sum(e) << top) + sum(x << s for x, s in zip(e, shifts))
+
+    def decode(k):
+        k += bias
+        return tuple(((k >> s) & mask) - half for s in shifts)
+
+    return encode, decode
 
 
 def _at(p: "LaurentPolynomial", fbytes: int) -> dict:
@@ -341,9 +329,6 @@ class LaurentPolynomial:
         fbytes, a, b = _common(self, other, bound)
         if len(a) < len(b):
             a, b = b, a
-        if len(b) == 1:
-            (k2, c2), = b.items()
-            return LaurentPolynomial._raw(self.vars, {k + k2: c * c2 for k, c in a.items()}, fbytes, bound)
         out: dict[int, int] = {}
         get = out.get
         for k2, c2 in b.items():
@@ -362,11 +347,6 @@ class LaurentPolynomial:
         n = _integer(n)
         if n < 0:
             return self.inverse() ** (-n)
-        if len(self.terms) == 1:
-            bound = self.bound * n
-            fbytes = max(self.fbytes, _width(bound))
-            (k, c), = _at(self, fbytes).items()
-            return LaurentPolynomial._raw(self.vars, {k * n: c ** n}, fbytes, bound)
         result = self.vars.one()
         base = self
         while n:

@@ -253,7 +253,14 @@ def skew_schur_jt(
     ys: Sequence[LaurentPolynomial] = (),
 ) -> LaurentPolynomial:
     """Skew (hook) Schur polynomial det(H_{lam_i - mu_j - i + j}(X; Y)) of
-    order max(len(lam), 1); with Y empty the H_r are the h_r(X)."""
+    order max(len(lam), 1); with Y empty the H_r are the h_r(X).
+
+    The rows passed to det_cofactor are the matrix's columns (the same
+    determinant).  The matrix is zero in its lower left, so expanding along
+    its first column memoizes few minors, where a first-row expansion walks
+    every column subset that keeps a column no later row can fill, a number
+    exponential in the order.
+    """
     require_inside(lam, mu)
     n = max(lam.length, 1)
     hx = complete_table(lam.part(1) + n - 1, xs, vars, ys=ys)
@@ -264,8 +271,8 @@ def skew_schur_jt(
         return hx[r] if r >= 0 else zero
 
     rows = [
-        [h(lam.part(i) - mu.part(j) - i + j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
+        [h(lam.part(i) - mu.part(j) - i + j) for i in range(1, n + 1)]
+        for j in range(1, n + 1)
     ]
     return det_cofactor(rows, vs)
 

@@ -19,14 +19,12 @@ between a cell's bound and its ceiling leads to a tableau, so the
 backtracking never enters a filling it cannot finish.  It lists the
 tableaux for ``ospchar enumerate`` and is the oracle the tests hold the
 weight sums to on small shapes.  It streams the tableaux as their
-display text (``[[1,1b],[2p]]``), one line each, built as the cells are
-assigned: it holds one filling and the text before each cell that can still
-change, each built from the last one still valid by one concatenation or one
-join, so the cost per tableau follows what changed, not the size of the
-shape.  The last two cells are not backtracked: their text comes from a
-table of tail strings keyed on their lower bounds and bounded by the
-alphabet, and the tableaux that share every earlier cell come out as one
-chunk, a single join of their tails with the prefix.
+display text (``[[1,1b],[2p]]``), one line each, and holds one filling and
+each assigned cell's text.  The last two cells are not backtracked: their
+text comes from a table of tail strings keyed on their lower bounds and
+bounded by the alphabet, and the tableaux that share every earlier cell come
+out as one chunk, a single join of their tails with the text of those
+cells, itself joined once per chunk.
 
 Entry encodings (0-based codes); the family's table in ``LETTERS`` is the one
 place that says what each code shows as, weighs, and which strip it fills:
@@ -95,11 +93,16 @@ def _strips(shape: tuple[int, ...], lam: tuple[int, ...], letter: Letter) -> Ite
 
     A row-weak, column-strict letter adds a horizontal strip: row r may
     grow up to the old length of row r - 1, and not past its row cap.  A
-    row-strict letter adds a vertical strip: each row grows by at most one.
+    row-strict letter adds a vertical strip: each row grows by at most one,
+    and the strips are built row by row from the prefixes that stay weakly
+    decreasing, so their cost follows the strips there are, not 2^rows.
     """
     if letter.row_strict:
-        choices = [(w, w + 1) if w < top else (w,) for w, top in zip(shape, lam)]
-        return (s for s in itertools.product(*choices) if all(a >= b for a, b in zip(s, s[1:])))
+        strips = [()]
+        for w, top in zip(shape, lam):
+            grow = (w, w + 1) if w < top else (w,)
+            strips = [s + (v,) for s in strips for v in grow if not s or s[-1] >= v]
+        return iter(strips)
     rows = letter.rows or len(shape)
     bounds = [min(top, above) for top, above in zip(lam, lam[:1] + shape)]
     choices = [range(w, top + 1) if r < rows else (w,) for r, (w, top) in enumerate(zip(shape, bounds))]
@@ -246,27 +249,22 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
     The text grows with the filling.  Each cell has a separator fixed by
     the shape: ``,`` within a row, and at a row start the closing of the
     row before, any fully inner rows and the row's ``.`` cells.  ``texts[k]``
-    is cell k's separator and token.  ``pre[k]``, the text of the cells
-    before cell k, is built only when cell k takes a code below its
-    ceiling, since only such a cell is backtracked to.  It is built from the
-    last prefix still valid, ``pre[valid]``: one concatenation, or one join
-    over the cells in between.  The text before pen is built the same way
-    once per run, so a run after a one-cell backtrack costs one
-    concatenation, and a descent through cells at their ceilings (a long
-    row of the last letter) copies the prefix once, not once per cell.  The
-    backtracking stops at the next-to-last cell ``pen``: its codes from lo
-    to its ceiling and the last cell's codes from their bound make one run
-    of tableaux, each the text before pen plus a tail string of the last two
-    cells, the closing brackets and the newline.  The last cell's bound is
-    ``base``, from its row and any neighbour other than pen, raised per code
-    of pen when pen is its left or top neighbour; so the tails of a run
-    depend only on (lo, base), and each listing call builds each such list
-    once.  That table holds at most (codes + 1)**2 lists of at most
-    codes**2 strings, bounded by the alphabet, not by the number of
-    tableaux.  A run is one chunk, the prefix joined with its tails, so no
-    chunk holds more than codes**2 lines, and no run is empty.  The prefixes
-    hold O(cells**2) characters per shape at most, not per tableau, and
-    nothing else is kept across chunks beyond the current filling.
+    is cell k's separator and token.  The backtracking stops at the
+    next-to-last cell ``pen``: its codes from lo to its ceiling and the last
+    cell's codes from their bound make one run of tableaux, each the text
+    before pen plus a tail string of the last two cells, the closing
+    brackets and the newline.  The text before pen is one join of
+    ``texts[:pen]`` per run; the run's chunk copies that text once per
+    tableau anyway, so the join costs no more than the chunk.  The last
+    cell's bound is ``base``, from its row and any neighbour other than pen,
+    raised per code of pen when pen is its left or top neighbour; so the
+    tails of a run depend only on (lo, base), and each listing call builds
+    each such list once.  That table holds at most (codes + 1)**2 lists of
+    at most codes**2 strings, bounded by the alphabet, not by the number of
+    tableaux.  A run is one chunk, the text before pen joined with its
+    tails, so no chunk holds more than codes**2 lines, and no run is empty.
+    Nothing is kept across chunks beyond the current filling and its cells'
+    texts.
 
     Raises ValueError when called, before any iteration, outside the domain.
     """
@@ -333,10 +331,6 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
         left_low = [0] * len(cells)
         top_low = [0] * len(cells)
         texts = [""] * len(cells)
-        # pre[valid] is the text before cell valid, and so is pre[k] for
-        # every earlier cell k that still has codes left
-        pre = [""] * len(cells)
-        valid = 0
         # One iterator of candidate codes per filled cell before pen, so
         # that a long shape needs no deep recursion.
         stack: list[Iterator[int]] = []
@@ -353,10 +347,7 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
                     base = left_low[lefts[last]]
                 if top_low[tops[last]] > base:
                     base = top_low[tops[last]]
-                if valid == pen - 1:
-                    text = pre[valid] + texts[valid]
-                else:
-                    text = pre[valid] + "".join(texts[valid:pen])
+                text = "".join(texts[:pen])
                 yield text + text.join(tail(lo, base))
             else:
                 stack.append(iter(range(lo, ceil[k] + 1)))
@@ -368,16 +359,6 @@ def _listing(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -> 
             left_low[k] = after_left[v]
             top_low[k] = after_top[v]
             texts[k] = after[k][v]
-            if valid > k:
-                # a backtrack: cell k had codes left, so pre[k] was built
-                valid = k
-            elif v < ceil[k] and valid < k:
-                # only a cell with codes left is backtracked to and needs its prefix again
-                if valid == k - 1:
-                    pre[k] = pre[valid] + texts[valid]
-                else:
-                    pre[k] = pre[valid] + "".join(texts[valid:k])
-                valid = k
             k += 1
 
     return listing()

@@ -300,7 +300,7 @@ def _min_exponents(p):
     return tuple(map(min, cols)) if cols else (0,) * len(p.vars)
 
 
-# Exponents on both sides of every field width: one signed byte holds
+# Exponents on both sides of four field widths: one signed byte holds
 # magnitudes up to 127, two bytes up to 2^15 - 1, four up to 2^31 - 1 and
 # eight up to 2^63 - 1; 2^70 takes nine.
 WIDE = [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63, 2**70]
@@ -320,7 +320,18 @@ def boundary_polys(vs, max_terms=4):
 def test_ring_operations_match_the_tuple_keyed_reference(p, q):
     P, Q = TuplePoly.of(p), TuplePoly.of(q)
     assert (p == q) == (P == Q)
-    for got, want in ((p * q, P * Q), (q * p, P * Q), (p + q, P + Q), (p - q, P - Q), (-p, -P)):
+    cases = [(p * q, P * Q), (q * p, P * Q), (p + q, P + Q), (p - q, P - Q), (-p, -P)]
+    # a one-term power runs the general square-and-multiply loop at every
+    # field width, and a unit monomial's negative powers through its inverse
+    power = TuplePoly(p.vars, {(0,) * len(p.vars): 1})
+    inverse = TuplePoly(p.vars, {tuple(-x for x in e): c for e, c in P.terms.items()})
+    inverse_power = power
+    for k in range(4):
+        cases.append((p ** k, power))
+        if p.is_unit_monomial():
+            cases.append((p ** -k, inverse_power))
+        power, inverse_power = power * P, inverse_power * inverse
+    for got, want in cases:
         assert TuplePoly.of(got) == want
         assert got.sorted_terms() == want.sorted_terms()
         assert got.to_text() == want.to_text()
@@ -890,7 +901,7 @@ def test_det_with_cancelling_minors_and_zero_rows():
     # each row's exponents reach s in x and the width is set by the three
     # rows' sum, 3s; past one byte, a single row's bound would fit the next
     # narrower width
-    [(40, 1), (50, 2), (2 ** 14, 4), (2 ** 30, 8), (2 ** 62, 9), (2 ** 70, 10)],
+    [(40, 1), (50, 2), (2 ** 14, 3), (2 ** 30, 5), (2 ** 62, 9), (2 ** 70, 10)],
 )
 def test_det_field_widths(s, fbytes):
     x, y = VS2.gens()
@@ -1075,7 +1086,7 @@ def test_to_json_matches_the_dict_reference(case):
 
 def test_to_json_edges():
     # the zero polynomial, constants, no variables, and one polynomial per
-    # field width: 1, 2, 4 and 8 bytes, then exact bytes past 2**63
+    # field width, the exact byte count of its bound: 1, 2, 3, 5 and 9 bytes
     for vs in (VS0, VS1, VS3):
         _same_json(vs, {})
         _same_json(vs, {(0,) * len(vs): -5})
@@ -1085,7 +1096,7 @@ def test_to_json_edges():
         terms = {(bound, -bound, 0): -(2**64), (-1, 0, 2): 7, (0, 0, 0): -1}
         widths.add(VS3.poly(terms).fbytes)
         _same_json(VS3, terms)
-    assert widths == {1, 2, 4, 8, 9}
+    assert widths == {1, 2, 3, 5, 9}
     assert VS3.zero().to_json() == '{"vars":["a","b","c"],"terms":[]}'
     assert VS1.poly({(-2,): -3}).to_json() == '{"vars":["x"],"terms":[{"c":"-3","e":[-2]}]}'
 

@@ -347,6 +347,30 @@ def test_exit_codes_through_the_module_entry_point():
     assert (code, err) == (0, "") and len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize(
+    "family, method, lam",
+    [
+        ("hook", "jt", ",".join(["1"] * 40)),
+        ("orthosymplectic", "det", ",".join(["1"] * 40)),
+        ("orthosymplectic", "sp_schur_sum", "40"),
+    ],
+    ids=["hook-jt-1^40", "orthosymplectic-det-1^40", "orthosymplectic-sp_schur_sum-40"],
+)
+def test_long_columns_take_polynomial_time(family, method, lam):
+    # A Jacobi-Trudi matrix expanded along its zero lower left, and 2^40
+    # candidate vertical strips per primed letter, would each run for hours
+    src = str(Path(ospchar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def compute(route):
+        argv = ["compute", "--family", family, "--method", route, "--n", "1", "--m", "1", "--lambda", lam, "--format", "json"]
+        proc = subprocess.run([sys.executable, "-m", "ospchar", *argv], capture_output=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert compute(method) == compute("tableau")
+
+
 # standing mutants: (file, line, mutant, identities that must report a
 # non-pass)
 STANDING_MUTANTS = {
@@ -392,6 +416,42 @@ STANDING_MUTANTS = {
         "            below, table[s] = table[s - 1], table[s] + z * table[s - 1] - below\n",
         "            below, table[s] = table[s - 1], table[s] + z * table[s - 1] + below\n",
         ["symplectic_methods", "odd_methods"],
+    ),
+    # ortho_det_laurent's border columns read one power of x too low
+    "laurent_border_top": (
+        "characters.py",
+        "        rows = [row + [_combine(odd, e_all, e + m) for e in exps] for row, odd in zip(main, odds)]\n",
+        "        rows = [row + [_combine(odd, e_all, e + m - 1) for e in exps] for row, odd in zip(main, odds)]\n",
+        ["ortho_methods"],
+    ),
+    # ortho_jt's second J index one below the universal Jacobi-Trudi matrix
+    "jt_index": (
+        "characters.py",
+        "        row += [J(a + j) + J(a - j + 2) for j in range(2, n + 1)]\n",
+        "        row += [J(a + j) + J(a - j + 1) for j in range(2, n + 1)]\n",
+        ["ortho_methods"],
+    ),
+    # ortho_sp_schur_sum drops the terms whose mu has n rows
+    "sp_schur_truncated": (
+        "characters.py",
+        "    for mu in subpartitions(lam, max_length=n):\n",
+        "    for mu in subpartitions(lam, max_length=n - 1):\n",
+        ["ortho_methods"],
+    ),
+    # ortho_single_y with the sign of its y flipped
+    "single_y_sign": (
+        "characters.py",
+        "        return [[odd[a + 1] + y * odd[a] for a in exps] for odd in odds], 1\n",
+        "        return [[odd[a + 1] - y * odd[a] for a in exps] for odd in odds], 1\n",
+        ["odd_ortho_specialization", "bkw_general"],
+    ),
+    # the tableau engine: King letters i and ib fill every row, not only the
+    # top i; the closed-form routes must catch a defect in the ground truth
+    "strip_row_cap": (
+        "tableaux.py",
+        "    rows = letter.rows or len(shape)\n",
+        "    rows = len(shape)\n",
+        ["ortho_methods", "symplectic_methods", "odd_methods"],
     ),
 }
 
