@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb
 from operator import add, index, mul, sub
 from typing import Iterable, Sequence
 
@@ -533,12 +532,13 @@ def substitute_reciprocal_sums(
     p's variables are ``vars`` followed by one letter per unit, each unit a
     unit monomial s*x^d of ``vars``, and p is a polynomial in those letters.
     The letters go one at a time, last first: z^k becomes
-    s^k * sum_j C(k, j) x^((k - 2j) d).  The letters hold the lowest fields
-    of p's keys, so the letter being replaced sits just above fields that
-    are already zero, and moving a term from z^k to x^((k - 2j) d) is adding
-    one integer to its key.  The fields are wide enough for the farthest
-    any exponent can move; once every letter is gone, dropping their fields
-    is one shift per key.
+    s^k * sum_j C(k, j) x^((k - 2j) d), its coefficients built once per k
+    by C(k, j + 1) = C(k, j) (k - j) / (j + 1).  The letters hold the
+    lowest fields of p's keys, so the letter being replaced sits just above
+    fields that are already zero, and moving a term from z^k to
+    x^((k - 2j) d) is adding one integer to its key.  The fields are wide
+    enough for the farthest any exponent can move; once every letter is
+    gone, dropping their fields is one shift per key.
     """
     width, count = len(vars), len(units)
     if p.vars.names[:width] != vars.names or len(p.vars) != width + count:
@@ -571,7 +571,11 @@ def substitute_reciprocal_sums(
             if moved is None:
                 if k < 0:
                     raise AlgebraError("a negative power of u + 1/u is not a Laurent polynomial")
-                moved = spread[k] = [((k - 2 * j) * step - k * letter, comb(k, j) * s**k) for j in range(k + 1)]
+                moved = spread[k] = []
+                b = s**k
+                for j in range(k + 1):
+                    moved.append(((k - 2 * j) * step - k * letter, b))
+                    b = b * (k - j) // (j + 1)
             for off, b in moved:
                 kk = key + off
                 nc = get(kk, 0) + c * b

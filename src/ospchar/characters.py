@@ -38,10 +38,11 @@ with its lower border read from _divided's tables in y.
 ortho_det_laurent, ortho_sp_schur_sum, ortho_single_y and
 odd_symplectic_det build their own rows from _divided's tables in z.
 
-No route divides.  Each determinant *is* the character, and every route
-with a product-form denominator checks sign times the determinant of its
-matrix at the empty partition, where the character is 1, against 1 in
-_checked_det, and raises a RuntimeError naming the family when they differ.
+No route divides.  Each determinant *is* the character.  Every route with
+a product-form denominator builds value(p), its signed determinant (or, for
+ortho_sp_schur_sum, its whole sum) at the partition p, and _checked checks
+value at the empty partition, where the character is 1, against 1, and
+raises a RuntimeError naming the family when they differ.
 """
 
 from __future__ import annotations
@@ -98,23 +99,13 @@ def _vandermonde(vs: VariableSet, letters: Sequence[Poly]) -> Poly:
 # division, and holds at repeated letters.
 
 
-def _check_divisor(family: str, rows, vs: VariableSet) -> None:
-    """Raise a RuntimeError naming the family unless sign * det(matrix) is 1
-    for (matrix, sign) = rows(empty partition) over vs: every character is 1
-    there, and a route's rows are its matrix with the product-form
-    denominator taken out."""
-    matrix, sign = rows(Partition())
-    if sign * det_cofactor(matrix, vs) != vs.one():
+def _checked(family: str, value, lam: Partition) -> Poly:
+    """value(lam), the route's polynomial at lam with its product-form
+    denominator taken out.  Every character is 1 at the empty partition, so
+    a RuntimeError naming the family is raised unless value is 1 there."""
+    if value(Partition()) != 1:
         raise RuntimeError(f"{family} denominator does not match its product form")
-
-
-def _checked_det(family: str, rows, lam: Partition, vs: VariableSet) -> Poly:
-    """sign * det(matrix) for (matrix, sign) = rows(lam) over vs, with no
-    division, after _check_divisor has checked the rows."""
-    _check_divisor(family, rows, vs)
-    matrix, sign = rows(lam)
-    det = det_cofactor(matrix, vs)
-    return -det if sign < 0 else det
+    return value(lam)
 
 
 def _divided(letters: Sequence[Poly], top: int, s: int) -> list[list[Poly]]:
@@ -151,7 +142,7 @@ def _bordered_cauchy(family: str, lam: Partition, letters: Sequence[Poly], ys: S
     and y_1..y_m, read from the row tables _divided(letters, top, s): in x
     (s = 0) it is Moens-Van der Jeugt's for gl(m|n), in z = x + 1/x (s = 1)
     the orthosymplectic one.  Checked at the empty partition under the
-    family's name in _checked_det; no division.
+    family's name in _checked; no division.
 
     The block matrix has the n x m Cauchy-type block, k - 1 border columns,
     m - n + k - 1 lower border rows y_j^(lam'_i + m - n - i) and a zero
@@ -194,7 +185,7 @@ def _bordered_cauchy(family: str, lam: Partition, letters: Sequence[Poly], ys: S
     ydiv = _divided(ys, lam.conjugate().part(1) + m - n - 1, 0)
     zero = vs.zero()
 
-    def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
+    def bordered(p: Partition) -> Poly:
         k = k_index(p, n, m)
         pc = p.conjugate()
         exps = [p.part(j) + n - m - j + s for j in range(1, k)]
@@ -202,9 +193,10 @@ def _bordered_cauchy(family: str, lam: Partition, letters: Sequence[Poly], ys: S
         for i in range(1, m - n + k):
             a = pc.part(i) + m - n - i
             rows.append([ydiv[j][a] if a >= 0 else zero for j in range(m)] + [zero] * (k - 1))
-        return rows, -1 if (m * n - n + k - 1) % 2 else 1
+        det = det_cofactor(rows, vs)
+        return -det if (m * n - n + k - 1) % 2 else det
 
-    return _checked_det(family, bordered, lam, vs)
+    return _checked(family, bordered, lam)
 
 
 # -- general linear -----------------------------------------------------
@@ -244,7 +236,7 @@ def hook_schur_det(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Po
 # what is left to divide by is a Vandermonde in z.  Divided differences in
 # z take it out with no division: row i becomes (-1)^(i-1) g_c[z_1..z_i],
 # read from _divided with s = 1, and the determinant *is* the quotient,
-# checked at the empty partition by _checked_det.  Each route builds its
+# checked at the empty partition by _checked.  Each route builds its
 # rows in one _ZWorld per call and maps the value back by
 # z_i -> x_i + 1/x_i, a ring homomorphism for any unit monomial x_i, so the
 # routes still evaluate at points such as (x_1, ..., 1/x_n) or
@@ -374,7 +366,7 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
     odds = _divided(w.zs, max(lam.part(1) + n, m), 1)
     main = [[-odd[j] if (m - j) % 2 else odd[j] for j in range(1, m + 1)] for odd in odds]
 
-    def bordered(p: Partition) -> tuple[list[list[Poly]], int]:
+    def bordered(p: Partition) -> Poly:
         k = k_index(p, n, m)
         pc = p.conjugate()
         exps = [p.part(j) + n - m - j + 1 for j in range(1, k)]
@@ -382,9 +374,10 @@ def ortho_det_laurent(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) ->
         for i in range(1, m - n + k):
             a = pc.part(i) - n - i
             rows.append([hy[a + j] if a + j >= 0 else zero for j in range(1, m + 1)] + [zero] * (k - 1))
-        return rows, -1 if (m * n - n + k - 1) % 2 else 1
+        det = det_cofactor(rows, w.ext)
+        return -det if (m * n - n + k - 1) % 2 else det
 
-    return w.back(_checked_det("orthosymplectic", bordered, lam, w.ext))
+    return w.back(_checked("orthosymplectic", bordered, lam))
 
 
 def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
@@ -398,31 +391,33 @@ def ortho_single_y(lam: Partition, xs: Sequence[Poly], y: Poly) -> Poly:
     (y,) = w.ys
     odds = _divided(w.zs, lam.part(1) + n, 1)
 
-    def rows(p: Partition) -> tuple[list[list[Poly]], int]:
+    def value(p: Partition) -> Poly:
         exps = [p.part(j) + n - j for j in range(1, n + 1)]
-        return [[odd[a + 1] + y * odd[a] for a in exps] for odd in odds], 1
+        return det_cofactor([[odd[a + 1] + y * odd[a] for a in exps] for odd in odds], w.ext)
 
-    return w.back(_checked_det("symplectic", rows, lam, w.ext))
+    return w.back(_checked("symplectic", value, lam))
 
 
 def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -> Poly:
     """Sum over mu inside lam of sp_mu(X) * s_{lam'/mu'}(Y), summed in z and
-    mapped back once; each sp_mu is the determinant of the rows
-    odd(mu_j + n - j + 1) read from _divided, divided differences in z
-    (no division), checked once per call."""
+    mapped back once.  Each sp_mu is the determinant of the rows
+    odd(mu_j + n - j + 1) read from _divided, divided differences in z (no
+    division).  Each s_{lam'/mu'}(Y) is the dual Jacobi-Trudi determinant
+    det(e_{lam_i - mu_j - i + j}(Y)) of order len(lam): skew_schur_jt with
+    no x-letters.  The sum is checked at the empty partition, where it is
+    sp_empty(X)."""
     n = len(xs)
     w = _ZWorld(xs, ys)
     odds = _divided(w.zs, lam.part(1) + n, 1)
 
-    def rows(p: Partition) -> tuple[list[list[Poly]], int]:
-        return [[odd[p.part(j) + n - j + 1] for j in range(1, n + 1)] for odd in odds], 1
+    def value(p: Partition) -> Poly:
+        total = w.ext.zero()
+        for mu in subpartitions(p, max_length=n):
+            sp = det_cofactor([[odd[mu.part(j) + n - j + 1] for j in range(1, n + 1)] for odd in odds], w.ext)
+            total = total + sp * skew_schur_jt(p, mu, (), w.ext, ys=w.ys)
+        return total
 
-    _check_divisor("symplectic", rows, w.ext)
-    lamc = lam.conjugate()
-    total = w.ext.zero()
-    for mu in subpartitions(lam, max_length=n):
-        total = total + det_cofactor(rows(mu)[0], w.ext) * skew_schur_jt(lamc, mu.conjugate(), w.ys, vars=w.ext)
-    return w.back(total)
+    return w.back(_checked("symplectic", value, lam))
 
 
 # -- odd symplectic ---------------------------------------------------------
@@ -467,11 +462,11 @@ def odd_symplectic_det(lam: Partition, xs: Sequence[Poly]) -> Poly:
     yb = y.inverse()
     odds = _divided(w.zs + [y + yb], lam.part(1) + n, 1)
 
-    def rows(p: Partition) -> tuple[list[list[Poly]], int]:
+    def value(p: Partition) -> Poly:
         exps = [p.part(j) + n - j for j in range(1, n + 1)]
-        return [[odd[a + 1] - yb * odd[a] for a in exps] for odd in odds], 1
+        return det_cofactor([[odd[a + 1] - yb * odd[a] for a in exps] for odd in odds], w.ext)
 
-    return w.back(_checked_det("odd symplectic", rows, lam, w.ext))
+    return w.back(_checked("odd symplectic", value, lam))
 
 
 # -- request dispatch --------------------------------------------------------

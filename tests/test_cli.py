@@ -353,8 +353,16 @@ def test_exit_codes_through_the_module_entry_point():
         ("hook", "jt", ",".join(["1"] * 40)),
         ("orthosymplectic", "det", ",".join(["1"] * 40)),
         ("orthosymplectic", "sp_schur_sum", "40"),
+        ("orthosymplectic", "sp_schur_sum", "300"),
+        ("orthosymplectic", "sp_schur_sum", ",".join(["1"] * 150)),
     ],
-    ids=["hook-jt-1^40", "orthosymplectic-det-1^40", "orthosymplectic-sp_schur_sum-40"],
+    ids=[
+        "hook-jt-1^40",
+        "orthosymplectic-det-1^40",
+        "orthosymplectic-sp_schur_sum-40",
+        "orthosymplectic-sp_schur_sum-300",
+        "orthosymplectic-sp_schur_sum-1^150",
+    ],
 )
 def test_long_columns_take_polynomial_time(family, method, lam):
     # A Jacobi-Trudi matrix expanded along its zero lower left, and 2^40
@@ -434,16 +442,24 @@ STANDING_MUTANTS = {
     # ortho_sp_schur_sum drops the terms whose mu has n rows
     "sp_schur_truncated": (
         "characters.py",
-        "    for mu in subpartitions(lam, max_length=n):\n",
-        "    for mu in subpartitions(lam, max_length=n - 1):\n",
+        "        for mu in subpartitions(p, max_length=n):\n",
+        "        for mu in subpartitions(p, max_length=n - 1):\n",
         ["ortho_methods"],
     ),
     # ortho_single_y with the sign of its y flipped
     "single_y_sign": (
         "characters.py",
-        "        return [[odd[a + 1] + y * odd[a] for a in exps] for odd in odds], 1\n",
-        "        return [[odd[a + 1] - y * odd[a] for a in exps] for odd in odds], 1\n",
+        "        return det_cofactor([[odd[a + 1] + y * odd[a] for a in exps] for odd in odds], w.ext)\n",
+        "        return det_cofactor([[odd[a + 1] - y * odd[a] for a in exps] for odd in odds], w.ext)\n",
         ["odd_ortho_specialization", "bkw_general"],
+    ),
+    # the map back from z takes C(k + 1, j) for C(k, j): every C_n-type
+    # route maps its value back through substitute_reciprocal_sums
+    "spread_binomial": (
+        "algebra.py",
+        "                    b = b * (k - j) // (j + 1)\n",
+        "                    b = b * (k - j + 1) // (j + 1)\n",
+        ["ortho_methods", "symplectic_methods", "odd_methods"],
     ),
     # the tableau engine: King letters i and ib fill every row, not only the
     # top i; the closed-form routes must catch a defect in the ground truth
