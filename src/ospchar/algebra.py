@@ -22,11 +22,13 @@ operand is re-encoded only when an operation needs wider fields than it
 has.  Equality and hash do not depend on the width.
 
 Exponent tuples appear only at the edges: the constructor encodes them,
-tuple_terms and sorted_terms decode (to_text reads sorted_terms, to_json
-decodes each key as it writes its term), and exact_div reads each term's
-exponents once to place it in a layer of a weighted degree chosen per
-divisor.  An exact quotient is unique, so only the remainder an inexact
-division reports depends on that choice.
+tuple_terms and sorted_terms decode (to_text reads sorted_terms), and
+exact_div reads each term's exponents once to place it in a layer of a
+weighted degree chosen per divisor.  An exact quotient is unique, so only
+the remainder an inexact division reports depends on that choice.  to_json
+decodes no key: with one-byte fields it writes the keys' bytes through
+256-entry text tables, one lookup per exponent, and only wider fields, or no
+variables at all, take a per-term loop that decodes each key.
 
 Determinants: one algorithm serves every matrix, a cofactor expansion along
 the first row memoized on column subsets (det_cofactor).  It costs O(2^n * n)
@@ -48,10 +50,20 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from operator import add, index, mul, sub
 from typing import Iterable, Sequence
 
 _from_bytes = int.from_bytes
+
+# to_json's text for one exponent field of a one-byte key (the field's byte
+# is the exponent + 128) at each position in the term: the first field
+# opens the exponent list after the coefficient, the last closes the term,
+# and a lone field does both.
+_FIELD_FIRST = tuple(f'","e":[{b - 128},' for b in range(256))
+_FIELD_MIDDLE = tuple(f"{b - 128}," for b in range(256))
+_FIELD_LAST = tuple(f"{b - 128}]}}," for b in range(256))
+_FIELD_ONLY = tuple(f'","e":[{b - 128}]}},' for b in range(256))
 
 
 class AlgebraError(Exception):
@@ -399,12 +411,40 @@ class LaurentPolynomial:
     def to_json(self) -> str:
         """The JSON form with no spaces, terms in decreasing monomial order:
         ``{"vars":["x1"],"terms":[{"c":"2","e":[1]}]}``, each coefficient a
-        decimal string.  Every term is one fill of a format string for its
-        variable count, straight from its key."""
+        decimal string.
+
+        With one-byte fields every pass runs over all terms at once: the
+        sorted keys, biased and masked to their fields, become one byte
+        string of ``width`` bytes per term, so field v of every term is
+        ``blob[v::width]``; each field maps through the text table for its
+        position, each coefficient through one format, and the pieces
+        interleave by slice assignment into a single join.  Wider fields,
+        and a polynomial in no variables, fill one format string per term
+        from its decoded key."""
         terms = self.terms
-        decode = _codec(len(self.vars), self.fbytes)[1]
-        form = '{"c":"%d","e":[' + ",".join(["%d"] * len(self.vars)) + "]}"
-        body = ",".join([form % ((terms[k],) + decode(k)) for k in sorted(terms, reverse=True)])
+        width = len(self.vars)
+        keys = sorted(terms, reverse=True)
+        if self.fbytes == 1 and width and keys:
+            top = 8 * width
+            bias = sum(128 << s for s in range(0, top, 8))
+            low = (1 << top) - 1
+            masked = map(low.__and__, map(bias.__add__, keys))
+            blob = b"".join(map(int.to_bytes, masked, repeat(width), repeat("big")))
+            if width == 1:
+                tables = [_FIELD_ONLY]
+            else:
+                tables = [_FIELD_FIRST] + [_FIELD_MIDDLE] * (width - 2) + [_FIELD_LAST]
+            step = width + 1
+            pieces = [""] * (len(keys) * step)
+            pieces[::step] = map('{"c":"%d'.__mod__, map(terms.__getitem__, keys))
+            for v, table in enumerate(tables):
+                pieces[v + 1 :: step] = map(table.__getitem__, blob[v::width])
+            pieces[-1] = pieces[-1][:-1]  # the last term takes no comma
+            body = "".join(pieces)
+        else:
+            decode = _codec(width, self.fbytes)[1]
+            form = '{"c":"%d","e":[' + ",".join(["%d"] * width) + "]}"
+            body = ",".join([form % ((terms[k],) + decode(k)) for k in keys])
         return '{"vars":' + json.dumps(self.vars.names, separators=(",", ":")) + ',"terms":[' + body + "]}"
 
     def to_json_dict(self) -> dict:
@@ -522,6 +562,17 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     if quot * b != a:
         raise ExactDivisionError("division self-check failed", remainder=None)
     return quot
+
+
+def lift(p: LaurentPolynomial, vars: VariableSet) -> LaurentPolynomial:
+    """p in ``vars``, which is p's variables followed by new letters, each
+    at exponent 0.  Every field moves up past the new ones and the total
+    degree stays, so each key shifts left by the new fields' bits."""
+    width = len(p.vars)
+    if vars.names[:width] != p.vars.names:
+        raise VariableMismatchError(f"{vars.names} does not extend {p.vars.names}")
+    shift = 8 * p.fbytes * (len(vars) - width)
+    return LaurentPolynomial._raw(vars, {k << shift: c for k, c in p.terms.items()}, p.fbytes, p.bound)
 
 
 def substitute_reciprocal_sums(

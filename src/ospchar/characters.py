@@ -50,9 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import LaurentPolynomial, VariableSet, det_cofactor, substitute_reciprocal_sums
+from .algebra import LaurentPolynomial, VariableSet, det_cofactor, lift, substitute_reciprocal_sums
 from .symfun import (
     Partition,
+    _jt_det,
     complete_table,
     jseries_table,
     k_index,
@@ -267,7 +268,7 @@ class _ZWorld:
             prefix += "z"
         self.ext = ext = VariableSet(vs.names + tuple(f"{prefix}{i}" for i in range(1, count + 1)))
         self.zs = [ext.gen(name) for name in ext.names[len(vs) :]]
-        self.ys = [ext.poly({e + (0,) * count: c for e, c in y.tuple_terms().items()}) for y in ys]
+        self.ys = [lift(y, ext) for y in ys]
         self._vs, self._xs = vs, xs
 
     def back(self, p: Poly) -> Poly:
@@ -403,18 +404,20 @@ def ortho_sp_schur_sum(lam: Partition, xs: Sequence[Poly], ys: Sequence[Poly]) -
     mapped back once.  Each sp_mu is the determinant of the rows
     odd(mu_j + n - j + 1) read from _divided, divided differences in z (no
     division).  Each s_{lam'/mu'}(Y) is the dual Jacobi-Trudi determinant
-    det(e_{lam_i - mu_j - i + j}(Y)) of order len(lam): skew_schur_jt with
-    no x-letters.  The sum is checked at the empty partition, where it is
-    sp_empty(X)."""
+    det(e_{lam_i - mu_j - i + j}(Y)) of order len(lam), skew_schur_jt's
+    determinant over one table of the e_r(Y), built once per call at lam's
+    top index, which bounds every mu's.  The sum is checked at the empty
+    partition, where it is sp_empty(X)."""
     n = len(xs)
     w = _ZWorld(xs, ys)
     odds = _divided(w.zs, lam.part(1) + n, 1)
+    es = complete_table(lam.part(1) + max(lam.length, 1) - 1, (), w.ext, ys=w.ys)
 
     def value(p: Partition) -> Poly:
         total = w.ext.zero()
         for mu in subpartitions(p, max_length=n):
             sp = det_cofactor([[odd[mu.part(j) + n - j + 1] for j in range(1, n + 1)] for odd in odds], w.ext)
-            total = total + sp * skew_schur_jt(p, mu, (), w.ext, ys=w.ys)
+            total = total + sp * _jt_det(p, mu, es)
         return total
 
     return w.back(_checked("symplectic", value, lam))

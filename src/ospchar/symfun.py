@@ -262,13 +262,19 @@ def skew_schur_jt(
     exponential in the order.
     """
     require_inside(lam, mu)
+    return _jt_det(lam, mu, complete_table(lam.part(1) + max(lam.length, 1) - 1, xs, vars, ys=ys))
+
+
+def _jt_det(lam: Partition, mu: Partition, table: Sequence[LaurentPolynomial]) -> LaurentPolynomial:
+    """det(table[lam_i - mu_j - i + j]) of order max(len(lam), 1), an entry
+    of negative index zero: skew_schur_jt over a table it did not build,
+    which must reach index lam_1 + max(len(lam), 1) - 1."""
     n = max(lam.length, 1)
-    hx = complete_table(lam.part(1) + n - 1, xs, vars, ys=ys)
-    vs = hx[0].vars
+    vs = table[0].vars
     zero = vs.zero()
 
     def h(r: int) -> LaurentPolynomial:
-        return hx[r] if r >= 0 else zero
+        return table[r] if r >= 0 else zero
 
     rows = [
         [h(lam.part(i) - mu.part(j) - i + j) for i in range(1, n + 1)]

@@ -24,6 +24,7 @@ from ospchar.algebra import (
     det_cofactor,
     det_rational,
     exact_div,
+    lift,
     substitute_reciprocal_sums,
 )
 from ospchar.characters import standard_x, standard_xy
@@ -307,7 +308,7 @@ WIDE = [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63, 2**70]
 exponents = st.one_of(st.integers(-3, 3), st.sampled_from(WIDE).flatmap(lambda w: st.sampled_from([w, -w, -w - 1])))
 
 
-def boundary_terms(vs, max_terms=4, coefficients=st.integers(-9, 9)):
+def boundary_terms(vs, max_terms=4, coefficients=st.integers(-9, 9), exponents=exponents):
     term = st.tuples(st.tuples(*[exponents] * len(vs)), coefficients)
     return st.lists(term, max_size=max_terms).map(lambda items: {e: c for e, c in items if c})
 
@@ -800,6 +801,26 @@ def test_substitution_rejects_what_it_cannot_map():
     assert substitute_reciprocal_sums(VS2_UV.zero(), VS2, units) == VS2.zero()
 
 
+@given(boundary_polys(VS2), boundary_polys(VS2))
+def test_lift_matches_padded_exponent_tuples(p, q):
+    # one shift per key, at every field width, against the constructor over
+    # the exponent tuples padded with zeros; products of lifted operands
+    # lift the product
+    want = VS2_UV.poly({e + (0, 0): c for e, c in p.tuple_terms().items()})
+    got = lift(p, VS2_UV)
+    assert got.tuple_terms() == want.tuple_terms() and got.bound == p.bound
+    assert got * lift(q, VS2_UV) == lift(p * q, VS2_UV)
+    assert lift(p, VS2) == p
+
+
+def test_lift_rejects_a_set_that_does_not_extend():
+    a = VS2.gen("a")
+    with pytest.raises(VariableMismatchError):
+        lift(a, VariableSet(["b", "a", "u"]))
+    with pytest.raises(VariableMismatchError):
+        lift(a, VariableSet(["a"]))
+
+
 # -- determinants ----------------------------------------------------------
 
 
@@ -1074,8 +1095,16 @@ def _same_json(vs, terms):
     assert LaurentPolynomial.from_json_dict(json.loads(p.to_json())) == p
 
 
-json_cases = st.sampled_from([VS0, VS1, VS3]).flatmap(
-    lambda vs: st.tuples(st.just(vs), boundary_terms(vs, 5, WIDE_COEFFICIENTS))
+# Six variables put four fields between the first and the last.  ONE_BYTE
+# exponents keep every field one byte wide, where to_json writes through its
+# tables; `exponents` reaches wider fields, where it decodes each key.
+VS6 = VariableSet(["a", "b", "c", "d", "e", "f"])
+ONE_BYTE = st.one_of(st.integers(-3, 3), st.integers(-127, 127))
+json_cases = st.sampled_from([VS0, VS1, VS2, VS3, VS6]).flatmap(
+    lambda vs: st.tuples(
+        st.just(vs),
+        st.one_of(boundary_terms(vs, 5, WIDE_COEFFICIENTS), boundary_terms(vs, 5, WIDE_COEFFICIENTS, ONE_BYTE)),
+    )
 )
 
 
@@ -1097,6 +1126,17 @@ def test_to_json_edges():
         widths.add(VS3.poly(terms).fbytes)
         _same_json(VS3, terms)
     assert widths == {1, 2, 3, 5, 9}
+    # every one-byte exponent, -127 to 127, in every field position: the
+    # first, the middle ones, the last, and a lone field
+    for vs in (VS1, VS2, VS3, VS6):
+        _same_json(vs, {tuple((e + 37 * v) % 255 - 127 for v in range(len(vs))): e + 1 for e in range(255)})
+    # a product's bound is the sum of its operands', 200: two-byte fields
+    # that hold exponents of one byte only
+    a, b, c = VS3.gens()
+    p = (a**100 - 3 * b) * (a**-100 + c**127)
+    assert p.fbytes == 2 and max(abs(x) for e in p.tuple_terms() for x in e) == 127
+    want = json.dumps(TuplePoly.of(p).to_json_dict(), separators=(",", ":"))
+    assert p.to_json() == VS3.poly(p.tuple_terms()).to_json() == want
     assert VS3.zero().to_json() == '{"vars":["a","b","c"],"terms":[]}'
     assert VS1.poly({(-2,): -3}).to_json() == '{"vars":["x"],"terms":[{"c":"-3","e":[-2]}]}'
 

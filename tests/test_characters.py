@@ -2,7 +2,7 @@
 
 import pytest
 
-from ospchar import characters
+from ospchar import characters, symfun
 from ospchar.algebra import ExactDivisionError, VariableSet, det_cofactor, exact_div
 from ospchar.symfun import Partition, complete_table, k_index, partitions_of, partitions_up_to, skew_schur_jt, subpartitions
 from ospchar.characters import (
@@ -868,6 +868,27 @@ def test_ortho_sp_schur_sum_builds_its_denominator_groups_once(monkeypatch):
     monkeypatch.setattr(characters, "_divided", counting)
     value = ortho_sp_schur_sum(lam, xs, ys)
     assert calls == [3]
+    assert value == tableaux.orthosymplectic_weight_sum(lam, 3, 2)
+
+
+@pytest.mark.parametrize("parts", [(1,), (2, 2), (3, 2, 1)])
+def test_ortho_sp_schur_sum_builds_one_table_in_y(monkeypatch, parts):
+    # every mu's skew Schur determinant, at lam and at the empty partition,
+    # reads one table of the e_r(Y), however many mu there are
+    calls = []
+    real = complete_table
+
+    def counting(rmax, letters, vars=None, *, zs=(), ys=()):
+        calls.append(len(ys))
+        return real(rmax, letters, vars, zs=zs, ys=ys)
+
+    lam = Partition(parts)
+    vs, xs, ys = standard_xy(3, 2)
+    monkeypatch.setattr(characters, "complete_table", counting)
+    monkeypatch.setattr(symfun, "complete_table", counting)
+    value = ortho_sp_schur_sum(lam, xs, ys)
+    assert len(list(subpartitions(lam, max_length=3))) > 1
+    assert [c for c in calls if c] == [2]
     assert value == tableaux.orthosymplectic_weight_sum(lam, 3, 2)
 
 

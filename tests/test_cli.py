@@ -580,6 +580,7 @@ def test_formula_defect_is_an_internal_error(capsys, monkeypatch):
     # a ValueError a route raises past compute's own domain check is a defect
     monkeypatch.undo()
     monkeypatch.setattr(characters, "skew_schur_jt", nested_domain_check)
+    monkeypatch.setattr(characters, "_jt_det", nested_domain_check)
     code, out, err = run(
         capsys, "compute", "--family", "orthosymplectic", "--method", "sp_schur_sum",
         "--n", "2", "--m", "1", "--lambda", "2,1",
