@@ -8,10 +8,13 @@ variable, so a unit monomial and its inverse share one variable set.
 Every polynomial keys its terms on one integer per monomial.  Over n
 variables, with fields of fbytes bytes and B = 2^(8 * fbytes),
 
-    key(e) = sum(e) * B^n + e_1 * B^(n-1) + ... + e_n,
+    key(e) = e_1 * u_1 + ... + e_n * u_n,    u_v = B^n + B^(n-v),
 
 the total degree on top and one signed (balanced) field per variable, each
-e_v in [-B/2, B/2).  Monomial multiplication is then integer addition,
+e_v in [-B/2, B/2): a key is linear in its exponents, and the unit key u_v
+holds 1 in the degree field and 1 in field v.  _codec is this layout's one
+home; every other site that builds a key takes its unit keys, bias or
+encoder.  Monomial multiplication is then integer addition,
 inversion is negation, and integer order on keys is graded-lexicographic
 order on exponent vectors, the canonical order of serialization.  Each
 polynomial carries its field width and a bound on the magnitude of its
@@ -48,13 +51,12 @@ wraps both by name.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import add, index, mul, sub
+from operator import index, mul, sub
 from typing import Iterable, Sequence
-
-_from_bytes = int.from_bytes
 
 # to_json's text for one exponent field of a one-byte key (the field's byte
 # is the exponent + 128) at each position in the term: the first field
@@ -95,34 +97,31 @@ def _width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
+_Codec = namedtuple("_Codec", "units encode decode bias")
+
+
 @lru_cache(maxsize=None)
-def _codec(width: int, fbytes: int):
-    """(encode, decode) between the exponent vectors of ``width`` variables
-    and keys with fields of ``fbytes`` bytes.  Both pass through key + bias,
-    whose fields e_v + B/2 are nonnegative and carry into nothing: bytes for
-    one-byte fields, shifts for wider ones."""
+def _codec(width: int, fbytes: int) -> _Codec:
+    """The key layout for ``width`` variables in fields of ``fbytes`` bytes,
+    the one place that states it.  A key is linear in its exponent vector:
+    encode(e) = sum(e_v * units[v]), where units[v] holds 1 in the degree
+    field and 1 in field v; decode reads the fields of key + bias, each
+    e_v + B/2 and so nonnegative, by shift and mask."""
     bits = 8 * fbytes
-    half = 1 << (bits - 1)
-    top = bits * width
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
     shifts = [bits * (width - 1 - v) for v in range(width)]
+    degree = 1 << bits * width
+    units = tuple(degree + (1 << s) for s in shifts)
     bias = sum(half << s for s in shifts)
-    if fbytes == 1:
-        low = (1 << top) - 1
-        up, down = (half,) * width, (-half,) * width
-        return (
-            lambda e: (sum(e) << top) + _from_bytes(bytes(map(add, e, up)), "big") - bias,
-            lambda k: tuple(map(add, ((k + bias) & low).to_bytes(width, "big"), down)),
-        )
-    mask = (1 << bits) - 1
 
     def encode(e):
-        return (sum(e) << top) + sum(x << s for x, s in zip(e, shifts))
+        return sum(map(mul, e, units))
 
     def decode(k):
         k += bias
         return tuple(((k >> s) & mask) - half for s in shifts)
 
-    return encode, decode
+    return _Codec(units, encode, decode, bias)
 
 
 def _at(p: "LaurentPolynomial", fbytes: int) -> dict:
@@ -130,7 +129,7 @@ def _at(p: "LaurentPolynomial", fbytes: int) -> dict:
     if p.fbytes == fbytes:
         return p.terms
     width = len(p.vars)
-    encode, decode = _codec(width, fbytes)[0], _codec(width, p.fbytes)[1]
+    encode, decode = _codec(width, fbytes).encode, _codec(width, p.fbytes).decode
     return {encode(decode(k)): c for k, c in p.terms.items()}
 
 
@@ -193,8 +192,7 @@ class VariableSet:
         return LaurentPolynomial._raw(self, {0: c}, 1, 0)
 
     def gen(self, name: str) -> "LaurentPolynomial":
-        width = len(self.names)
-        key = (1 << 8 * width) + (1 << 8 * (width - 1 - self.index(name)))
+        key = _codec(len(self.names), 1).units[self.index(name)]
         return LaurentPolynomial._raw(self, {key: 1}, 1, 1)
 
     def gens(self) -> list["LaurentPolynomial"]:
@@ -234,7 +232,7 @@ class LaurentPolynomial:
         self.vars = vars
         self.bound = max((abs(x) for exps in clean for x in exps), default=0)
         self.fbytes = _width(self.bound)
-        encode = _codec(width, self.fbytes)[0]
+        encode = _codec(width, self.fbytes).encode
         self.terms = {encode(exps): c for exps, c in clean.items()}
 
     @classmethod
@@ -286,6 +284,9 @@ class LaurentPolynomial:
         return a == b
 
     def __hash__(self) -> int:
+        # a constant (zero included) equals its integer, so it hashes as one
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash((self.vars, frozenset(self.tuple_terms().items())))
 
     def __add__(self, other) -> "LaurentPolynomial":
@@ -378,12 +379,12 @@ class LaurentPolynomial:
 
     def tuple_terms(self) -> dict[tuple[int, ...], int]:
         """The term map keyed on exponent tuples."""
-        decode = _codec(len(self.vars), self.fbytes)[1]
+        decode = _codec(len(self.vars), self.fbytes).decode
         return {decode(k): c for k, c in self.terms.items()}
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """(exponent tuple, coefficient) pairs in decreasing monomial order."""
-        decode = _codec(len(self.vars), self.fbytes)[1]
+        decode = _codec(len(self.vars), self.fbytes).decode
         terms = self.terms
         return [(decode(k), terms[k]) for k in sorted(terms, reverse=True)]
 
@@ -425,9 +426,8 @@ class LaurentPolynomial:
         width = len(self.vars)
         keys = sorted(terms, reverse=True)
         if self.fbytes == 1 and width and keys:
-            top = 8 * width
-            bias = sum(128 << s for s in range(0, top, 8))
-            low = (1 << top) - 1
+            bias = _codec(width, 1).bias
+            low = (1 << 8 * width) - 1
             masked = map(low.__and__, map(bias.__add__, keys))
             blob = b"".join(map(int.to_bytes, masked, repeat(width), repeat("big")))
             if width == 1:
@@ -442,7 +442,7 @@ class LaurentPolynomial:
             pieces[-1] = pieces[-1][:-1]  # the last term takes no comma
             body = "".join(pieces)
         else:
-            decode = _codec(width, self.fbytes)[1]
+            decode = _codec(width, self.fbytes).decode
             form = '{"c":"%d","e":[' + ",".join(["%d"] * width) + "]}"
             body = ",".join([form % ((terms[k],) + decode(k)) for k in keys])
         return '{"vars":' + json.dumps(self.vars.names, separators=(",", ":")) + ',"terms":[' + body + "]}"
@@ -480,8 +480,8 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     if a.is_zero():
         return a.vars.zero()
     width = len(a.vars)
-    aexps = list(map(_codec(width, a.fbytes)[1], a.terms))
-    bexps = list(map(_codec(width, b.fbytes)[1], b.terms))
+    aexps = list(map(_codec(width, a.fbytes).decode, a.terms))
+    bexps = list(map(_codec(width, b.fbytes).decode, b.terms))
     acols, bcols = list(zip(*aexps)), list(zip(*bexps))
     amin, amax = list(map(min, acols)), list(map(max, acols))
     bmin, bmax = list(map(min, bcols)), list(map(max, bcols))
@@ -503,13 +503,12 @@ def exact_div(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     # With B/2 added to every field, a field of k - L keeps its top (guard)
     # bit iff that exponent of k is at least L's, and one of U - k iff it is
     # at most U's: every span and the quotient's box fit below B/2, so no
-    # field carries into the next.
-    bits = 8 * fbytes
-    shifts = [bits * (width - 1 - v) for v in range(width)]
-    guard = sum((1 << bits - 1) << s for s in shifts)
+    # field carries into the next; the degree field holds no guard bit.
+    codec = _codec(width, fbytes)
+    guard = codec.bias
     top = bexps[bdeg.index(dtop)]
-    lo = guard - sum((t + x) << s for t, x, s in zip(top, qmin, shifts))
-    hi = guard + sum((t + x) << s for t, x, s in zip(top, qmax, shifts))
+    lo = guard - codec.encode([t + x for t, x in zip(top, qmin)])
+    hi = guard + codec.encode([t + x for t, x in zip(top, qmax)])
 
     layers: dict[int, dict[int, int]] = {}
     for (k, c), e in zip(a_terms.items(), aexps):
@@ -605,14 +604,14 @@ def substitute_reciprocal_sums(
     bound = p.bound * (1 + reach)
     fbytes = max(p.fbytes, _width(bound))
     terms = _at(p, fbytes)
+    units = _codec(width + count, fbytes).units
     bits = 8 * fbytes
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    top = bits * (width + count)
     for i in range(count - 1, -1, -1):
         shift = bits * (count - 1 - i)
         d, s = moves[i]
-        step = (sum(d) << top) + sum(x << bits * (width + count - 1 - v) for v, x in enumerate(d))
-        letter = (1 << top) + (1 << shift)
+        step = sum(map(mul, d, units))
+        letter = units[width + i]
         spread: dict[int, list[tuple[int, int]]] = {}
         out: dict[int, int] = {}
         get = out.get

@@ -7,8 +7,9 @@ Young diagram, so adding the letters in code order grows the shape by one
 strip per letter, horizontal for row-weak letters and vertical for the
 row-strict primed ones.  The cost follows the number of intermediate shapes,
 not the number of tableaux.  Each partial weight is an integer key in the
-algebra's codec, so a strip adds one integer to every key it shifts, and the
-keys at the full shape are the result's terms as they stand.
+algebra's codec, linear in its exponents, so a strip adds sign * size * (the
+unit key of its variable) to every key it shifts, and the keys at the full
+shape are the result's terms as they stand.
 
 Enumeration fills a Young diagram row-major by backtracking.  It reads the
 same letter table: every filling rule of the five families bounds a cell's
@@ -47,7 +48,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from .algebra import LaurentPolynomial, _width
+from .algebra import LaurentPolynomial, _codec, _width
 from .symfun import Partition, require_inside, require_length, standard_xy
 
 
@@ -145,29 +146,27 @@ def _strip_sum(family: str, lam: Partition, mu: Partition, n: int, m: int = 0) -
     the weights summed over its fillings; shapes that can no longer grow to
     lam with the letters left are dropped.
 
-    A weight is a key in the algebra's codec: the total degree in the top
-    field, then one signed field per variable of ``standard_xy(n, m)``.  No
-    partial weight has a degree or an exponent outside [-cells, cells], for
-    cells = |lam| - |mu|, so the fields sized for that bound never carry and
-    a strip of s cells adds s * sign * (degree unit + variable unit) to every
-    key of its source.  The keys at lam are the result's terms as they stand.
+    A weight is a key in the algebra's codec over ``standard_xy(n, m)``,
+    linear in its exponents, so a strip of s cells adds s * sign * (the unit
+    key of its variable) to every key of its source.  No partial weight has
+    a degree or an exponent outside [-cells, cells], for cells = |lam| -
+    |mu|, and the fields sized for that bound never carry.  The keys at lam
+    are the result's terms as they stand.
     """
     _check_domain(family, lam, mu, n)
     letters = LETTERS[family](n, m)
     vs = standard_xy(n, m)[0]
-    width = len(vs)
     target = lam.parts
     cells = lam.size - mu.size
     fbytes = _width(cells)
-    units = [1 << 8 * fbytes * (width - 1 - v) for v in range(width)]
-    degree = 1 << 8 * fbytes * width
+    units = _codec(len(vs), fbytes).units
     layer = {tuple(mu.part(r + 1) for r in range(len(target))): {0: 1}}
     for k, letter in enumerate(letters):
         rest = letters[k + 1 :]
         flat = [x for x in rest if not x.row_strict]
         rows = max((x.rows or len(target) for x in flat), default=0)
         strict = len(rest) - len(flat)
-        step = letter.sign * (degree + units[letter.var])
+        step = letter.sign * units[letter.var]
         nxt: dict[tuple[int, ...], dict[int, int]] = {}
         while layer:
             shape, terms = layer.popitem()

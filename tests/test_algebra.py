@@ -20,6 +20,8 @@ from ospchar.algebra import (
     LaurentPolynomial,
     VariableMismatchError,
     VariableSet,
+    _at,
+    _codec,
     det_bareiss,
     det_cofactor,
     det_rational,
@@ -467,9 +469,9 @@ def wide_poly_strategy(vs, scale):
     return st.lists(term, min_size=1, max_size=3).map(lambda items: vs.poly(dict(items)) * dense)
 
 
-# field widths of the product, sized for exponents up to 4 * scale + 6: 1 byte,
-# 2 bytes, 3 bytes (held in 4), 6 bytes (held in 8) and 9 bytes (past the
-# struct formats); each operand's fields are narrower and widen first
+# field widths of the product, sized for exponents up to 4 * scale + 6: 1, 2,
+# 3, 6 and 9 bytes, each the exact byte count that bound needs; each
+# operand's fields are narrower and widen first
 FIELD_SCALES = [2 ** 4, 2 ** 11, 2 ** 18, 2 ** 38, 2 ** 68]
 
 
@@ -1145,3 +1147,32 @@ def test_hash_consistent_with_equality():
     p = VS2.poly({(1, -1): 2, (0, 0): 1})
     q = VS2.poly({(0, 0): 1, (1, -1): 2})
     assert p == q and hash(p) == hash(q)
+
+
+def test_a_constant_hashes_as_its_integer():
+    # equal objects hash equal: a constant polynomial equals its integer
+    for vs in (VS0, VS1, VS3):
+        for c in (0, 1, -7, 2**70):
+            assert vs.const(c) == c and hash(vs.const(c)) == hash(c)
+    assert len({VS2.one(), 1}) == 1 and 1 in {VS2.one(): "a"}
+    a = VS2.gen("a")
+    # a zero left by cancellation, and a constant in wide fields
+    for p, c in ((a - a, 0), (3 * a**200 * a**-200, 3)):
+        assert p == c and hash(p) == hash(c) and p in {c}
+
+
+@pytest.mark.parametrize("fbytes", [1, 2, 3])
+def test_codec_keys_are_linear_in_their_exponents(fbytes):
+    B = 2 ** (8 * fbytes)
+    edge = B // 2 - 1
+    for width in range(5):
+        codec = _codec(width, fbytes)
+        assert codec.units == tuple(B**width + B ** (width - 1 - v) for v in range(width))
+        for e in product((-edge, -1, 0, 1, edge), repeat=width):
+            key = codec.encode(e)
+            assert key == sum(x * u for x, u in zip(e, codec.units))
+            assert codec.decode(key) == e
+        vs = VariableSet([f"v{v}" for v in range(width)])
+        for v, name in enumerate(vs.names):
+            assert vs.gen(name).terms == {_codec(width, 1).units[v]: 1}
+            assert _at(vs.gen(name), fbytes) == {codec.units[v]: 1}
